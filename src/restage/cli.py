@@ -23,7 +23,7 @@ import numpy as np
 
 from . import analysis, schedule as sched
 from .codec import IdentityCodec
-from .config import ExperimentConfig, build_codec, build_denoiser, load_config
+from .config import ExperimentConfig, build_codec, build_denoiser, check_seed_range, load_config
 from .denoiser import UNCONDITIONAL, GaussianPrior
 from .errors import ConfigError, TensorFormatError
 from .latent import LatentGrid, SeededRng, gaussian_noise
@@ -368,6 +368,7 @@ def _load(args) -> tuple[ExperimentConfig, Path, Path]:
         raise ConfigError("--config is required for this command")
     config = load_config(args.config)
     if args.seed is not None:
+        check_seed_range(args.seed, config.run.run_count)
         config = replace(config, run=replace(config.run, seed=args.seed))
     base_dir = Path(args.config).resolve().parent
     out_dir = Path(args.out) if args.out else Path(config.run.output_dir)

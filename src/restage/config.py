@@ -62,7 +62,7 @@ from .schedule import (
 )
 from .tensorfile import read_tensor
 
-__all__ = ["ExperimentConfig", "load_config", "build_denoiser", "build_codec"]
+__all__ = ["ExperimentConfig", "load_config", "check_seed_range", "build_denoiser", "build_codec"]
 
 CURVE_LABELS = (*VARIANTS, "native-baseline", "rectified-no-rect")
 
@@ -357,10 +357,9 @@ def load_config(path: str | Path) -> ExperimentConfig:
         output_dir=run_sec.get("output_dir", "out"),
     )
     run_sec.reject_unknown()
-    if not 0 <= run_spec.seed < 2**64:
-        raise ConfigError(f"run.seed: must fit in an unsigned 64-bit value, got {run_spec.seed}")
     if run_spec.run_count < 1:
         raise ConfigError(f"run.run_count: must be >= 1, got {run_spec.run_count}")
+    check_seed_range(run_spec.seed, run_spec.run_count)
     if isinstance(run_spec.snapshot_steps, tuple):
         for s in run_spec.snapshot_steps:
             if not 0 <= s < schedule_spec.num_steps:
@@ -404,6 +403,15 @@ def load_config(path: str | Path) -> ExperimentConfig:
             f"got {ladder.t_max} > {schedule_spec.num_steps}"
         )
     return config
+
+
+def check_seed_range(seed: int, run_count: int) -> None:
+    """Require every run seed, ``seed + i`` for ``i < run_count``, to fit in 64 unsigned bits."""
+    if not 0 <= seed <= seed + run_count - 1 < 2**64:
+        raise ConfigError(
+            f"run.seed: every run seed must fit in an unsigned 64-bit value, "
+            f"got {seed} with run_count {run_count}"
+        )
 
 
 def build_denoiser(

@@ -128,6 +128,15 @@ class DatasetPrior(Denoiser):
     them. Queries at a resolution other than the stored points' resample
     every point bilinearly to the queried shape; resampled stacks are cached
     per resolution and can be warmed eagerly via :meth:`prepare_resolution`.
+
+    The posterior reads the points as rows of a flattened (N, C*H*W) matrix
+    alongside their half squared norms. Both are cached on first use: per
+    resolution for all points (the matrix is a view of the cached stack),
+    and per (resolution, label) for one class's rows, copied contiguous so
+    a conditional query touches only those rows. The row indices of each
+    label are fixed at construction. Every cache entry is computed in full
+    and then stored with one dict assignment, so threads sharing a prior
+    can at worst compute the same entry twice.
     """
 
     def __init__(self, points: list[LatentGrid], labels: list[int], timeline: SamplerTimeline):
@@ -147,6 +156,10 @@ class DatasetPrior(Denoiser):
         self._stacks: dict[tuple[int, int], np.ndarray] = {
             self._native_shape: np.stack([p.data for p in points])
         }
+        label_array = np.array(self.labels)
+        self._label_rows = {lab: np.flatnonzero(label_array == lab) for lab in set(self.labels)}
+        # (height, width, label or None) -> (flattened rows, half squared norms)
+        self._rows: dict[tuple[int, int, int | None], tuple[np.ndarray, np.ndarray]] = {}
 
     def prepare_resolution(self, height: int, width: int) -> None:
         key = (height, width)
@@ -158,6 +171,20 @@ class DatasetPrior(Denoiser):
     def stack_for_shape(self, height: int, width: int) -> np.ndarray:
         self.prepare_resolution(height, width)
         return self._stacks[(height, width)]
+
+    def _rows_for(self, height: int, width: int, label: int | None):
+        """Flattened points of one branch at one resolution, with half squared norms."""
+        key = (height, width, label)
+        cached = self._rows.get(key)
+        if cached is None:
+            flat = self.stack_for_shape(height, width).reshape(len(self.points), -1)
+            if label is not None:
+                if label not in self._label_rows:
+                    raise DenoiserError(f"no points carry label {label}")
+                flat = flat[self._label_rows[label]]
+            cached = (flat, 0.5 * np.einsum("nd,nd->n", flat, flat))
+            self._rows[key] = cached
+        return cached
 
     def predict_eps(self, x_t: LatentGrid, step: int, condition: Condition) -> LatentGrid:
         ab = self._level_at(self.timeline, step)
@@ -171,27 +198,33 @@ def dataset_posterior_mean(
     """Posterior mean of the clean latent under a uniform point-set prior.
 
     With points p_i at the query resolution, the weight of point i is
-    proportional to exp(-||x_t - sqrt(ab) * p_i||^2 / (2 * (1 - ab))); the
-    largest exponent is subtracted before exponentiation so the softmax
-    stays finite at levels arbitrarily close to 1, where the posterior
-    collapses onto the nearest point (ties sharing weight equally).
+    proportional to exp(-||x_t - sqrt(ab) * p_i||^2 / (2 * (1 - ab))).
+    Expanding the square,
+
+        ||x_t - sqrt(ab) p_i||^2 = ||x_t||^2 - 2 sqrt(ab) <x_t, p_i> + ab ||p_i||^2,
+
+    and the ||x_t||^2 term is the same for every point, so it cancels when
+    the weights are normalised. That leaves
+
+        log w_i = (sqrt(ab) <x_t, p_i> - ab ||p_i||^2 / 2) / (1 - ab),
+
+    one matrix-vector product against the flattened points, and the mean
+    is one more (w^T P). The largest exponent is subtracted before
+    exponentiation so the softmax stays finite at levels arbitrarily close
+    to 1, where the posterior collapses onto the nearest point (ties
+    sharing weight equally).
     """
     if not 0.0 < alpha_bar_t < 1.0:
         raise ValueError(f"alpha_bar_t must lie in (0, 1), got {alpha_bar_t}")
     if x_t.channels != prior.channels:
         raise DenoiserError(f"expected {prior.channels} channels, got {x_t.channels}")
-    stack = prior.stack_for_shape(x_t.height, x_t.width)
-    if condition.is_conditional:
-        mask = np.array([lab == condition.label for lab in prior.labels])
-        if not mask.any():
-            raise DenoiserError(f"no points carry label {condition.label}")
-        stack = stack[mask]
-    diffs = x_t.data[None, ...] - np.sqrt(alpha_bar_t) * stack
-    log_w = -np.sum(diffs * diffs, axis=(1, 2, 3)) / (2.0 * (1.0 - alpha_bar_t))
+    flat, half_sq_norms = prior._rows_for(x_t.height, x_t.width, condition.label)
+    dots = flat @ x_t.data.reshape(-1)
+    log_w = (np.sqrt(alpha_bar_t) * dots - alpha_bar_t * half_sq_norms) / (1.0 - alpha_bar_t)
     log_w -= log_w.max()
     weights = np.exp(log_w)
     weights /= weights.sum()
-    return LatentGrid(np.tensordot(weights, stack, axes=(0, 0)))
+    return LatentGrid((weights @ flat).reshape(x_t.shape))
 
 
 def cfg_combine(eps_uncond: LatentGrid, eps_cond: LatentGrid, omega: float) -> LatentGrid:

@@ -4,6 +4,8 @@ Import-only module: the default training schedule, a 50-step timeline, the
 plan builders the staged-run tests use, and three dataset priors whose
 layouts were tuned for specific measurable responses (each builder's
 docstring says which). Nothing at module level executes a sampling run.
+It also holds the direct-difference point-set posterior that the
+matrix-form kernel is checked against.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import numpy as np
 
 from restage.codec import IdentityCodec
 from restage.denoiser import Condition, DatasetPrior
+from restage.errors import DenoiserError
 from restage.latent import LatentGrid
 from restage.schedule import LadderConfig, build_plan, build_schedule, build_timeline
 
@@ -138,3 +141,28 @@ def coarse_prior(timeline=TIMELINE):
         g *= np.sqrt(CHANNELS * BASE * BASE) / np.linalg.norm(g)
         points.append(LatentGrid(g))
     return DatasetPrior(points, [0] * 16, timeline)
+
+
+def direct_posterior_mean(prior, x_t, alpha_bar_t, condition):
+    """Reference point-set posterior mean from the explicit difference stack.
+
+    Builds x_t - sqrt(ab) * p_i for every point and sums its squares; the
+    production kernel drops the shared ||x_t||^2 term instead, so the two
+    agree to float64 rounding of the log-weights.
+    """
+    if not 0.0 < alpha_bar_t < 1.0:
+        raise ValueError(f"alpha_bar_t must lie in (0, 1), got {alpha_bar_t}")
+    if x_t.channels != prior.channels:
+        raise DenoiserError(f"expected {prior.channels} channels, got {x_t.channels}")
+    stack = prior.stack_for_shape(x_t.height, x_t.width)
+    if condition.is_conditional:
+        mask = np.array([lab == condition.label for lab in prior.labels])
+        if not mask.any():
+            raise DenoiserError(f"no points carry label {condition.label}")
+        stack = stack[mask]
+    diffs = x_t.data[None, ...] - np.sqrt(alpha_bar_t) * stack
+    log_w = -np.sum(diffs * diffs, axis=(1, 2, 3)) / (2.0 * (1.0 - alpha_bar_t))
+    log_w -= log_w.max()
+    weights = np.exp(log_w)
+    weights /= weights.sum()
+    return LatentGrid(np.tensordot(weights, stack, axes=(0, 0)))

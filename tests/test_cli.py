@@ -118,6 +118,51 @@ class TestSample:
                 tmp_path / "pooled" / name
             ).read_bytes()
 
+    def test_jobs_do_not_change_dataset_prior_output(self, tmp_path):
+        # conditional dataset prior over two resolutions: the pooled runs share
+        # one prior and race to fill its per-resolution and per-label caches
+        rng = np.random.default_rng(12)
+        write_tensor(tmp_path / "points.rhrt", 0.05 * rng.normal(size=(6, 4, 8, 8)))
+        cfg = _config(
+            tmp_path,
+            STAGED_SMALL.replace(
+                "mean_value = 0.25\n    variance = 1.5",
+                "kind = dataset\n    path = points.rhrt\n    conditional = true",
+            )
+            + "[run]\nvariant = rectified\nrun_count = 3\n",
+        )
+        assert main(["sample", "--config", cfg, "--out", str(tmp_path / "serial")]) == 0
+        assert main(
+            ["sample", "--config", cfg, "--out", str(tmp_path / "pooled"), "--jobs", "2"]
+        ) == 0
+        names = sorted(p.name for p in (tmp_path / "serial").iterdir())
+        assert names == [
+            "final_0.rhrt", "final_1.rhrt", "final_2.rhrt",
+            "trace_0.csv", "trace_1.csv", "trace_2.csv",
+        ]
+        for name in names:
+            assert (tmp_path / "serial" / name).read_bytes() == (
+                tmp_path / "pooled" / name
+            ).read_bytes()
+
+    @pytest.mark.parametrize(
+        "extra,argv",
+        [
+            ("run_count = 2\n", []),
+            ("", ["--seed", "-3"]),
+            ("run_count = 2\n", ["--seed", "18446744073709551615"]),
+        ],
+    )
+    def test_seed_range_fails_before_any_output(self, tmp_path, capsys, extra, argv):
+        text = SMALL + extra
+        if not argv:
+            text = text.replace("seed = 4", "seed = 18446744073709551615")
+        cfg = _config(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["sample", "--config", cfg, "--out", str(out), *argv]) == 1
+        assert "error: run.seed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_seed_override(self, tmp_path):
         cfg = _config(tmp_path, SMALL)
         assert main(["sample", "--config", cfg, "--out", str(tmp_path / "out"), "--seed", "99"]) == 0

@@ -134,6 +134,7 @@ class TestValidation:
         "extra,fragment",
         [
             ("[run]\nseed = -1\n", "run.seed"),
+            ("[run]\nseed = 18446744073709551615\nrun_count = 2\n", "run.seed"),
             ("[run]\nrun_count = 0\n", "run_count"),
             ("[run]\nvariant = turbo\n", "variant"),
             ("[run]\nsnapshot_steps = 1, 99\n", "snapshot_steps"),
@@ -153,6 +154,11 @@ class TestValidation:
     def test_bad_values(self, tmp_path, extra, fragment):
         with pytest.raises(ConfigError, match=fragment):
             _load(tmp_path, MINIMAL + extra)
+
+    @pytest.mark.parametrize("seed,run_count", [(2**64 - 1, 1), (2**64 - 2, 2)])
+    def test_last_run_seed_may_reach_the_64_bit_limit(self, tmp_path, seed, run_count):
+        config = _load(tmp_path, MINIMAL + f"[run]\nseed = {seed}\nrun_count = {run_count}\n")
+        assert (config.run.seed, config.run.run_count) == (seed, run_count)
 
     @pytest.mark.parametrize("value", ["abc", "16xx16", "16"])
     def test_bad_resolutions(self, tmp_path, value):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +22,7 @@ from restage.errors import DenoiserError, ShapeError
 from restage.latent import LatentGrid, SeededRng, gaussian_noise
 from restage.schedule import build_schedule, build_timeline
 
-from _toys import TIMELINE
+from _toys import TIMELINE, direct_posterior_mean
 
 # one-step timeline whose only level is exactly 0.5, for hand calculations
 HALF_TIMELINE = build_timeline(build_schedule("linear", 0.5, 0.5, 1), 1)
@@ -214,6 +217,85 @@ class TestDatasetPrior:
         mean = dataset_posterior_mean(prior, x, 0.5, UNCONDITIONAL)
         want = (x.data - np.sqrt(0.5) * mean.data) / np.sqrt(0.5)
         assert np.allclose(eps.data, want, atol=1e-14)
+
+
+@st.composite
+def posterior_cases(draw):
+    """A labelled point set, a query at the native or a resampled size, a branch, a level."""
+    n = draw(st.integers(1, 12))
+    channels = draw(st.integers(1, 3))
+    height, width = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = rng.normal(size=(n, channels, height, width)) * 10.0 ** draw(st.floats(-3, 2))
+    if n > 1 and draw(st.booleans()):
+        # near-duplicate of point 0, off by a relative 1e-12 .. 1e-4
+        dup = draw(st.integers(1, n - 1))
+        offset = 10.0 ** draw(st.floats(-12, -4))
+        data[dup] = data[0] * (1.0 + offset * rng.normal(size=data[0].shape))
+    labels = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    label = draw(st.none() | st.sampled_from(sorted(set(labels))))
+    level = draw(st.sampled_from(["near-0", "interior", "near-1"]))
+    if level == "near-0":
+        ab = 10.0 ** draw(st.floats(-8, -2))
+    elif level == "interior":
+        ab = draw(st.floats(0.01, 0.99))
+    else:
+        ab = 1.0 - 10.0 ** draw(st.floats(-14, -8))
+    if draw(st.booleans()):
+        query_shape = (height, width)
+    else:
+        query_shape = (draw(st.integers(1, 5)), draw(st.integers(1, 5)))
+    x = rng.normal(size=(channels, *query_shape))
+    x *= 10.0 ** draw(st.floats(-3, 3)) / np.linalg.norm(x)
+    prior = DatasetPrior([LatentGrid(d) for d in data], labels, TIMELINE)
+    return prior, LatentGrid(x), ab, Condition(label=label)
+
+
+class TestMatrixFormPosterior:
+    @settings(max_examples=300, deadline=None)
+    @given(case=posterior_cases())
+    def test_matches_the_direct_difference_form(self, case):
+        prior, x, ab, condition = case
+        got = dataset_posterior_mean(prior, x, ab, condition).data
+        want = direct_posterior_mean(prior, x, ab, condition).data
+        # float64 rounding of the log-weights, scaled by their magnitude L
+        stack = prior.stack_for_shape(x.height, x.width)
+        if condition.is_conditional:
+            stack = stack[[lab == condition.label for lab in prior.labels]]
+        flat = stack.reshape(len(stack), -1)
+        xf = x.data.reshape(-1)
+        log_scale = (
+            xf @ xf / 2.0
+            + np.sqrt(ab) * np.abs(flat @ xf).max()
+            + ab * np.einsum("nd,nd->n", flat, flat).max() / 2.0
+        ) / (1.0 - ab)
+        tol = 1e-13 * np.abs(flat).max() * (1.0 + log_scale)
+        assert np.abs(got - want).max() <= tol
+
+    def test_threads_filling_a_cold_cache_agree_with_serial_calls(self):
+        rng = np.random.default_rng(14)
+        points = [LatentGrid(rng.normal(size=(2, 4, 4))) for _ in range(8)]
+        labels = [i % 3 for i in range(8)]
+        queries = [
+            (LatentGrid(rng.normal(size=(2, side, side))), Condition(label=label))
+            for side in (4, 6, 8)
+            for label in (None, 0, 1, 2)
+        ]
+        serial = DatasetPrior(points, labels, TIMELINE)
+        want = [dataset_posterior_mean(serial, x, 0.4, c).data for x, c in queries]
+        shared = DatasetPrior(points, labels, TIMELINE)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [
+                    pool.submit(dataset_posterior_mean, shared, x, 0.4, c) for x, c in queries * 4
+                ]
+                got = [f.result(timeout=60).data for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for i, mean in enumerate(got):
+            assert np.array_equal(mean, want[i % len(queries)])
 
 
 class TestCfgCombine:
