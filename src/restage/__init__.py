@@ -8,11 +8,11 @@ closed-form oracles at desk scale.
 
 Layout:
     schedule    noise schedules, sampler timelines, stage ladders, corrected steps
-    latent      value grids, seeded noise streams, resizing, energy
+    latent      validated grids for run edges, seeded noise, resizing, energy
     denoiser    exactly solvable denoisers (Gaussian prior, dataset posterior)
     codec       latent/value space mapping, external codec subprocess protocol
-    sampler     the deterministic sampling loop, variants, affine oracle
-    analysis    energy traces, curve comparison, rank and moment statistics
+    sampler     the plain-array sampling loop, variants, affine oracle
+    analysis    energy traces, rank and moment statistics
     tensorfile  the .rhrt binary tensor format
     config      INI experiment configs
     cli         the `restage` command

@@ -18,10 +18,8 @@ from .sampler import RunResult
 
 __all__ = [
     "EnergyTrace",
-    "CurveComparison",
     "trace_from_run",
     "mean_trace",
-    "compare_traces",
     "p_x0_mse_series",
     "monotonicity_stat",
     "z_test_mean_var",
@@ -50,16 +48,6 @@ class EnergyTrace:
         raise KeyError(f"trace {self.label!r} has no step {step}")
 
 
-@dataclass(frozen=True)
-class CurveComparison:
-    """Reference-minus-candidate gaps on an aligned step window."""
-
-    reference_label: str
-    candidate_label: str
-    per_step_gap: tuple[tuple[int, float], ...]
-    mean_gap_after: tuple[int, float]
-
-
 def trace_from_run(result: RunResult, label: str) -> EnergyTrace:
     """Latent-energy column of a run's trace as an :class:`EnergyTrace`."""
     return EnergyTrace(label=label, rows=tuple((r.step, r.latent_energy) for r in result.trace))
@@ -76,33 +64,6 @@ def mean_trace(traces: list[EnergyTrace], label: str) -> EnergyTrace:
     stacked = np.array([[e for _, e in t.rows] for t in traces])
     means = stacked.mean(axis=0)
     return EnergyTrace(label=label, rows=tuple(zip(steps, (float(m) for m in means))))
-
-
-def compare_traces(
-    reference: EnergyTrace, candidate: EnergyTrace, window_start: int
-) -> CurveComparison:
-    """Per-step gap (reference minus candidate) from ``window_start`` onward.
-
-    Both traces must share at least one step at or after ``window_start``;
-    the gap is evaluated on the intersection of their steps and
-    ``mean_gap_after`` averages it.
-    """
-    ref = {s: e for s, e in reference.rows if s >= window_start}
-    cand = {s: e for s, e in candidate.rows if s >= window_start}
-    common = sorted(set(ref) & set(cand))
-    if not common:
-        raise ComparisonError(
-            f"traces {reference.label!r} and {candidate.label!r} share no steps at or "
-            f"after {window_start}"
-        )
-    gaps = tuple((s, ref[s] - cand[s]) for s in common)
-    mean_gap = sum(g for _, g in gaps) / len(gaps)
-    return CurveComparison(
-        reference_label=reference.label,
-        candidate_label=candidate.label,
-        per_step_gap=gaps,
-        mean_gap_after=(window_start, mean_gap),
-    )
 
 
 def p_x0_mse_series(

@@ -279,7 +279,7 @@ def cmd_verify(corrupt: str | None = None) -> int:
     )
     plan1 = sched.build_plan(ladder1, timeline)
     prior = GaussianPrior(LatentGrid.full(2, 8, 8, 0.4), 1.3, timeline)
-    oracle = affine_trajectory_oracle(plan1, timeline, prior, omega=1.0)
+    oracle = affine_trajectory_oracle(plan1, timeline, prior)
     worst = 0.0
     codec = IdentityCodec()
     for k in range(100):

@@ -51,11 +51,9 @@ from .errors import ConfigError, TensorFormatError
 from .latent import LatentGrid
 from .sampler import VARIANTS
 from .schedule import (
-    LADDER_PRESETS,
     LadderConfig,
     NoiseSchedule,
     SamplerTimeline,
-    SCHEDULE_KINDS,
     build_schedule,
     build_timeline,
     ladder_preset,
@@ -223,10 +221,6 @@ def _parse_ladder(section: _Section) -> LadderConfig:
             )
         for k in _LADDER_KEYS:
             section.seen.add(k)
-        if preset not in LADDER_PRESETS:
-            raise ConfigError(
-                f"ladder.preset: unknown preset {preset!r}, expected one of {sorted(LADDER_PRESETS)}"
-            )
         return ladder_preset(preset, resolutions)
     return LadderConfig(
         t_min=section.get_int("t_min"),
@@ -288,10 +282,9 @@ def load_config(path: str | Path) -> ExperimentConfig:
         num_steps=sched.get_int("num_steps"),
     )
     sched.reject_unknown()
-    if schedule_spec.kind not in SCHEDULE_KINDS:
-        raise ConfigError(
-            f"schedule.kind: unknown kind {schedule_spec.kind!r}, expected one of {SCHEDULE_KINDS}"
-        )
+    # The schedule module owns the schedule rules; building once applies them all.
+    s = schedule_spec
+    build_timeline(build_schedule(s.kind, s.beta_start, s.beta_end, s.train_steps), s.num_steps)
 
     ladder_sec = section("ladder")
     ladder = _parse_ladder(ladder_sec)

@@ -60,7 +60,12 @@ class Denoiser:
 
     channels: int
 
-    def predict_eps(self, x_t: LatentGrid, step: int, condition: Condition) -> LatentGrid:
+    def predict_eps(self, x_t: np.ndarray, step: int, condition: Condition) -> np.ndarray:
+        """Predicted noise for a (C, H, W) float64 latent, as a new array of the same shape.
+
+        The sampler calls this inside a step, where latents are plain arrays;
+        it does not check finiteness, which the sampler screens per step.
+        """
         raise NotImplementedError
 
     def prepare_resolution(self, height: int, width: int) -> None:
@@ -110,14 +115,14 @@ class GaussianPrior(Denoiser):
             self._channel_means[:, None, None], (self.channels, height, width)
         )
 
-    def predict_eps(self, x_t: LatentGrid, step: int, condition: Condition) -> LatentGrid:
-        if x_t.channels != self.channels:
-            raise DenoiserError(f"expected {self.channels} channels, got {x_t.channels}")
+    def predict_eps(self, x_t: np.ndarray, step: int, condition: Condition) -> np.ndarray:
+        if x_t.shape[0] != self.channels:
+            raise DenoiserError(f"expected {self.channels} channels, got {x_t.shape[0]}")
         ab = self._level_at(self.timeline, step)
-        mean = self.mean_for_shape(x_t.height, x_t.width)
+        mean = self.mean_for_shape(*x_t.shape[1:])
         gain = np.sqrt(ab) * self.variance / (ab * self.variance + 1.0 - ab)
-        x0_hat = mean + gain * (x_t.data - np.sqrt(ab) * mean)
-        return LatentGrid(_eps_from_x0_hat(x_t.data, x0_hat, ab))
+        x0_hat = mean + gain * (x_t - np.sqrt(ab) * mean)
+        return _eps_from_x0_hat(x_t, x0_hat, ab)
 
 
 class DatasetPrior(Denoiser):
@@ -186,15 +191,15 @@ class DatasetPrior(Denoiser):
             self._rows[key] = cached
         return cached
 
-    def predict_eps(self, x_t: LatentGrid, step: int, condition: Condition) -> LatentGrid:
+    def predict_eps(self, x_t: np.ndarray, step: int, condition: Condition) -> np.ndarray:
         ab = self._level_at(self.timeline, step)
         x0_hat = dataset_posterior_mean(self, x_t, ab, condition)
-        return LatentGrid(_eps_from_x0_hat(x_t.data, x0_hat.data, ab))
+        return _eps_from_x0_hat(x_t, x0_hat, ab)
 
 
 def dataset_posterior_mean(
-    prior: DatasetPrior, x_t: LatentGrid, alpha_bar_t: float, condition: Condition
-) -> LatentGrid:
+    prior: DatasetPrior, x_t: np.ndarray, alpha_bar_t: float, condition: Condition
+) -> np.ndarray:
     """Posterior mean of the clean latent under a uniform point-set prior.
 
     With points p_i at the query resolution, the weight of point i is
@@ -216,18 +221,18 @@ def dataset_posterior_mean(
     """
     if not 0.0 < alpha_bar_t < 1.0:
         raise ValueError(f"alpha_bar_t must lie in (0, 1), got {alpha_bar_t}")
-    if x_t.channels != prior.channels:
-        raise DenoiserError(f"expected {prior.channels} channels, got {x_t.channels}")
-    flat, half_sq_norms = prior._rows_for(x_t.height, x_t.width, condition.label)
-    dots = flat @ x_t.data.reshape(-1)
+    if x_t.shape[0] != prior.channels:
+        raise DenoiserError(f"expected {prior.channels} channels, got {x_t.shape[0]}")
+    flat, half_sq_norms = prior._rows_for(*x_t.shape[1:], condition.label)
+    dots = flat @ x_t.reshape(-1)
     log_w = (np.sqrt(alpha_bar_t) * dots - alpha_bar_t * half_sq_norms) / (1.0 - alpha_bar_t)
     log_w -= log_w.max()
     weights = np.exp(log_w)
     weights /= weights.sum()
-    return LatentGrid((weights @ flat).reshape(x_t.shape))
+    return (weights @ flat).reshape(x_t.shape)
 
 
-def cfg_combine(eps_uncond: LatentGrid, eps_cond: LatentGrid, omega: float) -> LatentGrid:
+def cfg_combine(eps_uncond: np.ndarray, eps_cond: np.ndarray, omega: float) -> np.ndarray:
     """Guided prediction: eps_uncond + omega * (eps_cond - eps_uncond).
 
     omega = 1 returns the conditional branch, omega = 0 the unconditional
@@ -237,4 +242,4 @@ def cfg_combine(eps_uncond: LatentGrid, eps_cond: LatentGrid, omega: float) -> L
         raise ShapeError(
             f"branch shapes differ: {eps_uncond.shape} vs {eps_cond.shape}"
         )
-    return LatentGrid(eps_uncond.data + omega * (eps_cond.data - eps_uncond.data))
+    return eps_uncond + omega * (eps_cond - eps_uncond)

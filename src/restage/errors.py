@@ -41,7 +41,7 @@ class StatError(ValueError):
 
 
 class ComparisonError(ValueError):
-    """Two traces do not overlap on the requested comparison window."""
+    """Traces that must share a step grid do not."""
 
 
 class TensorFormatError(ValueError):

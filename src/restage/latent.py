@@ -1,8 +1,13 @@
 """Latent grids and the elementary operations the sampler is built from.
 
 A latent is a dense (channels, height, width) block of float64 values.
-Grids are immutable once constructed: the wrapped array is copied in and
-marked read-only, so a grid can be shared freely between runs and threads.
+:class:`LatentGrid` is the validated form used at a run's edges: initial
+noise, boundary resizes and codecs, snapshots, final estimates, tensor files
+and the priors' stored points. Grids are immutable once constructed: the
+wrapped array is copied in, checked finite and marked read-only, so a grid
+can be shared freely between runs and threads. Inside a sampling step the
+latent, predictions and clean estimates are plain float64 ndarrays, so
+:func:`average_energy` takes an array.
 """
 
 from __future__ import annotations
@@ -133,10 +138,9 @@ def forward_diffuse(x0: LatentGrid, alpha_bar_t: float, eps: LatentGrid) -> Late
     return LatentGrid(np.sqrt(ab) * x0.data + np.sqrt(1.0 - ab) * eps.data)
 
 
-def average_energy(grid: LatentGrid) -> float:
-    """Mean squared value over all elements: sum(x^2) / (C * H * W)."""
-    d = grid.data
-    return float(np.mean(d * d))
+def average_energy(x: np.ndarray) -> float:
+    """Mean squared value over all elements of a (C, H, W) array: sum(x^2) / (C * H * W)."""
+    return float(np.mean(x * x))
 
 
 def _axis_lerp_indices(src_size: int, dst_size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -10,6 +10,13 @@ One run owns a single latent trajectory. Each step s:
    the next latent, using the step's noise level and its successor's (the
    trailing post-terminal level 1.0 makes the final update return p_x0).
 
+Inside a step the latent, both predictions and the clean estimate are
+plain float64 ndarrays. :class:`LatentGrid` appears only at the run's
+edges: the initial noise, each boundary's resize or refresh, snapshots and
+``final_p_x0``. Finiteness is screened once per step through the two
+energies the trace records; only a non-finite energy triggers the
+element-wise check, which fails the run with the step attached.
+
 Boundary convention: the boundary belonging to stage i is the first step
 OF stage i. The previous step's denoiser output (computed at the old
 resolution) is consumed by the jump; the first denoiser call at the new
@@ -34,7 +41,10 @@ Variants:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .codec import RESIZE_METHODS, refresh_resize
 from .denoiser import UNCONDITIONAL, Condition, Denoiser, GaussianPrior, cfg_combine
@@ -90,9 +100,9 @@ class RunResult:
 
 
 def ddim_step(
-    x_t: LatentGrid, eps_tilde: LatentGrid, alpha_bar_t: float, alpha_bar_prev: float
-) -> tuple[LatentGrid, LatentGrid]:
-    """One deterministic update. Returns (x_prev, p_x0).
+    x_t: np.ndarray, eps_tilde: np.ndarray, alpha_bar_t: float, alpha_bar_prev: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """One deterministic update on (C, H, W) arrays. Returns new arrays (x_prev, p_x0).
 
     The clean-signal estimate removes the predicted noise at the current
     level and the update re-mixes it at the next level:
@@ -113,9 +123,9 @@ def ddim_step(
         raise ValueError(f"alpha_bar_prev must lie in (0, 1], got {alpha_bar_prev}")
     ab_t = float(alpha_bar_t)
     ab_p = float(alpha_bar_prev)
-    p_x0 = (x_t.data - (1.0 - ab_t) ** 0.5 * eps_tilde.data) / ab_t**0.5
-    x_prev = ab_p**0.5 * p_x0 + (1.0 - ab_p) ** 0.5 * eps_tilde.data
-    return LatentGrid(x_prev), LatentGrid(p_x0)
+    p_x0 = (x_t - (1.0 - ab_t) ** 0.5 * eps_tilde) / ab_t**0.5
+    x_prev = ab_p**0.5 * p_x0 + (1.0 - ab_p) ** 0.5 * eps_tilde
+    return x_prev, p_x0
 
 
 def noise_refresh(
@@ -218,19 +228,19 @@ def run(
     stage_entry = {st.first_step: st for st in stages[1:]}
     first = stages[0]
     if initial_noise is None:
-        x = gaussian_noise(denoiser.channels, first.height, first.width, rng.stream("init"))
+        x = gaussian_noise(denoiser.channels, first.height, first.width, rng.stream("init")).data
     else:
         if initial_noise.shape != (denoiser.channels, first.height, first.width):
             raise ShapeError(
                 f"initial noise shape {initial_noise.shape} does not match the starting "
                 f"stage ({denoiser.channels}, {first.height}, {first.width})"
             )
-        x = initial_noise
+        x = initial_noise.data
     denoiser.prepare_resolution(first.height, first.width)
 
     trace: list[StepRecord] = []
     snapshots: list[tuple[int, LatentGrid]] = []
-    p_x0: LatentGrid | None = None
+    p_x0: np.ndarray | None = None
     stage = first
     for step in range(timeline.num_steps):
         refreshed = False
@@ -244,13 +254,14 @@ def run(
                         denoiser.channels, stage.height, stage.width, rng.stream("refresh", stage.index)
                     )
                     x = noise_refresh(
-                        p_x0, codec, stage.height, stage.width, resize_method, level(step), eps
-                    )
+                        LatentGrid(p_x0), codec, stage.height, stage.width, resize_method,
+                        level(step), eps,
+                    ).data
                 elif variant == "latent-resize":
                     if resize_method == "nearest":
-                        x = resize_nearest(x, stage.height, stage.width)
+                        x = resize_nearest(LatentGrid(x), stage.height, stage.width).data
                     else:
-                        x = resize_bilinear(x, stage.height, stage.width)
+                        x = resize_bilinear(LatentGrid(x), stage.height, stage.width).data
             except (ValueError, RuntimeError) as exc:
                 raise SamplerError(f"step {step}: {exc}", step=step) from exc
             refreshed = True
@@ -262,11 +273,18 @@ def run(
             x_next, p_x0 = ddim_step(x, eps_tilde, level(step), level(step + 1))
         except (ValueError, RuntimeError) as exc:
             raise SamplerError(f"step {step}: {exc}", step=step) from exc
+        p_x0_energy = average_energy(p_x0)
+        # A non-finite prediction reaches p_x0, so a finite energy sum clears
+        # the step; an infinite one may still be an overflow of finite values.
+        if not math.isfinite(energy_in + p_x0_energy) and not (
+            np.isfinite(x).all() and np.isfinite(p_x0).all()
+        ):
+            raise SamplerError(f"step {step}: latent grid contains non-finite values", step=step)
         if check_reconstruction:
             ab = level(step)
-            rebuilt = ab**0.5 * p_x0.data + (1.0 - ab) ** 0.5 * eps_tilde.data
-            err = float(abs(rebuilt - x.data).max())
-            scale = max(1.0, float(abs(x.data).max()))
+            rebuilt = ab**0.5 * p_x0 + (1.0 - ab) ** 0.5 * eps_tilde
+            err = float(abs(rebuilt - x).max())
+            scale = max(1.0, float(abs(x).max()))
             if err > 1e-9 * scale:
                 raise SamplerError(
                     f"step {step}: reconstruction identity violated by {err:.3e}", step=step
@@ -277,17 +295,17 @@ def run(
                 train_t=int(timeline.step_to_train_t[step]),
                 omega=stage.omega,
                 latent_energy=energy_in,
-                p_x0_energy=average_energy(p_x0),
+                p_x0_energy=p_x0_energy,
                 refreshed=refreshed,
             )
         )
         if step in wanted:
-            snapshots.append((step, p_x0))
+            snapshots.append((step, LatentGrid(p_x0)))
         x = x_next
 
     return RunResult(
         variant=variant,
-        final_p_x0=p_x0,
+        final_p_x0=LatentGrid(p_x0),
         trace=tuple(trace),
         p_x0_snapshots=tuple(snapshots),
     )
@@ -309,7 +327,7 @@ class AffineTrajectory:
 
 
 def affine_trajectory_oracle(
-    plan: RefreshPlan, timeline: SamplerTimeline, prior: GaussianPrior, omega: float
+    plan: RefreshPlan, timeline: SamplerTimeline, prior: GaussianPrior
 ) -> AffineTrajectory:
     """Closed-form description of a single-resolution run under a Gaussian prior.
 
@@ -332,7 +350,6 @@ def affine_trajectory_oracle(
         raise ValueError("the trajectory oracle covers single-resolution plans only")
     if not isinstance(prior, GaussianPrior):
         raise TypeError("the trajectory oracle requires a GaussianPrior denoiser")
-    del omega  # both branches coincide under one Gaussian prior
     v = prior.variance
     a_total, b_total = 1.0, 0.0
     for step in range(timeline.num_steps):

@@ -110,7 +110,7 @@ def test_criterion_03_sampler_matches_affine_oracle():
     start = time.perf_counter()
     plan = single_plan(1.0, 8, 8)
     prior = GaussianPrior(LatentGrid.full(2, 8, 8, 0.4), 1.3, TIMELINE)
-    oracle = affine_trajectory_oracle(plan, TIMELINE, prior, omega=1.0)
+    oracle = affine_trajectory_oracle(plan, TIMELINE, prior)
     worst = 0.0
     for k in range(100):
         rng = SeededRng(9000 + k)

@@ -1,4 +1,4 @@
-"""Energy traces, trace comparison, snapshot series, and the run statistics."""
+"""Energy traces, snapshot series, and the run statistics."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import pytest
 
 from restage.analysis import (
     EnergyTrace,
-    compare_traces,
     mean_trace,
     monotonicity_stat,
     p_x0_mse_series,
@@ -67,48 +66,6 @@ class TestMeanTrace:
         b = _trace("b", (0, 2.0), (2, 5.0))
         with pytest.raises(ComparisonError, match="step grid"):
             mean_trace([a, b], "mean")
-
-
-class TestCompareTraces:
-    def test_self_comparison_is_zero(self):
-        t = _trace("t", (0, 1.0), (1, 2.0), (2, 3.0))
-        cmp = compare_traces(t, t, 0)
-        assert all(gap == 0.0 for _, gap in cmp.per_step_gap)
-        assert cmp.mean_gap_after == (0, 0.0)
-
-    def test_constant_gap(self):
-        ref = _trace("ref", (0, 0.8), (1, 0.8))
-        cand = _trace("cand", (0, 0.3), (1, 0.3))
-        cmp = compare_traces(ref, cand, 0)
-        assert cmp.per_step_gap == ((0, 0.5), (1, 0.5))
-        assert cmp.mean_gap_after[1] == pytest.approx(0.5)
-        assert (cmp.reference_label, cmp.candidate_label) == ("ref", "cand")
-
-    def test_antisymmetric(self):
-        ref = _trace("ref", (0, 0.9), (1, 0.2))
-        cand = _trace("cand", (0, 0.4), (1, 0.6))
-        forward = compare_traces(ref, cand, 0)
-        backward = compare_traces(cand, ref, 0)
-        for (s1, g1), (s2, g2) in zip(forward.per_step_gap, backward.per_step_gap):
-            assert s1 == s2 and g1 == -g2
-
-    def test_window_restricts_the_steps(self):
-        ref = _trace("ref", (0, 1.0), (3, 2.0), (4, 3.0))
-        cand = _trace("cand", (0, 9.0), (3, 1.0), (4, 1.0))
-        cmp = compare_traces(ref, cand, 3)
-        assert [s for s, _ in cmp.per_step_gap] == [3, 4]
-
-    def test_intersection_of_step_grids(self):
-        ref = _trace("ref", (0, 1.0), (2, 2.0))
-        cand = _trace("cand", (1, 9.0), (2, 1.5))
-        cmp = compare_traces(ref, cand, 0)
-        assert cmp.per_step_gap == ((2, 0.5),)
-
-    def test_empty_window_rejected(self):
-        ref = _trace("ref", (0, 1.0))
-        cand = _trace("cand", (5, 1.0))
-        with pytest.raises(ComparisonError, match="share no steps"):
-            compare_traces(ref, cand, 0)
 
 
 class TestSnapshotSeries:

@@ -50,7 +50,7 @@ class TestRefreshResize:
     def test_upsampled_noise_sheds_energy(self):
         noise = gaussian_noise(1, 32, 32, SeededRng(3).stream("init"))
         up = refresh_resize(IdentityCodec(), noise, 64, 64)
-        assert average_energy(up) < 0.6 * average_energy(noise)
+        assert average_energy(up.data) < 0.6 * average_energy(noise.data)
 
     def test_unknown_method(self):
         grid = LatentGrid.zeros(1, 2, 2)

@@ -149,11 +149,18 @@ class TestValidation:
             ("[codec]\nkind = external\ncommand = vae\ngranularity = 0\n", "granularity"),
             ("[energy]\nvariants = warped\n", "energy.variants"),
             ("[energy]\nomegas = 1, x\n", "energy.omegas"),
+            ("[schedule]\nnum_steps = 50\nbeta_end = 2\n", "schedule.beta_start/beta_end"),
+            ("[schedule]\nnum_steps = 2000\n", "schedule.num_steps"),
+            ("[schedule]\nnum_steps = 50\ntrain_steps = 0\n", "schedule.train_steps"),
         ],
     )
     def test_bad_values(self, tmp_path, extra, fragment):
+        text = MINIMAL + extra
+        if extra.startswith("[schedule]"):
+            # a [schedule] case replaces the minimal config's own schedule section
+            text = MINIMAL.replace("    [schedule]\n    num_steps = 50\n", "") + extra
         with pytest.raises(ConfigError, match=fragment):
-            _load(tmp_path, MINIMAL + extra)
+            _load(tmp_path, text)
 
     @pytest.mark.parametrize("seed,run_count", [(2**64 - 1, 1), (2**64 - 2, 2)])
     def test_last_run_seed_may_reach_the_64_bit_limit(self, tmp_path, seed, run_count):

@@ -42,15 +42,15 @@ class TestGaussianPrior:
         prior = GaussianPrior(mean, 0.7, TIMELINE)
         ab = float(TIMELINE.alpha_bar_at_step[20])
         x_t = LatentGrid(np.sqrt(ab) * mean.data)
-        eps = prior.predict_eps(x_t, 20, UNCONDITIONAL)
-        assert np.allclose(eps.data, 0.0, atol=1e-12)
+        eps = prior.predict_eps(x_t.data, 20, UNCONDITIONAL)
+        assert np.allclose(eps, 0.0, atol=1e-12)
 
     def test_scalar_hand_case(self):
         # zero mean, unit variance, level 0.5, x = 1:
         # posterior gain sqrt(0.5), estimate and prediction both 1/sqrt(2)
         prior = GaussianPrior(LatentGrid.zeros(1, 1, 1), 1.0, HALF_TIMELINE)
-        eps = prior.predict_eps(LatentGrid.full(1, 1, 1, 1.0), 0, UNCONDITIONAL)
-        assert float(eps.data[0, 0, 0]) == pytest.approx(0.7071067811865475, abs=1e-15)
+        eps = prior.predict_eps(LatentGrid.full(1, 1, 1, 1.0).data, 0, UNCONDITIONAL)
+        assert float(eps[0, 0, 0]) == pytest.approx(0.7071067811865475, abs=1e-15)
 
     def test_prediction_is_affine_in_the_latent(self):
         rng = np.random.default_rng(2)
@@ -59,18 +59,18 @@ class TestGaussianPrior:
         x2 = LatentGrid(rng.normal(size=(1, 3, 3)))
         lam = 0.3
         blend = LatentGrid(lam * x1.data + (1 - lam) * x2.data)
-        got = prior.predict_eps(blend, 11, UNCONDITIONAL)
-        want = lam * prior.predict_eps(x1, 11, UNCONDITIONAL).data + (
+        got = prior.predict_eps(blend.data, 11, UNCONDITIONAL)
+        want = lam * prior.predict_eps(x1.data, 11, UNCONDITIONAL) + (
             1 - lam
-        ) * prior.predict_eps(x2, 11, UNCONDITIONAL).data
-        assert np.allclose(got.data, want, atol=1e-12)
+        ) * prior.predict_eps(x2.data, 11, UNCONDITIONAL)
+        assert np.allclose(got, want, atol=1e-12)
 
     def test_condition_has_no_effect(self):
         prior = GaussianPrior(LatentGrid.full(1, 2, 2, 0.3), 1.0, TIMELINE)
         x = gaussian_noise(1, 2, 2, SeededRng(3).stream("init"))
-        a = prior.predict_eps(x, 5, UNCONDITIONAL)
-        b = prior.predict_eps(x, 5, Condition(label=3))
-        assert np.array_equal(a.data, b.data)
+        a = prior.predict_eps(x.data, 5, UNCONDITIONAL)
+        b = prior.predict_eps(x.data, 5, Condition(label=3))
+        assert np.array_equal(a, b)
 
     def test_other_resolutions_broadcast_channel_means(self):
         rng = np.random.default_rng(4)
@@ -84,8 +84,8 @@ class TestGaussianPrior:
         flat_prior = GaussianPrior(LatentGrid(np.array(broadcast)), 0.9, TIMELINE)
         x = gaussian_noise(2, 8, 8, SeededRng(5).stream("init"))
         assert np.array_equal(
-            prior.predict_eps(x, 7, UNCONDITIONAL).data,
-            flat_prior.predict_eps(x, 7, UNCONDITIONAL).data,
+            prior.predict_eps(x.data, 7, UNCONDITIONAL),
+            flat_prior.predict_eps(x.data, 7, UNCONDITIONAL),
         )
 
     def test_native_resolution_uses_the_stored_mean(self):
@@ -96,7 +96,7 @@ class TestGaussianPrior:
     def test_channel_mismatch(self):
         prior = GaussianPrior(LatentGrid.zeros(2, 4, 4), 1.0, TIMELINE)
         with pytest.raises(DenoiserError, match="channels"):
-            prior.predict_eps(LatentGrid.zeros(3, 4, 4), 0, UNCONDITIONAL)
+            prior.predict_eps(LatentGrid.zeros(3, 4, 4).data, 0, UNCONDITIONAL)
 
     def test_bad_variance(self):
         with pytest.raises(ValueError, match="variance"):
@@ -106,7 +106,7 @@ class TestGaussianPrior:
     def test_step_outside_timeline(self, step):
         prior = GaussianPrior(LatentGrid.zeros(1, 2, 2), 1.0, TIMELINE)
         with pytest.raises(DenoiserError, match="step"):
-            prior.predict_eps(LatentGrid.zeros(1, 2, 2), step, UNCONDITIONAL)
+            prior.predict_eps(LatentGrid.zeros(1, 2, 2).data, step, UNCONDITIONAL)
 
 
 def _points(values):
@@ -117,29 +117,29 @@ class TestDatasetPrior:
     def test_single_point_posterior_is_that_point(self):
         prior = DatasetPrior(_points([1.7]), [0], TIMELINE)
         x = LatentGrid.full(1, 1, 1, -3.0)
-        mean = dataset_posterior_mean(prior, x, 0.5, UNCONDITIONAL)
-        assert float(mean.data[0, 0, 0]) == 1.7
+        mean = dataset_posterior_mean(prior, x.data, 0.5, UNCONDITIONAL)
+        assert float(mean[0, 0, 0]) == 1.7
 
     def test_symmetric_pair_balances_to_zero(self):
         point = LatentGrid(np.random.default_rng(7).normal(size=(2, 3, 3)))
         mirrored = LatentGrid(-point.data)
         prior = DatasetPrior([point, mirrored], [0, 0], TIMELINE)
-        mean = dataset_posterior_mean(prior, LatentGrid.zeros(2, 3, 3), 0.5, UNCONDITIONAL)
-        assert np.all(mean.data == 0.0)
+        mean = dataset_posterior_mean(prior, LatentGrid.zeros(2, 3, 3).data, 0.5, UNCONDITIONAL)
+        assert np.all(mean == 0.0)
 
     def test_equidistant_points_share_weight_exactly(self):
         prior = DatasetPrior(_points([1.0, 3.0]), [0, 0], TIMELINE)
         ab = 0.5
         midpoint = LatentGrid.full(1, 1, 1, np.sqrt(ab) * 2.0)
-        mean = dataset_posterior_mean(prior, midpoint, ab, UNCONDITIONAL)
-        assert float(mean.data[0, 0, 0]) == pytest.approx(2.0, abs=1e-12)
+        mean = dataset_posterior_mean(prior, midpoint.data, ab, UNCONDITIONAL)
+        assert float(mean[0, 0, 0]) == pytest.approx(2.0, abs=1e-12)
 
     def test_distant_query_collapses_onto_the_nearest_point(self):
         prior = DatasetPrior(_points([0.0, 2.0]), [0, 0], TIMELINE)
         mean = dataset_posterior_mean(
-            prior, LatentGrid.full(1, 1, 1, 10.0), 0.5, UNCONDITIONAL
+            prior, LatentGrid.full(1, 1, 1, 10.0).data, 0.5, UNCONDITIONAL
         )
-        assert float(mean.data[0, 0, 0]) == pytest.approx(2.0, abs=1e-6)
+        assert float(mean[0, 0, 0]) == pytest.approx(2.0, abs=1e-6)
 
     def test_near_clean_level_snaps_to_the_matching_point(self):
         rng = np.random.default_rng(8)
@@ -147,8 +147,8 @@ class TestDatasetPrior:
         prior = DatasetPrior(points, [0] * 5, TIMELINE)
         ab = 1.0 - 1e-6
         x = LatentGrid(np.sqrt(ab) * points[3].data)
-        mean = dataset_posterior_mean(prior, x, ab, UNCONDITIONAL)
-        assert np.allclose(mean.data, points[3].data, atol=1e-9)
+        mean = dataset_posterior_mean(prior, x.data, ab, UNCONDITIONAL)
+        assert np.allclose(mean, points[3].data, atol=1e-9)
 
     def test_posterior_stays_in_the_convex_hull(self):
         rng = np.random.default_rng(9)
@@ -157,31 +157,31 @@ class TestDatasetPrior:
         stack = np.stack([p.data for p in points])
         for seed in range(5):
             x = gaussian_noise(2, 2, 2, SeededRng(seed).stream("init"))
-            mean = dataset_posterior_mean(prior, x, 0.3, UNCONDITIONAL)
-            assert np.all(mean.data >= stack.min(axis=0) - 1e-12)
-            assert np.all(mean.data <= stack.max(axis=0) + 1e-12)
+            mean = dataset_posterior_mean(prior, x.data, 0.3, UNCONDITIONAL)
+            assert np.all(mean >= stack.min(axis=0) - 1e-12)
+            assert np.all(mean <= stack.max(axis=0) + 1e-12)
 
     def test_condition_restricts_to_the_labelled_points(self):
         prior = DatasetPrior(_points([-5.0, 4.0]), [0, 1], TIMELINE)
         x = LatentGrid.zeros(1, 1, 1)
-        only_one = dataset_posterior_mean(prior, x, 0.5, Condition(label=1))
-        assert float(only_one.data[0, 0, 0]) == 4.0
+        only_one = dataset_posterior_mean(prior, x.data, 0.5, Condition(label=1))
+        assert float(only_one[0, 0, 0]) == 4.0
 
     def test_unknown_label(self):
         prior = DatasetPrior(_points([1.0]), [0], TIMELINE)
         with pytest.raises(DenoiserError, match="label 5"):
-            dataset_posterior_mean(prior, LatentGrid.zeros(1, 1, 1), 0.5, Condition(label=5))
+            dataset_posterior_mean(prior, LatentGrid.zeros(1, 1, 1).data, 0.5, Condition(label=5))
 
     @pytest.mark.parametrize("ab", [0.0, 1.0, -0.2, 1.5])
     def test_level_must_be_interior(self, ab):
         prior = DatasetPrior(_points([1.0]), [0], TIMELINE)
         with pytest.raises(ValueError, match="alpha_bar_t"):
-            dataset_posterior_mean(prior, LatentGrid.zeros(1, 1, 1), ab, UNCONDITIONAL)
+            dataset_posterior_mean(prior, LatentGrid.zeros(1, 1, 1).data, ab, UNCONDITIONAL)
 
     def test_channel_mismatch(self):
         prior = DatasetPrior(_points([1.0]), [0], TIMELINE)
         with pytest.raises(DenoiserError, match="channels"):
-            dataset_posterior_mean(prior, LatentGrid.zeros(2, 1, 1), 0.5, UNCONDITIONAL)
+            dataset_posterior_mean(prior, LatentGrid.zeros(2, 1, 1).data, 0.5, UNCONDITIONAL)
 
     def test_construction_validation(self):
         with pytest.raises(ValueError, match="at least one"):
@@ -213,10 +213,10 @@ class TestDatasetPrior:
         points = [LatentGrid(rng.normal(size=(1, 2, 2))) for _ in range(4)]
         prior = DatasetPrior(points, [0] * 4, HALF_TIMELINE)
         x = gaussian_noise(1, 2, 2, SeededRng(12).stream("init"))
-        eps = prior.predict_eps(x, 0, UNCONDITIONAL)
-        mean = dataset_posterior_mean(prior, x, 0.5, UNCONDITIONAL)
-        want = (x.data - np.sqrt(0.5) * mean.data) / np.sqrt(0.5)
-        assert np.allclose(eps.data, want, atol=1e-14)
+        eps = prior.predict_eps(x.data, 0, UNCONDITIONAL)
+        mean = dataset_posterior_mean(prior, x.data, 0.5, UNCONDITIONAL)
+        want = (x.data - np.sqrt(0.5) * mean) / np.sqrt(0.5)
+        assert np.allclose(eps, want, atol=1e-14)
 
 
 @st.composite
@@ -256,7 +256,7 @@ class TestMatrixFormPosterior:
     @given(case=posterior_cases())
     def test_matches_the_direct_difference_form(self, case):
         prior, x, ab, condition = case
-        got = dataset_posterior_mean(prior, x, ab, condition).data
+        got = dataset_posterior_mean(prior, x.data, ab, condition)
         want = direct_posterior_mean(prior, x, ab, condition).data
         # float64 rounding of the log-weights, scaled by their magnitude L
         stack = prior.stack_for_shape(x.height, x.width)
@@ -282,16 +282,16 @@ class TestMatrixFormPosterior:
             for label in (None, 0, 1, 2)
         ]
         serial = DatasetPrior(points, labels, TIMELINE)
-        want = [dataset_posterior_mean(serial, x, 0.4, c).data for x, c in queries]
+        want = [dataset_posterior_mean(serial, x.data, 0.4, c) for x, c in queries]
         shared = DatasetPrior(points, labels, TIMELINE)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=4) as pool:
                 futures = [
-                    pool.submit(dataset_posterior_mean, shared, x, 0.4, c) for x, c in queries * 4
+                    pool.submit(dataset_posterior_mean, shared, x.data, 0.4, c) for x, c in queries * 4
                 ]
-                got = [f.result(timeout=60).data for f in futures]
+                got = [f.result(timeout=60) for f in futures]
         finally:
             sys.setswitchinterval(interval)
         for i, mean in enumerate(got):
@@ -307,18 +307,18 @@ class TestCfgCombine:
 
     def test_endpoint_scales(self):
         u, c = self._branches()
-        assert np.array_equal(cfg_combine(u, c, 0.0).data, u.data)
+        assert np.array_equal(cfg_combine(u.data, c.data, 0.0), u.data)
         # omega = 1 recovers the conditional branch up to one cancellation
-        assert np.allclose(cfg_combine(u, c, 1.0).data, c.data, atol=1e-15)
+        assert np.allclose(cfg_combine(u.data, c.data, 1.0), c.data, atol=1e-15)
 
     def test_extrapolation(self):
         u = LatentGrid.full(1, 1, 1, 1.0)
         c = LatentGrid.full(1, 1, 1, 2.0)
-        assert float(cfg_combine(u, c, 5.0).data[0, 0, 0]) == 6.0
+        assert float(cfg_combine(u.data, c.data, 5.0)[0, 0, 0]) == 6.0
 
     def test_identical_branches_are_a_fixed_point(self):
         u, _ = self._branches()
-        assert np.array_equal(cfg_combine(u, u, 17.0).data, u.data)
+        assert np.array_equal(cfg_combine(u.data, u.data, 17.0), u.data)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -327,10 +327,10 @@ class TestCfgCombine:
     )
     def test_affine_in_omega(self, w1, w2):
         u, c = self._branches()
-        mid = cfg_combine(u, c, (w1 + w2) / 2.0).data
-        avg = (cfg_combine(u, c, w1).data + cfg_combine(u, c, w2).data) / 2.0
+        mid = cfg_combine(u.data, c.data, (w1 + w2) / 2.0)
+        avg = (cfg_combine(u.data, c.data, w1) + cfg_combine(u.data, c.data, w2)) / 2.0
         assert np.allclose(mid, avg, atol=1e-12)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError, match="shapes differ"):
-            cfg_combine(LatentGrid.zeros(1, 2, 2), LatentGrid.zeros(1, 2, 3), 1.0)
+            cfg_combine(LatentGrid.zeros(1, 2, 2).data, LatentGrid.zeros(1, 2, 3).data, 1.0)

@@ -138,8 +138,8 @@ class TestForwardDiffuse:
         x0 = LatentGrid(rng.normal(0.4, 0.8, size=(2, 250, 200)))
         eps = gaussian_noise(2, 250, 200, SeededRng(61).stream("init"))
         ab = 0.37
-        energy = average_energy(forward_diffuse(x0, ab, eps))
-        expected = ab * average_energy(x0) + (1.0 - ab)
+        energy = average_energy(forward_diffuse(x0, ab, eps).data)
+        expected = ab * average_energy(x0.data) + (1.0 - ab)
         a = np.sqrt(ab) * x0.data
         b2 = 1.0 - ab
         var_of_mean = float(np.sum(4.0 * a * a * b2 + 2.0 * b2 * b2)) / a.size**2
@@ -148,9 +148,9 @@ class TestForwardDiffuse:
 
 class TestAverageEnergy:
     def test_values(self):
-        assert average_energy(LatentGrid.zeros(2, 3, 3)) == 0.0
-        assert average_energy(LatentGrid.full(2, 3, 3, 2.0)) == 4.0
-        assert average_energy(LatentGrid([[[1.0, 2.0], [3.0, 4.0]]])) == 7.5
+        assert average_energy(LatentGrid.zeros(2, 3, 3).data) == 0.0
+        assert average_energy(LatentGrid.full(2, 3, 3, 2.0).data) == 4.0
+        assert average_energy(LatentGrid([[[1.0, 2.0], [3.0, 4.0]]]).data) == 7.5
 
 
 class TestResizeBilinear:
@@ -202,14 +202,14 @@ class TestResizeBilinear:
     def test_upsampling_noise_sheds_energy(self):
         noise = gaussian_noise(1, 64, 64, SeededRng(8).stream("init"))
         up = resize_bilinear(noise, 128, 128)
-        assert average_energy(up) < 0.6 * average_energy(noise)
+        assert average_energy(up.data) < 0.6 * average_energy(noise.data)
 
     def test_doubling_energy_ratio_matches_the_closed_form(self):
         # closed form for 2x doubling of iid noise: two edge outputs per
         # axis keep weight 1, interior outputs carry squared-weight 0.625
         rng = np.random.default_rng(31415)
         src = LatentGrid(rng.standard_normal((1, 1024, 1024)))
-        ratio = average_energy(resize_bilinear(src, 2048, 2048)) / average_energy(src)
+        ratio = average_energy(resize_bilinear(src, 2048, 2048).data) / average_energy(src.data)
         assert ratio == pytest.approx(0.391545647893764, abs=1e-12)  # regression pin
         side = 2.0 + (2 * 1024 - 2) * 0.625
         exact = (side / (2 * 1024)) ** 2

@@ -38,33 +38,33 @@ from restage.schedule import (
     snr_corrected_alpha_bar,
 )
 
-from _toys import CODEC, TIMELINE, single_plan, staged_plan
+from _toys import CLASS_ZERO, CODEC, TIMELINE, clustered_shell_prior, single_plan, staged_plan
 
 
 class TestDdimStep:
     def test_terminal_level_collapses_onto_the_estimate(self):
         x = gaussian_noise(1, 3, 3, SeededRng(1).stream("init"))
         eps = gaussian_noise(1, 3, 3, SeededRng(2).stream("init"))
-        x_prev, p_x0 = ddim_step(x, eps, 0.4, 1.0)
-        assert np.array_equal(x_prev.data, p_x0.data)
+        x_prev, p_x0 = ddim_step(x.data, eps.data, 0.4, 1.0)
+        assert np.array_equal(x_prev, p_x0)
 
     def test_scalar_hand_case(self):
         x_prev, p_x0 = ddim_step(
-            LatentGrid.full(1, 1, 1, 1.0), LatentGrid.zeros(1, 1, 1), 0.25, 1.0
+            LatentGrid.full(1, 1, 1, 1.0).data, LatentGrid.zeros(1, 1, 1).data, 0.25, 1.0
         )
-        assert float(p_x0.data[0, 0, 0]) == pytest.approx(2.0, rel=1e-15)
-        assert float(x_prev.data[0, 0, 0]) == pytest.approx(2.0, rel=1e-15)
+        assert float(p_x0[0, 0, 0]) == pytest.approx(2.0, rel=1e-15)
+        assert float(x_prev[0, 0, 0]) == pytest.approx(2.0, rel=1e-15)
 
     def test_reconstruction_identity(self):
         x = gaussian_noise(2, 4, 4, SeededRng(3).stream("init"))
         eps = gaussian_noise(2, 4, 4, SeededRng(4).stream("init"))
         ab = 0.37
-        _, p_x0 = ddim_step(x, eps, ab, 0.8)
-        rebuilt = np.sqrt(ab) * p_x0.data + np.sqrt(1 - ab) * eps.data
+        _, p_x0 = ddim_step(x.data, eps.data, ab, 0.8)
+        rebuilt = np.sqrt(ab) * p_x0 + np.sqrt(1 - ab) * eps.data
         assert np.allclose(rebuilt, x.data, atol=1e-12)
 
     def test_domain_errors(self):
-        x = LatentGrid.zeros(1, 2, 2)
+        x = LatentGrid.zeros(1, 2, 2).data
         with pytest.raises(ValueError, match="singular"):
             ddim_step(x, x, 0.0, 0.5)
         with pytest.raises(ValueError):
@@ -72,7 +72,7 @@ class TestDdimStep:
         with pytest.raises(ValueError):
             ddim_step(x, x, 0.5, 0.0)
         with pytest.raises(ShapeError):
-            ddim_step(x, LatentGrid.zeros(1, 2, 3), 0.5, 0.8)
+            ddim_step(x, LatentGrid.zeros(1, 2, 3).data, 0.5, 0.8)
 
 
 class TestNoiseRefresh:
@@ -140,7 +140,7 @@ class TestRunBasics:
         prior = _gaussian()
         noise = gaussian_noise(4, 16, 16, SeededRng(24).stream("init"))
         result = run("baseline", single_plan(2.0), TIMELINE, prior, CODEC, UNCONDITIONAL, SeededRng(24))
-        assert result.trace[0].latent_energy == average_energy(noise)
+        assert result.trace[0].latent_energy == average_energy(noise.data)
 
     def test_reconstruction_check_passes_on_a_clean_run(self):
         prior = _gaussian()
@@ -183,6 +183,43 @@ class TestRunBasics:
         assert info.value.step == 7
 
 
+class TestGridsAtTheEdges:
+    def test_a_run_without_boundaries_builds_two_grids(self, monkeypatch):
+        prior = clustered_shell_prior()
+        built = []
+        init = LatentGrid.__init__
+
+        def counting_init(self, values):
+            built.append(values)
+            init(self, values)
+
+        monkeypatch.setattr(LatentGrid, "__init__", counting_init)
+        run("baseline", single_plan(3.0), TIMELINE, prior, CODEC, CLASS_ZERO, SeededRng(40))
+        # the initial noise and final_p_x0; every step works on plain arrays
+        assert len(built) == 2
+
+    def test_a_non_finite_prediction_fails_its_step(self):
+        class Poisoned(GaussianPrior):
+            def predict_eps(self, x_t, step, condition):
+                eps = super().predict_eps(x_t, step, condition)
+                return np.full_like(eps, np.nan) if step == 7 else eps
+
+        prior = Poisoned(LatentGrid.full(4, 16, 16, 0.2), 1.0, TIMELINE)
+        with pytest.raises(SamplerError, match="step 7") as info:
+            run("baseline", single_plan(2.0), TIMELINE, prior, CODEC, UNCONDITIONAL, SeededRng(41))
+        assert info.value.step == 7
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_a_huge_finite_latent_is_not_rejected(self):
+        # 1e200 squared overflows the energy, but every element stays finite
+        result = run(
+            "baseline", single_plan(2.0), TIMELINE, _gaussian(), CODEC, UNCONDITIONAL,
+            SeededRng(42), initial_noise=LatentGrid.full(4, 16, 16, 1e200),
+        )
+        assert result.trace[0].latent_energy == np.inf
+        assert np.isfinite(result.final_p_x0.data).all()
+
+
 class TestStagedTrace:
     def test_stage_columns_and_refresh_flags(self):
         prior = _gaussian()
@@ -214,7 +251,7 @@ class TestStagedTrace:
         rng = SeededRng(32)
         want = run("rectified", plan, TIMELINE, prior, CODEC, UNCONDITIONAL, rng)
 
-        x = gaussian_noise(4, 16, 16, SeededRng(32).stream("init"))
+        x = gaussian_noise(4, 16, 16, SeededRng(32).stream("init")).data
         p_x0 = None
         for step in range(40):
             eps = prior.predict_eps(x, step, UNCONDITIONAL)
@@ -225,9 +262,9 @@ class TestStagedTrace:
             )
         boundary_eps = gaussian_noise(4, 32, 32, SeededRng(32).stream("refresh", 1))
         x = noise_refresh(
-            p_x0, CODEC, 32, 32, "bilinear",
+            LatentGrid(p_x0), CODEC, 32, 32, "bilinear",
             float(TIMELINE.alpha_bar_at_step[40]), boundary_eps,
-        )
+        ).data
         for step in range(40, 50):
             eps = prior.predict_eps(x, step, UNCONDITIONAL)
             x, p_x0 = ddim_step(
@@ -235,25 +272,25 @@ class TestStagedTrace:
                 float(TIMELINE.alpha_bar_at_step[step]),
                 float(TIMELINE.alpha_bar_at_step[step + 1]),
             )
-        assert np.array_equal(want.final_p_x0.data, p_x0.data)
+        assert np.array_equal(want.final_p_x0.data, p_x0)
 
     def test_latent_resize_boundary_replicated_from_parts(self):
         prior = _gaussian()
         plan = staged_plan(2.0, 2.0)
         want = run("latent-resize", plan, TIMELINE, prior, CODEC, UNCONDITIONAL, SeededRng(33))
 
-        x = gaussian_noise(4, 16, 16, SeededRng(33).stream("init"))
+        x = gaussian_noise(4, 16, 16, SeededRng(33).stream("init")).data
         p_x0 = None
         for step in range(50):
             if step == 40:
-                x = resize_bilinear(x, 32, 32)
+                x = resize_bilinear(LatentGrid(x), 32, 32).data
             eps = prior.predict_eps(x, step, UNCONDITIONAL)
             x, p_x0 = ddim_step(
                 x, eps,
                 float(TIMELINE.alpha_bar_at_step[step]),
                 float(TIMELINE.alpha_bar_at_step[step + 1]),
             )
-        assert np.array_equal(want.final_p_x0.data, p_x0.data)
+        assert np.array_equal(want.final_p_x0.data, p_x0)
 
     def test_area_corrected_variant_replicated_from_parts(self):
         # runs at the target resolution for all 50 steps; the denoiser sees
@@ -264,7 +301,7 @@ class TestStagedTrace:
         want = run("snr-corrected", plan, TIMELINE, prior, CODEC, UNCONDITIONAL, SeededRng(34))
 
         gamma = 16.0
-        x = gaussian_noise(4, 32, 32, SeededRng(34).stream("init"))
+        x = gaussian_noise(4, 32, 32, SeededRng(34).stream("init")).data
         p_x0 = None
         for step in range(50):
             eps = prior.predict_eps(x, step, UNCONDITIONAL)
@@ -273,7 +310,7 @@ class TestStagedTrace:
                 snr_corrected_alpha_bar(float(TIMELINE.alpha_bar_at_step[step]), gamma),
                 snr_corrected_alpha_bar(float(TIMELINE.alpha_bar_at_step[step + 1]), gamma),
             )
-        assert np.array_equal(want.final_p_x0.data, p_x0.data)
+        assert np.array_equal(want.final_p_x0.data, p_x0)
         assert all(not r.refreshed for r in want.trace)
         assert all(r.omega == 2.0 for r in want.trace)
 
@@ -298,7 +335,7 @@ class TestAffineOracle:
         )
         v = 1.3
         prior = GaussianPrior(LatentGrid.full(1, 2, 2, 0.4), v, timeline)
-        oracle = affine_trajectory_oracle(plan, timeline, prior, omega=1.0)
+        oracle = affine_trajectory_oracle(plan, timeline, prior)
         g = np.sqrt(0.5) * v / (0.5 * v + 0.5)
         assert oracle.noise_gain == pytest.approx(g, rel=1e-15)
         assert oracle.mean_gain == pytest.approx(1.0 - g * np.sqrt(0.5), rel=1e-15)
@@ -309,31 +346,25 @@ class TestAffineOracle:
         root_ab0 = np.sqrt(float(TIMELINE.alpha_bar_at_step[0]))
         for variance in (0.3, 1.0, 2.7):
             prior = _gaussian(variance=variance)
-            oracle = affine_trajectory_oracle(single_plan(2.0), TIMELINE, prior, omega=2.0)
+            oracle = affine_trajectory_oracle(single_plan(2.0), TIMELINE, prior)
             assert oracle.noise_gain * root_ab0 + oracle.mean_gain == pytest.approx(
                 1.0, abs=1e-12
             )
 
-    def test_omega_does_not_enter(self):
-        prior = _gaussian()
-        a = affine_trajectory_oracle(single_plan(2.0), TIMELINE, prior, omega=0.0)
-        b = affine_trajectory_oracle(single_plan(2.0), TIMELINE, prior, omega=7.0)
-        assert (a.noise_gain, a.mean_gain) == (b.noise_gain, b.mean_gain)
-
     def test_rejects_staged_plans_and_point_priors(self):
         with pytest.raises(ValueError, match="single-resolution"):
-            affine_trajectory_oracle(staged_plan(2.0, 2.0), TIMELINE, _gaussian(), omega=1.0)
+            affine_trajectory_oracle(staged_plan(2.0, 2.0), TIMELINE, _gaussian())
         points = [LatentGrid.zeros(4, 16, 16)]
         dataset = DatasetPrior(points, [0], TIMELINE)
         with pytest.raises(TypeError, match="GaussianPrior"):
-            affine_trajectory_oracle(single_plan(2.0), TIMELINE, dataset, omega=1.0)
+            affine_trajectory_oracle(single_plan(2.0), TIMELINE, dataset)
 
     def test_matches_full_runs_at_odd_settings(self):
         rng = np.random.default_rng(35)
         mean = LatentGrid(rng.normal(0.1, 0.5, size=(3, 6, 6)))
         prior = GaussianPrior(mean, 0.9, TIMELINE)
         plan = single_plan(2.5, 6, 6)
-        oracle = affine_trajectory_oracle(plan, TIMELINE, prior, omega=2.5)
+        oracle = affine_trajectory_oracle(plan, TIMELINE, prior)
         for k in range(10):
             srng = SeededRng(700 + k)
             noise = gaussian_noise(3, 6, 6, srng.stream("init"))
@@ -358,7 +389,7 @@ class TestRunDistribution:
             timeline,
         )
         prior = GaussianPrior(LatentGrid.full(1, 2, 2, 0.7), 1.3, timeline)
-        oracle = affine_trajectory_oracle(plan, timeline, prior, omega=1.0)
+        oracle = affine_trajectory_oracle(plan, timeline, prior)
         residuals = np.empty((3000, 4))
         for k in range(3000):
             result = run(

@@ -324,9 +324,9 @@ class TestStepCoefficients:
     def test_coefficients_reproduce_the_update(self):
         x = LatentGrid.full(1, 1, 1, 1.3)
         eps = LatentGrid.full(1, 1, 1, 0.7)
-        x_prev, _ = ddim_step(x, eps, 0.37, 0.81)
+        x_prev, _ = ddim_step(x.data, eps.data, 0.37, 0.81)
         a, b = ddim_step_coefficients(0.37, 0.81)
-        assert float(x_prev.data[0, 0, 0]) == pytest.approx(a * 1.3 + b * 0.7, rel=1e-14)
+        assert float(x_prev[0, 0, 0]) == pytest.approx(a * 1.3 + b * 0.7, rel=1e-14)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
