@@ -13,6 +13,7 @@ Layout:
     codec       latent/value space mapping, external codec subprocess protocol
     sampler     the plain-array sampling loop, variants, affine oracle
     analysis    energy traces, rank and moment statistics
+    checks      the property and oracle checks of `restage verify` and criteria 01-04
     tensorfile  the .rhrt binary tensor format
     config      INI experiment configs
     cli         the `restage` command

@@ -41,12 +41,6 @@ class EnergyTrace:
             if energy < 0 or not math.isfinite(energy):
                 raise ValueError(f"trace {self.label!r}: bad energy {energy} at step {step}")
 
-    def energy_at(self, step: int) -> float:
-        for s, e in self.rows:
-            if s == step:
-                return e
-        raise KeyError(f"trace {self.label!r} has no step {step}")
-
 
 def trace_from_run(result: RunResult, label: str) -> EnergyTrace:
     """Latent-energy column of a run's trace as an :class:`EnergyTrace`."""

@@ -4,7 +4,7 @@ Subcommands:
     ladder        print and save the staged plan for a config
     sample        execute sampling runs, write traces and final tensors
     energy-curve  average latent-energy curves across variants and sweeps
-    verify        run the built-in property and oracle checks
+    verify        run the property and oracle checks of restage.checks
     dump-grid     render a tensor file to one PGM image per channel
 
 All CSV output is byte-stable: fixed column order, floats at 9 significant
@@ -21,13 +21,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, schedule as sched
-from .codec import IdentityCodec
+from . import analysis, checks, schedule as sched
 from .config import ExperimentConfig, build_codec, build_denoiser, check_seed_range, load_config
-from .denoiser import UNCONDITIONAL, GaussianPrior
 from .errors import ConfigError, TensorFormatError
-from .latent import LatentGrid, SeededRng, gaussian_noise
-from .sampler import RunResult, affine_trajectory_oracle, noise_refresh, run
+from .latent import SeededRng
+from .sampler import RunResult, run
 from .tensorfile import read_tensor, write_grid
 
 __all__ = ["main", "cmd_ladder", "cmd_sample", "cmd_energy_curve", "cmd_verify", "cmd_dump_grid"]
@@ -192,115 +190,13 @@ def cmd_energy_curve(config: ExperimentConfig, out_dir: Path, base_dir: Path, jo
     return 0
 
 
-def _check(name: str, passed: bool, detail: str, failures: list[str]) -> None:
-    status = "PASS" if passed else "FAIL"
-    print(f"{status}  {name:24s} {detail}")
-    if not passed:
-        failures.append(name)
-
-
 def cmd_verify(corrupt: str | None = None) -> int:
-    """Self-contained property and oracle checks; non-zero exit on failure."""
+    """Run every check in :mod:`restage.checks`; non-zero exit on failure."""
     failures: list[str] = []
-
-    schedule = sched.build_schedule()
-    alpha_bar = schedule.alpha_bar.copy()
-    if corrupt == "schedule":
-        alpha_bar[schedule.train_steps // 2] = alpha_bar[schedule.train_steps // 2 - 1] * 1.5
-    ok = (
-        bool(np.all(np.diff(alpha_bar) < 0))
-        and bool(np.all((alpha_bar > 0) & (alpha_bar < 1)))
-        and alpha_bar[0] == 1.0 - schedule.betas[0]
-    )
-    _check(
-        "schedule-monotonic",
-        ok,
-        f"alpha_bar strictly decreasing in (0, 1), first entry {_fmt(alpha_bar[0])}",
-        failures,
-    )
-
-    timeline = sched.build_timeline(schedule, 50)
-    ok = (
-        int(timeline.step_to_train_t[0]) == schedule.train_steps - 1
-        and int(timeline.step_to_train_t[-1]) == 0
-        and float(timeline.alpha_bar_at_step[-1]) == 1.0
-        and bool(np.all(np.diff(timeline.alpha_bar_at_step) > 0))
-    )
-    _check("timeline-endpoints", ok, "50 steps span the full schedule, post-terminal 1.0", failures)
-
-    res2 = ((16, 16), (32, 32))
-    res3 = ((16, 16), (32, 32), (48, 48))
-    plan2 = sched.build_plan(sched.ladder_preset("paper-2048", res2), timeline)
-    plan3 = sched.build_plan(sched.ladder_preset("paper-4096", res3), timeline)
-    ok = (
-        plan2.refresh_steps == (40,)
-        and plan3.refresh_steps == (40, 45)
-        and [s.omega for s in plan2.stages] == [5.0, 30.0]
-        and abs(plan3.stages[1].omega - 36.81980515339464) < 1e-9
-        and [plan3.stages[0].omega, plan3.stages[2].omega] == [5.0, 50.0]
-    )
-    _check("ladder-presets", ok, f"2048 -> {plan2.refresh_steps}, 4096 -> {plan3.refresh_steps}", failures)
-
-    rng = np.random.default_rng(2024)
-    worst = 0.0
-    range_ok = True
-    for _ in range(1000):
-        lo, hi = np.sort(rng.uniform(1e-4, 0.9999, size=2))
-        gamma = rng.uniform(1.0, 16.0)
-        direct_t = sched.snr_corrected_alpha_bar(lo, gamma)
-        direct_p = sched.snr_corrected_alpha_bar(hi, gamma)
-        want = sched.ddim_step_coefficients(direct_t, direct_p)
-        got = sched.snr_rewritten_step_coefficients(lo, hi, gamma)
-        # relative error of the affine step: coefficient gaps against the
-        # pair's scale, not each coefficient's own (b can cancel to ~0)
-        scale = max(*(abs(c) for c in want + got), 1e-300)
-        err = max(abs(w - g) for w, g in zip(want, got)) / scale
-        worst = max(worst, err)
-        coeff = sched.snr_energy_coefficient(hi, gamma)
-        if not 1.0 - 1e-12 <= coeff <= gamma + 1e-12:
-            range_ok = False
-    _check("snr-identity", worst < 1e-12, f"max relative error {worst:.3e} over 1000 triples", failures)
-    _check("snr-energy-range", range_ok, "noise gain within [1, gamma] on all triples", failures)
-
-    gamma = 16.0
-    dev = 0.0
-    for s in range(timeline.num_steps):
-        ab_t = float(timeline.alpha_bar_at_step[s])
-        ab_p = float(timeline.alpha_bar_at_step[s + 1])
-        factor = np.sqrt(
-            (gamma - (gamma - 1) * ab_t) / (gamma - (gamma - 1) * ab_p)
-        )
-        dev = max(dev, abs(factor - 1.0))
-    _check("snr-near-unity", dev < 0.2, f"max |gain - 1| = {_fmt(dev)} at gamma 16", failures)
-
-    ladder1 = sched.LadderConfig(
-        t_min=40, t_max=50, n_stages=1, m_t=1.0, omega_min=1.0, omega_max=1.0,
-        m_omega=1.0, resolutions=((8, 8),),
-    )
-    plan1 = sched.build_plan(ladder1, timeline)
-    prior = GaussianPrior(LatentGrid.full(2, 8, 8, 0.4), 1.3, timeline)
-    oracle = affine_trajectory_oracle(plan1, timeline, prior)
-    worst = 0.0
-    codec = IdentityCodec()
-    for k in range(100):
-        srng = SeededRng(9000 + k)
-        noise = gaussian_noise(2, 8, 8, srng.stream("init"))
-        result = run("baseline", plan1, timeline, prior, codec, UNCONDITIONAL, srng)
-        want = oracle.apply(noise, prior.mean)
-        denom = max(float(np.abs(want.data).max()), 1e-12)
-        worst = max(worst, float(np.abs(result.final_p_x0.data - want.data).max()) / denom)
-    _check("oracle-affine", worst < 1e-9, f"max relative error {worst:.3e} over 100 noises", failures)
-
-    p_rng = np.random.default_rng(7)
-    p_x0 = LatentGrid(p_rng.normal(0.0, 1.0, size=(4, 180, 180)))
-    ab_prev = 0.82
-    eps = gaussian_noise(4, 180, 180, SeededRng(123).stream("refresh", 1))
-    refreshed = noise_refresh(p_x0, codec, 180, 180, "bilinear", ab_prev, eps)
-    residual = refreshed.data - np.sqrt(ab_prev) * p_x0.data
-    z, ratio = analysis.z_test_mean_var(residual, 0.0, 1.0 - ab_prev)
-    ok = abs(z) < 4.0 and 0.95 <= ratio <= 1.05
-    _check("refresh-distribution", ok, f"z = {z:+.2f}, variance ratio {ratio:.4f}", failures)
-
+    for check in checks.run_all(corrupt_schedule=corrupt == "schedule"):
+        print(f"{'PASS' if check.ok else 'FAIL'}  {check.name:24s} {check.detail}")
+        if not check.ok:
+            failures.append(check.name)
     if failures:
         print(f"{len(failures)} check(s) failed: {', '.join(failures)}")
         return 1

@@ -34,7 +34,8 @@ A config file has flat key = value sections:
     omegas =                     ; optional sweep of flat guidance scales
 
 Validation is total: any unknown section or key, and any value outside its
-domain, raises :class:`ConfigError` naming the offending field.
+domain, raises :class:`ConfigError` naming the offending field; a ladder
+whose stages collide raises :class:`PlanError`.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from .schedule import (
     LadderConfig,
     NoiseSchedule,
     SamplerTimeline,
+    build_plan,
     build_schedule,
     build_timeline,
     ladder_preset,
@@ -282,13 +284,15 @@ def load_config(path: str | Path) -> ExperimentConfig:
         num_steps=sched.get_int("num_steps"),
     )
     sched.reject_unknown()
-    # The schedule module owns the schedule rules; building once applies them all.
+    # The schedule module owns the schedule and plan rules; building once applies them all.
     s = schedule_spec
-    build_timeline(build_schedule(s.kind, s.beta_start, s.beta_end, s.train_steps), s.num_steps)
+    schedule = build_schedule(s.kind, s.beta_start, s.beta_end, s.train_steps)
+    timeline = build_timeline(schedule, s.num_steps)
 
     ladder_sec = section("ladder")
     ladder = _parse_ladder(ladder_sec)
     ladder_sec.reject_unknown()
+    build_plan(ladder, timeline)
 
     den = section("denoiser")
     den_kind = den.get("kind", "gaussian")
@@ -381,7 +385,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     en.reject_unknown()
     energy_spec = EnergySpec(variants=curve_variants, omegas=tuple(omegas))
 
-    config = ExperimentConfig(
+    return ExperimentConfig(
         schedule=schedule_spec,
         ladder=ladder,
         denoiser=denoiser_spec,
@@ -389,13 +393,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
         run=run_spec,
         energy=energy_spec,
     )
-    # Surface ladder-vs-run inconsistencies at load time rather than mid-run.
-    if ladder.t_max > schedule_spec.num_steps:
-        raise ConfigError(
-            f"ladder.t_max: must be <= schedule.num_steps, "
-            f"got {ladder.t_max} > {schedule_spec.num_steps}"
-        )
-    return config
 
 
 def check_seed_range(seed: int, run_count: int) -> None:

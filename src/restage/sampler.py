@@ -180,7 +180,6 @@ def run(
     snapshot_steps=None,
     resize_method: str = "bilinear",
     initial_noise: LatentGrid | None = None,
-    check_reconstruction: bool = False,
 ) -> RunResult:
     """Execute one sampling run and return its result and trace.
 
@@ -200,8 +199,6 @@ def run(
         resize_method: Resampling used at boundaries.
         initial_noise: Optional explicit starting latent (its shape must
             match the starting stage); drawn from rng when omitted.
-        check_reconstruction: Re-assert the update identity
-            x_t = sqrt(ab) * p_x0 + sqrt(1-ab) * eps at every step.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
@@ -280,15 +277,6 @@ def run(
             np.isfinite(x).all() and np.isfinite(p_x0).all()
         ):
             raise SamplerError(f"step {step}: latent grid contains non-finite values", step=step)
-        if check_reconstruction:
-            ab = level(step)
-            rebuilt = ab**0.5 * p_x0 + (1.0 - ab) ** 0.5 * eps_tilde
-            err = float(abs(rebuilt - x).max())
-            scale = max(1.0, float(abs(x).max()))
-            if err > 1e-9 * scale:
-                raise SamplerError(
-                    f"step {step}: reconstruction identity violated by {err:.3e}", step=step
-                )
         trace.append(
             StepRecord(
                 step=step,

@@ -188,12 +188,6 @@ class RefreshPlan:
     def target_resolution(self) -> tuple[int, int]:
         return (self.stages[-1].height, self.stages[-1].width)
 
-    def stage_at(self, step: int) -> Stage:
-        for stage in self.stages:
-            if stage.first_step <= step < stage.last_step:
-                return stage
-        raise ValueError(f"step {step} outside the planned range [0, {self.num_steps})")
-
 
 def build_schedule(
     kind: str = DEFAULT_KIND,

@@ -2,11 +2,12 @@
 
 Each test prints a single "criterion NN: PASS/FAIL" line with the measured
 quantities and asserts both the stated tolerance and the stated runtime
-budget. The staged-run criteria (05, 06, 09) run on the clustered-shell
-prior from _toys; criterion 05's native reference shares the staged run's
-boundary noise tensor, which is what makes a sub-1e-3 energy gap resolvable
-at a hundred seeds (see notes on the comparison convention in the repo's
-decision log).
+budget. Criteria 01-04 run the same checks as ``restage verify``, from
+``restage.checks``. The staged-run criteria (05, 06, 09) run on the
+clustered-shell prior from _toys; criterion 05's native reference shares the
+staged run's boundary noise tensor, which is what makes a sub-1e-3 energy
+gap resolvable at a hundred seeds (see the comparison convention in
+docs/DECISIONS.md).
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import time
 import numpy as np
 
 from _toys import (
-    BASE,
     CHANNELS,
     CLASS_ZERO,
     CODEC,
@@ -30,19 +30,10 @@ from _toys import (
     single_plan,
     staged_plan,
 )
-from restage import cli
-from restage.analysis import monotonicity_stat, p_x0_mse_series, z_test_mean_var
-from restage.denoiser import GaussianPrior, UNCONDITIONAL
+from restage import checks, cli
+from restage.analysis import monotonicity_stat, p_x0_mse_series
 from restage.latent import LatentGrid, SeededRng, gaussian_noise
-from restage.sampler import affine_trajectory_oracle, noise_refresh, run
-from restage.schedule import (
-    build_plan,
-    ddim_step_coefficients,
-    ladder_preset,
-    snr_corrected_alpha_bar,
-    snr_energy_coefficient,
-    snr_rewritten_step_coefficients,
-)
+from restage.sampler import run
 from restage.tensorfile import read_grid, write_grid
 
 
@@ -52,109 +43,33 @@ def _verdict(num: int, ok: bool, budget_s: float, elapsed: float, detail: str) -
     assert ok and elapsed < budget_s, line
 
 
-def test_criterion_01_preset_ladder_reproduction():
+def _check_verdict(num: int, budget_s: float, *check_fns) -> None:
+    """Run shared checks as one criterion; the criterion holds if every check does."""
     start = time.perf_counter()
-    two = build_plan(ladder_preset("paper-2048", ((BASE, BASE), (TARGET, TARGET))), TIMELINE)
-    three = build_plan(
-        ladder_preset("paper-4096", ((BASE, BASE), (24, 24), (TARGET, TARGET))), TIMELINE
-    )
-    want_two = [5.0, 30.0]
-    want_three = [5.0, 36.81980515339464, 50.0]
-    ok = (
-        two.refresh_steps == (40,)
-        and three.refresh_steps == (40, 45)
-        and all(abs(s.omega - w) < 1e-9 for s, w in zip(two.stages, want_two))
-        and all(abs(s.omega - w) < 1e-9 for s, w in zip(three.stages, want_three))
-    )
+    results = [fn() for fn in check_fns]
     _verdict(
-        1,
-        ok,
-        1.0,
+        num,
+        all(c.ok for c in results),
+        budget_s,
         time.perf_counter() - start,
-        f"boundaries {list(two.refresh_steps)} / {list(three.refresh_steps)}, "
-        f"scales {[s.omega for s in two.stages]} / {[round(s.omega, 7) for s in three.stages]}",
+        ", ".join(c.detail for c in results),
     )
+
+
+def test_criterion_01_preset_ladder_reproduction():
+    _check_verdict(1, 1.0, checks.ladder_presets)
 
 
 def test_criterion_02_snr_rewrite_identity():
-    start = time.perf_counter()
-    rng = np.random.default_rng(424242)
-    worst = 0.0
-    gain_in_range = True
-    for _ in range(1000):
-        lo, hi = np.sort(rng.uniform(1e-4, 0.9999, size=2))
-        gamma = float(rng.uniform(1.0, 16.0))
-        direct = ddim_step_coefficients(
-            snr_corrected_alpha_bar(float(lo), gamma),
-            snr_corrected_alpha_bar(float(hi), gamma),
-        )
-        rewritten = snr_rewritten_step_coefficients(float(lo), float(hi), gamma)
-        # relative error of the affine step as a whole; the eps coefficient
-        # alone can cancel to ~0 and has no meaningful own-scale
-        scale = max(*(abs(c) for c in direct + rewritten), 1e-300)
-        worst = max(worst, max(abs(d - r) for d, r in zip(direct, rewritten)) / scale)
-        gain = snr_energy_coefficient(float(hi), gamma)
-        if not 1.0 - 1e-12 <= gain <= gamma + 1e-12:
-            gain_in_range = False
-    ok = worst < 1e-12 and gain_in_range
-    _verdict(
-        2,
-        ok,
-        1.0,
-        time.perf_counter() - start,
-        f"max relative error {worst:.3e} over 1000 triples, noise gain within [1, gamma]: {gain_in_range}",
-    )
+    _check_verdict(2, 1.0, checks.snr_identity, checks.snr_energy_range)
 
 
 def test_criterion_03_sampler_matches_affine_oracle():
-    start = time.perf_counter()
-    plan = single_plan(1.0, 8, 8)
-    prior = GaussianPrior(LatentGrid.full(2, 8, 8, 0.4), 1.3, TIMELINE)
-    oracle = affine_trajectory_oracle(plan, TIMELINE, prior)
-    worst = 0.0
-    for k in range(100):
-        rng = SeededRng(9000 + k)
-        noise = gaussian_noise(2, 8, 8, rng.stream("init"))
-        got = run("baseline", plan, TIMELINE, prior, CODEC, UNCONDITIONAL, rng)
-        want = oracle.apply(noise, prior.mean)
-        denom = max(float(np.abs(want.data).max()), 1e-12)
-        worst = max(worst, float(np.abs(got.final_p_x0.data - want.data).max()) / denom)
-
-    base = run("baseline", plan, TIMELINE, prior, CODEC, UNCONDITIONAL, SeededRng(55))
-    corrected = run("snr-corrected", plan, TIMELINE, prior, CODEC, UNCONDITIONAL, SeededRng(55))
-    identical = bool(
-        np.array_equal(base.final_p_x0.data, corrected.final_p_x0.data)
-        and base.trace == corrected.trace
-    )
-    ok = worst < 1e-9 and identical
-    _verdict(
-        3,
-        ok,
-        10.0,
-        time.perf_counter() - start,
-        f"max relative error {worst:.3e} over 100 noises, unit-gamma correction bit-identical: {identical}",
-    )
+    _check_verdict(3, 10.0, checks.oracle_affine)
 
 
 def test_criterion_04_refresh_noise_statistics():
-    start = time.perf_counter()
-    rng = np.random.default_rng(7)
-    clean = LatentGrid(rng.normal(0.0, 1.0, size=(4, 180, 180)))
-    level = 0.82
-    eps = gaussian_noise(4, 180, 180, SeededRng(123).stream("refresh", 1))
-    # same size, identity codec: the resize inside is a no-op, so the output
-    # must be exactly sqrt(level) * clean + sqrt(1 - level) * eps
-    refreshed = noise_refresh(clean, CODEC, 180, 180, "bilinear", level, eps)
-    residual = refreshed.data - np.sqrt(level) * clean.data
-    z, ratio = z_test_mean_var(residual, 0.0, 1.0 - level)
-    ok = abs(z) < 4.0 and 0.95 <= ratio <= 1.05
-    _verdict(
-        4,
-        ok,
-        10.0,
-        time.perf_counter() - start,
-        f"z {z:+.2f}, variance ratio {ratio:.4f} over {residual.size} elements",
-    )
+    _check_verdict(4, 10.0, checks.refresh_distribution)
 
 
 def test_criterion_05_boundary_energy_deficit():

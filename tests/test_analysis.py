@@ -33,7 +33,7 @@ class TestEnergyTrace:
         assert trace.label == "demo"
         assert len(trace.rows) == 50
         assert trace.rows[0] == (0, result.trace[0].latent_energy)
-        assert trace.energy_at(17) == result.trace[17].latent_energy
+        assert dict(trace.rows)[17] == result.trace[17].latent_energy
 
     def test_steps_must_increase(self):
         with pytest.raises(ValueError, match="increasing"):
@@ -43,10 +43,6 @@ class TestEnergyTrace:
     def test_energies_must_be_finite_and_non_negative(self, bad):
         with pytest.raises(ValueError, match="bad energy"):
             _trace("t", (0, 1.0), (1, bad))
-
-    def test_energy_at_missing_step(self):
-        with pytest.raises(KeyError):
-            _trace("t", (0, 1.0)).energy_at(5)
 
 
 class TestMeanTrace:

@@ -10,7 +10,7 @@ import pytest
 from restage.codec import ExternalCodec, IdentityCodec
 from restage.config import build_codec, build_denoiser, load_config
 from restage.denoiser import Condition, DatasetPrior, GaussianPrior, UNCONDITIONAL
-from restage.errors import ConfigError
+from restage.errors import ConfigError, PlanError
 from restage.tensorfile import write_tensor
 
 from _toys import TIMELINE
@@ -197,6 +197,14 @@ class TestValidation:
     def test_window_must_fit_the_run(self, tmp_path):
         with pytest.raises(ConfigError, match="t_max"):
             _load(tmp_path, MINIMAL.replace("num_steps = 50", "num_steps = 45"))
+
+    def test_colliding_ladder_fails_at_load(self, tmp_path):
+        text = (
+            "[schedule]\nnum_steps = 50\n[ladder]\nt_min = 40\nt_max = 42\nn_stages = 4\nm_t = 1\n"
+            "omega_min = 1\nomega_max = 1\nm_omega = 1\nresolutions = 8x8, 8x8, 16x16, 16x16\n"
+        )
+        with pytest.raises(PlanError, match="collide"):
+            _load(tmp_path, text)
 
     def test_resolutions_must_match_the_granularity(self, tmp_path):
         with pytest.raises(ConfigError, match="granularity 3"):

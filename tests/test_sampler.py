@@ -142,13 +142,6 @@ class TestRunBasics:
         result = run("baseline", single_plan(2.0), TIMELINE, prior, CODEC, UNCONDITIONAL, SeededRng(24))
         assert result.trace[0].latent_energy == average_energy(noise.data)
 
-    def test_reconstruction_check_passes_on_a_clean_run(self):
-        prior = _gaussian()
-        run(
-            "rectified", staged_plan(2.0, 6.0), TIMELINE, prior, CODEC, UNCONDITIONAL,
-            SeededRng(25), check_reconstruction=True,
-        )
-
     def test_wrong_initial_noise_shape(self):
         with pytest.raises(ShapeError, match="initial noise"):
             run(

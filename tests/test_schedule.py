@@ -192,15 +192,6 @@ class TestBuildPlan:
         assert plan.base_resolution == (16, 16)
         assert plan.target_resolution == (32, 32)
 
-    def test_stage_at_picks_by_step(self):
-        plan = build_plan(_ladder(), TIMELINE)
-        assert plan.stage_at(0).index == 0
-        assert plan.stage_at(39).index == 0
-        assert plan.stage_at(40).index == 1
-        assert plan.stage_at(49).index == 1
-        with pytest.raises(ValueError, match="outside"):
-            plan.stage_at(50)
-
     def test_colliding_boundaries_rejected(self):
         config = _ladder(
             n_stages=3, m_t=8.0, resolutions=((16, 16), (24, 24), (32, 32))
