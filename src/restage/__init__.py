@@ -11,7 +11,7 @@ Layout:
     latent      validated grids for run edges, seeded noise, resizing, energy
     denoiser    exactly solvable denoisers (Gaussian prior, dataset posterior)
     codec       latent/value space mapping, external codec subprocess protocol
-    sampler     the plain-array sampling loop, variants, affine oracle
+    sampler     the seed-batched sampling loop, variants, affine oracle
     analysis    energy traces, rank and moment statistics
     checks      the property and oracle checks of `restage verify` and criteria 01-04
     tensorfile  the .rhrt binary tensor format
@@ -30,7 +30,7 @@ from .errors import (
     StatError,
     TensorFormatError,
 )
-from .latent import LatentGrid, SeededRng, average_energy, forward_diffuse, gaussian_noise
+from .latent import LatentGrid, SeededRng, average_energy, gaussian_noise
 from .schedule import (
     LadderConfig,
     NoiseSchedule,
@@ -68,7 +68,6 @@ __all__ = [
     "build_schedule",
     "build_timeline",
     "ddim_step",
-    "forward_diffuse",
     "gaussian_noise",
     "ladder_preset",
     "noise_refresh",

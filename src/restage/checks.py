@@ -149,17 +149,16 @@ def oracle_affine() -> Check:
     prior = GaussianPrior(LatentGrid.full(2, 8, 8, 0.4), 1.3, timeline)
     codec = IdentityCodec()
     oracle = affine_trajectory_oracle(plan, timeline, prior)
+    rngs = [SeededRng(9000 + k) for k in range(100)]
     worst = 0.0
-    for k in range(100):
-        rng = SeededRng(9000 + k)
+    for rng, got in zip(rngs, run("baseline", plan, timeline, prior, codec, UNCONDITIONAL, rngs)):
         noise = gaussian_noise(2, 8, 8, rng.stream("init"))
-        got = run("baseline", plan, timeline, prior, codec, UNCONDITIONAL, rng)
         want = oracle.apply(noise, prior.mean)
         denom = max(float(np.abs(want.data).max()), 1e-12)
         worst = max(worst, float(np.abs(got.final_p_x0.data - want.data).max()) / denom)
 
-    base = run("baseline", plan, timeline, prior, codec, UNCONDITIONAL, SeededRng(55))
-    corrected = run("snr-corrected", plan, timeline, prior, codec, UNCONDITIONAL, SeededRng(55))
+    (base,) = run("baseline", plan, timeline, prior, codec, UNCONDITIONAL, [SeededRng(55)])
+    (corrected,) = run("snr-corrected", plan, timeline, prior, codec, UNCONDITIONAL, [SeededRng(55)])
     identical = bool(
         np.array_equal(base.final_p_x0.data, corrected.final_p_x0.data)
         and base.trace == corrected.trace

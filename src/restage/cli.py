@@ -8,14 +8,15 @@ Subcommands:
     dump-grid     render a tensor file to one PGM image per channel
 
 All CSV output is byte-stable: fixed column order, floats at 9 significant
-digits, LF newlines.
+digits, LF newlines. Every file is written under a temporary name and renamed
+into place. ``sample`` runs all seeds of a command as one batch, ``energy-curve``
+all seeds of one curve label; no flag or config key changes that partition.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -24,9 +25,9 @@ import numpy as np
 from . import analysis, checks, schedule as sched
 from .config import ExperimentConfig, build_codec, build_denoiser, check_seed_range, load_config
 from .errors import ConfigError, TensorFormatError
-from .latent import SeededRng
+from .latent import LatentGrid, SeededRng
 from .sampler import RunResult, run
-from .tensorfile import read_tensor, write_grid
+from .tensorfile import read_tensor, write_atomic, write_grid
 
 __all__ = ["main", "cmd_ladder", "cmd_sample", "cmd_energy_curve", "cmd_verify", "cmd_dump_grid"]
 
@@ -37,26 +38,14 @@ def _fmt(value: float) -> str:
 
 def _write_csv(path: Path, header: str, rows: list[str]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(row + "\n")
+    write_atomic(path, (f"{line}\n".encode("utf-8") for line in (header, *rows)))
 
 
 def _build_all(config: ExperimentConfig, base_dir: Path):
-    schedule = config.build_schedule()
-    timeline = config.build_timeline(schedule)
+    timeline = config.build_timeline(config.build_schedule())
     plan = sched.build_plan(config.ladder, timeline)
     denoiser, condition = build_denoiser(config, timeline, base_dir)
-    codec = build_codec(config)
-    return schedule, timeline, plan, denoiser, condition, codec
-
-
-def _snapshot_steps(config: ExperimentConfig):
-    steps = config.run.snapshot_steps
-    if steps == "all":
-        return range(config.schedule.num_steps)
-    return steps
+    return timeline, plan, denoiser, condition, build_codec(config)
 
 
 def cmd_ladder(config: ExperimentConfig, out_dir: Path) -> int:
@@ -86,39 +75,29 @@ def _trace_rows(result: RunResult) -> list[str]:
     return rows
 
 
-def _run_one_seed(config: ExperimentConfig, parts, seed: int, out_dir: Path) -> None:
-    _, timeline, plan, denoiser, condition, codec = parts
-    result = run(
-        config.run.variant,
-        plan,
-        timeline,
-        denoiser,
-        codec,
-        condition,
-        SeededRng(seed),
-        snapshot_steps=_snapshot_steps(config),
-        resize_method=config.codec.resize_method,
-    )
-    _write_csv(
-        out_dir / f"trace_{seed}.csv",
-        "step,train_t,omega,latent_energy,p_x0_energy,refreshed",
-        _trace_rows(result),
-    )
-    write_grid(out_dir / f"final_{seed}.rhrt", result.final_p_x0)
-    for step, grid in result.p_x0_snapshots:
-        write_grid(out_dir / f"snapshot_{seed}_{step}.rhrt", grid)
-
-
-def cmd_sample(config: ExperimentConfig, out_dir: Path, base_dir: Path, jobs: int) -> int:
-    parts = _build_all(config, base_dir)
+def cmd_sample(config: ExperimentConfig, out_dir: Path, base_dir: Path) -> int:
+    timeline, plan, denoiser, condition, codec = _build_all(config, base_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     seeds = [config.run.seed + i for i in range(config.run.run_count)]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(lambda s: _run_one_seed(config, parts, s, out_dir), seeds))
-    else:
-        for seed in seeds:
-            _run_one_seed(config, parts, seed, out_dir)
+    steps = config.run.snapshot_steps
+    if steps == "all":
+        steps = range(config.schedule.num_steps)
+
+    def write_snapshot(index: int, step: int, grid: LatentGrid) -> None:
+        write_grid(out_dir / f"snapshot_{seeds[index]}_{step}.rhrt", grid)
+
+    results = run(
+        config.run.variant, plan, timeline, denoiser, codec, condition,
+        [SeededRng(seed) for seed in seeds], snapshot_steps=steps,
+        resize_method=config.codec.resize_method, on_snapshot=write_snapshot,
+    )
+    for seed, result in zip(seeds, results):
+        _write_csv(
+            out_dir / f"trace_{seed}.csv",
+            "step,train_t,omega,latent_energy,p_x0_energy,refreshed",
+            _trace_rows(result),
+        )
+        write_grid(out_dir / f"final_{seed}.rhrt", result.final_p_x0)
     print(f"wrote {len(seeds)} run(s) to {out_dir}")
     return 0
 
@@ -144,7 +123,7 @@ def _curve_setup(config: ExperimentConfig, label: str, omega: float | None):
     return variant, ladder
 
 
-def cmd_energy_curve(config: ExperimentConfig, out_dir: Path, base_dir: Path, jobs: int) -> int:
+def cmd_energy_curve(config: ExperimentConfig, out_dir: Path, base_dir: Path) -> int:
     labels = list(config.energy.variants) or [config.run.variant]
     sweeps: list[tuple[str, str, float | None]] = []
     for label in labels:
@@ -154,34 +133,20 @@ def cmd_energy_curve(config: ExperimentConfig, out_dir: Path, base_dir: Path, jo
         else:
             sweeps.append((label, label, None))
 
-    schedule = config.build_schedule()
-    timeline = config.build_timeline(schedule)
-    denoiser, condition = build_denoiser(config, timeline, base_dir)
-    codec = build_codec(config)
+    timeline, _, denoiser, condition, codec = _build_all(config, base_dir)
+    seeds = [config.run.seed + i for i in range(config.run.run_count)]
     rows: list[str] = []
     for curve_label, label, omega in sweeps:
         variant, ladder = _curve_setup(config, label, omega)
         plan = sched.build_plan(ladder, timeline)
-
-        def one(seed: int) -> analysis.EnergyTrace:
-            result = run(
-                variant,
-                plan,
-                timeline,
-                denoiser,
-                codec,
-                condition,
-                SeededRng(seed),
-                resize_method=config.codec.resize_method,
-            )
-            return analysis.trace_from_run(result, f"{curve_label}:{seed}")
-
-        seeds = [config.run.seed + i for i in range(config.run.run_count)]
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                traces = list(pool.map(one, seeds))
-        else:
-            traces = [one(s) for s in seeds]
+        results = run(
+            variant, plan, timeline, denoiser, codec, condition,
+            [SeededRng(seed) for seed in seeds], resize_method=config.codec.resize_method,
+        )
+        traces = [
+            analysis.trace_from_run(result, f"{curve_label}:{seed}")
+            for seed, result in zip(seeds, results)
+        ]
         mean = analysis.mean_trace(traces, curve_label)
         for step, energy in mean.rows:
             rows.append(f"{curve_label},{step},{_fmt(energy)}")
@@ -227,7 +192,7 @@ def cmd_dump_grid(input_path: Path, output_path: Path) -> int:
             target = output_path
         else:
             target = output_path.with_name(f"{output_path.stem}_c{c}{output_path.suffix}")
-        target.write_bytes(_to_pgm(arr[c].astype(np.float64)))
+        write_atomic(target, [_to_pgm(arr[c].astype(np.float64))])
         print(f"wrote {target}")
     return 0
 
@@ -237,7 +202,6 @@ def _build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--config", help="experiment config file (INI format)")
     shared.add_argument("--seed", type=int, help="override the config's base seed")
     shared.add_argument("--out", help="override the config's output directory")
-    shared.add_argument("--jobs", type=int, default=1, help="parallel runs (default 1)")
 
     parser = argparse.ArgumentParser(
         prog="restage",
@@ -279,10 +243,10 @@ def main(argv=None) -> int:
             return cmd_ladder(config, out_dir)
         if args.command == "sample":
             config, out_dir, base_dir = _load(args)
-            return cmd_sample(config, out_dir, base_dir, args.jobs)
+            return cmd_sample(config, out_dir, base_dir)
         if args.command == "energy-curve":
             config, out_dir, base_dir = _load(args)
-            return cmd_energy_curve(config, out_dir, base_dir, args.jobs)
+            return cmd_energy_curve(config, out_dir, base_dir)
         if args.command == "verify":
             return cmd_verify(corrupt=args.corrupt)
         if args.command == "dump-grid":

@@ -21,7 +21,6 @@ from __future__ import annotations
 import shlex
 import subprocess
 import tempfile
-import threading
 import uuid
 from pathlib import Path
 
@@ -57,7 +56,8 @@ class IdentityCodec:
 class ExternalCodec:
     """Codec backed by an external command speaking the file protocol above.
 
-    Invocations are serialized per instance; the command may be stateful.
+    Calls run one at a time, in the order the sampler makes them (seed by
+    seed within each boundary), so the command may be stateful.
 
     Args:
         command: Command line to run, split with shell quoting rules.
@@ -76,32 +76,28 @@ class ExternalCodec:
         self.granularity = int(granularity)
         self.workdir = Path(workdir) if workdir is not None else Path(tempfile.gettempdir())
         self.workdir.mkdir(parents=True, exist_ok=True)
-        self._lock = threading.Lock()
 
     def _invoke(self, mode: str, grid: LatentGrid) -> LatentGrid:
         token = uuid.uuid4().hex
         in_path = self.workdir / f"codec-{token}-in.rhrt"
         out_path = self.workdir / f"codec-{token}-out.rhrt"
-        with self._lock:
+        try:
+            write_grid(in_path, grid)
+            proc = subprocess.run(
+                [*self._argv, mode, str(in_path), str(out_path)],
+                capture_output=True,
+                text=True,
+            )
+            if proc.returncode != 0:
+                detail = proc.stderr.strip() or proc.stdout.strip() or "(no output)"
+                raise CodecError(f"{mode} command exited with status {proc.returncode}: {detail}")
             try:
-                write_grid(in_path, grid)
-                proc = subprocess.run(
-                    [*self._argv, mode, str(in_path), str(out_path)],
-                    capture_output=True,
-                    text=True,
-                )
-                if proc.returncode != 0:
-                    detail = proc.stderr.strip() or proc.stdout.strip() or "(no output)"
-                    raise CodecError(
-                        f"{mode} command exited with status {proc.returncode}: {detail}"
-                    )
-                try:
-                    return read_grid(out_path)
-                except (ValueError, OSError) as exc:
-                    raise CodecError(f"{mode} produced an unreadable tensor: {exc}") from exc
-            finally:
-                for p in (in_path, out_path):
-                    p.unlink(missing_ok=True)
+                return read_grid(out_path)
+            except (ValueError, OSError) as exc:
+                raise CodecError(f"{mode} produced an unreadable tensor: {exc}") from exc
+        finally:
+            for p in (in_path, out_path):
+                p.unlink(missing_ok=True)
 
     def decode(self, grid: LatentGrid) -> LatentGrid:
         out = self._invoke("decode", grid)

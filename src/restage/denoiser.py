@@ -11,6 +11,9 @@ Prediction always goes through the clean-signal estimate:
 
 where x0_hat is the posterior mean of the clean latent and ab the step's
 retained-signal fraction.
+
+Latents are (B, C, H, W) batches or single (C, H, W) arrays; each latent
+of a batch is predicted on its own.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ class Denoiser:
     channels: int
 
     def predict_eps(self, x_t: np.ndarray, step: int, condition: Condition) -> np.ndarray:
-        """Predicted noise for a (C, H, W) float64 latent, as a new array of the same shape.
+        """Predicted noise for (..., C, H, W) float64 latents, as a new array of the same shape.
 
         The sampler calls this inside a step, where latents are plain arrays;
         it does not check finiteness, which the sampler screens per step.
@@ -78,7 +81,11 @@ class Denoiser:
 
 
 def _eps_from_x0_hat(x_t: np.ndarray, x0_hat: np.ndarray, ab: float) -> np.ndarray:
-    return (x_t - np.sqrt(ab) * x0_hat) / np.sqrt(1.0 - ab)
+    # (x_t - sqrt(ab) * x0_hat) / sqrt(1 - ab), rounded alike, in x0_hat's buffer
+    x0_hat *= -np.sqrt(ab)
+    x0_hat += x_t
+    x0_hat /= np.sqrt(1.0 - ab)
+    return x0_hat
 
 
 class GaussianPrior(Denoiser):
@@ -116,10 +123,10 @@ class GaussianPrior(Denoiser):
         )
 
     def predict_eps(self, x_t: np.ndarray, step: int, condition: Condition) -> np.ndarray:
-        if x_t.shape[0] != self.channels:
-            raise DenoiserError(f"expected {self.channels} channels, got {x_t.shape[0]}")
+        if x_t.shape[-3] != self.channels:
+            raise DenoiserError(f"expected {self.channels} channels, got {x_t.shape[-3]}")
         ab = self._level_at(self.timeline, step)
-        mean = self.mean_for_shape(*x_t.shape[1:])
+        mean = self.mean_for_shape(*x_t.shape[-2:])
         gain = np.sqrt(ab) * self.variance / (ab * self.variance + 1.0 - ab)
         x0_hat = mean + gain * (x_t - np.sqrt(ab) * mean)
         return _eps_from_x0_hat(x_t, x0_hat, ab)
@@ -139,9 +146,7 @@ class DatasetPrior(Denoiser):
     resolution for all points (the matrix is a view of the cached stack),
     and per (resolution, label) for one class's rows, copied contiguous so
     a conditional query touches only those rows. The row indices of each
-    label are fixed at construction. Every cache entry is computed in full
-    and then stored with one dict assignment, so threads sharing a prior
-    can at worst compute the same entry twice.
+    label are fixed at construction.
     """
 
     def __init__(self, points: list[LatentGrid], labels: list[int], timeline: SamplerTimeline):
@@ -202,9 +207,10 @@ def dataset_posterior_mean(
 ) -> np.ndarray:
     """Posterior mean of the clean latent under a uniform point-set prior.
 
-    With points p_i at the query resolution, the weight of point i is
-    proportional to exp(-||x_t - sqrt(ab) * p_i||^2 / (2 * (1 - ab))).
-    Expanding the square,
+    ``x_t`` is one (C, H, W) latent or a (B, C, H, W) batch; each latent
+    gets its own weights. With points p_i at the query resolution, the
+    weight of point i for a latent x_t is proportional to
+    exp(-||x_t - sqrt(ab) * p_i||^2 / (2 * (1 - ab))). Expanding the square,
 
         ||x_t - sqrt(ab) p_i||^2 = ||x_t||^2 - 2 sqrt(ab) <x_t, p_i> + ab ||p_i||^2,
 
@@ -213,22 +219,23 @@ def dataset_posterior_mean(
 
         log w_i = (sqrt(ab) <x_t, p_i> - ab ||p_i||^2 / 2) / (1 - ab),
 
-    one matrix-vector product against the flattened points, and the mean
-    is one more (w^T P). The largest exponent is subtracted before
-    exponentiation so the softmax stays finite at levels arbitrarily close
-    to 1, where the posterior collapses onto the nearest point (ties
-    sharing weight equally).
+    so the whole batch needs one matrix product against the flattened
+    points, X P^T, and the means one more (W P). Each latent's largest
+    exponent is subtracted from its row before exponentiation so the
+    softmax stays finite at levels arbitrarily close to 1, where the
+    posterior collapses onto the nearest point (ties sharing weight
+    equally).
     """
     if not 0.0 < alpha_bar_t < 1.0:
         raise ValueError(f"alpha_bar_t must lie in (0, 1), got {alpha_bar_t}")
-    if x_t.shape[0] != prior.channels:
-        raise DenoiserError(f"expected {prior.channels} channels, got {x_t.shape[0]}")
-    flat, half_sq_norms = prior._rows_for(*x_t.shape[1:], condition.label)
-    dots = flat @ x_t.reshape(-1)
+    if x_t.shape[-3] != prior.channels:
+        raise DenoiserError(f"expected {prior.channels} channels, got {x_t.shape[-3]}")
+    flat, half_sq_norms = prior._rows_for(*x_t.shape[-2:], condition.label)
+    dots = x_t.reshape(-1, flat.shape[1]) @ flat.T
     log_w = (np.sqrt(alpha_bar_t) * dots - alpha_bar_t * half_sq_norms) / (1.0 - alpha_bar_t)
-    log_w -= log_w.max()
+    log_w -= log_w.max(axis=1, keepdims=True)
     weights = np.exp(log_w)
-    weights /= weights.sum()
+    weights /= weights.sum(axis=1, keepdims=True)
     return (weights @ flat).reshape(x_t.shape)
 
 

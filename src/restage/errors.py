@@ -29,11 +29,13 @@ class CodecError(RuntimeError):
 
 
 class SamplerError(RuntimeError):
-    """A sampling run failed; ``step`` holds the failing step index."""
+    """A sampling run failed; ``step`` holds the failing step index and ``seed``
+    the failing seed, or None when the failure is not one seed's."""
 
-    def __init__(self, message: str, step: int | None = None):
+    def __init__(self, message: str, step: int | None = None, seed: int | None = None):
         super().__init__(message)
         self.step = step
+        self.seed = seed
 
 
 class StatError(ValueError):

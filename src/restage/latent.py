@@ -5,9 +5,9 @@ A latent is a dense (channels, height, width) block of float64 values.
 noise, boundary resizes and codecs, snapshots, final estimates, tensor files
 and the priors' stored points. Grids are immutable once constructed: the
 wrapped array is copied in, checked finite and marked read-only, so a grid
-can be shared freely between runs and threads. Inside a sampling step the
-latent, predictions and clean estimates are plain float64 ndarrays, so
-:func:`average_energy` takes an array.
+can be shared freely between runs. Inside a sampling step the latents,
+predictions and clean estimates of a batch of seeds are plain (B, C, H, W)
+float64 ndarrays, so :func:`average_energy` takes an array.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ __all__ = [
     "LatentGrid",
     "SeededRng",
     "gaussian_noise",
-    "forward_diffuse",
     "average_energy",
     "resize_bilinear",
     "resize_nearest",
@@ -123,24 +122,12 @@ def gaussian_noise(channels: int, height: int, width: int, rng: np.random.Genera
     return LatentGrid(rng.standard_normal((channels, height, width)))
 
 
-def forward_diffuse(x0: LatentGrid, alpha_bar_t: float, eps: LatentGrid) -> LatentGrid:
-    """Noise a clean grid to level ``alpha_bar_t``.
+def average_energy(x: np.ndarray) -> np.ndarray:
+    """sum(x^2) / (C * H * W) of each (C, H, W) latent in an (..., C, H, W) array.
 
-    Returns sqrt(alpha_bar_t) * x0 + sqrt(1 - alpha_bar_t) * eps, the
-    closed-form forward marginal of the diffusion at a retained-signal
-    fraction of alpha_bar_t.
+    One reduction: one energy per seed of a (B, C, H, W) batch, a scalar for one latent.
     """
-    if not 0.0 <= alpha_bar_t <= 1.0:
-        raise ValueError(f"alpha_bar_t must lie in [0, 1], got {alpha_bar_t}")
-    if x0.shape != eps.shape:
-        raise ShapeError(f"signal shape {x0.shape} does not match noise shape {eps.shape}")
-    ab = float(alpha_bar_t)
-    return LatentGrid(np.sqrt(ab) * x0.data + np.sqrt(1.0 - ab) * eps.data)
-
-
-def average_energy(x: np.ndarray) -> float:
-    """Mean squared value over all elements of a (C, H, W) array: sum(x^2) / (C * H * W)."""
-    return float(np.mean(x * x))
+    return np.mean(x * x, axis=(-3, -2, -1))
 
 
 def _axis_lerp_indices(src_size: int, dst_size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -1,21 +1,24 @@
 """Deterministic sampling runs over a staged-resolution plan.
 
-One run owns a single latent trajectory. Each step s:
+One call runs B seeds, each its own latent trajectory, as one (B, C, H, W)
+array. Each step s:
 
-1. If s is a stage boundary, the latent is rebuilt for the new stage first
-   (see below), and the step is recorded with its ``refreshed`` flag set.
-2. The denoiser predicts both guidance branches at the current latent and
+1. If s is a stage boundary, each seed's latent is rebuilt for the new stage
+   first (see below), and the step is recorded with its ``refreshed`` flag set.
+2. The denoiser predicts both guidance branches at the current latents and
    they are combined with the stage's guidance scale omega.
-3. One deterministic update produces the clean-signal estimate p_x0 and
-   the next latent, using the step's noise level and its successor's (the
+3. One deterministic update produces the clean-signal estimates p_x0 and
+   the next latents, using the step's noise level and its successor's (the
    trailing post-terminal level 1.0 makes the final update return p_x0).
 
-Inside a step the latent, both predictions and the clean estimate are
-plain float64 ndarrays. :class:`LatentGrid` appears only at the run's
-edges: the initial noise, each boundary's resize or refresh, snapshots and
+Inside a step the latents, both predictions and the clean estimates are
+plain float64 ndarrays, one row per seed; every step function acts row by
+row, and each seed draws its noise from its own :class:`SeededRng`.
+:class:`LatentGrid` appears only at the run's edges, one per seed: the
+initial noise, each boundary's resize or refresh, snapshots and
 ``final_p_x0``. Finiteness is screened once per step through the two
 energies the trace records; only a non-finite energy triggers the
-element-wise check, which fails the run with the step attached.
+element-wise check, which fails the run naming the step and the seed.
 
 Boundary convention: the boundary belonging to stage i is the first step
 OF stage i. The previous step's denoiser output (computed at the old
@@ -41,7 +44,7 @@ Variants:
 
 from __future__ import annotations
 
-import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,22 +90,17 @@ class StepRecord:
 
 @dataclass(frozen=True)
 class RunResult:
-    """Everything a finished run exposes.
-
-    ``p_x0_snapshots`` holds (step, grid) pairs for the steps that were
-    requested, in step order.
-    """
+    """What one seed's finished run exposes. Snapshots go to ``run``'s callback."""
 
     variant: str
     final_p_x0: LatentGrid
     trace: tuple[StepRecord, ...]
-    p_x0_snapshots: tuple[tuple[int, LatentGrid], ...]
 
 
 def ddim_step(
     x_t: np.ndarray, eps_tilde: np.ndarray, alpha_bar_t: float, alpha_bar_prev: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One deterministic update on (C, H, W) arrays. Returns new arrays (x_prev, p_x0).
+    """One deterministic update on (..., C, H, W) arrays. Returns new arrays (x_prev, p_x0).
 
     The clean-signal estimate removes the predicted noise at the current
     level and the update re-mixes it at the next level:
@@ -176,12 +174,13 @@ def run(
     denoiser: Denoiser,
     codec,
     condition: Condition,
-    rng: SeededRng,
+    rngs: Sequence[SeededRng],
     snapshot_steps=None,
     resize_method: str = "bilinear",
-    initial_noise: LatentGrid | None = None,
-) -> RunResult:
-    """Execute one sampling run and return its result and trace.
+    initial_noise: Sequence[LatentGrid] | None = None,
+    on_snapshot: Callable[[int, int, LatentGrid], None] | None = None,
+) -> tuple[RunResult, ...]:
+    """Execute one sampling run per seed, all seeds as one batch.
 
     Args:
         variant: One of ``VARIANTS``.
@@ -189,17 +188,25 @@ def run(
         timeline: Step-to-noise-level mapping.
         denoiser: Noise predictor queried twice per step (once per branch;
             the second call is skipped when the condition is unconditional).
-        codec: Decode/encode pair used by rectified boundaries.
+        codec: Decode/encode pair used by rectified boundaries, seed by seed.
         condition: Conditioning for the guided branch.
-        rng: Seeded stream bundle. The initial latent draws from stream
-            ("init", 0); the boundary entering stage i draws from
-            ("refresh", i), so each stage's noise is reproducible on its
-            own.
-        snapshot_steps: Iterable of step indices whose p_x0 to keep.
+        rngs: One seeded stream bundle per seed, at least one. A seed's
+            initial latent draws from its stream ("init", 0); the boundary
+            entering stage i draws from its ("refresh", i), so each stage's
+            noise depends only on the seed and the stage.
+        snapshot_steps: Iterable of step indices whose p_x0 to report.
         resize_method: Resampling used at boundaries.
-        initial_noise: Optional explicit starting latent (its shape must
-            match the starting stage); drawn from rng when omitted.
+        initial_noise: Optional explicit starting latents, one per seed, each
+            shaped like the starting stage; drawn from ``rngs`` when omitted.
+        on_snapshot: Required with ``snapshot_steps``; called as
+            ``on_snapshot(index in rngs, step, p_x0 grid)`` as each requested
+            estimate is produced.
+
+    Returns one :class:`RunResult` per seed, in the order of ``rngs``.
     """
+    rngs = tuple(rngs)
+    if not rngs:
+        raise ValueError("a run needs at least one seed")
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
     if resize_method not in RESIZE_METHODS:
@@ -208,8 +215,11 @@ def run(
         raise ValueError(
             f"plan covers {plan.num_steps} steps but the timeline has {timeline.num_steps}"
         )
-    stages = _effective_stages(variant, plan)
     wanted = frozenset(int(s) for s in snapshot_steps) if snapshot_steps is not None else frozenset()
+    if wanted and on_snapshot is None:
+        raise ValueError("snapshot_steps needs an on_snapshot callback")
+    stages = _effective_stages(variant, plan)
+    channels = denoiser.channels
 
     gamma = 1.0
     if variant == "snr-corrected":
@@ -225,18 +235,23 @@ def run(
     stage_entry = {st.first_step: st for st in stages[1:]}
     first = stages[0]
     if initial_noise is None:
-        x = gaussian_noise(denoiser.channels, first.height, first.width, rng.stream("init")).data
+        x = np.stack(
+            [gaussian_noise(channels, first.height, first.width, r.stream("init")).data for r in rngs]
+        )
     else:
-        if initial_noise.shape != (denoiser.channels, first.height, first.width):
-            raise ShapeError(
-                f"initial noise shape {initial_noise.shape} does not match the starting "
-                f"stage ({denoiser.channels}, {first.height}, {first.width})"
-            )
-        x = initial_noise.data
+        initial_noise = tuple(initial_noise)
+        if len(initial_noise) != len(rngs):
+            raise ValueError(f"got {len(initial_noise)} initial noise grids for {len(rngs)} seeds")
+        for grid in initial_noise:
+            if grid.shape != (channels, first.height, first.width):
+                raise ShapeError(
+                    f"initial noise shape {grid.shape} does not match the starting "
+                    f"stage ({channels}, {first.height}, {first.width})"
+                )
+        x = np.stack([grid.data for grid in initial_noise])
     denoiser.prepare_resolution(first.height, first.width)
 
-    trace: list[StepRecord] = []
-    snapshots: list[tuple[int, LatentGrid]] = []
+    traces: list[list[StepRecord]] = [[] for _ in rngs]
     p_x0: np.ndarray | None = None
     stage = first
     for step in range(timeline.num_steps):
@@ -244,58 +259,57 @@ def run(
         entered = stage_entry.get(step)
         if entered is not None:
             stage = entered
-            denoiser.prepare_resolution(stage.height, stage.width)
+            h, w = stage.height, stage.width
+            denoiser.prepare_resolution(h, w)
             try:
                 if variant == "rectified":
-                    eps = gaussian_noise(
-                        denoiser.channels, stage.height, stage.width, rng.stream("refresh", stage.index)
-                    )
-                    x = noise_refresh(
-                        LatentGrid(p_x0), codec, stage.height, stage.width, resize_method,
-                        level(step), eps,
-                    ).data
+                    x = np.stack([
+                        noise_refresh(
+                            LatentGrid(p), codec, h, w, resize_method, level(step),
+                            gaussian_noise(channels, h, w, r.stream("refresh", stage.index)),
+                        ).data
+                        for r, p in zip(rngs, p_x0)
+                    ])
                 elif variant == "latent-resize":
-                    if resize_method == "nearest":
-                        x = resize_nearest(LatentGrid(x), stage.height, stage.width).data
-                    else:
-                        x = resize_bilinear(LatentGrid(x), stage.height, stage.width).data
+                    resize = resize_nearest if resize_method == "nearest" else resize_bilinear
+                    x = np.stack([resize(LatentGrid(row), h, w).data for row in x])
             except (ValueError, RuntimeError) as exc:
                 raise SamplerError(f"step {step}: {exc}", step=step) from exc
             refreshed = True
+        # Each array holds the whole batch: release the previous estimate and
+        # both branches once consumed, as the update's temporaries set the peak.
+        p_x0 = None
         try:
             eps_u = denoiser.predict_eps(x, step, UNCONDITIONAL)
             eps_c = eps_u if not condition.is_conditional else denoiser.predict_eps(x, step, condition)
             eps_tilde = cfg_combine(eps_u, eps_c, stage.omega)
+            del eps_u, eps_c
             energy_in = average_energy(x)
             x_next, p_x0 = ddim_step(x, eps_tilde, level(step), level(step + 1))
         except (ValueError, RuntimeError) as exc:
             raise SamplerError(f"step {step}: {exc}", step=step) from exc
         p_x0_energy = average_energy(p_x0)
-        # A non-finite prediction reaches p_x0, so a finite energy sum clears
+        # A non-finite prediction reaches p_x0, so finite energy sums clear
         # the step; an infinite one may still be an overflow of finite values.
-        if not math.isfinite(energy_in + p_x0_energy) and not (
-            np.isfinite(x).all() and np.isfinite(p_x0).all()
-        ):
-            raise SamplerError(f"step {step}: latent grid contains non-finite values", step=step)
-        trace.append(
-            StepRecord(
-                step=step,
-                train_t=int(timeline.step_to_train_t[step]),
-                omega=stage.omega,
-                latent_energy=energy_in,
-                p_x0_energy=p_x0_energy,
-                refreshed=refreshed,
-            )
-        )
+        for b in np.flatnonzero(~np.isfinite(energy_in + p_x0_energy)):
+            if not (np.isfinite(x[b]).all() and np.isfinite(p_x0[b]).all()):
+                seed = rngs[b].seed
+                raise SamplerError(
+                    f"step {step}, seed {seed}: latent grid contains non-finite values",
+                    step=step,
+                    seed=seed,
+                )
+        train_t = int(timeline.step_to_train_t[step])
+        for trace, e_in, e_p in zip(traces, energy_in.tolist(), p_x0_energy.tolist()):
+            trace.append(StepRecord(step, train_t, stage.omega, e_in, e_p, refreshed))
         if step in wanted:
-            snapshots.append((step, LatentGrid(p_x0)))
+            for b, row in enumerate(p_x0):
+                on_snapshot(b, step, LatentGrid(row))
         x = x_next
 
-    return RunResult(
-        variant=variant,
-        final_p_x0=LatentGrid(p_x0),
-        trace=tuple(trace),
-        p_x0_snapshots=tuple(snapshots),
+    return tuple(
+        RunResult(variant=variant, final_p_x0=LatentGrid(row), trace=tuple(trace))
+        for row, trace in zip(p_x0, traces)
     )
 
 

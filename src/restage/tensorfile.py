@@ -15,7 +15,9 @@ only at this boundary.
 
 from __future__ import annotations
 
+import os
 import struct
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +29,26 @@ MAGIC = b"RHRT"
 VERSION = 1
 MAX_NDIM = 8
 
-__all__ = ["MAGIC", "VERSION", "read_tensor", "write_tensor", "read_grid", "write_grid"]
+__all__ = [
+    "MAGIC", "VERSION", "read_tensor", "write_tensor", "read_grid", "write_grid", "write_atomic",
+]
+
+
+def write_atomic(path: str | Path, chunks: Iterable[bytes]) -> None:
+    """Write ``chunks`` under a temporary name beside ``path``, then rename it to ``path``.
+
+    A write that raises or is interrupted never leaves a partial file at ``path``.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_tensor(path: str | Path, values: np.ndarray) -> None:
@@ -40,9 +61,7 @@ def write_tensor(path: str | Path, values: np.ndarray) -> None:
         raise ValueError("tensor contains values that are not finite as float32")
     header = MAGIC + struct.pack("<II", VERSION, arr.ndim)
     header += struct.pack(f"<{arr.ndim}I", *arr.shape)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(payload.astype("<f4", copy=False).tobytes())
+    write_atomic(path, (header, payload.astype("<f4", copy=False).tobytes()))
 
 
 def read_tensor(path: str | Path) -> np.ndarray:

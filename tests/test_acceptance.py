@@ -43,6 +43,11 @@ def _verdict(num: int, ok: bool, budget_s: float, elapsed: float, detail: str) -
     assert ok and elapsed < budget_s, line
 
 
+def _boundary_noise(rng: SeededRng) -> LatentGrid:
+    """The noise tensor a staged 16 -> 32 run injects at its boundary (stage 1)."""
+    return gaussian_noise(CHANNELS, TARGET, TARGET, rng.stream("refresh", 1))
+
+
 def _check_verdict(num: int, budget_s: float, *check_fns) -> None:
     """Run shared checks as one criterion; the criterion holds if every check does."""
     start = time.perf_counter()
@@ -77,19 +82,19 @@ def test_criterion_05_boundary_energy_deficit():
     prior = clustered_shell_prior()
     flat = staged_plan(3.0, 3.0)
     native = single_plan(3.0, TARGET, TARGET)
-    seeds = range(100, 200)
-    gaps = []
-    for seed in seeds:
-        # the native reference starts from the exact noise tensor the staged
-        # run injects at its boundary, so the dominant shared noise term
-        # cancels out of the gap seed by seed
-        boundary_noise = gaussian_noise(CHANNELS, TARGET, TARGET, SeededRng(seed).stream("refresh", 1))
-        nat = run(
-            "baseline", native, TIMELINE, prior, CODEC, CLASS_ZERO, SeededRng(seed),
-            initial_noise=boundary_noise,
-        )
-        staged = run("rectified", flat, TIMELINE, prior, CODEC, CLASS_ZERO, SeededRng(seed))
-        gaps.append(post_boundary_energies(nat) - post_boundary_energies(staged))
+    rngs = [SeededRng(seed) for seed in range(100, 200)]
+    # the native reference starts from the exact noise tensor the staged run
+    # injects at its boundary, so the dominant shared noise term cancels out
+    # of the gap seed by seed
+    natives = run(
+        "baseline", native, TIMELINE, prior, CODEC, CLASS_ZERO, rngs,
+        initial_noise=[_boundary_noise(rng) for rng in rngs],
+    )
+    stageds = run("rectified", flat, TIMELINE, prior, CODEC, CLASS_ZERO, rngs)
+    gaps = [
+        post_boundary_energies(nat) - post_boundary_energies(staged)
+        for nat, staged in zip(natives, stageds)
+    ]
     per_step = np.mean(gaps, axis=0)
     ok = bool((per_step > 0).all())
     _verdict(
@@ -106,22 +111,19 @@ def test_criterion_06_guidance_closes_the_deficit():
     start = time.perf_counter()
     prior = clustered_shell_prior()
     native = single_plan(3.0, TARGET, TARGET)
-    seeds = range(100, 140)
-    native_windows = []
-    for seed in seeds:
-        boundary_noise = gaussian_noise(CHANNELS, TARGET, TARGET, SeededRng(seed).stream("refresh", 1))
-        nat = run(
-            "baseline", native, TIMELINE, prior, CODEC, CLASS_ZERO, SeededRng(seed),
-            initial_noise=boundary_noise,
-        )
-        native_windows.append(post_boundary_energies(nat))
+    rngs = [SeededRng(seed) for seed in range(100, 140)]
+    natives = run(
+        "baseline", native, TIMELINE, prior, CODEC, CLASS_ZERO, rngs,
+        initial_noise=[_boundary_noise(rng) for rng in rngs],
+    )
+    native_windows = [post_boundary_energies(nat) for nat in natives]
     mean_abs_gap = {}
     for scale in (3.0, 6.0, 12.0):
-        plan = staged_plan(3.0, scale)
-        gaps = []
-        for seed, nat_window in zip(seeds, native_windows):
-            staged = run("rectified", plan, TIMELINE, prior, CODEC, CLASS_ZERO, SeededRng(seed))
-            gaps.append(nat_window - post_boundary_energies(staged))
+        stageds = run("rectified", staged_plan(3.0, scale), TIMELINE, prior, CODEC, CLASS_ZERO, rngs)
+        gaps = [
+            nat_window - post_boundary_energies(staged)
+            for nat_window, staged in zip(native_windows, stageds)
+        ]
         mean_abs_gap[scale] = abs(float(np.mean(gaps)))
     unrectified = mean_abs_gap[3.0]
     best = min(mean_abs_gap.values())
@@ -140,15 +142,11 @@ def test_criterion_06_guidance_closes_the_deficit():
 def test_criterion_07_energy_rises_with_guidance():
     start = time.perf_counter()
     prior = radius_graded_prior()
+    rngs = [SeededRng(seed) for seed in range(200, 224)]
     pairs = []
     for scale in (1.0, 3.0, 5.0, 10.0):
-        plan = single_plan(scale)
-        means = [
-            final_window_energies(
-                run("baseline", plan, TIMELINE, prior, CODEC, CLASS_ZERO, SeededRng(seed))
-            ).mean()
-            for seed in range(200, 224)
-        ]
+        results = run("baseline", single_plan(scale), TIMELINE, prior, CODEC, CLASS_ZERO, rngs)
+        means = [final_window_energies(result).mean() for result in results]
         pairs.append((scale, float(np.mean(means))))
     stat = monotonicity_stat(pairs)
     ok = stat == 1.0
@@ -165,11 +163,13 @@ def test_criterion_07_energy_rises_with_guidance():
 def test_criterion_08_late_estimate_flattening():
     start = time.perf_counter()
     prior = coarse_prior()
-    result = run(
-        "baseline", single_plan(3.0), TIMELINE, prior, CODEC, CLASS_ZERO, SeededRng(7),
+    snapshots = []
+    run(
+        "baseline", single_plan(3.0), TIMELINE, prior, CODEC, CLASS_ZERO, [SeededRng(7)],
         snapshot_steps=range(50),
+        on_snapshot=lambda index, step, grid: snapshots.append((step, grid)),
     )
-    segments = p_x0_mse_series(list(result.p_x0_snapshots))
+    segments = p_x0_mse_series(snapshots)
     assert len(segments) == 1, "single-resolution run must produce one segment"
     series = segments[0]
     early = float(np.mean([m for s, m in series if s < 10]))
@@ -193,11 +193,11 @@ def test_criterion_09_ablation_variants_distinct():
         "held-scale": ("rectified", staged_plan(3.0, 3.0)),
         "plain-resize": ("latent-resize", staged_plan(3.0, 3.0)),
     }
+    rngs = [SeededRng(seed) for seed in range(300, 310)]
     energy = {}
     for name, (variant, plan) in setups.items():
         windows = []
-        for seed in range(300, 310):
-            result = run(variant, plan, TIMELINE, prior, CODEC, CLASS_ZERO, SeededRng(seed))
+        for result in run(variant, plan, TIMELINE, prior, CODEC, CLASS_ZERO, rngs):
             assert len(result.trace) == 50
             assert result.trace[40].refreshed and not result.trace[39].refreshed
             windows.append(post_boundary_energies(result).mean())

@@ -28,7 +28,9 @@ def _trace(label, *rows):
 class TestEnergyTrace:
     def test_from_a_run(self):
         prior = GaussianPrior(LatentGrid.full(4, 16, 16, 0.2), 1.0, TIMELINE)
-        result = run("baseline", single_plan(2.0), TIMELINE, prior, CODEC, UNCONDITIONAL, SeededRng(1))
+        (result,) = run(
+            "baseline", single_plan(2.0), TIMELINE, prior, CODEC, UNCONDITIONAL, [SeededRng(1)]
+        )
         trace = trace_from_run(result, "demo")
         assert trace.label == "demo"
         assert len(trace.rows) == 50

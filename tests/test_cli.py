@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from restage.cli import main
+from restage.denoiser import GaussianPrior
 from restage.schedule import build_schedule, build_timeline
-from restage.tensorfile import write_grid, write_tensor
+from restage.tensorfile import read_tensor, write_grid, write_tensor
 
 PAPER_LADDER = """\
     [schedule]
@@ -101,49 +102,54 @@ class TestSample:
         for name in ("trace_4.csv", "final_4.rhrt"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
-    def test_jobs_do_not_change_output(self, tmp_path, capsys):
-        cfg = _config(tmp_path, SMALL + "run_count = 3\n")
-        assert main(["sample", "--config", cfg, "--out", str(tmp_path / "serial")]) == 0
-        assert main(
-            ["sample", "--config", cfg, "--out", str(tmp_path / "pooled"), "--jobs", "2"]
-        ) == 0
-        assert "wrote 3 run(s) to" in capsys.readouterr().out
-        names = sorted(p.name for p in (tmp_path / "serial").iterdir())
-        assert names == [
-            "final_4.rhrt", "final_5.rhrt", "final_6.rhrt",
-            "trace_4.csv", "trace_5.csv", "trace_6.csv",
-        ]
-        for name in names:
-            assert (tmp_path / "serial" / name).read_bytes() == (
-                tmp_path / "pooled" / name
-            ).read_bytes()
-
-    def test_jobs_do_not_change_dataset_prior_output(self, tmp_path):
-        # conditional dataset prior over two resolutions: the pooled runs share
-        # one prior and race to fill its per-resolution and per-label caches
-        rng = np.random.default_rng(12)
-        write_tensor(tmp_path / "points.rhrt", 0.05 * rng.normal(size=(6, 4, 8, 8)))
-        cfg = _config(
-            tmp_path,
-            STAGED_SMALL.replace(
+    @pytest.mark.parametrize("prior", ["gaussian", "dataset"])
+    def test_batched_output_matches_one_seed_runs(self, tmp_path, capsys, prior):
+        if prior == "gaussian":
+            text, first = SMALL, 4
+        else:
+            # conditional dataset prior over two resolutions: the batch shares
+            # one prior and its per-resolution and per-label caches
+            rng = np.random.default_rng(12)
+            write_tensor(tmp_path / "points.rhrt", 0.05 * rng.normal(size=(6, 4, 8, 8)))
+            text = STAGED_SMALL.replace(
                 "mean_value = 0.25\n    variance = 1.5",
                 "kind = dataset\n    path = points.rhrt\n    conditional = true",
-            )
-            + "[run]\nvariant = rectified\nrun_count = 3\n",
-        )
-        assert main(["sample", "--config", cfg, "--out", str(tmp_path / "serial")]) == 0
-        assert main(
-            ["sample", "--config", cfg, "--out", str(tmp_path / "pooled"), "--jobs", "2"]
-        ) == 0
-        names = sorted(p.name for p in (tmp_path / "serial").iterdir())
-        assert names == [
-            "final_0.rhrt", "final_1.rhrt", "final_2.rhrt",
-            "trace_0.csv", "trace_1.csv", "trace_2.csv",
-        ]
-        for name in names:
-            assert (tmp_path / "serial" / name).read_bytes() == (
-                tmp_path / "pooled" / name
-            ).read_bytes()
+            ) + "[run]\nvariant = rectified\n"
+            first = 0
+        batch = tmp_path / "batch"
+        cfg = _config(tmp_path, text + "run_count = 3\n")
+        assert main(["sample", "--config", cfg, "--out", str(batch)]) == 0
+        assert "wrote 3 run(s) to" in capsys.readouterr().out
+        seeds = range(first, first + 3)
+        names = sorted(p.name for p in batch.iterdir())
+        assert names == [f"final_{s}.rhrt" for s in seeds] + [f"trace_{s}.csv" for s in seeds]
+        one = _config(tmp_path, text + "run_count = 1\n", "one.ini")
+        for seed in seeds:
+            alone = tmp_path / f"alone_{seed}"
+            assert main(["sample", "--config", one, "--out", str(alone), "--seed", str(seed)]) == 0
+            # trace energies agree at the CSV's 9 significant digits, tensors
+            # to the float32 storage tolerance
+            trace = f"trace_{seed}.csv"
+            assert (batch / trace).read_bytes() == (alone / trace).read_bytes()
+            got = read_tensor(batch / f"final_{seed}.rhrt")
+            want = read_tensor(alone / f"final_{seed}.rhrt")
+            assert np.abs(got - want).max() <= 2.0**-22 * np.abs(want).max()
+
+    def test_a_failing_seed_leaves_no_trace_or_final_file(self, tmp_path, capsys, monkeypatch):
+        predict = GaussianPrior.predict_eps
+
+        def poisoned(self, x_t, step, condition):
+            eps = predict(self, x_t, step, condition)
+            if step == 7:
+                eps[1] = np.nan  # the batch's second seed only
+            return eps
+
+        monkeypatch.setattr(GaussianPrior, "predict_eps", poisoned)
+        cfg = _config(tmp_path, SMALL + "run_count = 3\n")
+        out = tmp_path / "out"
+        assert main(["sample", "--config", cfg, "--out", str(out)]) == 1
+        assert "error: step 7, seed 5: latent grid contains non-finite values" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize(
         "extra,argv",

@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import sys
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -221,7 +218,7 @@ class TestDatasetPrior:
 
 @st.composite
 def posterior_cases(draw):
-    """A labelled point set, a query at the native or a resampled size, a branch, a level."""
+    """A labelled point set, one query or a batch at the native or a resampled size, a branch, a level."""
     n = draw(st.integers(1, 12))
     channels = draw(st.integers(1, 3))
     height, width = draw(st.integers(1, 5)), draw(st.integers(1, 5))
@@ -245,10 +242,14 @@ def posterior_cases(draw):
         query_shape = (height, width)
     else:
         query_shape = (draw(st.integers(1, 5)), draw(st.integers(1, 5)))
-    x = rng.normal(size=(channels, *query_shape))
-    x *= 10.0 ** draw(st.floats(-3, 3)) / np.linalg.norm(x)
+    # one (C, H, W) query, or a (B, C, H, W) batch whose rows differ in scale
+    batch = draw(st.none() | st.integers(1, 4))
+    rows = 1 if batch is None else batch
+    x = rng.normal(size=(rows, channels, *query_shape))
+    for row in x:
+        row *= 10.0 ** draw(st.floats(-3, 3)) / np.linalg.norm(row)
     prior = DatasetPrior([LatentGrid(d) for d in data], labels, TIMELINE)
-    return prior, LatentGrid(x), ab, Condition(label=label)
+    return prior, x[0] if batch is None else x, ab, Condition(label=label)
 
 
 class TestMatrixFormPosterior:
@@ -256,46 +257,24 @@ class TestMatrixFormPosterior:
     @given(case=posterior_cases())
     def test_matches_the_direct_difference_form(self, case):
         prior, x, ab, condition = case
-        got = dataset_posterior_mean(prior, x.data, ab, condition)
-        want = direct_posterior_mean(prior, x, ab, condition).data
-        # float64 rounding of the log-weights, scaled by their magnitude L
-        stack = prior.stack_for_shape(x.height, x.width)
+        got = dataset_posterior_mean(prior, x, ab, condition)
+        assert got.shape == x.shape
+        height, width = x.shape[-2:]
+        stack = prior.stack_for_shape(height, width)
         if condition.is_conditional:
             stack = stack[[lab == condition.label for lab in prior.labels]]
         flat = stack.reshape(len(stack), -1)
-        xf = x.data.reshape(-1)
-        log_scale = (
-            xf @ xf / 2.0
-            + np.sqrt(ab) * np.abs(flat @ xf).max()
-            + ab * np.einsum("nd,nd->n", flat, flat).max() / 2.0
-        ) / (1.0 - ab)
-        tol = 1e-13 * np.abs(flat).max() * (1.0 + log_scale)
-        assert np.abs(got - want).max() <= tol
-
-    def test_threads_filling_a_cold_cache_agree_with_serial_calls(self):
-        rng = np.random.default_rng(14)
-        points = [LatentGrid(rng.normal(size=(2, 4, 4))) for _ in range(8)]
-        labels = [i % 3 for i in range(8)]
-        queries = [
-            (LatentGrid(rng.normal(size=(2, side, side))), Condition(label=label))
-            for side in (4, 6, 8)
-            for label in (None, 0, 1, 2)
-        ]
-        serial = DatasetPrior(points, labels, TIMELINE)
-        want = [dataset_posterior_mean(serial, x.data, 0.4, c) for x, c in queries]
-        shared = DatasetPrior(points, labels, TIMELINE)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=4) as pool:
-                futures = [
-                    pool.submit(dataset_posterior_mean, shared, x.data, 0.4, c) for x, c in queries * 4
-                ]
-                got = [f.result(timeout=60) for f in futures]
-        finally:
-            sys.setswitchinterval(interval)
-        for i, mean in enumerate(got):
-            assert np.array_equal(mean, want[i % len(queries)])
+        for got_row, x_row in zip(got.reshape(-1, *x.shape[-3:]), x.reshape(-1, *x.shape[-3:])):
+            want = direct_posterior_mean(prior, LatentGrid(x_row), ab, condition).data
+            # float64 rounding of the log-weights, scaled by their magnitude L
+            xf = x_row.reshape(-1)
+            log_scale = (
+                xf @ xf / 2.0
+                + np.sqrt(ab) * np.abs(flat @ xf).max()
+                + ab * np.einsum("nd,nd->n", flat, flat).max() / 2.0
+            ) / (1.0 - ab)
+            tol = 1e-13 * np.abs(flat).max() * (1.0 + log_scale)
+            assert np.abs(got_row - want).max() <= tol
 
 
 class TestCfgCombine:

@@ -1,4 +1,4 @@
-"""Grids, seeded streams, forward noising, and the two resamplers."""
+"""Grids, seeded streams, energies, and the two resamplers."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from restage.latent import (
     LatentGrid,
     SeededRng,
     average_energy,
-    forward_diffuse,
     gaussian_noise,
     resize_bilinear,
     resize_nearest,
@@ -109,48 +108,14 @@ class TestGaussianNoise:
             gaussian_noise(0, 4, 4, SeededRng(1).stream("init"))
 
 
-class TestForwardDiffuse:
-    def test_full_signal_returns_the_signal(self):
-        x0 = LatentGrid([[[1.0, -2.0], [0.5, 3.0]]])
-        eps = LatentGrid.full(1, 2, 2, 9.0)
-        assert np.array_equal(forward_diffuse(x0, 1.0, eps).data, x0.data)
-
-    def test_zero_signal_returns_the_noise(self):
-        x0 = LatentGrid.full(1, 2, 2, 9.0)
-        eps = LatentGrid([[[1.0, -2.0], [0.5, 3.0]]])
-        assert np.array_equal(forward_diffuse(x0, 0.0, eps).data, eps.data)
-
-    def test_scalar_hand_case(self):
-        out = forward_diffuse(LatentGrid.full(1, 1, 1, 2.0), 0.25, LatentGrid.full(1, 1, 1, 1.0))
-        assert float(out.data[0, 0, 0]) == pytest.approx(1.8660254037844386, abs=1e-15)
-
-    def test_domain_and_shape_errors(self):
-        x0 = LatentGrid.zeros(1, 2, 2)
-        with pytest.raises(ValueError, match="alpha_bar_t"):
-            forward_diffuse(x0, 1.5, x0)
-        with pytest.raises(ShapeError):
-            forward_diffuse(x0, 0.5, LatentGrid.zeros(1, 2, 3))
-
-    def test_mixture_energy_statistics(self):
-        # fixed signal plus standard noise: the mean square has expectation
-        # ab * E(x0^2) + (1 - ab) and a computable sampling variance
-        rng = np.random.default_rng(60)
-        x0 = LatentGrid(rng.normal(0.4, 0.8, size=(2, 250, 200)))
-        eps = gaussian_noise(2, 250, 200, SeededRng(61).stream("init"))
-        ab = 0.37
-        energy = average_energy(forward_diffuse(x0, ab, eps).data)
-        expected = ab * average_energy(x0.data) + (1.0 - ab)
-        a = np.sqrt(ab) * x0.data
-        b2 = 1.0 - ab
-        var_of_mean = float(np.sum(4.0 * a * a * b2 + 2.0 * b2 * b2)) / a.size**2
-        assert abs(energy - expected) < 4.0 * np.sqrt(var_of_mean)
-
-
 class TestAverageEnergy:
     def test_values(self):
         assert average_energy(LatentGrid.zeros(2, 3, 3).data) == 0.0
         assert average_energy(LatentGrid.full(2, 3, 3, 2.0).data) == 4.0
         assert average_energy(LatentGrid([[[1.0, 2.0], [3.0, 4.0]]]).data) == 7.5
+        # a (B, C, H, W) batch gives one energy per seed
+        batch = np.stack([np.zeros((2, 3, 3)), np.full((2, 3, 3), 2.0), np.full((2, 3, 3), -3.0)])
+        assert average_energy(batch).tolist() == [0.0, 4.0, 9.0]
 
 
 class TestResizeBilinear:

@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from restage import sampler
 from restage.codec import IdentityCodec
 from restage.denoiser import UNCONDITIONAL, DatasetPrior, GaussianPrior
 from restage.errors import DenoiserError, SamplerError, ShapeError
@@ -18,7 +21,6 @@ from restage.latent import (
     LatentGrid,
     SeededRng,
     average_energy,
-    forward_diffuse,
     gaussian_noise,
     resize_bilinear,
 )
@@ -38,7 +40,15 @@ from restage.schedule import (
     snr_corrected_alpha_bar,
 )
 
-from _toys import CLASS_ZERO, CODEC, TIMELINE, clustered_shell_prior, single_plan, staged_plan
+from _toys import (
+    CLASS_ZERO,
+    CODEC,
+    TIMELINE,
+    clustered_shell_prior,
+    ladder,
+    single_plan,
+    staged_plan,
+)
 
 
 class TestDdimStep:
@@ -86,7 +96,7 @@ class TestNoiseRefresh:
         p = gaussian_noise(2, 4, 4, SeededRng(7).stream("init"))
         eps = gaussian_noise(2, 4, 4, SeededRng(8).stream("init"))
         out = noise_refresh(p, CODEC, 4, 4, "bilinear", 0.82, eps)
-        assert np.array_equal(out.data, forward_diffuse(p, 0.82, eps).data)
+        assert np.array_equal(out.data, np.sqrt(0.82) * p.data + np.sqrt(1.0 - 0.82) * eps.data)
 
     def test_noise_shape_must_match_the_target(self):
         p = gaussian_noise(1, 4, 4, SeededRng(9).stream("init"))
@@ -105,22 +115,27 @@ def _gaussian(channels=4, height=16, width=16, value=0.2, variance=1.0):
     return GaussianPrior(LatentGrid.full(channels, height, width, value), variance, TIMELINE)
 
 
+# built once: the batch properties draw many runs from it
+SHELL = clustered_shell_prior()
+
+
 class TestRunBasics:
     def test_variants_tuple(self):
         assert VARIANTS == ("baseline", "rectified", "latent-resize", "snr-corrected")
 
     def test_deterministic_given_the_seed(self):
         prior = _gaussian()
-        a = run("rectified", staged_plan(2.0, 6.0), TIMELINE, prior, CODEC, UNCONDITIONAL, SeededRng(21))
-        b = run("rectified", staged_plan(2.0, 6.0), TIMELINE, prior, CODEC, UNCONDITIONAL, SeededRng(21))
+        plan = staged_plan(2.0, 6.0)
+        (a,) = run("rectified", plan, TIMELINE, prior, CODEC, UNCONDITIONAL, [SeededRng(21)])
+        (b,) = run("rectified", plan, TIMELINE, prior, CODEC, UNCONDITIONAL, [SeededRng(21)])
         assert a.trace == b.trace
         assert np.array_equal(a.final_p_x0.data, b.final_p_x0.data)
 
     def test_rectified_without_boundaries_is_the_baseline(self):
         prior = _gaussian()
         plan = single_plan(2.0)
-        a = run("baseline", plan, TIMELINE, prior, CODEC, UNCONDITIONAL, SeededRng(22))
-        b = run("rectified", plan, TIMELINE, prior, CODEC, UNCONDITIONAL, SeededRng(22))
+        (a,) = run("baseline", plan, TIMELINE, prior, CODEC, UNCONDITIONAL, [SeededRng(22)])
+        (b,) = run("rectified", plan, TIMELINE, prior, CODEC, UNCONDITIONAL, [SeededRng(22)])
         assert a.trace == b.trace
         assert np.array_equal(a.final_p_x0.data, b.final_p_x0.data)
 
@@ -128,10 +143,10 @@ class TestRunBasics:
         prior = _gaussian()
         plan = single_plan(2.0)
         drawn = gaussian_noise(4, 16, 16, SeededRng(23).stream("init"))
-        a = run("baseline", plan, TIMELINE, prior, CODEC, UNCONDITIONAL, SeededRng(23))
-        b = run(
-            "baseline", plan, TIMELINE, prior, CODEC, UNCONDITIONAL, SeededRng(23),
-            initial_noise=drawn,
+        (a,) = run("baseline", plan, TIMELINE, prior, CODEC, UNCONDITIONAL, [SeededRng(23)])
+        (b,) = run(
+            "baseline", plan, TIMELINE, prior, CODEC, UNCONDITIONAL, [SeededRng(23)],
+            initial_noise=[drawn],
         )
         assert a.trace == b.trace
         assert np.array_equal(a.final_p_x0.data, b.final_p_x0.data)
@@ -139,28 +154,36 @@ class TestRunBasics:
     def test_first_row_records_the_initial_latent_energy(self):
         prior = _gaussian()
         noise = gaussian_noise(4, 16, 16, SeededRng(24).stream("init"))
-        result = run("baseline", single_plan(2.0), TIMELINE, prior, CODEC, UNCONDITIONAL, SeededRng(24))
+        (result,) = run(
+            "baseline", single_plan(2.0), TIMELINE, prior, CODEC, UNCONDITIONAL, [SeededRng(24)]
+        )
         assert result.trace[0].latent_energy == average_energy(noise.data)
 
     def test_wrong_initial_noise_shape(self):
         with pytest.raises(ShapeError, match="initial noise"):
             run(
                 "baseline", single_plan(2.0), TIMELINE, _gaussian(), CODEC, UNCONDITIONAL,
-                SeededRng(26), initial_noise=LatentGrid.zeros(4, 8, 8),
+                [SeededRng(26)], initial_noise=[LatentGrid.zeros(4, 8, 8)],
             )
 
     def test_plan_and_timeline_must_agree(self):
         short = build_timeline(build_schedule(), 10)
         with pytest.raises(ValueError, match="covers"):
-            run("baseline", single_plan(2.0), short, _gaussian(), CODEC, UNCONDITIONAL, SeededRng(27))
+            run(
+                "baseline", single_plan(2.0), short, _gaussian(), CODEC, UNCONDITIONAL,
+                [SeededRng(27)],
+            )
 
     def test_unknown_variant_and_method(self):
         with pytest.raises(ValueError, match="variant"):
-            run("turbo", single_plan(2.0), TIMELINE, _gaussian(), CODEC, UNCONDITIONAL, SeededRng(28))
+            run(
+                "turbo", single_plan(2.0), TIMELINE, _gaussian(), CODEC, UNCONDITIONAL,
+                [SeededRng(28)],
+            )
         with pytest.raises(ValueError, match="resize method"):
             run(
                 "baseline", single_plan(2.0), TIMELINE, _gaussian(), CODEC, UNCONDITIONAL,
-                SeededRng(28), resize_method="bicubic",
+                [SeededRng(28)], resize_method="bicubic",
             )
 
     def test_denoiser_failures_carry_the_step(self):
@@ -172,7 +195,7 @@ class TestRunBasics:
 
         prior = Exploding(LatentGrid.full(4, 16, 16, 0.2), 1.0, TIMELINE)
         with pytest.raises(SamplerError, match="step 7") as info:
-            run("baseline", single_plan(2.0), TIMELINE, prior, CODEC, UNCONDITIONAL, SeededRng(29))
+            run("baseline", single_plan(2.0), TIMELINE, prior, CODEC, UNCONDITIONAL, [SeededRng(29)])
         assert info.value.step == 7
 
 
@@ -187,38 +210,128 @@ class TestGridsAtTheEdges:
             init(self, values)
 
         monkeypatch.setattr(LatentGrid, "__init__", counting_init)
-        run("baseline", single_plan(3.0), TIMELINE, prior, CODEC, CLASS_ZERO, SeededRng(40))
-        # the initial noise and final_p_x0; every step works on plain arrays
-        assert len(built) == 2
+        for batch in (1, 3):
+            built.clear()
+            rngs = [SeededRng(40 + k) for k in range(batch)]
+            run("baseline", single_plan(3.0), TIMELINE, prior, CODEC, CLASS_ZERO, rngs)
+            # two per seed, the initial noise and final_p_x0; every step
+            # works on plain arrays
+            assert len(built) == 2 * batch
 
     def test_a_non_finite_prediction_fails_its_step(self):
         class Poisoned(GaussianPrior):
             def predict_eps(self, x_t, step, condition):
                 eps = super().predict_eps(x_t, step, condition)
-                return np.full_like(eps, np.nan) if step == 7 else eps
+                if step == 7:
+                    eps[1] = np.nan  # the second seed's row only
+                return eps
 
         prior = Poisoned(LatentGrid.full(4, 16, 16, 0.2), 1.0, TIMELINE)
-        with pytest.raises(SamplerError, match="step 7") as info:
-            run("baseline", single_plan(2.0), TIMELINE, prior, CODEC, UNCONDITIONAL, SeededRng(41))
+        rngs = [SeededRng(41), SeededRng(1041), SeededRng(2041)]
+        with pytest.raises(SamplerError, match="step 7, seed 1041") as info:
+            run("baseline", single_plan(2.0), TIMELINE, prior, CODEC, UNCONDITIONAL, rngs)
         assert info.value.step == 7
+        assert info.value.seed == 1041
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_a_huge_finite_latent_is_not_rejected(self):
         # 1e200 squared overflows the energy, but every element stays finite
-        result = run(
+        (result,) = run(
             "baseline", single_plan(2.0), TIMELINE, _gaussian(), CODEC, UNCONDITIONAL,
-            SeededRng(42), initial_noise=LatentGrid.full(4, 16, 16, 1e200),
+            [SeededRng(42)], initial_noise=[LatentGrid.full(4, 16, 16, 1e200)],
         )
         assert result.trace[0].latent_energy == np.inf
         assert np.isfinite(result.final_p_x0.data).all()
 
 
+def _rounded(trace):
+    """Trace rows with both energies as the CSV writes them, at 9 significant digits."""
+    return [
+        (r.step, r.train_t, r.omega, f"{r.latent_energy:.9g}", f"{r.p_x0_energy:.9g}", r.refreshed)
+        for r in trace
+    ]
+
+
+def _noise_entering(rngs):
+    """Per seed: the initial latent and both boundaries' fresh noise, as a run uses them."""
+    init, fresh = [], []
+
+    class Recording(GaussianPrior):
+        def predict_eps(self, x_t, step, condition):
+            if step == 0:
+                init.extend(x_t.copy())
+            return super().predict_eps(x_t, step, condition)
+
+    def recording_refresh(p_x0, codec, height, width, method, alpha_bar_prev, eps):
+        fresh.append(eps.data)
+        return noise_refresh(p_x0, codec, height, width, method, alpha_bar_prev, eps)
+
+    plan = build_plan(ladder(3, 2.0, 2.0, ((4, 4), (8, 8), (12, 12))), TIMELINE)
+    prior = Recording(LatentGrid.full(4, 4, 4, 0.2), 1.0, TIMELINE)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sampler, "noise_refresh", recording_refresh)
+        run("rectified", plan, TIMELINE, prior, CODEC, UNCONDITIONAL, rngs)
+    # boundaries refresh seed by seed in batch order, one boundary after the other
+    b = len(rngs)
+    return {r.seed: (init[i], fresh[i], fresh[b + i]) for i, r in enumerate(rngs)}
+
+
+class TestBatches:
+    """A batch of seeds runs each seed as its own one-seed run would (docs/DECISIONS.md entry 4)."""
+
+    @settings(max_examples=24, deadline=None, derandomize=True)
+    @given(
+        seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6),
+        variant=st.sampled_from(VARIANTS),
+        gaussian=st.booleans(),
+    )
+    def test_each_seed_matches_its_one_seed_run(self, seeds, variant, gaussian):
+        prior, condition = (_gaussian(), UNCONDITIONAL) if gaussian else (SHELL, CLASS_ZERO)
+        plan = staged_plan(3.0, 12.0)
+        batch = run(variant, plan, TIMELINE, prior, CODEC, condition, [SeededRng(s) for s in seeds])
+        assert len(batch) == len(seeds)
+        for seed, got in zip(seeds, batch):
+            (want,) = run(variant, plan, TIMELINE, prior, CODEC, condition, [SeededRng(seed)])
+            assert got.variant == want.variant
+            assert _rounded(got.trace) == _rounded(want.trace)
+            # the float32 storage tolerance of the tensor files
+            ref = want.final_p_x0.data
+            assert np.abs(got.final_p_x0.data - ref).max() <= 2.0**-22 * np.abs(ref).max()
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6, unique=True),
+        data=st.data(),
+    )
+    def test_noise_depends_only_on_the_seed_and_stage(self, seeds, data):
+        order = data.draw(st.permutations(seeds))
+        for batch in (seeds, order):
+            seen = _noise_entering([SeededRng(s) for s in batch])
+            for seed in seeds:
+                rng = SeededRng(seed)
+                want = (
+                    gaussian_noise(4, 4, 4, rng.stream("init")).data,
+                    gaussian_noise(4, 8, 8, rng.stream("refresh", 1)).data,
+                    gaussian_noise(4, 12, 12, rng.stream("refresh", 2)).data,
+                )
+                assert all(np.array_equal(a, b) for a, b in zip(seen[seed], want))
+
+    def test_seed_and_noise_counts_are_checked(self):
+        with pytest.raises(ValueError, match="2 seeds"):
+            run(
+                "baseline", single_plan(2.0), TIMELINE, _gaussian(), CODEC, UNCONDITIONAL,
+                [SeededRng(36), SeededRng(37)], initial_noise=[LatentGrid.zeros(4, 16, 16)],
+            )
+        with pytest.raises(ValueError, match="at least one seed"):
+            run("baseline", single_plan(2.0), TIMELINE, _gaussian(), CODEC, UNCONDITIONAL, [])
+
+
 class TestStagedTrace:
     def test_stage_columns_and_refresh_flags(self):
         prior = _gaussian()
-        result = run(
+        (result,) = run(
             "rectified", staged_plan(5.0, 30.0), TIMELINE, prior, CODEC, UNCONDITIONAL,
-            SeededRng(30), snapshot_steps=(39, 40, 49),
+            [SeededRng(30)],
         )
         assert len(result.trace) == 50
         assert [r.omega for r in result.trace] == [5.0] * 40 + [30.0] * 10
@@ -228,21 +341,34 @@ class TestStagedTrace:
 
     def test_snapshots_ratchet_through_the_boundary(self):
         prior = _gaussian()
-        result = run(
+        seen = []
+        results = run(
             "rectified", staged_plan(5.0, 30.0), TIMELINE, prior, CODEC, UNCONDITIONAL,
-            SeededRng(31), snapshot_steps=(39, 40, 49),
+            [SeededRng(31), SeededRng(32)], snapshot_steps=(39, 40, 49),
+            on_snapshot=lambda index, step, grid: seen.append((index, step, grid.shape)),
         )
-        shapes = {step: grid.shape for step, grid in result.p_x0_snapshots}
-        # the boundary consumes step 39's estimate at the old resolution;
+        # each snapshot step reports every seed as soon as its estimate exists;
+        # the boundary consumes step 39's estimate at the old resolution, and
         # step 40 is the first estimate computed at the new one
-        assert shapes == {39: (4, 16, 16), 40: (4, 32, 32), 49: (4, 32, 32)}
-        assert result.final_p_x0.shape == (4, 32, 32)
+        assert seen == [
+            (0, 39, (4, 16, 16)), (1, 39, (4, 16, 16)),
+            (0, 40, (4, 32, 32)), (1, 40, (4, 32, 32)),
+            (0, 49, (4, 32, 32)), (1, 49, (4, 32, 32)),
+        ]
+        assert [r.final_p_x0.shape for r in results] == [(4, 32, 32)] * 2
+
+    def test_snapshot_steps_need_a_callback(self):
+        with pytest.raises(ValueError, match="on_snapshot"):
+            run(
+                "baseline", single_plan(2.0), TIMELINE, _gaussian(), CODEC, UNCONDITIONAL,
+                [SeededRng(35)], snapshot_steps=(3,),
+            )
 
     def test_rectified_boundary_replicated_from_parts(self):
         prior = _gaussian()
         plan = staged_plan(2.0, 2.0)
         rng = SeededRng(32)
-        want = run("rectified", plan, TIMELINE, prior, CODEC, UNCONDITIONAL, rng)
+        (want,) = run("rectified", plan, TIMELINE, prior, CODEC, UNCONDITIONAL, [rng])
 
         x = gaussian_noise(4, 16, 16, SeededRng(32).stream("init")).data
         p_x0 = None
@@ -270,7 +396,7 @@ class TestStagedTrace:
     def test_latent_resize_boundary_replicated_from_parts(self):
         prior = _gaussian()
         plan = staged_plan(2.0, 2.0)
-        want = run("latent-resize", plan, TIMELINE, prior, CODEC, UNCONDITIONAL, SeededRng(33))
+        (want,) = run("latent-resize", plan, TIMELINE, prior, CODEC, UNCONDITIONAL, [SeededRng(33)])
 
         x = gaussian_noise(4, 16, 16, SeededRng(33).stream("init")).data
         p_x0 = None
@@ -291,7 +417,7 @@ class TestStagedTrace:
         # with gamma = (area ratio)^2 = 16 for a 16 -> 32 plan
         prior = _gaussian()
         plan = staged_plan(2.0, 9.0)
-        want = run("snr-corrected", plan, TIMELINE, prior, CODEC, UNCONDITIONAL, SeededRng(34))
+        (want,) = run("snr-corrected", plan, TIMELINE, prior, CODEC, UNCONDITIONAL, [SeededRng(34)])
 
         gamma = 16.0
         x = gaussian_noise(4, 32, 32, SeededRng(34).stream("init")).data
@@ -361,7 +487,7 @@ class TestAffineOracle:
         for k in range(10):
             srng = SeededRng(700 + k)
             noise = gaussian_noise(3, 6, 6, srng.stream("init"))
-            got = run("baseline", plan, TIMELINE, prior, CODEC, UNCONDITIONAL, srng)
+            (got,) = run("baseline", plan, TIMELINE, prior, CODEC, UNCONDITIONAL, [srng])
             want = oracle.apply(noise, mean)
             denom = max(float(np.abs(want.data).max()), 1e-12)
             assert float(np.abs(got.final_p_x0.data - want.data).max()) / denom < 1e-9
@@ -383,12 +509,11 @@ class TestRunDistribution:
         )
         prior = GaussianPrior(LatentGrid.full(1, 2, 2, 0.7), 1.3, timeline)
         oracle = affine_trajectory_oracle(plan, timeline, prior)
-        residuals = np.empty((3000, 4))
-        for k in range(3000):
-            result = run(
-                "baseline", plan, timeline, prior, CODEC, UNCONDITIONAL, SeededRng(50_000 + k)
-            )
-            residuals[k] = (result.final_p_x0.data - oracle.mean_gain * 0.7).ravel()
+        rngs = [SeededRng(50_000 + k) for k in range(3000)]
+        results = run("baseline", plan, timeline, prior, CODEC, UNCONDITIONAL, rngs)
+        residuals = np.array(
+            [(result.final_p_x0.data - oracle.mean_gain * 0.7).ravel() for result in results]
+        )
 
         from restage.analysis import z_test_mean_var
 
