@@ -63,11 +63,17 @@ class Denoiser:
 
     channels: int
 
-    def predict_eps(self, x_t: np.ndarray, step: int, condition: Condition) -> np.ndarray:
-        """Predicted noise for (..., C, H, W) float64 latents, as a new array of the same shape.
+    def predict_eps(
+        self, x_t: np.ndarray, step: int, condition: Condition, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Predicted noise for (..., C, H, W) float64 latents, an array of the same shape.
 
-        The sampler calls this inside a step, where latents are plain arrays;
-        it does not check finiteness, which the sampler screens per step.
+        The prediction is written into ``out`` and returned when ``out`` is
+        given: a C-contiguous float64 array of x_t's shape that shares no
+        memory with x_t, whose contents are overwritten. Otherwise it is a
+        new array. ``x_t`` is only read. The sampler calls this inside a step,
+        where latents are plain arrays; it does not check finiteness, which
+        the sampler screens per step.
         """
         raise NotImplementedError
 
@@ -122,13 +128,18 @@ class GaussianPrior(Denoiser):
             self._channel_means[:, None, None], (self.channels, height, width)
         )
 
-    def predict_eps(self, x_t: np.ndarray, step: int, condition: Condition) -> np.ndarray:
+    def predict_eps(
+        self, x_t: np.ndarray, step: int, condition: Condition, out: np.ndarray | None = None
+    ) -> np.ndarray:
         if x_t.shape[-3] != self.channels:
             raise DenoiserError(f"expected {self.channels} channels, got {x_t.shape[-3]}")
         ab = self._level_at(self.timeline, step)
         mean = self.mean_for_shape(*x_t.shape[-2:])
         gain = np.sqrt(ab) * self.variance / (ab * self.variance + 1.0 - ab)
-        x0_hat = mean + gain * (x_t - np.sqrt(ab) * mean)
+        # x0_hat = mean + gain * (x_t - sqrt(ab) * mean), rounded alike, in out
+        x0_hat = np.subtract(x_t, np.sqrt(ab) * mean, out=out)
+        x0_hat *= gain
+        x0_hat += mean
         return _eps_from_x0_hat(x_t, x0_hat, ab)
 
 
@@ -146,7 +157,9 @@ class DatasetPrior(Denoiser):
     resolution for all points (the matrix is a view of the cached stack),
     and per (resolution, label) for one class's rows, copied contiguous so
     a conditional query touches only those rows. The row indices of each
-    label are fixed at construction.
+    label are fixed at construction. The native-resolution points are held
+    once, as a read-only (N, C, H, W) stack; ``points`` are grids over its
+    rows, not the caller's grids.
     """
 
     def __init__(self, points: list[LatentGrid], labels: list[int], timeline: SamplerTimeline):
@@ -158,14 +171,13 @@ class DatasetPrior(Denoiser):
         for i, p in enumerate(points):
             if p.shape != shape:
                 raise ShapeError(f"point {i} has shape {p.shape}, expected {shape}")
-        self.points = tuple(points)
+        native = np.stack([p.data for p in points])
+        native.setflags(write=False)
+        self.points = tuple(LatentGrid._adopt(row) for row in native)
         self.labels = tuple(int(l) for l in labels)
         self.timeline = timeline
         self.channels = shape[0]
-        self._native_shape = (shape[1], shape[2])
-        self._stacks: dict[tuple[int, int], np.ndarray] = {
-            self._native_shape: np.stack([p.data for p in points])
-        }
+        self._stacks: dict[tuple[int, int], np.ndarray] = {(shape[1], shape[2]): native}
         label_array = np.array(self.labels)
         self._label_rows = {lab: np.flatnonzero(label_array == lab) for lab in set(self.labels)}
         # (height, width, label or None) -> (flattened rows, half squared norms)
@@ -196,19 +208,28 @@ class DatasetPrior(Denoiser):
             self._rows[key] = cached
         return cached
 
-    def predict_eps(self, x_t: np.ndarray, step: int, condition: Condition) -> np.ndarray:
+    def predict_eps(
+        self, x_t: np.ndarray, step: int, condition: Condition, out: np.ndarray | None = None
+    ) -> np.ndarray:
         ab = self._level_at(self.timeline, step)
-        x0_hat = dataset_posterior_mean(self, x_t, ab, condition)
+        x0_hat = dataset_posterior_mean(self, x_t, ab, condition, out)
         return _eps_from_x0_hat(x_t, x0_hat, ab)
 
 
 def dataset_posterior_mean(
-    prior: DatasetPrior, x_t: np.ndarray, alpha_bar_t: float, condition: Condition
+    prior: DatasetPrior,
+    x_t: np.ndarray,
+    alpha_bar_t: float,
+    condition: Condition,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Posterior mean of the clean latent under a uniform point-set prior.
 
     ``x_t`` is one (C, H, W) latent or a (B, C, H, W) batch; each latent
-    gets its own weights. With points p_i at the query resolution, the
+    gets its own weights. The means are written into ``out`` when given (a
+    C-contiguous float64 array of x_t's shape), into a new array otherwise.
+
+    With points p_i at the query resolution, the
     weight of point i for a latent x_t is proportional to
     exp(-||x_t - sqrt(ab) * p_i||^2 / (2 * (1 - ab))). Expanding the square,
 
@@ -236,17 +257,31 @@ def dataset_posterior_mean(
     log_w -= log_w.max(axis=1, keepdims=True)
     weights = np.exp(log_w)
     weights /= weights.sum(axis=1, keepdims=True)
-    return (weights @ flat).reshape(x_t.shape)
+    if out is None:
+        out = np.empty(x_t.shape)
+    elif not out.flags.c_contiguous:
+        raise ValueError("out must be C-contiguous: the means are written through a flat view")
+    np.matmul(weights, flat, out=out.reshape(-1, flat.shape[1]))
+    return out
 
 
 def cfg_combine(eps_uncond: np.ndarray, eps_cond: np.ndarray, omega: float) -> np.ndarray:
-    """Guided prediction: eps_uncond + omega * (eps_cond - eps_uncond).
+    """Guided prediction: eps_uncond + omega * (eps_cond - eps_uncond), in place.
 
     omega = 1 returns the conditional branch, omega = 0 the unconditional
-    one; values beyond 1 extrapolate along the branch difference.
+    one; values beyond 1 extrapolate along the branch difference. The result
+    is written into eps_uncond's buffer and returned, and eps_cond's buffer
+    is overwritten on the way, so the two must be separate buffers; the
+    rounding is that of the expression above. One array passed as both
+    branches is returned unchanged, since the difference term is zero.
     """
     if eps_uncond.shape != eps_cond.shape:
         raise ShapeError(
             f"branch shapes differ: {eps_uncond.shape} vs {eps_cond.shape}"
         )
-    return eps_uncond + omega * (eps_cond - eps_uncond)
+    if eps_cond is eps_uncond:
+        return eps_uncond
+    eps_cond -= eps_uncond
+    eps_cond *= omega
+    eps_uncond += eps_cond
+    return eps_uncond

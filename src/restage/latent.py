@@ -5,7 +5,9 @@ A latent is a dense (channels, height, width) block of float64 values.
 noise, boundary resizes and codecs, snapshots, final estimates, tensor files
 and the priors' stored points. Grids are immutable once constructed: the
 wrapped array is copied in, checked finite and marked read-only, so a grid
-can be shared freely between runs. Inside a sampling step the latents,
+can be shared freely between runs. The package's own already-screened,
+read-only arrays (a run's clean estimates, a prior's stacked points) are
+adopted as grids without the copy. Inside a sampling step the latents,
 predictions and clean estimates of a batch of seeds are plain (B, C, H, W)
 float64 ndarrays, so :func:`average_energy` takes an array.
 """
@@ -49,6 +51,19 @@ class LatentGrid:
         data = data.copy()
         data.setflags(write=False)
         self._data = data
+
+    @classmethod
+    def _adopt(cls, data: np.ndarray) -> "LatentGrid":
+        """Wrap a read-only (C, H, W) float64 array without copying or screening it.
+
+        Only for arrays already screened finite that nothing writes through
+        any more, such as a row of a run's read-only clean estimates.
+        """
+        if data.flags.writeable or data.dtype != np.float64 or data.ndim != 3:
+            raise ValueError("only a read-only 3-D float64 array can be adopted")
+        grid = object.__new__(cls)
+        grid._data = data
+        return grid
 
     @classmethod
     def full(cls, channels: int, height: int, width: int, value: float) -> "LatentGrid":
@@ -122,12 +137,14 @@ def gaussian_noise(channels: int, height: int, width: int, rng: np.random.Genera
     return LatentGrid(rng.standard_normal((channels, height, width)))
 
 
-def average_energy(x: np.ndarray) -> np.ndarray:
+def average_energy(x: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
     """sum(x^2) / (C * H * W) of each (C, H, W) latent in an (..., C, H, W) array.
 
-    One reduction: one energy per seed of a (B, C, H, W) batch, a scalar for one latent.
+    One reduction: one energy per seed of a (B, C, H, W) batch, a scalar for
+    one latent. The squares go into ``scratch`` (x's shape, overwritten) when
+    it is given, into a new array otherwise; the energies are the same.
     """
-    return np.mean(x * x, axis=(-3, -2, -1))
+    return np.mean(np.multiply(x, x, out=scratch), axis=(-3, -2, -1))
 
 
 def _axis_lerp_indices(src_size: int, dst_size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -14,9 +14,14 @@ array. Each step s:
 Inside a step the latents, both predictions and the clean estimates are
 plain float64 ndarrays, one row per seed; every step function acts row by
 row, and each seed draws its noise from its own :class:`SeededRng`.
-:class:`LatentGrid` appears only at the run's edges, one per seed: the
-initial noise, each boundary's resize or refresh, snapshots and
-``final_p_x0``. Finiteness is screened once per step through the two
+A stage's latents and predictions live in buffers allocated when the stage
+starts: the predictions, the guidance combine, the update and the energies
+all write into them in place, so the only batch-sized array a step
+allocates is its clean estimate p_x0. That estimate is read-only once
+computed. :class:`LatentGrid` is built only at the run's edges, one per
+seed: the initial noise and each boundary's resize or refresh. Snapshots
+and ``final_p_x0`` adopt rows of p_x0 as grids without a copy, and stay
+valid after the run. Finiteness is screened once per step through the two
 energies the trace records; only a non-finite energy triggers the
 element-wise check, which fails the run naming the step and the seed.
 
@@ -100,7 +105,7 @@ class RunResult:
 def ddim_step(
     x_t: np.ndarray, eps_tilde: np.ndarray, alpha_bar_t: float, alpha_bar_prev: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One deterministic update on (..., C, H, W) arrays. Returns new arrays (x_prev, p_x0).
+    """One deterministic update on (..., C, H, W) arrays, in place. Returns (x_prev, p_x0).
 
     The clean-signal estimate removes the predicted noise at the current
     level and the update re-mixes it at the next level:
@@ -108,8 +113,11 @@ def ddim_step(
         p_x0   = (x_t - sqrt(1 - ab_t) * eps) / sqrt(ab_t)
         x_prev = sqrt(ab_prev) * p_x0 + sqrt(1 - ab_prev) * eps
 
-    ab_prev = 1 collapses x_prev onto p_x0; ab_t = 0 is singular and
-    rejected.
+    p_x0 is a new array. Both inputs are consumed: x_prev is written into
+    x_t's buffer (x_prev is x_t), and eps_tilde's buffer is overwritten as
+    scratch, so the two must not share memory. The rounding is that of the
+    expressions above. ab_prev = 1 collapses x_prev onto p_x0; ab_t = 0 is
+    singular and rejected.
     """
     if x_t.shape != eps_tilde.shape:
         raise ShapeError(f"latent shape {x_t.shape} does not match prediction {eps_tilde.shape}")
@@ -121,9 +129,13 @@ def ddim_step(
         raise ValueError(f"alpha_bar_prev must lie in (0, 1], got {alpha_bar_prev}")
     ab_t = float(alpha_bar_t)
     ab_p = float(alpha_bar_prev)
-    p_x0 = (x_t - (1.0 - ab_t) ** 0.5 * eps_tilde) / ab_t**0.5
-    x_prev = ab_p**0.5 * p_x0 + (1.0 - ab_p) ** 0.5 * eps_tilde
-    return x_prev, p_x0
+    p_x0 = np.multiply(eps_tilde, (1.0 - ab_t) ** 0.5)
+    np.subtract(x_t, p_x0, out=p_x0)
+    p_x0 /= ab_t**0.5
+    np.multiply(p_x0, ab_p**0.5, out=x_t)
+    eps_tilde *= (1.0 - ab_p) ** 0.5
+    x_t += eps_tilde
+    return x_t, p_x0
 
 
 def noise_refresh(
@@ -200,7 +212,8 @@ def run(
             shaped like the starting stage; drawn from ``rngs`` when omitted.
         on_snapshot: Required with ``snapshot_steps``; called as
             ``on_snapshot(index in rngs, step, p_x0 grid)`` as each requested
-            estimate is produced.
+            estimate is produced. The grid wraps a row of the step's
+            read-only estimate and stays valid after the callback returns.
 
     Returns one :class:`RunResult` per seed, in the order of ``rngs``.
     """
@@ -250,10 +263,17 @@ def run(
                 )
         x = np.stack([grid.data for grid in initial_noise])
     denoiser.prepare_resolution(first.height, first.width)
+    guided = condition.is_conditional
+
+    def workspace(like: np.ndarray):
+        # per-stage prediction buffers; the unconditional one doubles as the
+        # energies' scratch, before it is predicted into and after the update
+        return np.empty_like(like), np.empty_like(like) if guided else None
 
     traces: list[list[StepRecord]] = [[] for _ in rngs]
     p_x0: np.ndarray | None = None
     stage = first
+    eps_u, eps_c = workspace(x)
     for step in range(timeline.num_steps):
         refreshed = False
         entered = stage_entry.get(step)
@@ -265,7 +285,7 @@ def run(
                 if variant == "rectified":
                     x = np.stack([
                         noise_refresh(
-                            LatentGrid(p), codec, h, w, resize_method, level(step),
+                            LatentGrid._adopt(p), codec, h, w, resize_method, level(step),
                             gaussian_noise(channels, h, w, r.stream("refresh", stage.index)),
                         ).data
                         for r, p in zip(rngs, p_x0)
@@ -275,24 +295,30 @@ def run(
                     x = np.stack([resize(LatentGrid(row), h, w).data for row in x])
             except (ValueError, RuntimeError) as exc:
                 raise SamplerError(f"step {step}: {exc}", step=step) from exc
+            eps_u = eps_c = None  # the old stage's buffers go before the new ones come
+            eps_u, eps_c = workspace(x)
             refreshed = True
-        # Each array holds the whole batch: release the previous estimate and
-        # both branches once consumed, as the update's temporaries set the peak.
+        # Release the previous estimate before the update allocates the next.
         p_x0 = None
         try:
-            eps_u = denoiser.predict_eps(x, step, UNCONDITIONAL)
-            eps_c = eps_u if not condition.is_conditional else denoiser.predict_eps(x, step, condition)
-            eps_tilde = cfg_combine(eps_u, eps_c, stage.omega)
-            del eps_u, eps_c
-            energy_in = average_energy(x)
-            x_next, p_x0 = ddim_step(x, eps_tilde, level(step), level(step + 1))
+            energy_in = average_energy(x, eps_u)
+            # the update overwrites x, so screen the latent entering the step now
+            bad_in = {
+                b for b in np.flatnonzero(~np.isfinite(energy_in)) if not np.isfinite(x[b]).all()
+            }
+            eps_tilde = denoiser.predict_eps(x, step, UNCONDITIONAL, out=eps_u)
+            if guided:
+                eps_cond = denoiser.predict_eps(x, step, condition, out=eps_c)
+                eps_tilde = cfg_combine(eps_tilde, eps_cond, stage.omega)
+            x, p_x0 = ddim_step(x, eps_tilde, level(step), level(step + 1))
         except (ValueError, RuntimeError) as exc:
             raise SamplerError(f"step {step}: {exc}", step=step) from exc
-        p_x0_energy = average_energy(p_x0)
+        p_x0.setflags(write=False)
+        p_x0_energy = average_energy(p_x0, eps_u)
         # A non-finite prediction reaches p_x0, so finite energy sums clear
         # the step; an infinite one may still be an overflow of finite values.
         for b in np.flatnonzero(~np.isfinite(energy_in + p_x0_energy)):
-            if not (np.isfinite(x[b]).all() and np.isfinite(p_x0[b]).all()):
+            if b in bad_in or not np.isfinite(p_x0[b]).all():
                 seed = rngs[b].seed
                 raise SamplerError(
                     f"step {step}, seed {seed}: latent grid contains non-finite values",
@@ -304,11 +330,10 @@ def run(
             trace.append(StepRecord(step, train_t, stage.omega, e_in, e_p, refreshed))
         if step in wanted:
             for b, row in enumerate(p_x0):
-                on_snapshot(b, step, LatentGrid(row))
-        x = x_next
+                on_snapshot(b, step, LatentGrid._adopt(row))
 
     return tuple(
-        RunResult(variant=variant, final_p_x0=LatentGrid(row), trace=tuple(trace))
+        RunResult(variant=variant, final_p_x0=LatentGrid._adopt(row), trace=tuple(trace))
         for row, trace in zip(p_x0, traces)
     )
 

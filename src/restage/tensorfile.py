@@ -34,7 +34,7 @@ __all__ = [
 ]
 
 
-def write_atomic(path: str | Path, chunks: Iterable[bytes]) -> None:
+def write_atomic(path: str | Path, chunks: Iterable[bytes | memoryview]) -> None:
     """Write ``chunks`` under a temporary name beside ``path``, then rename it to ``path``.
 
     A write that raises or is interrupted never leaves a partial file at ``path``.
@@ -52,7 +52,11 @@ def write_atomic(path: str | Path, chunks: Iterable[bytes]) -> None:
 
 
 def write_tensor(path: str | Path, values: np.ndarray) -> None:
-    """Serialize an array as float32. Rejects values that do not stay finite."""
+    """Serialize an array as float32. Rejects values that do not stay finite.
+
+    The payload is written straight from the float32 array's buffer, with no
+    bytes copy.
+    """
     arr = np.asarray(values)
     if arr.ndim < 1 or arr.ndim > MAX_NDIM:
         raise TensorFormatError(f"tensor rank must be 1..{MAX_NDIM}, got {arr.ndim}")
@@ -61,7 +65,7 @@ def write_tensor(path: str | Path, values: np.ndarray) -> None:
         raise ValueError("tensor contains values that are not finite as float32")
     header = MAGIC + struct.pack("<II", VERSION, arr.ndim)
     header += struct.pack(f"<{arr.ndim}I", *arr.shape)
-    write_atomic(path, (header, payload.astype("<f4", copy=False).tobytes()))
+    write_atomic(path, (header, memoryview(payload.astype("<f4", copy=False))))
 
 
 def read_tensor(path: str | Path) -> np.ndarray:

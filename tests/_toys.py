@@ -4,8 +4,10 @@ Import-only module: the default training schedule, a 50-step timeline, the
 plan builders the staged-run tests use, and three dataset priors whose
 layouts were tuned for specific measurable responses (each builder's
 docstring says which). Nothing at module level executes a sampling run.
-It also holds the direct-difference point-set posterior that the
-matrix-form kernel is checked against.
+It also holds oracles: the direct-difference point-set posterior that the
+matrix-form kernel is checked against, and the allocating forms of the
+update, the guidance combine and the Gaussian prediction that the in-place
+step kernel must match bit for bit.
 """
 
 from __future__ import annotations
@@ -166,3 +168,29 @@ def direct_posterior_mean(prior, x_t, alpha_bar_t, condition):
     weights = np.exp(log_w)
     weights /= weights.sum()
     return LatentGrid(np.tensordot(weights, stack, axes=(0, 0)))
+
+
+# Oracles for the in-place step kernel: the direct forms it replaced. Each
+# returns new arrays and leaves its inputs alone.
+
+
+def direct_ddim_step(x_t, eps_tilde, alpha_bar_t, alpha_bar_prev):
+    """(x_prev, p_x0) of one deterministic update, both as new arrays."""
+    ab_t = float(alpha_bar_t)
+    ab_p = float(alpha_bar_prev)
+    p_x0 = (x_t - (1.0 - ab_t) ** 0.5 * eps_tilde) / ab_t**0.5
+    x_prev = ab_p**0.5 * p_x0 + (1.0 - ab_p) ** 0.5 * eps_tilde
+    return x_prev, p_x0
+
+
+def direct_cfg_combine(eps_uncond, eps_cond, omega):
+    return eps_uncond + omega * (eps_cond - eps_uncond)
+
+
+def direct_gaussian_eps(prior, x_t, step):
+    """GaussianPrior's prediction through a new x0_hat array."""
+    ab = float(prior.timeline.alpha_bar_at_step[step])
+    mean = prior.mean_for_shape(*x_t.shape[-2:])
+    gain = np.sqrt(ab) * prior.variance / (ab * prior.variance + 1.0 - ab)
+    x0_hat = mean + gain * (x_t - np.sqrt(ab) * mean)
+    return (x_t - np.sqrt(ab) * x0_hat) / np.sqrt(1.0 - ab)

@@ -138,8 +138,8 @@ class TestSample:
     def test_a_failing_seed_leaves_no_trace_or_final_file(self, tmp_path, capsys, monkeypatch):
         predict = GaussianPrior.predict_eps
 
-        def poisoned(self, x_t, step, condition):
-            eps = predict(self, x_t, step, condition)
+        def poisoned(self, x_t, step, condition, out=None):
+            eps = predict(self, x_t, step, condition, out)
             if step == 7:
                 eps[1] = np.nan  # the batch's second seed only
             return eps

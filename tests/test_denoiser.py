@@ -200,6 +200,22 @@ class TestDatasetPrior:
         want = np.stack([resize_bilinear(p, 8, 8).data for p in points])
         assert np.array_equal(stack, want)
 
+    def test_points_are_read_only_rows_of_the_one_native_stack(self):
+        rng = np.random.default_rng(9)
+        given_points = [LatentGrid(rng.normal(size=(2, 3, 3))) for _ in range(3)]
+        prior = DatasetPrior(given_points, [0] * 3, TIMELINE)
+        native = prior.stack_for_shape(3, 3)
+        assert not native.flags.writeable
+        for i, (point, given) in enumerate(zip(prior.points, given_points)):
+            assert np.shares_memory(point.data, native[i])
+            assert np.array_equal(point.data, given.data)
+
+    def test_out_must_be_c_contiguous(self):
+        prior = DatasetPrior(_points([1.0]), [0], TIMELINE)
+        strided = np.empty((1, 2, 2, 2))[..., 0]
+        with pytest.raises(ValueError, match="C-contiguous"):
+            dataset_posterior_mean(prior, np.zeros((1, 2, 2)), 0.5, UNCONDITIONAL, strided)
+
     def test_stack_cache_is_reused(self):
         prior = DatasetPrior(_points([1.0, 2.0]), [0, 0], TIMELINE)
         prior.prepare_resolution(3, 3)
@@ -278,6 +294,8 @@ class TestMatrixFormPosterior:
 
 
 class TestCfgCombine:
+    """cfg_combine consumes both branch buffers, so each call gets copies."""
+
     def _branches(self):
         rng = np.random.default_rng(13)
         u = LatentGrid(rng.normal(size=(2, 3, 3)))
@@ -286,18 +304,19 @@ class TestCfgCombine:
 
     def test_endpoint_scales(self):
         u, c = self._branches()
-        assert np.array_equal(cfg_combine(u.data, c.data, 0.0), u.data)
+        assert np.array_equal(cfg_combine(u.data.copy(), c.data.copy(), 0.0), u.data)
         # omega = 1 recovers the conditional branch up to one cancellation
-        assert np.allclose(cfg_combine(u.data, c.data, 1.0), c.data, atol=1e-15)
+        assert np.allclose(cfg_combine(u.data.copy(), c.data.copy(), 1.0), c.data, atol=1e-15)
 
     def test_extrapolation(self):
         u = LatentGrid.full(1, 1, 1, 1.0)
         c = LatentGrid.full(1, 1, 1, 2.0)
-        assert float(cfg_combine(u.data, c.data, 5.0)[0, 0, 0]) == 6.0
+        assert float(cfg_combine(u.data.copy(), c.data.copy(), 5.0)[0, 0, 0]) == 6.0
 
     def test_identical_branches_are_a_fixed_point(self):
         u, _ = self._branches()
-        assert np.array_equal(cfg_combine(u.data, u.data, 17.0), u.data)
+        both = u.data.copy()
+        assert np.array_equal(cfg_combine(both, both, 17.0), u.data)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -306,8 +325,12 @@ class TestCfgCombine:
     )
     def test_affine_in_omega(self, w1, w2):
         u, c = self._branches()
-        mid = cfg_combine(u.data, c.data, (w1 + w2) / 2.0)
-        avg = (cfg_combine(u.data, c.data, w1) + cfg_combine(u.data, c.data, w2)) / 2.0
+
+        def combine(omega):
+            return cfg_combine(u.data.copy(), c.data.copy(), omega)
+
+        mid = combine((w1 + w2) / 2.0)
+        avg = (combine(w1) + combine(w2)) / 2.0
         assert np.allclose(mid, avg, atol=1e-12)
 
     def test_shape_mismatch(self):

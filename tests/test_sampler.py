@@ -3,7 +3,8 @@
 The replication tests rebuild a whole staged run out of public pieces
 (predict_eps, ddim_step, noise_refresh, resize_bilinear) and demand bitwise
 agreement with run(); they pin down which level each boundary re-noises to
-and which stage's noise stream it draws from.
+and which stage's noise stream it draws from. The in-place step functions
+are held bit for bit to the direct forms kept in ``_toys``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from restage import sampler
 from restage.codec import IdentityCodec
-from restage.denoiser import UNCONDITIONAL, DatasetPrior, GaussianPrior
+from restage.denoiser import UNCONDITIONAL, DatasetPrior, GaussianPrior, cfg_combine
 from restage.errors import DenoiserError, SamplerError, ShapeError
 from restage.latent import (
     LatentGrid,
@@ -45,6 +46,9 @@ from _toys import (
     CODEC,
     TIMELINE,
     clustered_shell_prior,
+    direct_cfg_combine,
+    direct_ddim_step,
+    direct_gaussian_eps,
     ladder,
     single_plan,
     staged_plan,
@@ -55,13 +59,11 @@ class TestDdimStep:
     def test_terminal_level_collapses_onto_the_estimate(self):
         x = gaussian_noise(1, 3, 3, SeededRng(1).stream("init"))
         eps = gaussian_noise(1, 3, 3, SeededRng(2).stream("init"))
-        x_prev, p_x0 = ddim_step(x.data, eps.data, 0.4, 1.0)
+        x_prev, p_x0 = ddim_step(x.data.copy(), eps.data.copy(), 0.4, 1.0)
         assert np.array_equal(x_prev, p_x0)
 
     def test_scalar_hand_case(self):
-        x_prev, p_x0 = ddim_step(
-            LatentGrid.full(1, 1, 1, 1.0).data, LatentGrid.zeros(1, 1, 1).data, 0.25, 1.0
-        )
+        x_prev, p_x0 = ddim_step(np.full((1, 1, 1), 1.0), np.zeros((1, 1, 1)), 0.25, 1.0)
         assert float(p_x0[0, 0, 0]) == pytest.approx(2.0, rel=1e-15)
         assert float(x_prev[0, 0, 0]) == pytest.approx(2.0, rel=1e-15)
 
@@ -69,7 +71,7 @@ class TestDdimStep:
         x = gaussian_noise(2, 4, 4, SeededRng(3).stream("init"))
         eps = gaussian_noise(2, 4, 4, SeededRng(4).stream("init"))
         ab = 0.37
-        _, p_x0 = ddim_step(x.data, eps.data, ab, 0.8)
+        _, p_x0 = ddim_step(x.data.copy(), eps.data.copy(), ab, 0.8)
         rebuilt = np.sqrt(ab) * p_x0 + np.sqrt(1 - ab) * eps.data
         assert np.allclose(rebuilt, x.data, atol=1e-12)
 
@@ -83,6 +85,70 @@ class TestDdimStep:
             ddim_step(x, x, 0.5, 0.0)
         with pytest.raises(ShapeError):
             ddim_step(x, LatentGrid.zeros(1, 2, 3).data, 0.5, 0.8)
+
+
+@st.composite
+def branch_pairs(draw):
+    """Two independent (B, C, H, W) float64 arrays of one shape, each at a drawn scale."""
+    shape = tuple(draw(st.integers(1, n)) for n in (3, 4, 5, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return tuple(rng.normal(size=shape) * 10.0 ** draw(st.floats(-3, 3)) for _ in range(2))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+LEVELS = st.floats(0.0, 1.0, exclude_min=True)
+OMEGAS = st.sampled_from([0.0, 1.0]) | st.floats(-50.0, -1e-3) | st.floats(10.0, 1e8)
+
+
+class TestInPlaceKernels:
+    """The in-place step functions round exactly as the direct forms in ``_toys`` do."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(pair=branch_pairs(), ab_t=LEVELS, ab_prev=LEVELS)
+    def test_update_matches_the_direct_form(self, pair, ab_t, ab_prev):
+        x, eps = pair
+        with np.errstate(over="ignore", invalid="ignore"):
+            want_x, want_p = direct_ddim_step(x, eps, ab_t, ab_prev)
+            buf = x.copy()
+            got_x, got_p = ddim_step(buf, eps.copy(), ab_t, ab_prev)
+        assert got_x is buf
+        assert np.array_equal(_bits(got_x), _bits(want_x))
+        assert np.array_equal(_bits(got_p), _bits(want_p))
+
+    @settings(max_examples=80, deadline=None)
+    @given(pair=branch_pairs(), omega=OMEGAS)
+    def test_guidance_matches_the_direct_form(self, pair, omega):
+        u, c = pair
+        want = direct_cfg_combine(u, c, omega)
+        buf = u.copy()
+        got = cfg_combine(buf, c.copy(), omega)
+        assert got is buf
+        assert np.array_equal(_bits(got), _bits(want))
+        # one buffer as both branches: a naive in-place form would zero it
+        same = u.copy()
+        assert np.array_equal(cfg_combine(same, same, omega), u)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pair=branch_pairs(),
+        step=st.integers(0, TIMELINE.num_steps - 1),
+        native=st.booleans(),
+        variance=st.floats(1e-3, 1e3),
+    )
+    def test_gaussian_prediction_matches_the_direct_form(self, pair, step, native, variance):
+        x, m = pair
+        _, c, h, w = x.shape
+        # at another resolution the prior broadcasts its channel means
+        mean = m[0] if native else np.resize(m[0], (c, h + 1, w + 2))
+        prior = GaussianPrior(LatentGrid(mean), variance, TIMELINE)
+        want = direct_gaussian_eps(prior, x, step)
+        out = np.empty_like(x)
+        assert prior.predict_eps(x, step, UNCONDITIONAL, out=out) is out
+        assert np.array_equal(_bits(out), _bits(want))
+        assert np.array_equal(_bits(prior.predict_eps(x, step, UNCONDITIONAL)), _bits(want))
 
 
 class TestNoiseRefresh:
@@ -188,10 +254,10 @@ class TestRunBasics:
 
     def test_denoiser_failures_carry_the_step(self):
         class Exploding(GaussianPrior):
-            def predict_eps(self, x_t, step, condition):
+            def predict_eps(self, x_t, step, condition, out=None):
                 if step == 7:
                     raise DenoiserError("synthetic failure")
-                return super().predict_eps(x_t, step, condition)
+                return super().predict_eps(x_t, step, condition, out)
 
         prior = Exploding(LatentGrid.full(4, 16, 16, 0.2), 1.0, TIMELINE)
         with pytest.raises(SamplerError, match="step 7") as info:
@@ -202,26 +268,34 @@ class TestRunBasics:
 class TestGridsAtTheEdges:
     def test_a_run_without_boundaries_builds_two_grids(self, monkeypatch):
         prior = clustered_shell_prior()
-        built = []
-        init = LatentGrid.__init__
+        built, adopted = [], []
+        init, adopt = LatentGrid.__init__, LatentGrid._adopt
 
         def counting_init(self, values):
             built.append(values)
             init(self, values)
 
+        def counting_adopt(data):
+            adopted.append(data)
+            return adopt(data)
+
         monkeypatch.setattr(LatentGrid, "__init__", counting_init)
+        monkeypatch.setattr(LatentGrid, "_adopt", counting_adopt)
         for batch in (1, 3):
             built.clear()
+            adopted.clear()
             rngs = [SeededRng(40 + k) for k in range(batch)]
-            run("baseline", single_plan(3.0), TIMELINE, prior, CODEC, CLASS_ZERO, rngs)
-            # two per seed, the initial noise and final_p_x0; every step
-            # works on plain arrays
-            assert len(built) == 2 * batch
+            results = run("baseline", single_plan(3.0), TIMELINE, prior, CODEC, CLASS_ZERO, rngs)
+            # two per seed: the initial noise is built, and final_p_x0 adopts
+            # a row of the last estimate without a copy; every step works on
+            # plain arrays
+            assert len(built) == batch and len(adopted) == batch
+            assert not any(r.final_p_x0.data.flags.writeable for r in results)
 
     def test_a_non_finite_prediction_fails_its_step(self):
         class Poisoned(GaussianPrior):
-            def predict_eps(self, x_t, step, condition):
-                eps = super().predict_eps(x_t, step, condition)
+            def predict_eps(self, x_t, step, condition, out=None):
+                eps = super().predict_eps(x_t, step, condition, out)
                 if step == 7:
                     eps[1] = np.nan  # the second seed's row only
                 return eps
@@ -257,10 +331,10 @@ def _noise_entering(rngs):
     init, fresh = [], []
 
     class Recording(GaussianPrior):
-        def predict_eps(self, x_t, step, condition):
+        def predict_eps(self, x_t, step, condition, out=None):
             if step == 0:
                 init.extend(x_t.copy())
-            return super().predict_eps(x_t, step, condition)
+            return super().predict_eps(x_t, step, condition, out)
 
     def recording_refresh(p_x0, codec, height, width, method, alpha_bar_prev, eps):
         fresh.append(eps.data)
@@ -370,7 +444,7 @@ class TestStagedTrace:
         rng = SeededRng(32)
         (want,) = run("rectified", plan, TIMELINE, prior, CODEC, UNCONDITIONAL, [rng])
 
-        x = gaussian_noise(4, 16, 16, SeededRng(32).stream("init")).data
+        x = gaussian_noise(4, 16, 16, SeededRng(32).stream("init")).data.copy()
         p_x0 = None
         for step in range(40):
             eps = prior.predict_eps(x, step, UNCONDITIONAL)
@@ -383,7 +457,7 @@ class TestStagedTrace:
         x = noise_refresh(
             LatentGrid(p_x0), CODEC, 32, 32, "bilinear",
             float(TIMELINE.alpha_bar_at_step[40]), boundary_eps,
-        ).data
+        ).data.copy()
         for step in range(40, 50):
             eps = prior.predict_eps(x, step, UNCONDITIONAL)
             x, p_x0 = ddim_step(
@@ -398,11 +472,11 @@ class TestStagedTrace:
         plan = staged_plan(2.0, 2.0)
         (want,) = run("latent-resize", plan, TIMELINE, prior, CODEC, UNCONDITIONAL, [SeededRng(33)])
 
-        x = gaussian_noise(4, 16, 16, SeededRng(33).stream("init")).data
+        x = gaussian_noise(4, 16, 16, SeededRng(33).stream("init")).data.copy()
         p_x0 = None
         for step in range(50):
             if step == 40:
-                x = resize_bilinear(LatentGrid(x), 32, 32).data
+                x = resize_bilinear(LatentGrid(x), 32, 32).data.copy()
             eps = prior.predict_eps(x, step, UNCONDITIONAL)
             x, p_x0 = ddim_step(
                 x, eps,
@@ -420,7 +494,7 @@ class TestStagedTrace:
         (want,) = run("snr-corrected", plan, TIMELINE, prior, CODEC, UNCONDITIONAL, [SeededRng(34)])
 
         gamma = 16.0
-        x = gaussian_noise(4, 32, 32, SeededRng(34).stream("init")).data
+        x = gaussian_noise(4, 32, 32, SeededRng(34).stream("init")).data.copy()
         p_x0 = None
         for step in range(50):
             eps = prior.predict_eps(x, step, UNCONDITIONAL)

@@ -7,6 +7,9 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from restage import tensorfile
 from restage.cli import _write_csv
@@ -154,3 +157,103 @@ class TestReadValidation:
         with pytest.raises(TensorFormatError, match="rank-3") as info:
             read_grid(path)
         assert info.value.offset == 8
+
+
+# A fixed rank-3 file: 24 header bytes (magic, version, rank, three dims) and
+# twelve float32 values. 1.0 and 1.5 turn infinite or NaN when their top
+# exponent bit flips, and 2^127 * 1.5 when its lowest one does.
+FIXED_DIMS = (2, 3, 2)
+FIXED_VALUES = np.array(
+    [1.0, -2.5, 0.0, 3.0e-39, 1.5, 2.0**127 * 1.5, -7.0, 0.125, 1e10, -1e-10, 42.0, 5.0],
+    dtype="<f4",
+)
+FIXED = _header(dims=FIXED_DIMS) + FIXED_VALUES.tobytes()
+HEADER_END = 24
+
+
+def _offset_of_failure(blob, path):
+    path.write_bytes(blob)
+    with pytest.raises(TensorFormatError) as info:
+        read_tensor(path)
+    return info.value.offset
+
+
+class TestFormatProperties:
+    """Properties of the format as a whole, over every byte of a fixed file.
+
+    A flipped payload bit that leaves a finite value is not detected: the
+    format carries no checksum, so such a file reads back with the flipped
+    value. The tests below claim detection only for the header, for
+    truncation and for payload values that become NaN or infinite.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        arrays(
+            np.float32,
+            array_shapes(min_dims=1, max_dims=4, max_side=5),
+            elements=st.floats(width=32, allow_nan=False, allow_infinity=False),
+        )
+    )
+    def test_float32_arrays_round_trip_bitwise(self, tmp_path_factory, values):
+        path = tmp_path_factory.mktemp("rt") / "t.rhrt"
+        write_tensor(path, values)
+        back = read_tensor(path)
+        assert back.shape == values.shape
+        assert np.array_equal(back.view(np.uint32), values.view(np.uint32))
+
+    def test_every_truncation_names_the_field_it_cuts(self, tmp_path):
+        path = tmp_path / "cut.rhrt"
+        for length in range(len(FIXED)):
+            if length < 4:
+                want = 0  # magic
+            elif length < 8:
+                want = 4  # version
+            elif length < 12:
+                want = 8  # rank
+            elif length < HEADER_END:
+                want = length  # the dims list ends early, at the file's end
+            else:
+                want = HEADER_END  # the payload is short
+            assert _offset_of_failure(FIXED[:length], path) == want, length
+
+    def test_every_header_bit_flip_is_caught_at_its_field(self, tmp_path):
+        path = tmp_path / "flip.rhrt"
+        for bit in range(8 * HEADER_END):
+            blob = bytearray(FIXED)
+            blob[bit // 8] ^= 1 << (bit % 8)
+            byte = bit // 8
+            if byte < 4:
+                want = 0
+            elif byte < 8:
+                want = 4
+            elif byte < 12:
+                rank = struct.unpack_from("<I", blob, 8)[0]
+                want = 8
+                if 1 <= rank <= 8:
+                    # another valid rank re-reads the dims list, reaching into the
+                    # payload for rank 7: a zero there is named, else the payload,
+                    # now at 12 + 4 * rank, has the wrong length
+                    dims = struct.unpack_from(f"<{rank}I", blob, 12)
+                    want = next((12 + 4 * i for i, d in enumerate(dims) if d == 0), 12 + 4 * rank)
+            else:
+                dim = (byte - 12) // 4
+                flipped = struct.unpack_from("<I", blob, 12 + 4 * dim)[0]
+                # a zeroed dimension is named; any other changes the payload length
+                want = 12 + 4 * dim if flipped == 0 else HEADER_END
+            assert _offset_of_failure(bytes(blob), path) == want, bit
+
+    def test_payload_flips_to_nan_or_inf_name_the_value(self, tmp_path):
+        path = tmp_path / "flip.rhrt"
+        caught = 0
+        for bit in range(8 * (len(FIXED) - HEADER_END)):
+            blob = bytearray(FIXED)
+            blob[HEADER_END + bit // 8] ^= 1 << (bit % 8)
+            index = bit // 32
+            value = np.frombuffer(bytes(blob), dtype="<f4", offset=HEADER_END)[index]
+            if np.isfinite(value):
+                continue  # undetectable without a checksum; see the class docstring
+            assert _offset_of_failure(bytes(blob), path) == HEADER_END + 4 * index, bit
+            caught += 1
+        # the exponent flips of 1.0, 1.5 and 2^127 * 1.5
+        assert caught == 3
