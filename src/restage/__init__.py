@@ -17,61 +17,8 @@ Layout:
     tensorfile  the .rhrt binary tensor format
     config      INI experiment configs
     cli         the `restage` command
+
+The package exports these modules, not names: import from ``restage.<module>``.
 """
-
-from .errors import (
-    CodecError,
-    ComparisonError,
-    ConfigError,
-    DenoiserError,
-    PlanError,
-    SamplerError,
-    ShapeError,
-    StatError,
-    TensorFormatError,
-)
-from .latent import LatentGrid, SeededRng, average_energy, gaussian_noise
-from .schedule import (
-    LadderConfig,
-    NoiseSchedule,
-    RefreshPlan,
-    SamplerTimeline,
-    Stage,
-    build_plan,
-    build_schedule,
-    build_timeline,
-    ladder_preset,
-)
-from .sampler import RunResult, StepRecord, ddim_step, noise_refresh, run
-
-__all__ = [
-    "CodecError",
-    "ComparisonError",
-    "ConfigError",
-    "DenoiserError",
-    "LadderConfig",
-    "LatentGrid",
-    "NoiseSchedule",
-    "PlanError",
-    "RefreshPlan",
-    "RunResult",
-    "SamplerError",
-    "SamplerTimeline",
-    "SeededRng",
-    "ShapeError",
-    "Stage",
-    "StatError",
-    "StepRecord",
-    "TensorFormatError",
-    "average_energy",
-    "build_plan",
-    "build_schedule",
-    "build_timeline",
-    "ddim_step",
-    "gaussian_noise",
-    "ladder_preset",
-    "noise_refresh",
-    "run",
-]
 
 __version__ = "0.1.0"

@@ -3,8 +3,9 @@
 ``restage verify`` runs all of them in order, and acceptance criteria 01-04
 call the same functions, so the command and the release criteria cannot
 drift apart. Each check returns a :class:`Check` whose ``detail`` carries
-the measured figures. Where the command and the criteria once differed,
-a check uses the criteria's inputs and enforces both tolerances.
+the measured figures; ``value`` holds the one a test pins, where one does.
+Where the command and the criteria once differed, a check uses the
+criteria's inputs and enforces both tolerances.
 """
 
 from __future__ import annotations
@@ -28,11 +29,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Check:
-    """Outcome of one check: its name, whether it held, and what was measured."""
+    """Outcome of one check: its name, whether it held, and what was measured.
+
+    ``value`` is the bounded figure, for the checks whose tests pin one.
+    """
 
     name: str
     ok: bool
     detail: str
+    value: float | None = None
 
 
 def _timeline():
@@ -90,6 +95,7 @@ def ladder_presets() -> Check:
         ok,
         f"boundaries {list(two.refresh_steps)} / {list(three.refresh_steps)}, "
         f"scales {[s.omega for s in two.stages]} / {[round(s.omega, 7) for s in three.stages]}",
+        three.stages[1].omega,
     )
 
 
@@ -113,7 +119,8 @@ def snr_identity() -> Check:
         # alone can cancel to ~0 and has no meaningful own-scale
         scale = max(*(abs(c) for c in direct + rewritten), 1e-300)
         worst = max(worst, max(abs(d - r) for d, r in zip(direct, rewritten)) / scale)
-    return Check("snr-identity", worst < 1e-12, f"max relative error {worst:.3e} over 1000 triples")
+    detail = f"max relative error {worst:.3e} over 1000 triples"
+    return Check("snr-identity", worst < 1e-12, detail, worst)
 
 
 def snr_energy_range() -> Check:
@@ -135,7 +142,7 @@ def snr_near_unity() -> Check:
         ab_p = float(timeline.alpha_bar_at_step[s + 1])
         factor = np.sqrt((gamma - (gamma - 1) * ab_t) / (gamma - (gamma - 1) * ab_p))
         dev = max(dev, abs(factor - 1.0))
-    return Check("snr-near-unity", dev < 0.2, f"max |gain - 1| = {dev:.9g} at gamma 16")
+    return Check("snr-near-unity", dev < 0.2, f"max |gain - 1| = {dev:.9g} at gamma 16", dev)
 
 
 def oracle_affine() -> Check:
@@ -178,7 +185,7 @@ def refresh_distribution() -> Check:
     eps = gaussian_noise(4, 180, 180, SeededRng(123).stream("refresh", 1))
     # same size, identity codec: the resize inside is a no-op, so the output
     # must be exactly sqrt(level) * clean + sqrt(1 - level) * eps
-    refreshed = noise_refresh(clean, IdentityCodec(), 180, 180, "bilinear", level, eps)
+    refreshed = noise_refresh(clean, IdentityCodec(), 180, 180, level, eps)
     residual = refreshed.data - np.sqrt(level) * clean.data
     z, ratio = z_test_mean_var(residual, 0.0, 1.0 - level)
     return Check(

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, checks, schedule as sched
+from . import schedule as sched
 from .config import ExperimentConfig, build_codec, build_denoiser, check_seed_range, load_config
 from .errors import ConfigError, TensorFormatError
 from .latent import LatentGrid, SeededRng
@@ -88,8 +88,7 @@ def cmd_sample(config: ExperimentConfig, out_dir: Path, base_dir: Path) -> int:
 
     results = run(
         config.run.variant, plan, timeline, denoiser, codec, condition,
-        [SeededRng(seed) for seed in seeds], snapshot_steps=steps,
-        resize_method=config.codec.resize_method, on_snapshot=write_snapshot,
+        [SeededRng(seed) for seed in seeds], snapshot_steps=steps, on_snapshot=write_snapshot,
     )
     for seed, result in zip(seeds, results):
         _write_csv(
@@ -124,6 +123,8 @@ def _curve_setup(config: ExperimentConfig, label: str, omega: float | None):
 
 
 def cmd_energy_curve(config: ExperimentConfig, out_dir: Path, base_dir: Path) -> int:
+    from . import analysis  # imported here so other commands do not load it
+
     labels = list(config.energy.variants) or [config.run.variant]
     sweeps: list[tuple[str, str, float | None]] = []
     for label in labels:
@@ -140,8 +141,7 @@ def cmd_energy_curve(config: ExperimentConfig, out_dir: Path, base_dir: Path) ->
         variant, ladder = _curve_setup(config, label, omega)
         plan = sched.build_plan(ladder, timeline)
         results = run(
-            variant, plan, timeline, denoiser, codec, condition,
-            [SeededRng(seed) for seed in seeds], resize_method=config.codec.resize_method,
+            variant, plan, timeline, denoiser, codec, condition, [SeededRng(s) for s in seeds]
         )
         traces = [
             analysis.trace_from_run(result, f"{curve_label}:{seed}")
@@ -157,6 +157,8 @@ def cmd_energy_curve(config: ExperimentConfig, out_dir: Path, base_dir: Path) ->
 
 def cmd_verify(corrupt: str | None = None) -> int:
     """Run every check in :mod:`restage.checks`; non-zero exit on failure."""
+    from . import checks  # imported here so other commands do not load it
+
     failures: list[str] = []
     for check in checks.run_all(corrupt_schedule=corrupt == "schedule"):
         print(f"{'PASS' if check.ok else 'FAIL'}  {check.name:24s} {check.detail}")

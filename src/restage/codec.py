@@ -25,20 +25,10 @@ import uuid
 from pathlib import Path
 
 from .errors import CodecError, ShapeError
-from .latent import LatentGrid, resize_bilinear, resize_nearest
+from .latent import LatentGrid, resize_bilinear
 from .tensorfile import read_grid, write_grid
 
-__all__ = ["IdentityCodec", "ExternalCodec", "refresh_resize", "RESIZE_METHODS"]
-
-RESIZE_METHODS = ("bilinear", "nearest")
-
-
-def _resize(grid: LatentGrid, height: int, width: int, method: str) -> LatentGrid:
-    if method == "bilinear":
-        return resize_bilinear(grid, height, width)
-    if method == "nearest":
-        return resize_nearest(grid, height, width)
-    raise ValueError(f"unknown resize method {method!r}, expected one of {RESIZE_METHODS}")
+__all__ = ["IdentityCodec", "ExternalCodec", "refresh_resize"]
 
 
 class IdentityCodec:
@@ -119,21 +109,19 @@ class ExternalCodec:
         return out
 
 
-def refresh_resize(
-    codec, grid: LatentGrid, target_height: int, target_width: int, method: str = "bilinear"
-) -> LatentGrid:
+def refresh_resize(codec, grid: LatentGrid, target_height: int, target_width: int) -> LatentGrid:
     """Resize a clean-signal estimate through decoded space.
 
-    Decodes the grid, resamples the decoded representation to the target
-    resolution (given in latent units), and encodes the result back, i.e.
-    encode(resize(decode(grid))). With the identity codec this reduces to a
-    plain latent resample.
+    Decodes the grid, resamples the decoded representation bilinearly to
+    the target resolution (given in latent units), and encodes the result
+    back, i.e. encode(resize(decode(grid))). With the identity codec this
+    reduces to a plain latent resample.
     """
     g = codec.granularity
     if target_height < 1 or target_width < 1:
         raise ShapeError(f"target dims must be positive, got ({target_height}, {target_width})")
     decoded = codec.decode(grid)
-    resized = _resize(decoded, target_height * g, target_width * g, method)
+    resized = resize_bilinear(decoded, target_height * g, target_width * g)
     out = codec.encode(resized)
     if out.shape != (grid.channels, target_height, target_width):
         raise CodecError(

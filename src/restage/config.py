@@ -20,7 +20,6 @@ A config file has flat key = value sections:
 
     [codec]
     kind = identity              ; identity | external
-    resize_method = bilinear     ; bilinear | nearest
 
     [run]
     variant = rectified
@@ -46,12 +45,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .codec import RESIZE_METHODS, ExternalCodec, IdentityCodec
+from .codec import ExternalCodec, IdentityCodec
 from .denoiser import UNCONDITIONAL, Condition, DatasetPrior, Denoiser, GaussianPrior
 from .errors import ConfigError, TensorFormatError
 from .latent import LatentGrid
 from .sampler import VARIANTS
 from .schedule import (
+    DEFAULT_BETA_END,
+    DEFAULT_BETA_START,
+    DEFAULT_KIND,
+    DEFAULT_TRAIN_STEPS,
     LadderConfig,
     NoiseSchedule,
     SamplerTimeline,
@@ -92,7 +95,6 @@ class CodecSpec:
     kind: str
     command: str = ""
     granularity: int = 1
-    resize_method: str = "bilinear"
 
 
 @dataclass(frozen=True)
@@ -277,10 +279,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
     sched = section("schedule")
     schedule_spec = ScheduleSpec(
-        kind=sched.get("kind", "scaled-linear"),
-        beta_start=sched.get_float("beta_start", 0.00085),
-        beta_end=sched.get_float("beta_end", 0.012),
-        train_steps=sched.get_int("train_steps", 1000),
+        kind=sched.get("kind", DEFAULT_KIND),
+        beta_start=sched.get_float("beta_start", DEFAULT_BETA_START),
+        beta_end=sched.get_float("beta_end", DEFAULT_BETA_END),
+        train_steps=sched.get_int("train_steps", DEFAULT_TRAIN_STEPS),
         num_steps=sched.get_int("num_steps"),
     )
     sched.reject_unknown()
@@ -316,19 +318,13 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
     cod = section("codec")
     cod_kind = cod.get("kind", "identity")
-    resize_method = cod.get("resize_method", "bilinear")
-    if resize_method not in RESIZE_METHODS:
-        raise ConfigError(
-            f"codec.resize_method: unknown method {resize_method!r}, expected one of {RESIZE_METHODS}"
-        )
     if cod_kind == "identity":
-        codec_spec = CodecSpec(kind="identity", resize_method=resize_method)
+        codec_spec = CodecSpec(kind="identity")
     elif cod_kind == "external":
         codec_spec = CodecSpec(
             kind="external",
             command=cod.require("command"),
             granularity=cod.get_int("granularity", 8),
-            resize_method=resize_method,
         )
         if codec_spec.granularity < 1:
             raise ConfigError(f"codec.granularity: must be >= 1, got {codec_spec.granularity}")

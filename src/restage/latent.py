@@ -26,7 +26,6 @@ __all__ = [
     "gaussian_noise",
     "average_energy",
     "resize_bilinear",
-    "resize_nearest",
 ]
 
 
@@ -68,10 +67,6 @@ class LatentGrid:
     @classmethod
     def full(cls, channels: int, height: int, width: int, value: float) -> "LatentGrid":
         return cls(np.full((channels, height, width), value, dtype=np.float64))
-
-    @classmethod
-    def zeros(cls, channels: int, height: int, width: int) -> "LatentGrid":
-        return cls.full(channels, height, width, 0.0)
 
     @property
     def data(self) -> np.ndarray:
@@ -173,24 +168,3 @@ def resize_bilinear(grid: LatentGrid, target_height: int, target_width: int) -> 
     rows = arr[:, y_lo, :] * (1.0 - fy)[None, :, None] + arr[:, y_hi, :] * fy[None, :, None]
     out = rows[:, :, x_lo] * (1.0 - fx)[None, None, :] + rows[:, :, x_hi] * fx[None, None, :]
     return LatentGrid(out)
-
-
-def resize_nearest(grid: LatentGrid, target_height: int, target_width: int) -> LatentGrid:
-    """Nearest-neighbour resample under the same half-pixel-center convention.
-
-    Included as a diagnostic alternative to :func:`resize_bilinear`; it
-    preserves the input's value set instead of smoothing it.
-    """
-    if target_height < 1 or target_width < 1:
-        raise ShapeError(f"target dimensions must be positive, got ({target_height}, {target_width})")
-    y = np.clip(
-        np.floor((np.arange(target_height, dtype=np.float64) + 0.5) * grid.height / target_height),
-        0,
-        grid.height - 1,
-    ).astype(np.intp)
-    x = np.clip(
-        np.floor((np.arange(target_width, dtype=np.float64) + 0.5) * grid.width / target_width),
-        0,
-        grid.width - 1,
-    ).astype(np.intp)
-    return LatentGrid(grid.data[:, y, :][:, :, x])

@@ -54,17 +54,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import RESIZE_METHODS, refresh_resize
+from .codec import refresh_resize
 from .denoiser import UNCONDITIONAL, Condition, Denoiser, GaussianPrior, cfg_combine
 from .errors import SamplerError, ShapeError
-from .latent import (
-    LatentGrid,
-    SeededRng,
-    average_energy,
-    gaussian_noise,
-    resize_bilinear,
-    resize_nearest,
-)
+from .latent import LatentGrid, SeededRng, average_energy, gaussian_noise, resize_bilinear
 from .schedule import RefreshPlan, SamplerTimeline, Stage, snr_corrected_alpha_bar
 
 __all__ = [
@@ -143,7 +136,6 @@ def noise_refresh(
     codec,
     target_height: int,
     target_width: int,
-    method: str,
     alpha_bar_prev: float,
     eps: LatentGrid,
 ) -> LatentGrid:
@@ -159,7 +151,7 @@ def noise_refresh(
     """
     if not 0.0 < alpha_bar_prev <= 1.0:
         raise ValueError(f"alpha_bar_prev must lie in (0, 1], got {alpha_bar_prev}")
-    resized = refresh_resize(codec, p_x0, target_height, target_width, method)
+    resized = refresh_resize(codec, p_x0, target_height, target_width)
     if eps.shape != resized.shape:
         raise ShapeError(f"fresh noise shape {eps.shape} does not match target {resized.shape}")
     ab = float(alpha_bar_prev)
@@ -188,7 +180,6 @@ def run(
     condition: Condition,
     rngs: Sequence[SeededRng],
     snapshot_steps=None,
-    resize_method: str = "bilinear",
     initial_noise: Sequence[LatentGrid] | None = None,
     on_snapshot: Callable[[int, int, LatentGrid], None] | None = None,
 ) -> tuple[RunResult, ...]:
@@ -207,7 +198,6 @@ def run(
             entering stage i draws from its ("refresh", i), so each stage's
             noise depends only on the seed and the stage.
         snapshot_steps: Iterable of step indices whose p_x0 to report.
-        resize_method: Resampling used at boundaries.
         initial_noise: Optional explicit starting latents, one per seed, each
             shaped like the starting stage; drawn from ``rngs`` when omitted.
         on_snapshot: Required with ``snapshot_steps``; called as
@@ -222,8 +212,6 @@ def run(
         raise ValueError("a run needs at least one seed")
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
-    if resize_method not in RESIZE_METHODS:
-        raise ValueError(f"unknown resize method {resize_method!r}, expected one of {RESIZE_METHODS}")
     if plan.num_steps != timeline.num_steps:
         raise ValueError(
             f"plan covers {plan.num_steps} steps but the timeline has {timeline.num_steps}"
@@ -285,14 +273,13 @@ def run(
                 if variant == "rectified":
                     x = np.stack([
                         noise_refresh(
-                            LatentGrid._adopt(p), codec, h, w, resize_method, level(step),
+                            LatentGrid._adopt(p), codec, h, w, level(step),
                             gaussian_noise(channels, h, w, r.stream("refresh", stage.index)),
                         ).data
                         for r, p in zip(rngs, p_x0)
                     ])
                 elif variant == "latent-resize":
-                    resize = resize_nearest if resize_method == "nearest" else resize_bilinear
-                    x = np.stack([resize(LatentGrid(row), h, w).data for row in x])
+                    x = np.stack([resize_bilinear(LatentGrid(row), h, w).data for row in x])
             except (ValueError, RuntimeError) as exc:
                 raise SamplerError(f"step {step}: {exc}", step=step) from exc
             eps_u = eps_c = None  # the old stage's buffers go before the new ones come

@@ -89,7 +89,7 @@ class TestSnapshotSeries:
 
     def test_too_few_snapshots(self):
         with pytest.raises(StatError, match="at least 2"):
-            p_x0_mse_series([(0, LatentGrid.zeros(1, 1, 1))])
+            p_x0_mse_series([(0, LatentGrid.full(1, 1, 1, 0.0))])
 
 
 class TestMonotonicityStat:

@@ -10,14 +10,7 @@ import pytest
 
 from restage.codec import ExternalCodec, IdentityCodec, refresh_resize
 from restage.errors import CodecError, ShapeError
-from restage.latent import (
-    LatentGrid,
-    SeededRng,
-    average_energy,
-    gaussian_noise,
-    resize_bilinear,
-    resize_nearest,
-)
+from restage.latent import LatentGrid, SeededRng, average_energy, gaussian_noise, resize_bilinear
 
 
 class TestIdentityCodec:
@@ -33,10 +26,8 @@ class TestRefreshResize:
     def test_identity_codec_reduces_to_plain_resampling(self):
         codec = IdentityCodec()
         grid = gaussian_noise(3, 5, 5, SeededRng(1).stream("init"))
-        via_codec = refresh_resize(codec, grid, 9, 7, "bilinear")
+        via_codec = refresh_resize(codec, grid, 9, 7)
         assert np.array_equal(via_codec.data, resize_bilinear(grid, 9, 7).data)
-        via_nearest = refresh_resize(codec, grid, 9, 7, "nearest")
-        assert np.array_equal(via_nearest.data, resize_nearest(grid, 9, 7).data)
 
     def test_same_size_is_the_identity(self):
         grid = gaussian_noise(2, 4, 4, SeededRng(2).stream("init"))
@@ -52,14 +43,9 @@ class TestRefreshResize:
         up = refresh_resize(IdentityCodec(), noise, 64, 64)
         assert average_energy(up.data) < 0.6 * average_energy(noise.data)
 
-    def test_unknown_method(self):
-        grid = LatentGrid.zeros(1, 2, 2)
-        with pytest.raises(ValueError, match="resize method"):
-            refresh_resize(IdentityCodec(), grid, 4, 4, "bicubic")
-
     def test_bad_target(self):
         with pytest.raises(ShapeError, match="positive"):
-            refresh_resize(IdentityCodec(), LatentGrid.zeros(1, 2, 2), 0, 4)
+            refresh_resize(IdentityCodec(), LatentGrid.full(1, 2, 2, 0.0), 0, 4)
 
 
 def _stub(tmp_path, body: str) -> str:
@@ -116,7 +102,7 @@ class TestExternalCodec:
     def test_encode_requires_divisible_dims(self, tmp_path):
         codec = ExternalCodec(_stub(tmp_path, BLOCK_CODEC), workdir=tmp_path, granularity=2)
         with pytest.raises(ShapeError, match="not divisible"):
-            codec.encode(LatentGrid.zeros(1, 3, 3))
+            codec.encode(LatentGrid.full(1, 3, 3, 0.0))
 
     def test_nonzero_exit_surfaces_stderr(self, tmp_path):
         command = _stub(
@@ -129,7 +115,7 @@ class TestExternalCodec:
         )
         codec = ExternalCodec(command, workdir=tmp_path, granularity=2)
         with pytest.raises(CodecError, match="status 3") as info:
-            codec.decode(LatentGrid.zeros(1, 2, 2))
+            codec.decode(LatentGrid.full(1, 2, 2, 0.0))
         assert "boom" in str(info.value)
 
     def test_unreadable_output(self, tmp_path):
@@ -143,7 +129,7 @@ class TestExternalCodec:
         )
         codec = ExternalCodec(command, workdir=tmp_path, granularity=2)
         with pytest.raises(CodecError, match="unreadable"):
-            codec.decode(LatentGrid.zeros(1, 2, 2))
+            codec.decode(LatentGrid.full(1, 2, 2, 0.0))
 
     def test_wrong_decode_shape(self, tmp_path):
         command = _stub(
@@ -156,10 +142,10 @@ class TestExternalCodec:
         )
         codec = ExternalCodec(command, workdir=tmp_path, granularity=2)
         with pytest.raises(CodecError, match="decode returned shape"):
-            codec.decode(LatentGrid.zeros(1, 2, 2))
+            codec.decode(LatentGrid.full(1, 2, 2, 0.0))
 
     def test_temp_files_are_cleaned_up(self, tmp_path):
         workdir = tmp_path / "scratch"
         codec = ExternalCodec(_stub(tmp_path, BLOCK_CODEC), workdir=workdir, granularity=2)
-        codec.decode(LatentGrid.zeros(1, 2, 2))
+        codec.decode(LatentGrid.full(1, 2, 2, 0.0))
         assert list(workdir.glob("codec-*")) == []

@@ -42,7 +42,6 @@ class TestDefaults:
         assert config.ladder.resolutions == ((16, 16), (32, 32))
         assert config.denoiser.kind == "gaussian"
         assert config.codec.kind == "identity"
-        assert config.codec.resize_method == "bilinear"
         assert config.run.variant == "baseline"
         assert (config.run.seed, config.run.run_count) == (0, 1)
         assert config.run.snapshot_steps is None
@@ -112,6 +111,9 @@ class TestValidation:
     def test_unknown_key(self, tmp_path):
         with pytest.raises(ConfigError, match="run.pace: unknown key"):
             _load(tmp_path, MINIMAL + "[run]\npace = fast\n")
+        # boundaries always resample bilinearly; the old option is gone
+        with pytest.raises(ConfigError, match="codec.resize_method: unknown key"):
+            _load(tmp_path, MINIMAL + "[codec]\nresize_method = bilinear\n")
 
     def test_missing_required_section(self, tmp_path):
         with pytest.raises(ConfigError, match="ladder: required section"):

@@ -45,7 +45,7 @@ class TestGaussianPrior:
     def test_scalar_hand_case(self):
         # zero mean, unit variance, level 0.5, x = 1:
         # posterior gain sqrt(0.5), estimate and prediction both 1/sqrt(2)
-        prior = GaussianPrior(LatentGrid.zeros(1, 1, 1), 1.0, HALF_TIMELINE)
+        prior = GaussianPrior(LatentGrid.full(1, 1, 1, 0.0), 1.0, HALF_TIMELINE)
         eps = prior.predict_eps(LatentGrid.full(1, 1, 1, 1.0).data, 0, UNCONDITIONAL)
         assert float(eps[0, 0, 0]) == pytest.approx(0.7071067811865475, abs=1e-15)
 
@@ -91,19 +91,19 @@ class TestGaussianPrior:
         assert prior.mean_for_shape(4, 4) is mean.data
 
     def test_channel_mismatch(self):
-        prior = GaussianPrior(LatentGrid.zeros(2, 4, 4), 1.0, TIMELINE)
+        prior = GaussianPrior(LatentGrid.full(2, 4, 4, 0.0), 1.0, TIMELINE)
         with pytest.raises(DenoiserError, match="channels"):
-            prior.predict_eps(LatentGrid.zeros(3, 4, 4).data, 0, UNCONDITIONAL)
+            prior.predict_eps(LatentGrid.full(3, 4, 4, 0.0).data, 0, UNCONDITIONAL)
 
     def test_bad_variance(self):
         with pytest.raises(ValueError, match="variance"):
-            GaussianPrior(LatentGrid.zeros(1, 2, 2), 0.0, TIMELINE)
+            GaussianPrior(LatentGrid.full(1, 2, 2, 0.0), 0.0, TIMELINE)
 
     @pytest.mark.parametrize("step", [-1, 50])
     def test_step_outside_timeline(self, step):
-        prior = GaussianPrior(LatentGrid.zeros(1, 2, 2), 1.0, TIMELINE)
+        prior = GaussianPrior(LatentGrid.full(1, 2, 2, 0.0), 1.0, TIMELINE)
         with pytest.raises(DenoiserError, match="step"):
-            prior.predict_eps(LatentGrid.zeros(1, 2, 2).data, step, UNCONDITIONAL)
+            prior.predict_eps(LatentGrid.full(1, 2, 2, 0.0).data, step, UNCONDITIONAL)
 
 
 def _points(values):
@@ -121,7 +121,7 @@ class TestDatasetPrior:
         point = LatentGrid(np.random.default_rng(7).normal(size=(2, 3, 3)))
         mirrored = LatentGrid(-point.data)
         prior = DatasetPrior([point, mirrored], [0, 0], TIMELINE)
-        mean = dataset_posterior_mean(prior, LatentGrid.zeros(2, 3, 3).data, 0.5, UNCONDITIONAL)
+        mean = dataset_posterior_mean(prior, LatentGrid.full(2, 3, 3, 0.0).data, 0.5, UNCONDITIONAL)
         assert np.all(mean == 0.0)
 
     def test_equidistant_points_share_weight_exactly(self):
@@ -160,25 +160,26 @@ class TestDatasetPrior:
 
     def test_condition_restricts_to_the_labelled_points(self):
         prior = DatasetPrior(_points([-5.0, 4.0]), [0, 1], TIMELINE)
-        x = LatentGrid.zeros(1, 1, 1)
+        x = LatentGrid.full(1, 1, 1, 0.0)
         only_one = dataset_posterior_mean(prior, x.data, 0.5, Condition(label=1))
         assert float(only_one[0, 0, 0]) == 4.0
 
     def test_unknown_label(self):
         prior = DatasetPrior(_points([1.0]), [0], TIMELINE)
+        x = LatentGrid.full(1, 1, 1, 0.0).data
         with pytest.raises(DenoiserError, match="label 5"):
-            dataset_posterior_mean(prior, LatentGrid.zeros(1, 1, 1).data, 0.5, Condition(label=5))
+            dataset_posterior_mean(prior, x, 0.5, Condition(label=5))
 
     @pytest.mark.parametrize("ab", [0.0, 1.0, -0.2, 1.5])
     def test_level_must_be_interior(self, ab):
         prior = DatasetPrior(_points([1.0]), [0], TIMELINE)
         with pytest.raises(ValueError, match="alpha_bar_t"):
-            dataset_posterior_mean(prior, LatentGrid.zeros(1, 1, 1).data, ab, UNCONDITIONAL)
+            dataset_posterior_mean(prior, LatentGrid.full(1, 1, 1, 0.0).data, ab, UNCONDITIONAL)
 
     def test_channel_mismatch(self):
         prior = DatasetPrior(_points([1.0]), [0], TIMELINE)
         with pytest.raises(DenoiserError, match="channels"):
-            dataset_posterior_mean(prior, LatentGrid.zeros(2, 1, 1).data, 0.5, UNCONDITIONAL)
+            dataset_posterior_mean(prior, LatentGrid.full(2, 1, 1, 0.0).data, 0.5, UNCONDITIONAL)
 
     def test_construction_validation(self):
         with pytest.raises(ValueError, match="at least one"):
@@ -187,7 +188,7 @@ class TestDatasetPrior:
             DatasetPrior(_points([1.0, 2.0]), [0], TIMELINE)
         with pytest.raises(ShapeError, match="point 1"):
             DatasetPrior(
-                [LatentGrid.zeros(1, 2, 2), LatentGrid.zeros(1, 3, 3)], [0, 0], TIMELINE
+                [LatentGrid.full(1, 2, 2, 0.0), LatentGrid.full(1, 3, 3, 0.0)], [0, 0], TIMELINE
             )
 
     def test_resampled_stack_matches_per_point_resizing(self):
@@ -335,4 +336,4 @@ class TestCfgCombine:
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError, match="shapes differ"):
-            cfg_combine(LatentGrid.zeros(1, 2, 2).data, LatentGrid.zeros(1, 2, 3).data, 1.0)
+            cfg_combine(LatentGrid.full(1, 2, 2, 0.0).data, LatentGrid.full(1, 2, 3, 0.0).data, 1.0)

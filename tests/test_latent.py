@@ -1,4 +1,4 @@
-"""Grids, seeded streams, energies, and the two resamplers."""
+"""Grids, seeded streams, energies, and the bilinear resampler."""
 
 from __future__ import annotations
 
@@ -8,14 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from restage.errors import ShapeError
-from restage.latent import (
-    LatentGrid,
-    SeededRng,
-    average_energy,
-    gaussian_noise,
-    resize_bilinear,
-    resize_nearest,
-)
+from restage.latent import LatentGrid, SeededRng, average_energy, gaussian_noise, resize_bilinear
 
 
 class TestLatentGrid:
@@ -32,13 +25,13 @@ class TestLatentGrid:
         assert grid.data[0, 0, 0] == 1.0
 
     def test_data_is_read_only(self):
-        grid = LatentGrid.zeros(1, 2, 2)
+        grid = LatentGrid.full(1, 2, 2, 0.0)
         with pytest.raises(ValueError):
             grid.data[0, 0, 0] = 1.0
 
     def test_full_and_zeros(self):
         assert np.all(LatentGrid.full(2, 3, 4, 1.5).data == 1.5)
-        assert np.all(LatentGrid.zeros(2, 3, 4).data == 0.0)
+        assert np.all(LatentGrid.full(2, 3, 4, 0.0).data == 0.0)
 
     @pytest.mark.parametrize("values", [np.zeros((2, 2)), np.zeros((1, 1, 2, 2))])
     def test_wrong_rank_rejected(self, values):
@@ -110,7 +103,7 @@ class TestGaussianNoise:
 
 class TestAverageEnergy:
     def test_values(self):
-        assert average_energy(LatentGrid.zeros(2, 3, 3).data) == 0.0
+        assert average_energy(LatentGrid.full(2, 3, 3, 0.0).data) == 0.0
         assert average_energy(LatentGrid.full(2, 3, 3, 2.0).data) == 4.0
         assert average_energy(LatentGrid([[[1.0, 2.0], [3.0, 4.0]]]).data) == 7.5
         # a (B, C, H, W) batch gives one energy per seed
@@ -145,7 +138,7 @@ class TestResizeBilinear:
 
     def test_bad_target(self):
         with pytest.raises(ShapeError, match="positive"):
-            resize_bilinear(LatentGrid.zeros(1, 2, 2), 0, 2)
+            resize_bilinear(LatentGrid.full(1, 2, 2, 0.0), 0, 2)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -180,22 +173,3 @@ class TestResizeBilinear:
         exact = (side / (2 * 1024)) ** 2
         assert exact == pytest.approx(0.39108289778232574, abs=1e-15)
         assert abs(ratio - exact) < 3e-3
-
-
-class TestResizeNearest:
-    def test_doubling_replicates(self):
-        out = resize_nearest(LatentGrid([[[2.0, 5.0]]]), 1, 4)
-        assert out.data[0, 0].tolist() == [2.0, 2.0, 5.0, 5.0]
-
-    def test_preserves_the_value_set(self):
-        grid = gaussian_noise(1, 3, 3, SeededRng(9).stream("init"))
-        out = resize_nearest(grid, 7, 7)
-        assert set(out.data.ravel()) <= set(grid.data.ravel())
-
-    def test_same_size_is_the_identity(self):
-        grid = gaussian_noise(2, 4, 5, SeededRng(10).stream("init"))
-        assert np.array_equal(resize_nearest(grid, 4, 5).data, grid.data)
-
-    def test_bad_target(self):
-        with pytest.raises(ShapeError, match="positive"):
-            resize_nearest(LatentGrid.zeros(1, 2, 2), 2, -1)

@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from restage import sampler
-from restage.codec import IdentityCodec
 from restage.denoiser import UNCONDITIONAL, DatasetPrior, GaussianPrior, cfg_combine
 from restage.errors import DenoiserError, SamplerError, ShapeError
 from restage.latent import (
@@ -76,7 +75,7 @@ class TestDdimStep:
         assert np.allclose(rebuilt, x.data, atol=1e-12)
 
     def test_domain_errors(self):
-        x = LatentGrid.zeros(1, 2, 2).data
+        x = LatentGrid.full(1, 2, 2, 0.0).data
         with pytest.raises(ValueError, match="singular"):
             ddim_step(x, x, 0.0, 0.5)
         with pytest.raises(ValueError):
@@ -84,7 +83,7 @@ class TestDdimStep:
         with pytest.raises(ValueError):
             ddim_step(x, x, 0.5, 0.0)
         with pytest.raises(ShapeError):
-            ddim_step(x, LatentGrid.zeros(1, 2, 3).data, 0.5, 0.8)
+            ddim_step(x, LatentGrid.full(1, 2, 3, 0.0).data, 0.5, 0.8)
 
 
 @st.composite
@@ -155,26 +154,26 @@ class TestNoiseRefresh:
     def test_full_signal_level_returns_the_resized_estimate(self):
         p = gaussian_noise(1, 4, 4, SeededRng(5).stream("init"))
         eps = gaussian_noise(1, 8, 8, SeededRng(6).stream("init"))
-        out = noise_refresh(p, CODEC, 8, 8, "bilinear", 1.0, eps)
+        out = noise_refresh(p, CODEC, 8, 8, 1.0, eps)
         assert np.array_equal(out.data, resize_bilinear(p, 8, 8).data)
 
     def test_same_resolution_matches_forward_noising(self):
         p = gaussian_noise(2, 4, 4, SeededRng(7).stream("init"))
         eps = gaussian_noise(2, 4, 4, SeededRng(8).stream("init"))
-        out = noise_refresh(p, CODEC, 4, 4, "bilinear", 0.82, eps)
+        out = noise_refresh(p, CODEC, 4, 4, 0.82, eps)
         assert np.array_equal(out.data, np.sqrt(0.82) * p.data + np.sqrt(1.0 - 0.82) * eps.data)
 
     def test_noise_shape_must_match_the_target(self):
         p = gaussian_noise(1, 4, 4, SeededRng(9).stream("init"))
         eps = gaussian_noise(1, 4, 4, SeededRng(10).stream("init"))
         with pytest.raises(ShapeError, match="fresh noise"):
-            noise_refresh(p, CODEC, 8, 8, "bilinear", 0.5, eps)
+            noise_refresh(p, CODEC, 8, 8, 0.5, eps)
 
     @pytest.mark.parametrize("ab", [0.0, 1.5])
     def test_level_domain(self, ab):
         p = gaussian_noise(1, 2, 2, SeededRng(11).stream("init"))
         with pytest.raises(ValueError, match="alpha_bar_prev"):
-            noise_refresh(p, CODEC, 2, 2, "bilinear", ab, p)
+            noise_refresh(p, CODEC, 2, 2, ab, p)
 
 
 def _gaussian(channels=4, height=16, width=16, value=0.2, variance=1.0):
@@ -229,7 +228,7 @@ class TestRunBasics:
         with pytest.raises(ShapeError, match="initial noise"):
             run(
                 "baseline", single_plan(2.0), TIMELINE, _gaussian(), CODEC, UNCONDITIONAL,
-                [SeededRng(26)], initial_noise=[LatentGrid.zeros(4, 8, 8)],
+                [SeededRng(26)], initial_noise=[LatentGrid.full(4, 8, 8, 0.0)],
             )
 
     def test_plan_and_timeline_must_agree(self):
@@ -245,11 +244,6 @@ class TestRunBasics:
             run(
                 "turbo", single_plan(2.0), TIMELINE, _gaussian(), CODEC, UNCONDITIONAL,
                 [SeededRng(28)],
-            )
-        with pytest.raises(ValueError, match="resize method"):
-            run(
-                "baseline", single_plan(2.0), TIMELINE, _gaussian(), CODEC, UNCONDITIONAL,
-                [SeededRng(28)], resize_method="bicubic",
             )
 
     def test_denoiser_failures_carry_the_step(self):
@@ -336,9 +330,9 @@ def _noise_entering(rngs):
                 init.extend(x_t.copy())
             return super().predict_eps(x_t, step, condition, out)
 
-    def recording_refresh(p_x0, codec, height, width, method, alpha_bar_prev, eps):
+    def recording_refresh(p_x0, codec, height, width, alpha_bar_prev, eps):
         fresh.append(eps.data)
-        return noise_refresh(p_x0, codec, height, width, method, alpha_bar_prev, eps)
+        return noise_refresh(p_x0, codec, height, width, alpha_bar_prev, eps)
 
     plan = build_plan(ladder(3, 2.0, 2.0, ((4, 4), (8, 8), (12, 12))), TIMELINE)
     prior = Recording(LatentGrid.full(4, 4, 4, 0.2), 1.0, TIMELINE)
@@ -394,7 +388,7 @@ class TestBatches:
         with pytest.raises(ValueError, match="2 seeds"):
             run(
                 "baseline", single_plan(2.0), TIMELINE, _gaussian(), CODEC, UNCONDITIONAL,
-                [SeededRng(36), SeededRng(37)], initial_noise=[LatentGrid.zeros(4, 16, 16)],
+                [SeededRng(36), SeededRng(37)], initial_noise=[LatentGrid.full(4, 16, 16, 0.0)],
             )
         with pytest.raises(ValueError, match="at least one seed"):
             run("baseline", single_plan(2.0), TIMELINE, _gaussian(), CODEC, UNCONDITIONAL, [])
@@ -455,8 +449,7 @@ class TestStagedTrace:
             )
         boundary_eps = gaussian_noise(4, 32, 32, SeededRng(32).stream("refresh", 1))
         x = noise_refresh(
-            LatentGrid(p_x0), CODEC, 32, 32, "bilinear",
-            float(TIMELINE.alpha_bar_at_step[40]), boundary_eps,
+            LatentGrid(p_x0), CODEC, 32, 32, float(TIMELINE.alpha_bar_at_step[40]), boundary_eps,
         ).data.copy()
         for step in range(40, 50):
             eps = prior.predict_eps(x, step, UNCONDITIONAL)
@@ -515,7 +508,7 @@ class TestAffineOracle:
         mean = LatentGrid.full(1, 1, 1, 3.0)
         assert float(traj.apply(noise, mean).data[0, 0, 0]) == 2.0
         with pytest.raises(ShapeError):
-            traj.apply(noise, LatentGrid.zeros(1, 2, 2))
+            traj.apply(noise, LatentGrid.full(1, 2, 2, 0.0))
 
     def test_single_step_closed_form(self):
         timeline = build_timeline(build_schedule("linear", 0.5, 0.5, 1), 1)
@@ -547,7 +540,7 @@ class TestAffineOracle:
     def test_rejects_staged_plans_and_point_priors(self):
         with pytest.raises(ValueError, match="single-resolution"):
             affine_trajectory_oracle(staged_plan(2.0, 2.0), TIMELINE, _gaussian())
-        points = [LatentGrid.zeros(4, 16, 16)]
+        points = [LatentGrid.full(4, 16, 16, 0.0)]
         dataset = DatasetPrior(points, [0], TIMELINE)
         with pytest.raises(TypeError, match="GaussianPrior"):
             affine_trajectory_oracle(single_plan(2.0), TIMELINE, dataset)

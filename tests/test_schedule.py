@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from restage import checks
 from restage.errors import ConfigError, PlanError
 from restage.latent import LatentGrid
 from restage.sampler import ddim_step
@@ -213,18 +214,15 @@ class TestPresets:
         assert sorted(LADDER_PRESETS) == ["paper-2048", "paper-4096"]
 
     def test_two_stage_preset_values(self):
-        plan = build_plan(ladder_preset("paper-2048", ((16, 16), (32, 32))), TIMELINE)
-        assert plan.refresh_steps == (40,)
-        assert [s.omega for s in plan.stages] == [5.0, 30.0]
+        # boundary 40 and scales exactly [5, 30]; the check also covers paper-4096
+        check = checks.ladder_presets()
+        assert check.ok, check.detail
+        assert check.detail.startswith("boundaries [40] / [40, 45], scales [5.0, 30.0] / ")
 
     def test_three_stage_preset_values(self):
-        plan = build_plan(
-            ladder_preset("paper-4096", ((16, 16), (24, 24), (32, 32))), TIMELINE
-        )
-        assert plan.refresh_steps == (40, 45)
-        omegas = [s.omega for s in plan.stages]
-        assert omegas[0] == 5.0 and omegas[2] == 50.0
-        assert omegas[1] == pytest.approx(36.81980515339464, abs=1e-9)
+        check = checks.ladder_presets()
+        assert check.ok, check.detail
+        assert check.value == pytest.approx(36.81980515339464, abs=1e-9)
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigError, match="preset"):
@@ -271,34 +269,15 @@ class TestAreaCorrection:
             assert snr_energy_coefficient(1.0, gamma) == gamma
 
     def test_rewritten_step_matches_direct_substitution(self):
-        rng = np.random.default_rng(11)
-        worst = 0.0
-        for _ in range(300):
-            lo, hi = np.sort(rng.uniform(1e-4, 0.9999, size=2))
-            gamma = float(rng.uniform(1.0, 16.0))
-            want = ddim_step_coefficients(
-                snr_corrected_alpha_bar(float(lo), gamma),
-                snr_corrected_alpha_bar(float(hi), gamma),
-            )
-            got = snr_rewritten_step_coefficients(float(lo), float(hi), gamma)
-            scale = max(*(abs(c) for c in want + got), 1e-300)
-            worst = max(worst, max(abs(w - g) for w, g in zip(want, got)) / scale)
-        assert worst < 1e-12
+        check = checks.snr_identity()
+        assert check.ok and check.value < 1e-12, check.detail
 
     def test_latent_gain_stays_near_unity_on_the_standard_run(self):
         # at the largest supported area ratio the per-step latent gain
         # factor deviates from 1 by 12.4% at worst over a 50-step run
-        gamma = 16.0
-        dev = 0.0
-        for s in range(TIMELINE.num_steps):
-            ab_t = float(TIMELINE.alpha_bar_at_step[s])
-            ab_p = float(TIMELINE.alpha_bar_at_step[s + 1])
-            factor = math.sqrt(
-                (gamma - (gamma - 1) * ab_t) / (gamma - (gamma - 1) * ab_p)
-            )
-            dev = max(dev, abs(factor - 1.0))
-        assert dev == pytest.approx(0.12435156637960021, abs=1e-12)
-        assert dev < 0.2
+        check = checks.snr_near_unity()
+        assert check.value == pytest.approx(0.12435156637960021, abs=1e-12)
+        assert check.ok and check.value < 0.2
 
 
 class TestStepCoefficients:
