@@ -53,7 +53,7 @@ def schedule_monotonic(corrupt: bool = False) -> Check:
     schedule = sched.build_schedule()
     alpha_bar = schedule.alpha_bar.copy()
     if corrupt:
-        alpha_bar[schedule.train_steps // 2] = alpha_bar[schedule.train_steps // 2 - 1] * 1.5
+        alpha_bar[len(alpha_bar) // 2] = alpha_bar[len(alpha_bar) // 2 - 1] * 1.5
     ok = (
         bool(np.all(np.diff(alpha_bar) < 0))
         and bool(np.all((alpha_bar > 0) & (alpha_bar < 1)))
@@ -68,7 +68,7 @@ def timeline_endpoints() -> Check:
     schedule = sched.build_schedule()
     timeline = sched.build_timeline(schedule, 50)
     ok = (
-        int(timeline.step_to_train_t[0]) == schedule.train_steps - 1
+        int(timeline.step_to_train_t[0]) == len(schedule.alpha_bar) - 1
         and int(timeline.step_to_train_t[-1]) == 0
         and float(timeline.alpha_bar_at_step[-1]) == 1.0
         and bool(np.all(np.diff(timeline.alpha_bar_at_step) > 0))

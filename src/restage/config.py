@@ -3,11 +3,7 @@
 A config file has flat key = value sections:
 
     [schedule]
-    kind = scaled-linear
-    beta_start = 0.00085
-    beta_end = 0.012
-    train_steps = 1000
-    num_steps = 50
+    num_steps = 50               ; sampling steps over the fixed training schedule
 
     [ladder]
     preset = paper-2048          ; or the explicit seven ladder keys
@@ -32,9 +28,10 @@ A config file has flat key = value sections:
     variants = baseline, rectified
     omegas =                     ; optional sweep of flat guidance scales
 
-Validation is total: any unknown section or key, and any value outside its
-domain, raises :class:`ConfigError` naming the offending field; a ladder
-whose stages collide raises :class:`PlanError`.
+An absent or empty key takes its default. Validation is total: any unknown
+section or key, any missing required key, any empty entry of a comma list,
+and any value outside its domain raises :class:`ConfigError` naming the
+offending field; a ladder whose stages collide raises :class:`PlanError`.
 """
 
 from __future__ import annotations
@@ -51,10 +48,6 @@ from .errors import ConfigError, TensorFormatError
 from .latent import LatentGrid
 from .sampler import VARIANTS
 from .schedule import (
-    DEFAULT_BETA_END,
-    DEFAULT_BETA_START,
-    DEFAULT_KIND,
-    DEFAULT_TRAIN_STEPS,
     LadderConfig,
     NoiseSchedule,
     SamplerTimeline,
@@ -74,10 +67,6 @@ _LADDER_KEYS = ("t_min", "t_max", "n_stages", "m_t", "omega_min", "omega_max", "
 
 @dataclass(frozen=True)
 class ScheduleSpec:
-    kind: str
-    beta_start: float
-    beta_end: float
-    train_steps: int
     num_steps: int
 
 
@@ -122,70 +111,68 @@ class ExperimentConfig:
     energy: EnergySpec = field(default_factory=EnergySpec)
 
     def build_schedule(self) -> NoiseSchedule:
-        return build_schedule(
-            self.schedule.kind,
-            self.schedule.beta_start,
-            self.schedule.beta_end,
-            self.schedule.train_steps,
-        )
+        return build_schedule()
 
     def build_timeline(self, schedule: NoiseSchedule | None = None) -> SamplerTimeline:
         return build_timeline(schedule or self.build_schedule(), self.schedule.num_steps)
 
 
+_BOOLEANS = {
+    "true": True, "yes": True, "1": True, "on": True,
+    "false": False, "no": False, "0": False, "off": False,
+}
+
+
+def _boolean(raw: str) -> bool:
+    if raw.lower() not in _BOOLEANS:
+        raise ValueError(raw)
+    return _BOOLEANS[raw.lower()]
+
+
+def _resolution(raw: str) -> tuple[int, int]:
+    h, w = raw.lower().split("x")
+    return int(h), int(w)
+
+
+# What each parser expects, named by the error for a value it cannot read.
+_EXPECTED = {
+    int: "an integer", float: "a number", _boolean: "a boolean", _resolution: "an HxW entry"
+}
+
+
 class _Section:
-    """One config section with typed, field-naming accessors."""
+    """One config section read through field-naming, typed readers."""
 
     def __init__(self, name: str, items: dict[str, str]):
         self.name = name
         self.items = items
         self.seen: set[str] = set()
 
-    def get(self, key: str, default: str | None = None) -> str | None:
+    def value(self, key: str, parse=str, default=None):
+        """``key`` read by ``parse``; an absent or empty key gives ``default``,
+        and is a missing required key when ``default`` is None."""
         self.seen.add(key)
-        value = self.items.get(key, default)
-        if value is not None:
-            value = value.strip()
-        return value
-
-    def require(self, key: str) -> str:
-        value = self.get(key)
-        if value is None or value == "":
-            raise ConfigError(f"{self.name}.{key}: required key is missing")
-        return value
-
-    def get_int(self, key: str, default: int | None = None) -> int:
-        raw = self.get(key)
-        if raw is None or raw == "":
+        raw = self.items.get(key, "").strip()
+        if not raw:
             if default is None:
                 raise ConfigError(f"{self.name}.{key}: required key is missing")
             return default
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"{self.name}.{key}: not an integer: {raw!r}") from None
+        return self._parse(key, parse, raw)
 
-    def get_float(self, key: str, default: float | None = None) -> float:
-        raw = self.get(key)
-        if raw is None or raw == "":
-            if default is None:
-                raise ConfigError(f"{self.name}.{key}: required key is missing")
-            return default
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"{self.name}.{key}: not a number: {raw!r}") from None
+    def values(self, key: str, parse=str) -> tuple:
+        """The comma-separated entries of ``key``, each read by ``parse``; an
+        absent or empty key has none, and an empty entry is an error."""
+        raw = self.value(key, str, "")
+        entries = [token.strip() for token in raw.split(",")] if raw else []
+        if "" in entries:
+            raise ConfigError(f"{self.name}.{key}: empty entry in {raw!r}")
+        return tuple(self._parse(key, parse, token) for token in entries)
 
-    def get_bool(self, key: str, default: bool) -> bool:
-        raw = self.get(key)
-        if raw is None or raw == "":
-            return default
-        lowered = raw.lower()
-        if lowered in ("true", "yes", "1", "on"):
-            return True
-        if lowered in ("false", "no", "0", "off"):
-            return False
-        raise ConfigError(f"{self.name}.{key}: not a boolean: {raw!r}")
+    def _parse(self, key: str, parse, raw: str):
+        try:
+            return parse(raw)
+        except ValueError:
+            raise ConfigError(f"{self.name}.{key}: not {_EXPECTED[parse]}: {raw!r}") from None
 
     def reject_unknown(self):
         unknown = set(self.items) - self.seen
@@ -194,28 +181,9 @@ class _Section:
             raise ConfigError(f"{self.name}.{key}: unknown key")
 
 
-def _parse_resolutions(section: _Section) -> tuple[tuple[int, int], ...]:
-    raw = section.require("resolutions")
-    out = []
-    for token in raw.split(","):
-        token = token.strip()
-        parts = token.lower().split("x")
-        if len(parts) != 2:
-            raise ConfigError(
-                f"{section.name}.resolutions: expected HxW entries, got {token!r}"
-            )
-        try:
-            out.append((int(parts[0]), int(parts[1])))
-        except ValueError:
-            raise ConfigError(
-                f"{section.name}.resolutions: expected HxW entries, got {token!r}"
-            ) from None
-    return tuple(out)
-
-
 def _parse_ladder(section: _Section) -> LadderConfig:
-    resolutions = _parse_resolutions(section)
-    preset = section.get("preset")
+    resolutions = section.values("resolutions", _resolution)
+    preset = section.value("preset", str, "")
     explicit = [k for k in _LADDER_KEYS if section.items.get(k, "").strip()]
     if preset:
         if explicit:
@@ -227,32 +195,15 @@ def _parse_ladder(section: _Section) -> LadderConfig:
             section.seen.add(k)
         return ladder_preset(preset, resolutions)
     return LadderConfig(
-        t_min=section.get_int("t_min"),
-        t_max=section.get_int("t_max"),
-        n_stages=section.get_int("n_stages"),
-        m_t=section.get_float("m_t"),
-        omega_min=section.get_float("omega_min"),
-        omega_max=section.get_float("omega_max"),
-        m_omega=section.get_float("m_omega"),
+        t_min=section.value("t_min", int),
+        t_max=section.value("t_max", int),
+        n_stages=section.value("n_stages", int),
+        m_t=section.value("m_t", float),
+        omega_min=section.value("omega_min", float),
+        omega_max=section.value("omega_max", float),
+        m_omega=section.value("m_omega", float),
         resolutions=resolutions,
     )
-
-
-def _parse_snapshot_steps(section: _Section) -> tuple[int, ...] | str | None:
-    raw = section.get("snapshot_steps")
-    if raw is None or raw == "":
-        return None
-    if raw.lower() == "all":
-        return "all"
-    steps = []
-    for token in raw.split(","):
-        try:
-            steps.append(int(token.strip()))
-        except ValueError:
-            raise ConfigError(
-                f"run.snapshot_steps: expected 'all' or comma-separated integers, got {token!r}"
-            ) from None
-    return tuple(steps)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -278,18 +229,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
         return _Section(name, dict(parser[name]) if name in parser else {})
 
     sched = section("schedule")
-    schedule_spec = ScheduleSpec(
-        kind=sched.get("kind", DEFAULT_KIND),
-        beta_start=sched.get_float("beta_start", DEFAULT_BETA_START),
-        beta_end=sched.get_float("beta_end", DEFAULT_BETA_END),
-        train_steps=sched.get_int("train_steps", DEFAULT_TRAIN_STEPS),
-        num_steps=sched.get_int("num_steps"),
-    )
+    schedule_spec = ScheduleSpec(num_steps=sched.value("num_steps", int))
     sched.reject_unknown()
-    # The schedule module owns the schedule and plan rules; building once applies them all.
-    s = schedule_spec
-    schedule = build_schedule(s.kind, s.beta_start, s.beta_end, s.train_steps)
-    timeline = build_timeline(schedule, s.num_steps)
+    # The schedule module owns the timeline and plan rules; building once applies them all.
+    timeline = build_timeline(build_schedule(), schedule_spec.num_steps)
 
     ladder_sec = section("ladder")
     ladder = _parse_ladder(ladder_sec)
@@ -297,34 +240,34 @@ def load_config(path: str | Path) -> ExperimentConfig:
     build_plan(ladder, timeline)
 
     den = section("denoiser")
-    den_kind = den.get("kind", "gaussian")
+    den_kind = den.value("kind", str, "gaussian")
     if den_kind == "gaussian":
         denoiser_spec = DenoiserSpec(
             kind="gaussian",
-            mean_value=den.get_float("mean_value", 0.0),
-            variance=den.get_float("variance", 1.0),
+            mean_value=den.value("mean_value", float, 0.0),
+            variance=den.value("variance", float, 1.0),
         )
         if denoiser_spec.variance <= 0:
             raise ConfigError(f"denoiser.variance: must be > 0, got {denoiser_spec.variance}")
     elif den_kind == "dataset":
         denoiser_spec = DenoiserSpec(
             kind="dataset",
-            path=den.require("path"),
-            conditional=den.get_bool("conditional", False),
+            path=den.value("path"),
+            conditional=den.value("conditional", _boolean, False),
         )
     else:
         raise ConfigError(f"denoiser.kind: unknown kind {den_kind!r}, expected gaussian or dataset")
     den.reject_unknown()
 
     cod = section("codec")
-    cod_kind = cod.get("kind", "identity")
+    cod_kind = cod.value("kind", str, "identity")
     if cod_kind == "identity":
         codec_spec = CodecSpec(kind="identity")
     elif cod_kind == "external":
         codec_spec = CodecSpec(
             kind="external",
-            command=cod.require("command"),
-            granularity=cod.get_int("granularity", 8),
+            command=cod.value("command"),
+            granularity=cod.value("granularity", int, 8),
         )
         if codec_spec.granularity < 1:
             raise ConfigError(f"codec.granularity: must be >= 1, got {codec_spec.granularity}")
@@ -339,15 +282,18 @@ def load_config(path: str | Path) -> ExperimentConfig:
             )
 
     run_sec = section("run")
-    variant = run_sec.get("variant", "baseline")
+    variant = run_sec.value("variant", str, "baseline")
     if variant not in VARIANTS:
         raise ConfigError(f"run.variant: unknown variant {variant!r}, expected one of {VARIANTS}")
+    snapshot_steps = run_sec.value("snapshot_steps", str, "").lower()
+    if snapshot_steps != "all":
+        snapshot_steps = run_sec.values("snapshot_steps", int) or None
     run_spec = RunSpec(
         variant=variant,
-        seed=run_sec.get_int("seed", 0),
-        run_count=run_sec.get_int("run_count", 1),
-        snapshot_steps=_parse_snapshot_steps(run_sec),
-        output_dir=run_sec.get("output_dir", "out"),
+        seed=run_sec.value("seed", int, 0),
+        run_count=run_sec.value("run_count", int, 1),
+        snapshot_steps=snapshot_steps,
+        output_dir=run_sec.value("output_dir", str, "out"),
     )
     run_sec.reject_unknown()
     if run_spec.run_count < 1:
@@ -361,25 +307,13 @@ def load_config(path: str | Path) -> ExperimentConfig:
                 )
 
     en = section("energy")
-    variants_raw = en.get("variants", "")
-    curve_variants = tuple(v.strip() for v in variants_raw.split(",") if v.strip())
-    for v in curve_variants:
+    energy_spec = EnergySpec(variants=en.values("variants"), omegas=en.values("omegas", float))
+    en.reject_unknown()
+    for v in energy_spec.variants:
         if v not in CURVE_LABELS:
             raise ConfigError(
                 f"energy.variants: unknown variant {v!r}, expected one of {CURVE_LABELS}"
             )
-    omegas_raw = en.get("omegas", "")
-    omegas = []
-    for token in omegas_raw.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        try:
-            omegas.append(float(token))
-        except ValueError:
-            raise ConfigError(f"energy.omegas: not a number: {token!r}") from None
-    en.reject_unknown()
-    energy_spec = EnergySpec(variants=curve_variants, omegas=tuple(omegas))
 
     return ExperimentConfig(
         schedule=schedule_spec,
@@ -437,9 +371,7 @@ def build_denoiser(
     return DatasetPrior(points, labels, timeline), condition
 
 
-def build_codec(config: ExperimentConfig, workdir: str | Path | None = None):
+def build_codec(config: ExperimentConfig):
     if config.codec.kind == "identity":
         return IdentityCodec()
-    return ExternalCodec(
-        config.codec.command, workdir=workdir, granularity=config.codec.granularity
-    )
+    return ExternalCodec(config.codec.command, granularity=config.codec.granularity)

@@ -31,7 +31,9 @@ __all__ = [
     "LadderConfig",
     "Stage",
     "RefreshPlan",
-    "SCHEDULE_KINDS",
+    "BETA_START",
+    "BETA_END",
+    "TRAIN_STEPS",
     "LADDER_PRESETS",
     "build_schedule",
     "build_timeline",
@@ -46,34 +48,24 @@ __all__ = [
     "snr_energy_coefficient",
 ]
 
-SCHEDULE_KINDS = ("linear", "scaled-linear")
-
-# Default training schedule: the scaled-linear ramp used by the large
-# latent-diffusion checkpoints this laboratory mimics at desk scale.
-DEFAULT_KIND = "scaled-linear"
-DEFAULT_BETA_START = 0.00085
-DEFAULT_BETA_END = 0.012
-DEFAULT_TRAIN_STEPS = 1000
+# The training schedule: the scaled-linear ramp of the large latent-diffusion
+# checkpoints this laboratory mimics at desk scale. A training-free sampler
+# inherits its checkpoint's schedule, so it is a constant, not an option.
+BETA_START = 0.00085
+BETA_END = 0.012
+TRAIN_STEPS = 1000
 
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    """Per-training-timestep noise levels.
+    """Per-training-timestep noise levels, one entry per training timestep.
 
     Attributes:
-        kind: One of ``SCHEDULE_KINDS``.
-        beta_start: Variance increment at timestep 0.
-        beta_end: Variance increment at the final timestep.
-        train_steps: Number of training timesteps.
         betas: Per-timestep variance increments, shape (train_steps,).
         alpha_bar: Cumulative product of (1 - beta), shape (train_steps,);
             strictly decreasing, all values in (0, 1).
     """
 
-    kind: str
-    beta_start: float
-    beta_end: float
-    train_steps: int
     betas: np.ndarray = field(repr=False)
     alpha_bar: np.ndarray = field(repr=False)
 
@@ -189,48 +181,15 @@ class RefreshPlan:
         return (self.stages[-1].height, self.stages[-1].width)
 
 
-def build_schedule(
-    kind: str = DEFAULT_KIND,
-    beta_start: float = DEFAULT_BETA_START,
-    beta_end: float = DEFAULT_BETA_END,
-    train_steps: int = DEFAULT_TRAIN_STEPS,
-) -> NoiseSchedule:
-    """Construct a training noise schedule.
-
-    ``linear`` interpolates beta directly between the endpoints;
-    ``scaled-linear`` interpolates sqrt(beta) and squares it, which front-
-    loads small increments the way the large pretrained checkpoints do.
-
-    Args:
-        kind: One of ``SCHEDULE_KINDS``.
-        beta_start: First variance increment, 0 < beta_start <= beta_end.
-        beta_end: Last variance increment, beta_end < 1.
-        train_steps: Number of training timesteps, >= 1.
-    """
-    if kind not in SCHEDULE_KINDS:
-        raise ConfigError(f"schedule.kind: unknown kind {kind!r}, expected one of {SCHEDULE_KINDS}")
-    if train_steps < 1:
-        raise ConfigError(f"schedule.train_steps: must be >= 1, got {train_steps}")
-    if not 0.0 < beta_start <= beta_end < 1.0:
-        raise ConfigError(
-            f"schedule.beta_start/beta_end: need 0 < start <= end < 1, "
-            f"got start={beta_start}, end={beta_end}"
-        )
-    if kind == "linear":
-        betas = np.linspace(beta_start, beta_end, train_steps, dtype=np.float64)
-    else:
-        betas = np.linspace(math.sqrt(beta_start), math.sqrt(beta_end), train_steps, dtype=np.float64) ** 2
+def build_schedule() -> NoiseSchedule:
+    """The training schedule: sqrt(beta) runs linearly from sqrt(BETA_START) to
+    sqrt(BETA_END) over TRAIN_STEPS timesteps and is squared, which front-loads
+    small increments the way the large pretrained checkpoints do."""
+    betas = np.linspace(math.sqrt(BETA_START), math.sqrt(BETA_END), TRAIN_STEPS, dtype=np.float64) ** 2
     alpha_bar = np.cumprod(1.0 - betas)
     for arr in (betas, alpha_bar):
         arr.setflags(write=False)
-    return NoiseSchedule(
-        kind=kind,
-        beta_start=float(beta_start),
-        beta_end=float(beta_end),
-        train_steps=int(train_steps),
-        betas=betas,
-        alpha_bar=alpha_bar,
-    )
+    return NoiseSchedule(betas=betas, alpha_bar=alpha_bar)
 
 
 def build_timeline(schedule: NoiseSchedule, num_steps: int) -> SamplerTimeline:
@@ -241,17 +200,17 @@ def build_timeline(schedule: NoiseSchedule, num_steps: int) -> SamplerTimeline:
     training timestep and the final step lands on timestep 0. A run of one
     step visits the last training timestep only.
     """
+    train_steps = len(schedule.alpha_bar)
     if num_steps < 1:
         raise ConfigError(f"schedule.num_steps: must be >= 1, got {num_steps}")
-    if num_steps > schedule.train_steps:
+    if num_steps > train_steps:
         raise ConfigError(
-            f"schedule.num_steps: must be <= train_steps, "
-            f"got {num_steps} > {schedule.train_steps}"
+            f"schedule.num_steps: must be <= train_steps, got {num_steps} > {train_steps}"
         )
     if num_steps == 1:
-        train_ts = np.array([schedule.train_steps - 1], dtype=np.int64)
+        train_ts = np.array([train_steps - 1], dtype=np.int64)
     else:
-        span = (schedule.train_steps - 1) / (num_steps - 1)
+        span = (train_steps - 1) / (num_steps - 1)
         raw = (num_steps - 1 - np.arange(num_steps, dtype=np.float64)) * span
         train_ts = np.floor(raw + 0.5).astype(np.int64)
     levels = np.empty(num_steps + 1, dtype=np.float64)

@@ -1,13 +1,13 @@
 """Shared toy constructions for the test suite.
 
-Import-only module: the default training schedule, a 50-step timeline, the
-plan builders the staged-run tests use, and three dataset priors whose
-layouts were tuned for specific measurable responses (each builder's
-docstring says which). Nothing at module level executes a sampling run.
-It also holds oracles: the direct-difference point-set posterior that the
-matrix-form kernel is checked against, and the allocating forms of the
-update, the guidance combine and the Gaussian prediction that the in-place
-step kernel must match bit for bit.
+Import-only module: the training schedule, a 50-step timeline, a
+linear-beta schedule for tiny hand-checked timelines, the plan builders the
+staged-run tests use, and three dataset priors whose layouts were tuned for
+specific measurable responses (each builder's docstring says which). Nothing
+at module level executes a sampling run. It also holds oracles: the
+direct-difference point-set posterior that the matrix-form kernel is checked
+against, and the allocating forms of the update, the guidance combine and the
+Gaussian prediction that the in-place step kernel must match bit for bit.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from restage.codec import IdentityCodec
 from restage.denoiser import Condition, DatasetPrior
 from restage.errors import DenoiserError
 from restage.latent import LatentGrid
-from restage.schedule import LadderConfig, build_plan, build_schedule, build_timeline
+from restage.schedule import LadderConfig, NoiseSchedule, build_plan, build_schedule, build_timeline
 
 CHANNELS = 4
 BASE = 16
@@ -28,6 +28,14 @@ CLASS_ZERO = Condition(label=0)
 SCHEDULE = build_schedule()
 TIMELINE = build_timeline(SCHEDULE, 50)
 CODEC = IdentityCodec()
+
+
+def linear_schedule(beta_start, beta_end, train_steps):
+    """A schedule whose beta is linear in the timestep, for tiny timelines with
+    levels easy to work out by hand: ``linear_schedule(0.5, 0.5, 1)`` has the
+    single level 0.5."""
+    betas = np.linspace(beta_start, beta_end, train_steps, dtype=np.float64)
+    return NoiseSchedule(betas=betas, alpha_bar=np.cumprod(1.0 - betas))
 
 
 def ladder(n_stages, omega_lo, omega_hi, resolutions):

@@ -17,12 +17,12 @@ from restage.denoiser import (
 )
 from restage.errors import DenoiserError, ShapeError
 from restage.latent import LatentGrid, SeededRng, gaussian_noise
-from restage.schedule import build_schedule, build_timeline
+from restage.schedule import build_timeline
 
-from _toys import TIMELINE, direct_posterior_mean
+from _toys import TIMELINE, direct_posterior_mean, linear_schedule
 
 # one-step timeline whose only level is exactly 0.5, for hand calculations
-HALF_TIMELINE = build_timeline(build_schedule("linear", 0.5, 0.5, 1), 1)
+HALF_TIMELINE = build_timeline(linear_schedule(0.5, 0.5, 1), 1)
 
 
 class TestCondition:

@@ -49,6 +49,7 @@ from _toys import (
     direct_ddim_step,
     direct_gaussian_eps,
     ladder,
+    linear_schedule,
     single_plan,
     staged_plan,
 )
@@ -511,7 +512,7 @@ class TestAffineOracle:
             traj.apply(noise, LatentGrid.full(1, 2, 2, 0.0))
 
     def test_single_step_closed_form(self):
-        timeline = build_timeline(build_schedule("linear", 0.5, 0.5, 1), 1)
+        timeline = build_timeline(linear_schedule(0.5, 0.5, 1), 1)
         plan = build_plan(
             LadderConfig(
                 t_min=0, t_max=1, n_stages=1, m_t=1.0,
@@ -565,8 +566,7 @@ class TestRunDistribution:
         # short runs on a tiny grid: the final estimate is exactly
         # noise_gain * x_T + mean_gain * mean, so pooled residuals against
         # the mean term must look like noise_gain * standard normals
-        schedule = build_schedule("linear", 0.02, 0.08, 40)
-        timeline = build_timeline(schedule, 6)
+        timeline = build_timeline(linear_schedule(0.02, 0.08, 40), 6)
         plan = build_plan(
             LadderConfig(
                 t_min=0, t_max=6, n_stages=1, m_t=1.0,

@@ -12,8 +12,10 @@ from restage.errors import ConfigError, PlanError
 from restage.latent import LatentGrid
 from restage.sampler import ddim_step
 from restage.schedule import (
+    BETA_END,
+    BETA_START,
     LADDER_PRESETS,
-    SCHEDULE_KINDS,
+    TRAIN_STEPS,
     LadderConfig,
     build_plan,
     build_schedule,
@@ -28,28 +30,21 @@ from restage.schedule import (
     with_flat_omega,
 )
 
-from _toys import TIMELINE
+from _toys import TIMELINE, linear_schedule
 
 
 class TestBuildSchedule:
-    def test_linear_single_step(self):
-        s = build_schedule("linear", 0.3, 0.3, 1)
-        assert s.betas.tolist() == [0.3]
-        assert s.alpha_bar.tolist() == [pytest.approx(0.7, abs=1e-15)]
-
-    def test_linear_two_steps_cumulative_product(self):
-        s = build_schedule("linear", 0.1, 0.1, 2)
-        assert np.allclose(s.alpha_bar, [0.9, 0.81], atol=1e-15)
-
     def test_scaled_linear_interpolates_root_beta(self):
-        s = build_schedule("scaled-linear", 0.01, 0.04, 3)
-        mid = ((math.sqrt(0.01) + math.sqrt(0.04)) / 2.0) ** 2
-        assert s.betas[1] == pytest.approx(mid, rel=1e-15)
+        s = build_schedule()
+        root = np.sqrt(s.betas)
+        assert root[0] == pytest.approx(math.sqrt(BETA_START), rel=1e-15)
+        assert root[-1] == pytest.approx(math.sqrt(BETA_END), rel=1e-15)
+        assert np.allclose(np.diff(root), (root[-1] - root[0]) / (TRAIN_STEPS - 1), rtol=1e-9, atol=0)
+        assert np.array_equal(s.alpha_bar, np.cumprod(1.0 - s.betas))
 
     def test_default_endpoints(self):
         s = build_schedule()
-        assert s.kind == "scaled-linear"
-        assert s.train_steps == 1000
+        assert len(s.betas) == len(s.alpha_bar) == 1000
         assert float(s.alpha_bar[0]) == pytest.approx(0.99915, abs=1e-12)
         # regression pin for the terminal retained-signal fraction
         assert float(s.alpha_bar[-1]) == pytest.approx(0.004660098513077238, abs=1e-15)
@@ -66,20 +61,6 @@ class TestBuildSchedule:
         with pytest.raises(ValueError):
             s.betas[0] = 0.5
 
-    def test_unknown_kind(self):
-        assert SCHEDULE_KINDS == ("linear", "scaled-linear")
-        with pytest.raises(ConfigError, match="kind"):
-            build_schedule("cosine")
-
-    def test_bad_train_steps(self):
-        with pytest.raises(ConfigError, match="train_steps"):
-            build_schedule("linear", 0.1, 0.2, 0)
-
-    @pytest.mark.parametrize("start,end", [(0.0, 0.5), (0.4, 0.2), (0.1, 1.0)])
-    def test_bad_beta_range(self, start, end):
-        with pytest.raises(ConfigError, match="beta"):
-            build_schedule("linear", start, end)
-
 
 class TestBuildTimeline:
     def test_two_steps_hit_both_ends(self):
@@ -87,7 +68,7 @@ class TestBuildTimeline:
         assert tl.step_to_train_t.tolist() == [999, 0]
 
     def test_full_coverage_is_the_identity_countdown(self):
-        tl = build_timeline(build_schedule("linear", 0.1, 0.1, 10), 10)
+        tl = build_timeline(linear_schedule(0.1, 0.1, 10), 10)
         assert tl.step_to_train_t.tolist() == list(range(9, -1, -1))
 
     def test_single_step_visits_the_last_timestep(self):
@@ -100,7 +81,7 @@ class TestBuildTimeline:
 
     def test_halfway_ties_round_up(self):
         # step 1 maps to raw position 2.5; round-half-up lands on 3, not 2
-        tl = build_timeline(build_schedule("linear", 0.1, 0.1, 6), 3)
+        tl = build_timeline(linear_schedule(0.1, 0.1, 6), 3)
         assert tl.step_to_train_t.tolist() == [5, 3, 0]
 
     def test_levels_carry_the_post_terminal_entry(self):
@@ -114,7 +95,7 @@ class TestBuildTimeline:
 
     def test_more_steps_than_training_rejected(self):
         with pytest.raises(ConfigError, match="num_steps"):
-            build_timeline(build_schedule("linear", 0.1, 0.1, 6), 7)
+            build_timeline(linear_schedule(0.1, 0.1, 6), 7)
 
     def test_arrays_are_read_only(self):
         with pytest.raises(ValueError):
