@@ -111,8 +111,8 @@ class TestValidation:
         with pytest.raises(ConfigError, match="codec.resize_method: unknown key"):
             _load(tmp_path, MINIMAL + "[codec]\nresize_method = bilinear\n")
         # the training schedule is a constant of restage.schedule, not an option
-        for key, value in [("kind", "linear"), ("beta_start", "0.001"), ("beta_end", "2"),
-                           ("train_steps", "0")]:
+        # (beta_end and train_steps are the test_bad_values cases of the same kind)
+        for key, value in [("kind", "linear"), ("beta_start", "0.001")]:
             text = MINIMAL.replace("num_steps = 50", f"num_steps = 50\n    {key} = {value}")
             with pytest.raises(ConfigError, match=f"schedule.{key}: unknown key"):
                 _load(tmp_path, text)
@@ -154,7 +154,9 @@ class TestValidation:
             ("[energy]\nomegas = 1, x\n", "energy.omegas"),
             ("[energy]\nomegas = 1,, 2\n", "energy.omegas: empty entry"),
             ("[energy]\nvariants = baseline,\n", "energy.variants: empty entry"),
+            ("[schedule]\nnum_steps = 50\nbeta_end = 2\n", "schedule.beta_end: unknown key"),
             ("[schedule]\nnum_steps = 2000\n", "schedule.num_steps"),
+            ("[schedule]\nnum_steps = 50\ntrain_steps = 0\n", "schedule.train_steps: unknown key"),
         ],
     )
     def test_bad_values(self, tmp_path, extra, fragment):
