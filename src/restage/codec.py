@@ -1,27 +1,28 @@
 """Latent <-> decoded-space codecs and the refresh resize path.
 
-A codec maps a latent grid to a decoded representation and back. The
-identity codec makes the decoded space the latent space itself; the
-external codec shells out to a user-supplied command (e.g. a real
-autoencoder wrapper) speaking a small file protocol.
+A codec maps a batch of latent grids to decoded representations and back:
+``decode`` and ``encode`` take a sequence of (C, H, W) grids and return a
+list in the same order. The identity codec makes the decoded space the
+latent space itself; the external codec shells out to a user-supplied
+command (e.g. a real autoencoder wrapper) speaking a small file protocol.
 
-External protocol: the command is invoked as
+External protocol: the command is invoked once per grid as
 
     <command...> <mode> <input-file> <output-file>
 
 with mode ``decode`` or ``encode``; both files are RHRT tensors of rank 3.
-A non-zero exit status is an error and stderr is passed through in the
-diagnostic. Decoding must scale height and width by the codec's declared
-granularity and preserve the channel count; encoding must invert that
-scaling.
+A non-zero exit status is an error and the command's output is passed
+through in the diagnostic. Decoding must scale height and width by the
+codec's declared granularity and preserve the channel count; encoding must
+invert that scaling. Each call must be a pure file-to-file map, since the
+calls of a batch run concurrently (``docs/DECISIONS.md`` entry 8).
 """
 
 from __future__ import annotations
 
-import shlex
-import subprocess
+import os
 import tempfile
-import uuid
+from collections.abc import Sequence
 from pathlib import Path
 
 from .errors import CodecError, ShapeError
@@ -36,18 +37,27 @@ class IdentityCodec:
 
     granularity = 1
 
-    def decode(self, grid: LatentGrid) -> LatentGrid:
-        return grid
+    def decode(self, grids: Sequence[LatentGrid]) -> list[LatentGrid]:
+        return list(grids)
 
-    def encode(self, grid: LatentGrid) -> LatentGrid:
-        return grid
+    def encode(self, grids: Sequence[LatentGrid]) -> list[LatentGrid]:
+        return list(grids)
+
+
+def _expect(mode: str, outputs: list[LatentGrid], shapes) -> list[LatentGrid]:
+    for index, (out, want) in enumerate(zip(outputs, shapes)):
+        if out.shape != want:
+            raise CodecError(f"{mode} returned shape {out.shape}, expected {want}", index=index)
+    return outputs
 
 
 class ExternalCodec:
     """Codec backed by an external command speaking the file protocol above.
 
-    Calls run one at a time, in the order the sampler makes them (seed by
-    seed within each boundary), so the command may be stateful.
+    A batch runs one command per grid, at most one per CPU this process may
+    use (``os.sched_getaffinity``) at a time, and reads the outputs once all
+    have exited. A failed call or an interrupt kills and reaps the running
+    commands and removes the batch's files before the error propagates.
 
     Args:
         command: Command line to run, split with shell quoting rules.
@@ -56,6 +66,8 @@ class ExternalCodec:
     """
 
     def __init__(self, command: str, workdir: str | Path | None = None, granularity: int = 8):
+        import shlex  # imported here so identity-codec runs do not load it
+
         argv = shlex.split(command)
         if not argv:
             raise ValueError("external codec command is empty")
@@ -67,65 +79,75 @@ class ExternalCodec:
         self.workdir = Path(workdir) if workdir is not None else Path(tempfile.gettempdir())
         self.workdir.mkdir(parents=True, exist_ok=True)
 
-    def _invoke(self, mode: str, grid: LatentGrid) -> LatentGrid:
-        token = uuid.uuid4().hex
-        in_path = self.workdir / f"codec-{token}-in.rhrt"
-        out_path = self.workdir / f"codec-{token}-out.rhrt"
-        try:
-            write_grid(in_path, grid)
-            proc = subprocess.run(
-                [*self._argv, mode, str(in_path), str(out_path)],
-                capture_output=True,
-                text=True,
-            )
-            if proc.returncode != 0:
-                detail = proc.stderr.strip() or proc.stdout.strip() or "(no output)"
-                raise CodecError(f"{mode} command exited with status {proc.returncode}: {detail}")
+    def _invoke(self, mode: str, grids: Sequence[LatentGrid]) -> list[LatentGrid]:
+        import subprocess  # imported here so identity-codec runs do not load it
+
+        width = len(os.sched_getaffinity(0))
+        procs = []
+        with tempfile.TemporaryDirectory(prefix="codec-", dir=self.workdir) as tmp:
+            stems = [Path(tmp, str(i)) for i in range(len(grids))]
+            for stem, grid in zip(stems, grids):
+                write_grid(f"{stem}.in", grid)
+
+            def start(i: int) -> None:
+                with open(f"{stems[i]}.log", "wb") as log:
+                    procs.append(subprocess.Popen(
+                        [*self._argv, mode, f"{stems[i]}.in", f"{stems[i]}.out"],
+                        stdin=subprocess.DEVNULL, stdout=log, stderr=subprocess.STDOUT,
+                    ))
+
             try:
-                return read_grid(out_path)
-            except (ValueError, OSError) as exc:
-                raise CodecError(f"{mode} produced an unreadable tensor: {exc}") from exc
-        finally:
-            for p in (in_path, out_path):
-                p.unlink(missing_ok=True)
+                for i in range(min(width, len(grids))):
+                    start(i)
+                # wait in start order and start the next command as each one
+                # ends, so that at most `width` run at once
+                for i, stem in enumerate(stems):
+                    status = procs[i].wait()
+                    if status != 0:
+                        log = Path(f"{stem}.log").read_text(errors="replace").strip() or "(no output)"
+                        raise CodecError(f"{mode} command exited with status {status}: {log}", index=i)
+                    if len(procs) < len(grids):
+                        start(len(procs))
+            finally:
+                for proc in procs:
+                    if proc.poll() is None:
+                        proc.kill()
+                        proc.wait()
+            outputs = []
+            for i, stem in enumerate(stems):
+                try:
+                    outputs.append(read_grid(f"{stem}.out"))
+                except (ValueError, OSError) as exc:
+                    raise CodecError(f"{mode} produced an unreadable tensor: {exc}", index=i) from exc
+            return outputs
 
-    def decode(self, grid: LatentGrid) -> LatentGrid:
-        out = self._invoke("decode", grid)
-        want = (grid.channels, grid.height * self.granularity, grid.width * self.granularity)
-        if out.shape != want:
-            raise CodecError(f"decode returned shape {out.shape}, expected {want}")
-        return out
-
-    def encode(self, grid: LatentGrid) -> LatentGrid:
+    def decode(self, grids: Sequence[LatentGrid]) -> list[LatentGrid]:
         g = self.granularity
-        if grid.height % g or grid.width % g:
-            raise ShapeError(
-                f"encode input dims ({grid.height}, {grid.width}) not divisible by granularity {g}"
-            )
-        out = self._invoke("encode", grid)
-        want = (grid.channels, grid.height // g, grid.width // g)
-        if out.shape != want:
-            raise CodecError(f"encode returned shape {out.shape}, expected {want}")
-        return out
+        shapes = [(x.channels, x.height * g, x.width * g) for x in grids]
+        return _expect("decode", self._invoke("decode", grids), shapes)
+
+    def encode(self, grids: Sequence[LatentGrid]) -> list[LatentGrid]:
+        g = self.granularity
+        bad = [x.shape[1:] for x in grids if x.height % g or x.width % g]
+        if bad:
+            raise ShapeError(f"encode input dims {bad[0]} not divisible by granularity {g}")
+        shapes = [(x.channels, x.height // g, x.width // g) for x in grids]
+        return _expect("encode", self._invoke("encode", grids), shapes)
 
 
-def refresh_resize(codec, grid: LatentGrid, target_height: int, target_width: int) -> LatentGrid:
-    """Resize a clean-signal estimate through decoded space.
+def refresh_resize(
+    codec, grids: Sequence[LatentGrid], target_height: int, target_width: int
+) -> list[LatentGrid]:
+    """Resize a batch of clean-signal estimates through decoded space.
 
-    Decodes the grid, resamples the decoded representation bilinearly to
-    the target resolution (given in latent units), and encodes the result
-    back, i.e. encode(resize(decode(grid))). With the identity codec this
-    reduces to a plain latent resample.
+    Decodes every grid, resamples each decoded representation bilinearly to
+    the target resolution (given in latent units), and encodes them all
+    back, i.e. encode(resize(decode(grid))) per grid. With the identity
+    codec this reduces to a plain latent resample.
     """
     g = codec.granularity
     if target_height < 1 or target_width < 1:
         raise ShapeError(f"target dims must be positive, got ({target_height}, {target_width})")
-    decoded = codec.decode(grid)
-    resized = resize_bilinear(decoded, target_height * g, target_width * g)
-    out = codec.encode(resized)
-    if out.shape != (grid.channels, target_height, target_width):
-        raise CodecError(
-            f"refresh resize produced shape {out.shape}, "
-            f"expected ({grid.channels}, {target_height}, {target_width})"
-        )
-    return out
+    resized = [resize_bilinear(d, target_height * g, target_width * g) for d in codec.decode(grids)]
+    shapes = [(x.channels, target_height, target_width) for x in grids]
+    return _expect("refresh resize", codec.encode(resized), shapes)

@@ -25,7 +25,14 @@ class DenoiserError(ValueError):
 
 
 class CodecError(RuntimeError):
-    """Decode or encode failed; carries the external diagnostic when present."""
+    """Decode or encode failed; carries the external diagnostic when present
+    and, in ``index``, the failing grid's position in its batch, or None."""
+
+    def __init__(self, message: str, index: int | None = None):
+        if index is not None:
+            message = f"{message} (batch index {index})"
+        super().__init__(message)
+        self.index = index
 
 
 class SamplerError(RuntimeError):

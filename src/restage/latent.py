@@ -138,8 +138,10 @@ def average_energy(x: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarr
     One reduction: one energy per seed of a (B, C, H, W) batch, a scalar for
     one latent. The squares go into ``scratch`` (x's shape, overwritten) when
     it is given, into a new array otherwise; the energies are the same.
+    Squares that overflow give an infinite energy, without a warning.
     """
-    return np.mean(np.multiply(x, x, out=scratch), axis=(-3, -2, -1))
+    with np.errstate(over="ignore"):
+        return np.mean(np.multiply(x, x, out=scratch), axis=(-3, -2, -1))
 
 
 def _axis_lerp_indices(src_size: int, dst_size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

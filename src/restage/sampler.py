@@ -49,14 +49,14 @@ Variants:
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .codec import refresh_resize
 from .denoiser import UNCONDITIONAL, Condition, Denoiser, GaussianPrior, cfg_combine
-from .errors import SamplerError, ShapeError
+from .errors import CodecError, SamplerError, ShapeError
 from .latent import LatentGrid, SeededRng, average_energy, gaussian_noise, resize_bilinear
 from .schedule import RefreshPlan, SamplerTimeline, Stage, snr_corrected_alpha_bar
 
@@ -132,30 +132,43 @@ def ddim_step(
 
 
 def noise_refresh(
-    p_x0: LatentGrid,
+    p_x0_grids: Sequence[LatentGrid],
     codec,
     target_height: int,
     target_width: int,
     alpha_bar_prev: float,
-    eps: LatentGrid,
-) -> LatentGrid:
-    """Rebuild the latent at a new resolution from a clean-signal estimate.
+    eps_grids: Iterable[LatentGrid],
+) -> np.ndarray:
+    """Rebuild a batch of latents at a new resolution from clean-signal estimates.
 
-    The estimate is resized through the codec's decoded space and re-noised
-    to the requested level with the supplied fresh noise:
+    The estimates are resized through the codec's decoded space as one batch,
+    and each is re-noised to the requested level with its own fresh noise:
 
         sqrt(ab_prev) * resized + sqrt(1 - ab_prev) * eps
 
-    ``eps`` must already have the target shape. ab_prev = 1 (with zero
-    noise) is allowed as a diagnostic and returns the resized estimate.
+    Returns the new (B, C, H, W) latents. ``eps_grids`` yields one grid per
+    estimate, shaped like its target, and is drawn from row by row. ab_prev = 1
+    (with zero noise) is allowed as a diagnostic and returns the resized estimates.
     """
     if not 0.0 < alpha_bar_prev <= 1.0:
         raise ValueError(f"alpha_bar_prev must lie in (0, 1], got {alpha_bar_prev}")
-    resized = refresh_resize(codec, p_x0, target_height, target_width)
-    if eps.shape != resized.shape:
-        raise ShapeError(f"fresh noise shape {eps.shape} does not match target {resized.shape}")
+    resized = refresh_resize(codec, p_x0_grids, target_height, target_width)
     ab = float(alpha_bar_prev)
-    return LatentGrid(ab**0.5 * resized.data + (1.0 - ab) ** 0.5 * eps.data)
+    out = np.empty((len(resized), *resized[0].shape))
+    # row by row, releasing each resized estimate once its row is written, so
+    # the batch holds about one copy of the new latents at a time
+    for b, (row, eps) in enumerate(zip(out, eps_grids, strict=True)):
+        if eps.shape != row.shape:
+            raise ShapeError(f"fresh noise shape {eps.shape} does not match target {row.shape}")
+        np.multiply(resized[b].data, ab**0.5, out=row)
+        resized[b] = None
+        row += (1.0 - ab) ** 0.5 * eps.data
+    return out
+
+
+def _failure(cause, step: int, seed: int | None = None) -> SamplerError:
+    where = f"step {step}" if seed is None else f"step {step}, seed {seed}"
+    return SamplerError(f"{where}: {cause}", step=step, seed=seed)
 
 
 def _effective_stages(variant: str, plan: RefreshPlan) -> tuple:
@@ -191,7 +204,7 @@ def run(
         timeline: Step-to-noise-level mapping.
         denoiser: Noise predictor queried twice per step (once per branch;
             the second call is skipped when the condition is unconditional).
-        codec: Decode/encode pair used by rectified boundaries, seed by seed.
+        codec: Decode/encode pair; a rectified boundary passes it all seeds at once.
         condition: Conditioning for the guided branch.
         rngs: One seeded stream bundle per seed, at least one. A seed's
             initial latent draws from its stream ("init", 0); the boundary
@@ -271,17 +284,18 @@ def run(
             denoiser.prepare_resolution(h, w)
             try:
                 if variant == "rectified":
-                    x = np.stack([
-                        noise_refresh(
-                            LatentGrid._adopt(p), codec, h, w, level(step),
-                            gaussian_noise(channels, h, w, r.stream("refresh", stage.index)),
-                        ).data
-                        for r, p in zip(rngs, p_x0)
-                    ])
+                    x = noise_refresh(
+                        [LatentGrid._adopt(p) for p in p_x0], codec, h, w, level(step),
+                        (gaussian_noise(channels, h, w, r.stream("refresh", stage.index))
+                         for r in rngs),
+                    )
                 elif variant == "latent-resize":
                     x = np.stack([resize_bilinear(LatentGrid(row), h, w).data for row in x])
+            except CodecError as exc:
+                seed = None if exc.index is None else rngs[exc.index].seed
+                raise _failure(exc, step, seed) from exc
             except (ValueError, RuntimeError) as exc:
-                raise SamplerError(f"step {step}: {exc}", step=step) from exc
+                raise _failure(exc, step) from exc
             eps_u = eps_c = None  # the old stage's buffers go before the new ones come
             eps_u, eps_c = workspace(x)
             refreshed = True
@@ -299,19 +313,15 @@ def run(
                 eps_tilde = cfg_combine(eps_tilde, eps_cond, stage.omega)
             x, p_x0 = ddim_step(x, eps_tilde, level(step), level(step + 1))
         except (ValueError, RuntimeError) as exc:
-            raise SamplerError(f"step {step}: {exc}", step=step) from exc
+            raise _failure(exc, step) from exc
         p_x0.setflags(write=False)
         p_x0_energy = average_energy(p_x0, eps_u)
         # A non-finite prediction reaches p_x0, so finite energy sums clear
-        # the step; an infinite one may still be an overflow of finite values.
+        # the step; an infinite one of finite values is an overflow.
         for b in np.flatnonzero(~np.isfinite(energy_in + p_x0_energy)):
             if b in bad_in or not np.isfinite(p_x0[b]).all():
-                seed = rngs[b].seed
-                raise SamplerError(
-                    f"step {step}, seed {seed}: latent grid contains non-finite values",
-                    step=step,
-                    seed=seed,
-                )
+                raise _failure("latent grid contains non-finite values", step, rngs[b].seed)
+            raise _failure("latent energy overflows float64", step, rngs[b].seed)
         train_t = int(timeline.step_to_train_t[step])
         for trace, e_in, e_p in zip(traces, energy_in.tolist(), p_x0_energy.tolist()):
             trace.append(StepRecord(step, train_t, stage.omega, e_in, e_p, refreshed))

@@ -6,15 +6,20 @@ staged-run tests use, and three dataset priors whose layouts were tuned for
 specific measurable responses (each builder's docstring says which). Nothing
 at module level executes a sampling run. It also holds oracles: the
 direct-difference point-set posterior that the matrix-form kernel is checked
-against, and the allocating forms of the update, the guidance combine and the
-Gaussian prediction that the in-place step kernel must match bit for bit.
+against, the allocating forms of the update, the guidance combine and the
+Gaussian prediction that the in-place step kernel must match bit for bit,
+and the one-seed noise refresh that the batched boundary must match. Last,
+external codec stubs: scripts speaking the codec file protocol.
 """
 
 from __future__ import annotations
 
+import sys
+import textwrap
+
 import numpy as np
 
-from restage.codec import IdentityCodec
+from restage.codec import IdentityCodec, refresh_resize
 from restage.denoiser import Condition, DatasetPrior
 from restage.errors import DenoiserError
 from restage.latent import LatentGrid
@@ -202,3 +207,63 @@ def direct_gaussian_eps(prior, x_t, step):
     gain = np.sqrt(ab) * prior.variance / (ab * prior.variance + 1.0 - ab)
     x0_hat = mean + gain * (x_t - np.sqrt(ab) * mean)
     return (x_t - np.sqrt(ab) * x0_hat) / np.sqrt(1.0 - ab)
+
+
+def direct_noise_refresh(p_x0, codec, target_height, target_width, alpha_bar_prev, eps):
+    """One seed's boundary refresh as a (C, H, W) array: its own one-grid codec
+    batch, re-noised by itself, as the sampler refreshed seed by seed."""
+    (resized,) = refresh_resize(codec, [p_x0], target_height, target_width)
+    ab = float(alpha_bar_prev)
+    return ab**0.5 * resized.data + (1.0 - ab) ** 0.5 * eps.data
+
+
+def codec_stub(tmp_path, body: str) -> str:
+    """Write a codec stub script and return the command invoking it.
+
+    Stubs use the standard library only, so the interpreter skips ``site``
+    and a call costs little more than its start."""
+    script = tmp_path / "stub_codec.py"
+    script.write_text(textwrap.dedent(body), encoding="utf-8")
+    return f"{sys.executable} -S {script}"
+
+
+# granularity 2: nearest-neighbour upsampling, and its inverse by striding
+BLOCK_CODEC = """\
+    import struct, sys
+    from array import array
+
+    mode, src, dst = sys.argv[1:4]
+    with open(src, "rb") as fh:
+        blob = fh.read()
+    c, h, w = struct.unpack_from("<3I", blob, 12)
+    values = array("f", blob[24:])
+    out = array("f")
+    if mode == "decode":
+        for row in range(c * h):
+            wide = array("f", (v for v in values[row * w : (row + 1) * w] for _ in (0, 1)))
+            out += wide + wide
+        dims = (c, 2 * h, 2 * w)
+    else:
+        for row in range(0, c * h, 2):
+            out += values[row * w : (row + 1) * w : 2]
+        dims = (c, h // 2, w // 2)
+    with open(dst, "wb") as fh:
+        fh.write(b"RHRT" + struct.pack("<5I", 1, 3, *dims) + out.tobytes())
+"""
+
+# granularity 1: copies its input, except that batch index 1 (the codec
+# names element i's input "<i>.in") fails at once while the others sleep;
+# each copy that completes leaves a "done-<i>" marker in DIR
+FAILS_ON_INDEX_1 = """\
+    import os, shutil, sys, time
+
+    DIR = {dir!r}
+    src, dst = sys.argv[2:4]
+    index = os.path.basename(src).split(".")[0]
+    if index == "1":
+        print("cannot code this grid", file=sys.stderr)
+        sys.exit(3)
+    time.sleep(0.2)
+    shutil.copyfile(src, dst)
+    open(os.path.join(DIR, "done-" + index), "w").close()
+"""

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tempfile
 import textwrap
 
 import numpy as np
@@ -11,6 +12,8 @@ from restage.cli import main
 from restage.denoiser import GaussianPrior
 from restage.schedule import build_schedule, build_timeline
 from restage.tensorfile import read_tensor, write_grid, write_tensor
+
+from _toys import FAILS_ON_INDEX_1, codec_stub
 
 PAPER_LADDER = """\
     [schedule]
@@ -150,6 +153,32 @@ class TestSample:
         assert main(["sample", "--config", cfg, "--out", str(out)]) == 1
         assert "error: step 7, seed 5: latent grid contains non-finite values" in capsys.readouterr().err
         assert list(out.iterdir()) == []
+
+    def test_a_failing_codec_call_leaves_no_output_or_codec_file(self, tmp_path, capsys, monkeypatch):
+        workdir = tmp_path / "tmp"
+        monkeypatch.setattr(tempfile, "tempdir", str(workdir))  # the codec's default workdir
+        command = codec_stub(tmp_path, FAILS_ON_INDEX_1.format(dir=str(tmp_path)))
+        cfg = _config(
+            tmp_path,
+            STAGED_SMALL
+            + f"[codec]\nkind = external\ncommand = {command}\ngranularity = 1\n"
+            + "[run]\nvariant = rectified\nrun_count = 3\n",
+        )
+        out = tmp_path / "out"
+        assert main(["sample", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "error: step 5, seed 1: decode command exited with status 3" in err
+        assert "(batch index 1)" in err
+        assert list(out.iterdir()) == []
+        assert list(workdir.glob("codec-*")) == []
+
+    @pytest.mark.parametrize("command", ["sample", "energy-curve"])
+    def test_an_overflowing_energy_fails_both_commands_at_its_step(self, tmp_path, capsys, command):
+        cfg = _config(tmp_path, SMALL.replace("mean_value = 0.25", "mean_value = 1e200"))
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: step 0, seed 4: latent energy overflows float64\n"
+        assert not out.exists() or list(out.iterdir()) == []
 
     @pytest.mark.parametrize(
         "extra,argv",

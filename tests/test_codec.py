@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import sys
-import textwrap
+import os
+import time
 
 import numpy as np
 import pytest
@@ -12,62 +12,43 @@ from restage.codec import ExternalCodec, IdentityCodec, refresh_resize
 from restage.errors import CodecError, ShapeError
 from restage.latent import LatentGrid, SeededRng, average_energy, gaussian_noise, resize_bilinear
 
+from _toys import BLOCK_CODEC, FAILS_ON_INDEX_1, codec_stub
+
 
 class TestIdentityCodec:
     def test_passes_grids_through(self):
         codec = IdentityCodec()
-        grid = LatentGrid.full(1, 2, 2, 1.0)
+        grids = (LatentGrid.full(1, 2, 2, 1.0), LatentGrid.full(2, 3, 3, 0.5))
         assert codec.granularity == 1
-        assert codec.decode(grid) is grid
-        assert codec.encode(grid) is grid
+        for out in (codec.decode(grids), codec.encode(grids)):
+            assert isinstance(out, list) and len(out) == 2
+            assert all(o is g for o, g in zip(out, grids))
 
 
 class TestRefreshResize:
     def test_identity_codec_reduces_to_plain_resampling(self):
         codec = IdentityCodec()
         grid = gaussian_noise(3, 5, 5, SeededRng(1).stream("init"))
-        via_codec = refresh_resize(codec, grid, 9, 7)
+        (via_codec,) = refresh_resize(codec, [grid], 9, 7)
         assert np.array_equal(via_codec.data, resize_bilinear(grid, 9, 7).data)
 
     def test_same_size_is_the_identity(self):
         grid = gaussian_noise(2, 4, 4, SeededRng(2).stream("init"))
-        out = refresh_resize(IdentityCodec(), grid, 4, 4)
+        (out,) = refresh_resize(IdentityCodec(), [grid], 4, 4)
         assert np.array_equal(out.data, grid.data)
 
     def test_constant_grids_stay_constant(self):
-        out = refresh_resize(IdentityCodec(), LatentGrid.full(2, 3, 3, 1.25), 6, 6)
+        (out,) = refresh_resize(IdentityCodec(), [LatentGrid.full(2, 3, 3, 1.25)], 6, 6)
         assert np.allclose(out.data, 1.25, atol=1e-15)
 
     def test_upsampled_noise_sheds_energy(self):
         noise = gaussian_noise(1, 32, 32, SeededRng(3).stream("init"))
-        up = refresh_resize(IdentityCodec(), noise, 64, 64)
+        (up,) = refresh_resize(IdentityCodec(), [noise], 64, 64)
         assert average_energy(up.data) < 0.6 * average_energy(noise.data)
 
     def test_bad_target(self):
         with pytest.raises(ShapeError, match="positive"):
-            refresh_resize(IdentityCodec(), LatentGrid.full(1, 2, 2, 0.0), 0, 4)
-
-
-def _stub(tmp_path, body: str) -> str:
-    """Write a codec stub script and return the command invoking it."""
-    script = tmp_path / "stub_codec.py"
-    script.write_text(textwrap.dedent(body), encoding="utf-8")
-    return f"{sys.executable} {script}"
-
-
-BLOCK_CODEC = """\
-    import sys
-    import numpy as np
-    from restage.tensorfile import read_tensor, write_tensor
-
-    mode, src, dst = sys.argv[1:4]
-    arr = read_tensor(src)
-    if mode == "decode":
-        out = np.repeat(np.repeat(arr, 2, axis=1), 2, axis=2)
-    else:
-        out = arr[:, ::2, ::2]
-    write_tensor(dst, out)
-"""
+            refresh_resize(IdentityCodec(), [LatentGrid.full(1, 2, 2, 0.0)], 0, 4)
 
 
 class TestExternalCodec:
@@ -78,9 +59,9 @@ class TestExternalCodec:
             ExternalCodec("true", workdir=tmp_path, granularity=0)
 
     def test_decode_scales_by_the_granularity(self, tmp_path):
-        codec = ExternalCodec(_stub(tmp_path, BLOCK_CODEC), workdir=tmp_path, granularity=2)
+        codec = ExternalCodec(codec_stub(tmp_path, BLOCK_CODEC), workdir=tmp_path, granularity=2)
         grid = LatentGrid([[[1.0, 2.0], [3.0, 4.0]]])
-        decoded = codec.decode(grid)
+        (decoded,) = codec.decode([grid])
         assert decoded.shape == (1, 4, 4)
         assert np.array_equal(
             decoded.data,
@@ -88,24 +69,25 @@ class TestExternalCodec:
         )
 
     def test_encode_inverts_decode_on_storable_values(self, tmp_path):
-        codec = ExternalCodec(_stub(tmp_path, BLOCK_CODEC), workdir=tmp_path, granularity=2)
+        codec = ExternalCodec(codec_stub(tmp_path, BLOCK_CODEC), workdir=tmp_path, granularity=2)
         # integer-valued grid survives the float32 transport exactly
         grid = LatentGrid(np.arange(8.0).reshape(2, 2, 2))
-        assert np.array_equal(codec.encode(codec.decode(grid)).data, grid.data)
+        (back,) = codec.encode(codec.decode([grid]))
+        assert np.array_equal(back.data, grid.data)
 
     def test_refresh_resize_through_the_external_codec(self, tmp_path):
-        codec = ExternalCodec(_stub(tmp_path, BLOCK_CODEC), workdir=tmp_path, granularity=2)
-        out = refresh_resize(codec, LatentGrid.full(1, 2, 2, 3.0), 4, 4)
+        codec = ExternalCodec(codec_stub(tmp_path, BLOCK_CODEC), workdir=tmp_path, granularity=2)
+        (out,) = refresh_resize(codec, [LatentGrid.full(1, 2, 2, 3.0)], 4, 4)
         assert out.shape == (1, 4, 4)
         assert np.allclose(out.data, 3.0, atol=1e-6)
 
     def test_encode_requires_divisible_dims(self, tmp_path):
-        codec = ExternalCodec(_stub(tmp_path, BLOCK_CODEC), workdir=tmp_path, granularity=2)
+        codec = ExternalCodec(codec_stub(tmp_path, BLOCK_CODEC), workdir=tmp_path, granularity=2)
         with pytest.raises(ShapeError, match="not divisible"):
-            codec.encode(LatentGrid.full(1, 3, 3, 0.0))
+            codec.encode([LatentGrid.full(1, 3, 3, 0.0)])
 
     def test_nonzero_exit_surfaces_stderr(self, tmp_path):
-        command = _stub(
+        command = codec_stub(
             tmp_path,
             """\
             import sys
@@ -115,11 +97,11 @@ class TestExternalCodec:
         )
         codec = ExternalCodec(command, workdir=tmp_path, granularity=2)
         with pytest.raises(CodecError, match="status 3") as info:
-            codec.decode(LatentGrid.full(1, 2, 2, 0.0))
+            codec.decode([LatentGrid.full(1, 2, 2, 0.0)])
         assert "boom" in str(info.value)
 
     def test_unreadable_output(self, tmp_path):
-        command = _stub(
+        command = codec_stub(
             tmp_path,
             """\
             import sys
@@ -129,10 +111,10 @@ class TestExternalCodec:
         )
         codec = ExternalCodec(command, workdir=tmp_path, granularity=2)
         with pytest.raises(CodecError, match="unreadable"):
-            codec.decode(LatentGrid.full(1, 2, 2, 0.0))
+            codec.decode([LatentGrid.full(1, 2, 2, 0.0)])
 
     def test_wrong_decode_shape(self, tmp_path):
-        command = _stub(
+        command = codec_stub(
             tmp_path,
             """\
             import sys
@@ -142,10 +124,85 @@ class TestExternalCodec:
         )
         codec = ExternalCodec(command, workdir=tmp_path, granularity=2)
         with pytest.raises(CodecError, match="decode returned shape"):
-            codec.decode(LatentGrid.full(1, 2, 2, 0.0))
+            codec.decode([LatentGrid.full(1, 2, 2, 0.0)])
 
     def test_temp_files_are_cleaned_up(self, tmp_path):
         workdir = tmp_path / "scratch"
-        codec = ExternalCodec(_stub(tmp_path, BLOCK_CODEC), workdir=workdir, granularity=2)
-        codec.decode(LatentGrid.full(1, 2, 2, 0.0))
+        codec = ExternalCodec(codec_stub(tmp_path, BLOCK_CODEC), workdir=workdir, granularity=2)
+        codec.decode([LatentGrid.full(1, 2, 2, 0.0)])
         assert list(workdir.glob("codec-*")) == []
+
+
+def _integer_grids(n, shape=(2, 4, 4)):
+    """Distinct grids whose values survive the float32 transport exactly."""
+    rng = np.random.default_rng(17)
+    return [LatentGrid(rng.integers(-50, 50, size=shape).astype(np.float64)) for _ in range(n)]
+
+
+# granularity 1: copies its input after a pause, appending its own start and
+# end times (the system-wide monotonic clock) to LOG
+LOGGED_COPY = """\
+    import shutil, sys, time
+
+    start = time.monotonic()
+    time.sleep(0.15)
+    shutil.copyfile(sys.argv[2], sys.argv[3])
+    with open({log!r}, "a") as fh:
+        fh.write(f"{{start}} {{time.monotonic()}}\\n")
+"""
+
+
+class TestConcurrentBatches:
+    def test_a_batch_matches_one_grid_calls(self, tmp_path):
+        codec = ExternalCodec(codec_stub(tmp_path, BLOCK_CODEC), workdir=tmp_path, granularity=2)
+        grids = _integer_grids(3)
+        decoded = codec._invoke("decode", grids)
+        encoded = codec._invoke("encode", decoded)
+        for grid, dec, enc in zip(grids, decoded, encoded):
+            (one_dec,) = codec._invoke("decode", [grid])
+            (one_enc,) = codec._invoke("encode", [one_dec])
+            assert np.array_equal(dec.data, one_dec.data)
+            assert np.array_equal(enc.data, one_enc.data)
+            assert np.array_equal(enc.data, grid.data)
+
+    @pytest.mark.parametrize("one_cpu", [False, True])
+    def test_at_most_one_command_per_cpu_runs_at_once(self, tmp_path, monkeypatch, one_cpu):
+        if one_cpu:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        width = len(os.sched_getaffinity(0))
+        log = tmp_path / "spans.log"
+        codec = ExternalCodec(
+            codec_stub(tmp_path, LOGGED_COPY.format(log=str(log))), workdir=tmp_path, granularity=1
+        )
+        grids = _integer_grids(3)
+        out = codec.decode(grids)
+        assert all(np.array_equal(o.data, g.data) for o, g in zip(out, grids))
+        spans = [tuple(map(float, line.split())) for line in log.read_text().splitlines()]
+        assert len(spans) == len(grids)
+        # an end sorts before a start at the same instant
+        events = sorted([(t0, 1) for t0, _ in spans] + [(t1, -1) for _, t1 in spans])
+        running = peak = 0
+        for _, delta in events:
+            running += delta
+            peak = max(peak, running)
+        assert peak == min(width, len(grids))
+
+    def test_a_failed_call_kills_the_batch_and_names_its_index(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        workdir = tmp_path / "work"
+        codec = ExternalCodec(
+            codec_stub(tmp_path, FAILS_ON_INDEX_1.format(dir=str(tmp_path))),
+            workdir=workdir,
+            granularity=1,
+        )
+        with pytest.raises(CodecError, match="decode command exited with status 3") as info:
+            codec.decode(_integer_grids(3))
+        assert info.value.index == 1
+        assert "cannot code this grid" in str(info.value)
+        assert "(batch index 1)" in str(info.value)
+        assert list(workdir.iterdir()) == []
+        # with two CPUs, index 2 starts only once index 0 has ended, so it is
+        # still sleeping when the failure is seen: it is killed, and never
+        # finishes its copy
+        time.sleep(0.3)
+        assert sorted(p.name for p in tmp_path.glob("done-*")) == ["done-0"]

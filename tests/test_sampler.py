@@ -9,12 +9,15 @@ are held bit for bit to the direct forms kept in ``_toys``.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from restage import sampler
+from restage.codec import ExternalCodec, IdentityCodec
 from restage.denoiser import UNCONDITIONAL, DatasetPrior, GaussianPrior, cfg_combine
 from restage.errors import DenoiserError, SamplerError, ShapeError
 from restage.latent import (
@@ -41,13 +44,17 @@ from restage.schedule import (
 )
 
 from _toys import (
+    BLOCK_CODEC,
     CLASS_ZERO,
     CODEC,
+    FAILS_ON_INDEX_1,
     TIMELINE,
     clustered_shell_prior,
+    codec_stub,
     direct_cfg_combine,
     direct_ddim_step,
     direct_gaussian_eps,
+    direct_noise_refresh,
     ladder,
     linear_schedule,
     single_plan,
@@ -155,26 +162,43 @@ class TestNoiseRefresh:
     def test_full_signal_level_returns_the_resized_estimate(self):
         p = gaussian_noise(1, 4, 4, SeededRng(5).stream("init"))
         eps = gaussian_noise(1, 8, 8, SeededRng(6).stream("init"))
-        out = noise_refresh(p, CODEC, 8, 8, 1.0, eps)
-        assert np.array_equal(out.data, resize_bilinear(p, 8, 8).data)
+        (out,) = noise_refresh([p], CODEC, 8, 8, 1.0, [eps])
+        assert np.array_equal(out, resize_bilinear(p, 8, 8).data)
 
     def test_same_resolution_matches_forward_noising(self):
         p = gaussian_noise(2, 4, 4, SeededRng(7).stream("init"))
         eps = gaussian_noise(2, 4, 4, SeededRng(8).stream("init"))
-        out = noise_refresh(p, CODEC, 4, 4, 0.82, eps)
-        assert np.array_equal(out.data, np.sqrt(0.82) * p.data + np.sqrt(1.0 - 0.82) * eps.data)
+        (out,) = noise_refresh([p], CODEC, 4, 4, 0.82, [eps])
+        assert np.array_equal(out, np.sqrt(0.82) * p.data + np.sqrt(1.0 - 0.82) * eps.data)
+
+    @pytest.mark.parametrize("block", [False, True])
+    def test_a_batch_matches_the_one_seed_refresh(self, tmp_path, block):
+        codec = (
+            ExternalCodec(codec_stub(tmp_path, BLOCK_CODEC), workdir=tmp_path, granularity=2)
+            if block else IdentityCodec()
+        )
+        rngs = [SeededRng(s) for s in (12, 13, 14)]
+        p_x0 = [gaussian_noise(3, 4, 6, r.stream("init")) for r in rngs]
+        eps = [gaussian_noise(3, 6, 10, r.stream("refresh", 1)) for r in rngs]
+        got = noise_refresh(p_x0, codec, 6, 10, 0.37, eps)
+        assert got.shape == (3, 3, 6, 10) and got.flags.writeable
+        for row, p, e in zip(got, p_x0, eps):
+            want = direct_noise_refresh(p, codec, 6, 10, 0.37, e)
+            assert np.array_equal(row.view(np.uint64), want.view(np.uint64))
 
     def test_noise_shape_must_match_the_target(self):
         p = gaussian_noise(1, 4, 4, SeededRng(9).stream("init"))
         eps = gaussian_noise(1, 4, 4, SeededRng(10).stream("init"))
         with pytest.raises(ShapeError, match="fresh noise"):
-            noise_refresh(p, CODEC, 8, 8, 0.5, eps)
+            noise_refresh([p], CODEC, 8, 8, 0.5, [eps])
+        with pytest.raises(ValueError, match="longer"):
+            noise_refresh([p], CODEC, 4, 4, 0.5, [eps, eps])
 
     @pytest.mark.parametrize("ab", [0.0, 1.5])
     def test_level_domain(self, ab):
         p = gaussian_noise(1, 2, 2, SeededRng(11).stream("init"))
         with pytest.raises(ValueError, match="alpha_bar_prev"):
-            noise_refresh(p, CODEC, 2, 2, ab, p)
+            noise_refresh([p], CODEC, 2, 2, ab, [p])
 
 
 def _gaussian(channels=4, height=16, width=16, value=0.2, variance=1.0):
@@ -302,15 +326,33 @@ class TestGridsAtTheEdges:
         assert info.value.step == 7
         assert info.value.seed == 1041
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_a_huge_finite_latent_is_not_rejected(self):
-        # 1e200 squared overflows the energy, but every element stays finite
-        (result,) = run(
-            "baseline", single_plan(2.0), TIMELINE, _gaussian(), CODEC, UNCONDITIONAL,
-            [SeededRng(42)], initial_noise=[LatentGrid.full(4, 16, 16, 1e200)],
+        # every element of 1e200 is finite, so the latent is not rejected as
+        # non-finite; its square overflows the energy, which fails the step
+        # without a numpy warning
+        with warnings.catch_warnings(), pytest.raises(SamplerError) as info:
+            warnings.simplefilter("error")
+            run(
+                "baseline", single_plan(2.0), TIMELINE, _gaussian(), CODEC, UNCONDITIONAL,
+                [SeededRng(42)], initial_noise=[LatentGrid.full(4, 16, 16, 1e200)],
+            )
+        assert str(info.value) == "step 0, seed 42: latent energy overflows float64"
+        assert info.value.step == 0
+        assert info.value.seed == 42
+
+    def test_a_failed_codec_call_names_its_seed(self, tmp_path):
+        workdir = tmp_path / "work"
+        codec = ExternalCodec(
+            codec_stub(tmp_path, FAILS_ON_INDEX_1.format(dir=str(tmp_path))),
+            workdir=workdir,
+            granularity=1,
         )
-        assert result.trace[0].latent_energy == np.inf
-        assert np.isfinite(result.final_p_x0.data).all()
+        plan = build_plan(ladder(2, 2.0, 2.0, ((4, 4), (8, 8))), TIMELINE)
+        rngs = [SeededRng(43), SeededRng(1043), SeededRng(2043)]
+        with pytest.raises(SamplerError, match="step 40, seed 1043: decode command") as info:
+            run("rectified", plan, TIMELINE, _gaussian(4, 4, 4), codec, UNCONDITIONAL, rngs)
+        assert (info.value.step, info.value.seed) == (40, 1043)
+        assert list(workdir.iterdir()) == []
 
 
 def _rounded(trace):
@@ -332,7 +374,8 @@ def _noise_entering(rngs):
             return super().predict_eps(x_t, step, condition, out)
 
     def recording_refresh(p_x0, codec, height, width, alpha_bar_prev, eps):
-        fresh.append(eps.data)
+        eps = list(eps)
+        fresh.extend(e.data for e in eps)
         return noise_refresh(p_x0, codec, height, width, alpha_bar_prev, eps)
 
     plan = build_plan(ladder(3, 2.0, 2.0, ((4, 4), (8, 8), (12, 12))), TIMELINE)
@@ -340,7 +383,7 @@ def _noise_entering(rngs):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sampler, "noise_refresh", recording_refresh)
         run("rectified", plan, TIMELINE, prior, CODEC, UNCONDITIONAL, rngs)
-    # boundaries refresh seed by seed in batch order, one boundary after the other
+    # each boundary refreshes its seeds as one batch, in batch order
     b = len(rngs)
     return {r.seed: (init[i], fresh[i], fresh[b + i]) for i, r in enumerate(rngs)}
 
@@ -449,9 +492,9 @@ class TestStagedTrace:
                 float(TIMELINE.alpha_bar_at_step[step + 1]),
             )
         boundary_eps = gaussian_noise(4, 32, 32, SeededRng(32).stream("refresh", 1))
-        x = noise_refresh(
-            LatentGrid(p_x0), CODEC, 32, 32, float(TIMELINE.alpha_bar_at_step[40]), boundary_eps,
-        ).data.copy()
+        (x,) = noise_refresh(
+            [LatentGrid(p_x0)], CODEC, 32, 32, float(TIMELINE.alpha_bar_at_step[40]), [boundary_eps],
+        )
         for step in range(40, 50):
             eps = prior.predict_eps(x, step, UNCONDITIONAL)
             x, p_x0 = ddim_step(

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from restage import checks
 from restage.errors import ConfigError, PlanError
@@ -188,6 +190,46 @@ class TestBuildPlan:
     def test_window_past_run_length_rejected(self):
         with pytest.raises(ConfigError, match="t_max"):
             build_plan(_ladder(t_max=60), TIMELINE)
+
+
+@st.composite
+def _ladders(draw):
+    """A valid ladder and the step count of a run it fits: any window, stage
+    count, boundary exponent and non-decreasing resolutions."""
+    num_steps = draw(st.integers(1, 80))
+    t_max = draw(st.integers(1, num_steps))
+    n_stages = draw(st.integers(1, 6))
+    sides = [draw(st.lists(st.integers(1, 64), min_size=n_stages, max_size=n_stages)) for _ in "hw"]
+    config = LadderConfig(
+        t_min=draw(st.integers(0, t_max - 1)),
+        t_max=t_max,
+        n_stages=n_stages,
+        m_t=draw(st.floats(0.05, 10.0)),
+        omega_min=1.0,
+        omega_max=draw(st.floats(1.0, 50.0)),
+        m_omega=1.0,
+        resolutions=tuple(zip(sorted(sides[0]), sorted(sides[1]))),
+    )
+    return config, num_steps
+
+
+class TestPlanProperties:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=_ladders())
+    def test_every_accepted_plan_tiles_the_run(self, case):
+        config, num_steps = case
+        timeline = build_timeline(build_schedule(), num_steps)
+        try:
+            plan = build_plan(config, timeline)
+        except PlanError:
+            return  # a refused ladder raises PlanError and nothing else
+        edges = [(s.first_step, s.last_step) for s in plan.stages]
+        assert len(edges) == config.n_stages
+        assert edges[0][0] == 0 and edges[-1][1] == num_steps
+        assert all(first < last for first, last in edges)
+        assert all(a[1] == b[0] for a, b in zip(edges, edges[1:]))
+        assert plan.refresh_steps == tuple(first for first, _ in edges[1:])
+        assert [(s.height, s.width) for s in plan.stages] == list(config.resolutions)
 
 
 class TestPresets:
