@@ -12,7 +12,7 @@ Layout:
     denoiser    exactly solvable denoisers (Gaussian prior, dataset posterior)
     codec       latent/value space mapping, external codec subprocess protocol
     sampler     the seed-batched sampling loop, variants, affine oracle
-    analysis    energy traces, rank and moment statistics
+    analysis    the per-seed energy column and stepwise mean behind `energy-curve`
     checks      the property and oracle checks of `restage verify` and criteria 01-04
     tensorfile  the .rhrt binary tensor format
     config      INI experiment configs

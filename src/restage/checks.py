@@ -10,12 +10,12 @@ criteria's inputs and enforces both tolerances.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import schedule as sched
-from .analysis import z_test_mean_var
 from .codec import IdentityCodec
 from .denoiser import UNCONDITIONAL, GaussianPrior
 from .latent import LatentGrid, SeededRng, gaussian_noise
@@ -24,6 +24,7 @@ from .sampler import affine_trajectory_oracle, noise_refresh, run
 __all__ = [
     "Check", "run_all", "schedule_monotonic", "timeline_endpoints", "ladder_presets",
     "snr_identity", "snr_energy_range", "snr_near_unity", "oracle_affine", "refresh_distribution",
+    "z_test_mean_var",
 ]
 
 
@@ -176,6 +177,26 @@ def oracle_affine() -> Check:
         f"max relative error {worst:.3e} over 100 noises, "
         f"unit-gamma correction bit-identical: {identical}",
     )
+
+
+def z_test_mean_var(
+    samples: np.ndarray, expected_mean: float, expected_var: float
+) -> tuple[float, float]:
+    """Location z-score and variance ratio of a sample against a reference.
+
+    Returns (z_mean, var_ratio) with
+    z_mean = (sample_mean - expected_mean) / sqrt(expected_var / n) and
+    var_ratio = unbiased sample variance / expected_var. Requires at least
+    10^4 samples so the 4-sigma conventions used by the checks are meaningful.
+    """
+    data = np.asarray(samples, dtype=np.float64).ravel()
+    if data.size < 10_000:
+        raise ValueError(f"need at least 10000 samples, got {data.size}")
+    if not expected_var > 0:
+        raise ValueError(f"expected variance must be positive, got {expected_var}")
+    z = (float(data.mean()) - expected_mean) / math.sqrt(expected_var / data.size)
+    ratio = float(data.var(ddof=1)) / expected_var
+    return z, ratio
 
 
 def refresh_distribution() -> Check:

@@ -143,14 +143,10 @@ def cmd_energy_curve(config: ExperimentConfig, out_dir: Path, base_dir: Path) ->
         results = run(
             variant, plan, timeline, denoiser, codec, condition, [SeededRng(s) for s in seeds]
         )
-        traces = [
-            analysis.trace_from_run(result, f"{curve_label}:{seed}")
-            for seed, result in zip(seeds, results)
-        ]
-        mean = analysis.mean_trace(traces, curve_label)
-        for step, energy in mean.rows:
-            rows.append(f"{curve_label},{step},{_fmt(energy)}")
-        print(f"{curve_label}: {len(seeds)} run(s), {len(mean.rows)} steps")
+        mean = analysis.mean_trace([analysis.trace_from_run(result) for result in results])
+        for row, energy in zip(results[0].trace, mean):
+            rows.append(f"{curve_label},{row.step},{_fmt(energy)}")
+        print(f"{curve_label}: {len(seeds)} run(s), {len(mean)} steps")
     _write_csv(out_dir / "energy_curves.csv", "label,step,mean_energy", rows)
     return 0
 

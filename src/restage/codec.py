@@ -55,9 +55,10 @@ class ExternalCodec:
     """Codec backed by an external command speaking the file protocol above.
 
     A batch runs one command per grid, at most one per CPU this process may
-    use (``os.sched_getaffinity``) at a time, and reads the outputs once all
-    have exited. A failed call or an interrupt kills and reaps the running
-    commands and removes the batch's files before the error propagates.
+    use (``os.sched_getaffinity``) at a time, starting the next as any one
+    exits, and reads the outputs once all have exited. A failed call or an
+    interrupt kills and reaps the running commands and removes the batch's
+    files before the error propagates.
 
     Args:
         command: Command line to run, split with shell quoting rules.
@@ -80,10 +81,13 @@ class ExternalCodec:
         self.workdir.mkdir(parents=True, exist_ok=True)
 
     def _invoke(self, mode: str, grids: Sequence[LatentGrid]) -> list[LatentGrid]:
-        import subprocess  # imported here so identity-codec runs do not load it
+        import select
+        import subprocess  # imported here so identity-codec runs do not load them
 
         width = len(os.sched_getaffinity(0))
         procs = []
+        pidfds: dict[int, int] = {}  # an open pidfd -> the batch index of its command
+        poller = select.poll()
         with tempfile.TemporaryDirectory(prefix="codec-", dir=self.workdir) as tmp:
             stems = [Path(tmp, str(i)) for i in range(len(grids))]
             for stem, grid in zip(stems, grids):
@@ -95,20 +99,30 @@ class ExternalCodec:
                         [*self._argv, mode, f"{stems[i]}.in", f"{stems[i]}.out"],
                         stdin=subprocess.DEVNULL, stdout=log, stderr=subprocess.STDOUT,
                     ))
+                fd = os.pidfd_open(procs[i].pid)
+                pidfds[fd] = i
+                poller.register(fd, select.POLLIN)
 
             try:
                 for i in range(min(width, len(grids))):
                     start(i)
-                # wait in start order and start the next command as each one
-                # ends, so that at most `width` run at once
-                for i, stem in enumerate(stems):
-                    status = procs[i].wait()
-                    if status != 0:
-                        log = Path(f"{stem}.log").read_text(errors="replace").strip() or "(no output)"
-                        raise CodecError(f"{mode} command exited with status {status}: {log}", index=i)
-                    if len(procs) < len(grids):
-                        start(len(procs))
+                # take commands as they exit, whichever comes first, and start
+                # the next queued one in each one's place, so that at most
+                # `width` run at once and a failure is seen as soon as it exits
+                while pidfds:
+                    for fd, _ in poller.poll():
+                        i = pidfds.pop(fd)
+                        poller.unregister(fd)
+                        os.close(fd)
+                        status = procs[i].wait()
+                        if status != 0:
+                            log = Path(f"{stems[i]}.log").read_text(errors="replace").strip() or "(no output)"
+                            raise CodecError(f"{mode} command exited with status {status}: {log}", index=i)
+                        if len(procs) < len(grids):
+                            start(len(procs))
             finally:
+                for fd in pidfds:
+                    os.close(fd)
                 for proc in procs:
                     if proc.poll() is None:
                         proc.kill()

@@ -45,14 +45,6 @@ class SamplerError(RuntimeError):
         self.seed = seed
 
 
-class StatError(ValueError):
-    """A statistic was requested on insufficient or degenerate data."""
-
-
-class ComparisonError(ValueError):
-    """Traces that must share a step grid do not."""
-
-
 class TensorFormatError(ValueError):
     """Malformed tensor file; ``offset`` is the failing byte position."""
 

@@ -117,4 +117,7 @@ def read_grid(path: str | Path) -> LatentGrid:
     arr = read_tensor(path)
     if arr.ndim != 3:
         raise TensorFormatError(f"expected a rank-3 (C, H, W) tensor, got rank {arr.ndim}", offset=8)
-    return LatentGrid(arr.astype(np.float64))
+    # read_tensor has screened every value finite: adopt the widened copy as it is
+    data = arr.astype(np.float64)
+    data.setflags(write=False)
+    return LatentGrid._adopt(data)

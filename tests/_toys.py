@@ -8,12 +8,14 @@ at module level executes a sampling run. It also holds oracles: the
 direct-difference point-set posterior that the matrix-form kernel is checked
 against, the allocating forms of the update, the guidance combine and the
 Gaussian prediction that the in-place step kernel must match bit for bit,
-and the one-seed noise refresh that the batched boundary must match. Last,
-external codec stubs: scripts speaking the codec file protocol.
+and the one-seed noise refresh that the batched boundary must match. Then
+the two statistics only criteria 07 and 08 use, and last, external codec
+stubs: scripts speaking the codec file protocol.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 import textwrap
 
@@ -217,6 +219,69 @@ def direct_noise_refresh(p_x0, codec, target_height, target_width, alpha_bar_pre
     return ab**0.5 * resized.data + (1.0 - ab) ** 0.5 * eps.data
 
 
+def p_x0_mse_series(
+    snapshots: list[tuple[int, LatentGrid]],
+) -> list[list[tuple[int, float]]]:
+    """Mean squared change between consecutive clean-signal snapshots.
+
+    Each element of a segment is (step, mse) where ``step`` is the later
+    snapshot of the pair. A shape change between consecutive snapshots (a
+    refresh boundary) starts a new segment, so the result is a list of
+    segments; a run at one resolution yields a single segment.
+    """
+    if len(snapshots) < 2:
+        raise ValueError(f"need at least 2 snapshots, got {len(snapshots)}")
+    segments: list[list[tuple[int, float]]] = []
+    current: list[tuple[int, float]] = []
+    for (_, prev), (step, cur) in zip(snapshots, snapshots[1:]):
+        if cur.shape != prev.shape:
+            if current:
+                segments.append(current)
+            current = []
+            continue
+        diff = cur.data - prev.data
+        current.append((step, float(np.mean(diff * diff))))
+    if current:
+        segments.append(current)
+    return segments
+
+
+def monotonicity_stat(pairs: list[tuple[float, float]]) -> float:
+    """Kendall rank correlation with tie correction (the tau-b form).
+
+    ``pairs`` are (setting, response) points, e.g. (omega, mean energy).
+    Returns +1.0 only for a strictly increasing response, -1.0 only for a
+    strictly decreasing one; ties reduce the magnitude.
+    """
+    n = len(pairs)
+    if n < 3 or len({x for x, _ in pairs}) < 3:
+        raise ValueError("need at least 3 points with 3 distinct settings")
+    concordant = discordant = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            dx = pairs[j][0] - pairs[i][0]
+            dy = pairs[j][1] - pairs[i][1]
+            prod = dx * dy
+            if prod > 0:
+                concordant += 1
+            elif prod < 0:
+                discordant += 1
+    n0 = n * (n - 1) // 2
+
+    def tie_pairs(values) -> int:
+        counts: dict[float, int] = {}
+        for v in values:
+            counts[v] = counts.get(v, 0) + 1
+        return sum(c * (c - 1) // 2 for c in counts.values())
+
+    n1 = tie_pairs(x for x, _ in pairs)
+    n2 = tie_pairs(y for _, y in pairs)
+    denom = math.sqrt((n0 - n1) * (n0 - n2))
+    if denom == 0:
+        raise ValueError("all settings or all responses are tied")
+    return (concordant - discordant) / denom
+
+
 def codec_stub(tmp_path, body: str) -> str:
     """Write a codec stub script and return the command invoking it.
 
@@ -252,8 +317,9 @@ BLOCK_CODEC = """\
 """
 
 # granularity 1: copies its input, except that batch index 1 (the codec
-# names element i's input "<i>.in") fails at once while the others sleep;
-# each copy that completes leaves a "done-<i>" marker in DIR
+# names element i's input "<i>.in") fails at once while index 0 sleeps for
+# five seconds and the others for 0.2 s; each copy that completes leaves a
+# "done-<i>" marker in DIR
 FAILS_ON_INDEX_1 = """\
     import os, shutil, sys, time
 
@@ -263,7 +329,7 @@ FAILS_ON_INDEX_1 = """\
     if index == "1":
         print("cannot code this grid", file=sys.stderr)
         sys.exit(3)
-    time.sleep(0.2)
+    time.sleep(5.0 if index == "0" else 0.2)
     shutil.copyfile(src, dst)
     open(os.path.join(DIR, "done-" + index), "w").close()
 """

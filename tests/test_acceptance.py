@@ -25,13 +25,14 @@ from _toys import (
     clustered_shell_prior,
     coarse_prior,
     final_window_energies,
+    monotonicity_stat,
+    p_x0_mse_series,
     post_boundary_energies,
     radius_graded_prior,
     single_plan,
     staged_plan,
 )
 from restage import checks, cli
-from restage.analysis import monotonicity_stat, p_x0_mse_series
 from restage.latent import LatentGrid, SeededRng, gaussian_noise
 from restage.sampler import run
 from restage.tensorfile import read_grid, write_grid

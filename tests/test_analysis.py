@@ -1,69 +1,36 @@
-"""Energy traces, snapshot series, and the run statistics."""
+"""The energy-curve helpers, the checks' z-test, and the two statistics that
+only the acceptance criteria use (kept in _toys)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from restage.analysis import (
-    EnergyTrace,
-    mean_trace,
-    monotonicity_stat,
-    p_x0_mse_series,
-    trace_from_run,
-    z_test_mean_var,
-)
+from restage.analysis import mean_trace, trace_from_run
+from restage.checks import z_test_mean_var
 from restage.denoiser import UNCONDITIONAL, GaussianPrior
-from restage.errors import ComparisonError, StatError
 from restage.latent import LatentGrid, SeededRng
 from restage.sampler import run
 
-from _toys import CODEC, TIMELINE, single_plan
+from _toys import CODEC, TIMELINE, monotonicity_stat, p_x0_mse_series, single_plan
 
 
-def _trace(label, *rows):
-    return EnergyTrace(label=label, rows=tuple(rows))
-
-
-class TestEnergyTrace:
+class TestTraceFromRun:
     def test_from_a_run(self):
         prior = GaussianPrior(LatentGrid.full(4, 16, 16, 0.2), 1.0, TIMELINE)
         (result,) = run(
             "baseline", single_plan(2.0), TIMELINE, prior, CODEC, UNCONDITIONAL, [SeededRng(1)]
         )
-        trace = trace_from_run(result, "demo")
-        assert trace.label == "demo"
-        assert len(trace.rows) == 50
-        assert trace.rows[0] == (0, result.trace[0].latent_energy)
-        assert dict(trace.rows)[17] == result.trace[17].latent_energy
-
-    def test_steps_must_increase(self):
-        with pytest.raises(ValueError, match="increasing"):
-            _trace("t", (0, 1.0), (0, 2.0))
-
-    @pytest.mark.parametrize("bad", [-0.5, float("nan"), float("inf")])
-    def test_energies_must_be_finite_and_non_negative(self, bad):
-        with pytest.raises(ValueError, match="bad energy"):
-            _trace("t", (0, 1.0), (1, bad))
+        trace = trace_from_run(result)
+        assert len(trace) == 50
+        assert trace[0] == result.trace[0].latent_energy
+        assert trace[17] == result.trace[17].latent_energy
 
 
 class TestMeanTrace:
     def test_stepwise_average(self):
-        a = _trace("a", (0, 1.0), (1, 3.0))
-        b = _trace("b", (0, 2.0), (1, 5.0))
-        mean = mean_trace([a, b], "mean")
-        assert mean.label == "mean"
-        assert mean.rows == ((0, 1.5), (1, 4.0))
-
-    def test_requires_traces(self):
-        with pytest.raises(StatError, match="no traces"):
-            mean_trace([], "empty")
-
-    def test_requires_a_shared_step_grid(self):
-        a = _trace("a", (0, 1.0), (1, 3.0))
-        b = _trace("b", (0, 2.0), (2, 5.0))
-        with pytest.raises(ComparisonError, match="step grid"):
-            mean_trace([a, b], "mean")
+        mean = mean_trace([[1.0, 3.0], [2.0, 5.0]])
+        assert mean.tolist() == [1.5, 4.0]
 
 
 class TestSnapshotSeries:
@@ -88,7 +55,7 @@ class TestSnapshotSeries:
         assert segments == [[(1, 1.0)], [(3, 0.25)]]
 
     def test_too_few_snapshots(self):
-        with pytest.raises(StatError, match="at least 2"):
+        with pytest.raises(ValueError, match="at least 2"):
             p_x0_mse_series([(0, LatentGrid.full(1, 1, 1, 0.0))])
 
 
@@ -109,13 +76,13 @@ class TestMonotonicityStat:
         assert monotonicity_stat(pairs) == monotonicity_stat(transformed)
 
     def test_needs_three_distinct_settings(self):
-        with pytest.raises(StatError, match="3 points"):
+        with pytest.raises(ValueError, match="3 points"):
             monotonicity_stat([(1, 1.0), (2, 2.0)])
-        with pytest.raises(StatError, match="3 points"):
+        with pytest.raises(ValueError, match="3 points"):
             monotonicity_stat([(1, 1.0), (1, 2.0), (2, 3.0)])
 
     def test_fully_tied_response_rejected(self):
-        with pytest.raises(StatError, match="tied"):
+        with pytest.raises(ValueError, match="tied"):
             monotonicity_stat([(1, 2.0), (2, 2.0), (3, 2.0)])
 
     def test_agrees_with_the_reference_implementation(self):
@@ -152,9 +119,9 @@ class TestZTest:
         assert 0.95 < ratio < 1.05
 
     def test_sample_size_floor(self):
-        with pytest.raises(StatError, match="10000"):
+        with pytest.raises(ValueError, match="10000"):
             z_test_mean_var(np.zeros(9_999), 0.0, 1.0)
 
     def test_variance_must_be_positive(self):
-        with pytest.raises(StatError, match="variance"):
+        with pytest.raises(ValueError, match="variance"):
             z_test_mean_var(np.zeros(20_000), 0.0, 0.0)

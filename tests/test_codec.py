@@ -188,21 +188,24 @@ class TestConcurrentBatches:
         assert peak == min(width, len(grids))
 
     def test_a_failed_call_kills_the_batch_and_names_its_index(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         workdir = tmp_path / "work"
         codec = ExternalCodec(
             codec_stub(tmp_path, FAILS_ON_INDEX_1.format(dir=str(tmp_path))),
             workdir=workdir,
             granularity=1,
         )
+        start = time.monotonic()
         with pytest.raises(CodecError, match="decode command exited with status 3") as info:
             codec.decode(_integer_grids(3))
+        # index 0 sleeps for five seconds: the failure of index 1 is seen
+        # as it exits, not after the commands started before it
+        assert time.monotonic() - start < 2.5
         assert info.value.index == 1
         assert "cannot code this grid" in str(info.value)
         assert "(batch index 1)" in str(info.value)
         assert list(workdir.iterdir()) == []
-        # with two CPUs, index 2 starts only once index 0 has ended, so it is
-        # still sleeping when the failure is seen: it is killed, and never
-        # finishes its copy
+        # indices 0 and 2 were still sleeping when the failure was seen: they
+        # are killed, and never finish their copies
         time.sleep(0.3)
-        assert sorted(p.name for p in tmp_path.glob("done-*")) == ["done-0"]
+        assert list(tmp_path.glob("done-*")) == []

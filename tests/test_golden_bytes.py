@@ -5,7 +5,9 @@ place, and every later rewrite of the loop is held to them: the promise is
 "no output byte changes", not "within tolerance" (docs/DECISIONS.md entry 5).
 One command is a Gaussian-prior rectified ``sample`` with every p_x0 snapshot
 written; the other a conditional ``energy-curve`` on the clustered-shell point
-set, so both the single-branch and the guided step are covered.
+set, so both the single-branch and the guided step are covered. Two more pin
+the external codec's batch at a rectified boundary (a granularity-2 stub) and
+an ``energy-curve`` over every label under a flat-guidance sweep.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 from restage.cli import main
 from restage.tensorfile import write_tensor
 
-from _toys import clustered_shell_prior
+from _toys import BLOCK_CODEC, clustered_shell_prior, codec_stub
 
 LADDER = """\
     [schedule]
@@ -58,6 +60,27 @@ CURVE = LADDER + """\
     variants = rectified, latent-resize
 """
 
+CODEC_SAMPLE = LADDER + """\
+    resolutions = 16x16, 32x32
+    [denoiser]
+    mean_value = -0.5
+    variance = 2.0
+    [codec]
+    kind = external
+    command = {command}
+    granularity = 2
+    [run]
+    variant = rectified
+    seed = 21
+    run_count = 3
+"""
+
+SWEEP = CURVE.replace(
+    "variants = rectified, latent-resize",
+    "variants = baseline, rectified, latent-resize, snr-corrected, native-baseline, "
+    "rectified-no-rect\n    omegas = 3, 6",
+)
+
 SAMPLE_SHA256 = {
     "final_3.rhrt": "c1df317985a68bda7498af15eca824841222f86bb0c477acbef2f69ed4cd7ee2",
     "final_4.rhrt": "320927f65e2594f5f403d8ab7545762acbb668682ebaae9f68beae97a8640b4c",
@@ -90,6 +113,20 @@ CURVE_SHA256 = {
 }
 
 
+CODEC_SAMPLE_SHA256 = {
+    "final_21.rhrt": "6cdba396f3b3dd6da73c198078eb4560d6a108b6a2643e2e34a0e58a0381fdd4",
+    "final_22.rhrt": "fa9670501727015f6c5ac389d2e86bd8d70305637bc3e6969c52c9093a326967",
+    "final_23.rhrt": "5fa2b67e59d83c764173963e7a1ef06d505f5435f7ff014702fb361618632636",
+    "trace_21.csv": "7d9bc8df7e6c47355f313a6df970b587d6d5abb91846ee566d3c0bba3e079c3c",
+    "trace_22.csv": "c813c75a292935e12db0190e12f71d80957696c2b7c552be6200e62f69e0b6d9",
+    "trace_23.csv": "67fac2600fc82bc31df596f29f2cfbcb8b766a172eeb2d8f7099c8c4a9731171",
+}
+
+SWEEP_SHA256 = {
+    "energy_curves.csv": "c988064dbc233cd7d5580b15ae5927aa854e138c53ee11ac4f8e2ab622b45741",
+}
+
+
 def _written(tmp_path, command, text):
     (tmp_path / "config.ini").write_text(textwrap.dedent(text), encoding="utf-8")
     out = tmp_path / "out"
@@ -105,3 +142,14 @@ def test_conditional_energy_curve_on_the_clustered_shell(tmp_path):
     points = np.stack([p.data for p in clustered_shell_prior().points])
     write_tensor(tmp_path / "points.rhrt", points)
     assert _written(tmp_path, "energy-curve", CURVE) == CURVE_SHA256
+
+
+def test_rectified_sample_through_an_external_codec(tmp_path):
+    command = codec_stub(tmp_path, BLOCK_CODEC)
+    assert _written(tmp_path, "sample", CODEC_SAMPLE.format(command=command)) == CODEC_SAMPLE_SHA256
+
+
+def test_energy_curve_over_every_label_and_a_guidance_sweep(tmp_path):
+    points = np.stack([p.data for p in clustered_shell_prior().points])
+    write_tensor(tmp_path / "points.rhrt", points)
+    assert _written(tmp_path, "energy-curve", SWEEP) == SWEEP_SHA256

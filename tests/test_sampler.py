@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from restage import sampler
+from restage.checks import z_test_mean_var
 from restage.codec import ExternalCodec, IdentityCodec
 from restage.denoiser import UNCONDITIONAL, DatasetPrior, GaussianPrior, cfg_combine
 from restage.errors import DenoiserError, SamplerError, ShapeError
@@ -624,9 +625,6 @@ class TestRunDistribution:
         residuals = np.array(
             [(result.final_p_x0.data - oracle.mean_gain * 0.7).ravel() for result in results]
         )
-
-        from restage.analysis import z_test_mean_var
-
         z, ratio = z_test_mean_var(residuals, 0.0, oracle.noise_gain**2)
         assert abs(z) < 4.0
         assert 0.9 < ratio < 1.1

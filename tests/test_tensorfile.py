@@ -48,6 +48,8 @@ class TestRoundTrip:
         write_grid(path, grid)
         back = read_grid(path)
         assert back.data.dtype == np.float64
+        assert not back.data.flags.writeable
+        assert back.data.tobytes() == read_tensor(path).astype(np.float64).tobytes()
         assert np.array_equal(back.data, grid.data.astype(np.float32).astype(np.float64))
 
 
