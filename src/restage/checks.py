@@ -154,7 +154,7 @@ def oracle_affine() -> Check:
         m_omega=1.0, resolutions=((8, 8),),
     )
     plan = sched.build_plan(ladder, timeline)
-    prior = GaussianPrior(LatentGrid.full(2, 8, 8, 0.4), 1.3, timeline)
+    prior = GaussianPrior(LatentGrid.full(2, 8, 8, 0.4), 1.3)
     codec = IdentityCodec()
     oracle = affine_trajectory_oracle(plan, timeline, prior)
     rngs = [SeededRng(9000 + k) for k in range(100)]

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import schedule as sched
 from .config import ExperimentConfig, build_codec, build_denoiser, check_seed_range, load_config
-from .errors import ConfigError, TensorFormatError
+from .errors import TensorFormatError
 from .latent import LatentGrid, SeededRng
 from .sampler import RunResult, run
 from .tensorfile import read_tensor, write_atomic, write_grid
@@ -44,7 +44,7 @@ def _write_csv(path: Path, header: str, rows: list[str]) -> None:
 def _build_all(config: ExperimentConfig, base_dir: Path):
     timeline = config.build_timeline(config.build_schedule())
     plan = sched.build_plan(config.ladder, timeline)
-    denoiser, condition = build_denoiser(config, timeline, base_dir)
+    denoiser, condition = build_denoiser(config, base_dir)
     return timeline, plan, denoiser, condition, build_codec(config)
 
 
@@ -197,9 +197,9 @@ def cmd_dump_grid(input_path: Path, output_path: Path) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--config", help="experiment config file (INI format)")
+    shared.add_argument("--config", required=True, help="experiment config file (INI format)")
     shared.add_argument("--seed", type=int, help="override the config's base seed")
-    shared.add_argument("--out", help="override the config's output directory")
+    shared.add_argument("--out", default="out", help="output directory (default: out)")
 
     parser = argparse.ArgumentParser(
         prog="restage",
@@ -209,28 +209,25 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("ladder", parents=[shared], help="print and save the staged plan")
     sub.add_parser("sample", parents=[shared], help="run the sampler, write traces and tensors")
     sub.add_parser("energy-curve", parents=[shared], help="average energy curves across variants")
-    verify = sub.add_parser("verify", parents=[shared], help="run property and oracle checks")
+    verify = sub.add_parser("verify", help="run property and oracle checks")
     verify.add_argument(
         "--corrupt",
         choices=["schedule"],
         help="deliberately break one input (negative control for the checks)",
     )
-    dump = sub.add_parser("dump-grid", parents=[shared], help="render a tensor to PGM images")
+    dump = sub.add_parser("dump-grid", help="render a tensor to PGM images")
     dump.add_argument("input", help="input .rhrt tensor file")
     dump.add_argument("output", help="output .pgm path (multi-channel adds _c<k>)")
     return parser
 
 
 def _load(args) -> tuple[ExperimentConfig, Path, Path]:
-    if not args.config:
-        raise ConfigError("--config is required for this command")
     config = load_config(args.config)
     if args.seed is not None:
         check_seed_range(args.seed, config.run.run_count)
         config = replace(config, run=replace(config.run, seed=args.seed))
     base_dir = Path(args.config).resolve().parent
-    out_dir = Path(args.out) if args.out else Path(config.run.output_dir)
-    return config, out_dir, base_dir
+    return config, Path(args.out), base_dir
 
 
 def main(argv=None) -> int:

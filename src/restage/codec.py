@@ -25,7 +25,7 @@ import tempfile
 from collections.abc import Sequence
 from pathlib import Path
 
-from .errors import CodecError, ShapeError
+from .errors import CodecError
 from .latent import LatentGrid, resize_bilinear
 from .tensorfile import read_grid, write_grid
 
@@ -60,13 +60,15 @@ class ExternalCodec:
     interrupt kills and reaps the running commands and removes the batch's
     files before the error propagates.
 
+    A batch's tensor files live in a temporary directory under
+    ``tempfile.gettempdir()``, removed when the batch ends.
+
     Args:
         command: Command line to run, split with shell quoting rules.
-        workdir: Directory for the temporary tensor files; created if absent.
         granularity: Spatial scale factor between latent and decoded space.
     """
 
-    def __init__(self, command: str, workdir: str | Path | None = None, granularity: int = 8):
+    def __init__(self, command: str, granularity: int = 8):
         import shlex  # imported here so identity-codec runs do not load it
 
         argv = shlex.split(command)
@@ -77,8 +79,6 @@ class ExternalCodec:
         self._argv = argv
         self.command = command
         self.granularity = int(granularity)
-        self.workdir = Path(workdir) if workdir is not None else Path(tempfile.gettempdir())
-        self.workdir.mkdir(parents=True, exist_ok=True)
 
     def _invoke(self, mode: str, grids: Sequence[LatentGrid]) -> list[LatentGrid]:
         import select
@@ -88,7 +88,7 @@ class ExternalCodec:
         procs = []
         pidfds: dict[int, int] = {}  # an open pidfd -> the batch index of its command
         poller = select.poll()
-        with tempfile.TemporaryDirectory(prefix="codec-", dir=self.workdir) as tmp:
+        with tempfile.TemporaryDirectory(prefix="codec-") as tmp:
             stems = [Path(tmp, str(i)) for i in range(len(grids))]
             for stem, grid in zip(stems, grids):
                 write_grid(f"{stem}.in", grid)
@@ -141,10 +141,8 @@ class ExternalCodec:
         return _expect("decode", self._invoke("decode", grids), shapes)
 
     def encode(self, grids: Sequence[LatentGrid]) -> list[LatentGrid]:
+        """Encode grids whose dims are multiples of the granularity."""
         g = self.granularity
-        bad = [x.shape[1:] for x in grids if x.height % g or x.width % g]
-        if bad:
-            raise ShapeError(f"encode input dims {bad[0]} not divisible by granularity {g}")
         shapes = [(x.channels, x.height // g, x.width // g) for x in grids]
         return _expect("encode", self._invoke("encode", grids), shapes)
 
@@ -160,8 +158,5 @@ def refresh_resize(
     codec this reduces to a plain latent resample.
     """
     g = codec.granularity
-    if target_height < 1 or target_width < 1:
-        raise ShapeError(f"target dims must be positive, got ({target_height}, {target_width})")
-    resized = [resize_bilinear(d, target_height * g, target_width * g) for d in codec.decode(grids)]
-    shapes = [(x.channels, target_height, target_width) for x in grids]
-    return _expect("refresh resize", codec.encode(resized), shapes)
+    return codec.encode([resize_bilinear(d, target_height * g, target_width * g)
+                         for d in codec.decode(grids)])

@@ -22,13 +22,13 @@ A config file has flat key = value sections:
     seed = 7
     run_count = 1
     snapshot_steps =             ; empty, "all", or comma-separated steps
-    output_dir = out
 
     [energy]                     ; energy-curve command only
     variants = baseline, rectified
     omegas =                     ; optional sweep of flat guidance scales
 
-An absent or empty key takes its default. Validation is total: any unknown
+An absent or empty key takes its default. The output directory is not a
+key: it is the command line's ``--out``. Validation is total: any unknown
 section or key, any missing required key, any empty entry of a comma list,
 and any value outside its domain raises :class:`ConfigError` naming the
 offending field; a ladder whose stages collide raises :class:`PlanError`.
@@ -92,7 +92,6 @@ class RunSpec:
     seed: int = 0
     run_count: int = 1
     snapshot_steps: tuple[int, ...] | str | None = None  # None, "all", or explicit steps
-    output_dir: str = "out"
 
 
 @dataclass(frozen=True)
@@ -293,7 +292,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
         seed=run_sec.value("seed", int, 0),
         run_count=run_sec.value("run_count", int, 1),
         snapshot_steps=snapshot_steps,
-        output_dir=run_sec.value("output_dir", str, "out"),
     )
     run_sec.reject_unknown()
     if run_spec.run_count < 1:
@@ -335,7 +333,7 @@ def check_seed_range(seed: int, run_count: int) -> None:
 
 
 def build_denoiser(
-    config: ExperimentConfig, timeline: SamplerTimeline, base_dir: str | Path = "."
+    config: ExperimentConfig, base_dir: str | Path = "."
 ) -> tuple[Denoiser, Condition]:
     """Instantiate the configured denoiser and the run's condition.
 
@@ -349,7 +347,7 @@ def build_denoiser(
     if spec.kind == "gaussian":
         h, w = config.ladder.resolutions[0]
         mean = LatentGrid.full(4, h, w, spec.mean_value)
-        return GaussianPrior(mean, spec.variance, timeline), UNCONDITIONAL
+        return GaussianPrior(mean, spec.variance), UNCONDITIONAL
     path = Path(spec.path)
     if not path.is_absolute():
         path = Path(base_dir) / path
@@ -368,7 +366,7 @@ def build_denoiser(
     else:
         labels = [0] * len(points)
         condition = UNCONDITIONAL
-    return DatasetPrior(points, labels, timeline), condition
+    return DatasetPrior(points, labels), condition
 
 
 def build_codec(config: ExperimentConfig):

@@ -1,7 +1,7 @@
 """Exactly computable toy denoisers.
 
 Both denoisers answer the same question a trained network would: given a
-noisy latent x_t at sampling step s, predict the noise that was mixed in.
+noisy latent x_t and its noise level ab, predict the noise that was mixed in.
 They do it by Bayes-optimal inference under a known prior over clean
 latents, so every prediction has a closed form the tests can check against.
 
@@ -9,8 +9,9 @@ Prediction always goes through the clean-signal estimate:
 
     eps_hat = (x_t - sqrt(ab) * x0_hat) / sqrt(1 - ab)
 
-where x0_hat is the posterior mean of the clean latent and ab the step's
-retained-signal fraction.
+where x0_hat is the posterior mean of the clean latent and ab the
+retained-signal fraction. A denoiser holds no timeline: ``sampler.run`` reads
+each step's level from the run's timeline and passes it in.
 
 Latents are (B, C, H, W) batches or single (C, H, W) arrays; each latent
 of a batch is predicted on its own.
@@ -22,9 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DenoiserError, ShapeError
+from .errors import ShapeError
 from .latent import LatentGrid, resize_bilinear
-from .schedule import SamplerTimeline
 
 __all__ = [
     "Condition",
@@ -57,33 +57,28 @@ UNCONDITIONAL = Condition()
 class Denoiser:
     """Interface shared by the toy predictors.
 
-    Subclasses provide ``channels`` and :meth:`predict_eps`; they resolve
-    the step's noise level through the timeline they were built with.
+    Subclasses provide ``channels`` and :meth:`predict_eps`.
     """
 
     channels: int
 
     def predict_eps(
-        self, x_t: np.ndarray, step: int, condition: Condition, out: np.ndarray | None = None
+        self, x_t: np.ndarray, alpha_bar: float, condition: Condition, out: np.ndarray | None = None
     ) -> np.ndarray:
-        """Predicted noise for (..., C, H, W) float64 latents, an array of the same shape.
+        """Predicted noise for (..., C, H, W) float64 latents at level ``alpha_bar``.
 
-        The prediction is written into ``out`` and returned when ``out`` is
-        given: a C-contiguous float64 array of x_t's shape that shares no
-        memory with x_t, whose contents are overwritten. Otherwise it is a
-        new array. ``x_t`` is only read. The sampler calls this inside a step,
-        where latents are plain arrays; it does not check finiteness, which
-        the sampler screens per step.
+        The caller guarantees ``alpha_bar`` in (0, 1) and x_t's channel count;
+        ``sampler.run`` passes the levels of a checked timeline. The prediction
+        is written into ``out`` and returned when ``out`` is given: a
+        C-contiguous float64 array of x_t's shape that shares no memory with
+        x_t, whose contents are overwritten. Otherwise it is a new array.
+        ``x_t`` is only read. Finiteness is not checked: the sampler screens
+        it per step.
         """
         raise NotImplementedError
 
     def prepare_resolution(self, height: int, width: int) -> None:
         """Warm any per-resolution state before a stage starts. No-op by default."""
-
-    def _level_at(self, timeline: SamplerTimeline, step: int) -> float:
-        if not 0 <= step < timeline.num_steps:
-            raise DenoiserError(f"step {step} outside the timeline [0, {timeline.num_steps})")
-        return float(timeline.alpha_bar_at_step[step])
 
 
 def _eps_from_x0_hat(x_t: np.ndarray, x0_hat: np.ndarray, ab: float) -> np.ndarray:
@@ -112,12 +107,11 @@ class GaussianPrior(Denoiser):
     channel's spatial mean value is broadcast to the queried shape.
     """
 
-    def __init__(self, mean: LatentGrid, variance: float, timeline: SamplerTimeline):
+    def __init__(self, mean: LatentGrid, variance: float):
         if not variance > 0:
             raise ValueError(f"variance must be positive, got {variance}")
         self.mean = mean
         self.variance = float(variance)
-        self.timeline = timeline
         self.channels = mean.channels
         self._channel_means = mean.data.mean(axis=(1, 2))
 
@@ -129,11 +123,9 @@ class GaussianPrior(Denoiser):
         )
 
     def predict_eps(
-        self, x_t: np.ndarray, step: int, condition: Condition, out: np.ndarray | None = None
+        self, x_t: np.ndarray, alpha_bar: float, condition: Condition, out: np.ndarray | None = None
     ) -> np.ndarray:
-        if x_t.shape[-3] != self.channels:
-            raise DenoiserError(f"expected {self.channels} channels, got {x_t.shape[-3]}")
-        ab = self._level_at(self.timeline, step)
+        ab = alpha_bar
         mean = self.mean_for_shape(*x_t.shape[-2:])
         gain = np.sqrt(ab) * self.variance / (ab * self.variance + 1.0 - ab)
         # x0_hat = mean + gain * (x_t - sqrt(ab) * mean), rounded alike, in out
@@ -162,7 +154,7 @@ class DatasetPrior(Denoiser):
     rows, not the caller's grids.
     """
 
-    def __init__(self, points: list[LatentGrid], labels: list[int], timeline: SamplerTimeline):
+    def __init__(self, points: list[LatentGrid], labels: list[int]):
         if not points:
             raise ValueError("dataset prior needs at least one point")
         if len(labels) != len(points):
@@ -175,7 +167,6 @@ class DatasetPrior(Denoiser):
         native.setflags(write=False)
         self.points = tuple(LatentGrid._adopt(row) for row in native)
         self.labels = tuple(int(l) for l in labels)
-        self.timeline = timeline
         self.channels = shape[0]
         self._stacks: dict[tuple[int, int], np.ndarray] = {(shape[1], shape[2]): native}
         label_array = np.array(self.labels)
@@ -201,19 +192,16 @@ class DatasetPrior(Denoiser):
         if cached is None:
             flat = self.stack_for_shape(height, width).reshape(len(self.points), -1)
             if label is not None:
-                if label not in self._label_rows:
-                    raise DenoiserError(f"no points carry label {label}")
                 flat = flat[self._label_rows[label]]
             cached = (flat, 0.5 * np.einsum("nd,nd->n", flat, flat))
             self._rows[key] = cached
         return cached
 
     def predict_eps(
-        self, x_t: np.ndarray, step: int, condition: Condition, out: np.ndarray | None = None
+        self, x_t: np.ndarray, alpha_bar: float, condition: Condition, out: np.ndarray | None = None
     ) -> np.ndarray:
-        ab = self._level_at(self.timeline, step)
-        x0_hat = dataset_posterior_mean(self, x_t, ab, condition, out)
-        return _eps_from_x0_hat(x_t, x0_hat, ab)
+        x0_hat = dataset_posterior_mean(self, x_t, alpha_bar, condition, out)
+        return _eps_from_x0_hat(x_t, x0_hat, alpha_bar)
 
 
 def dataset_posterior_mean(
@@ -225,9 +213,12 @@ def dataset_posterior_mean(
 ) -> np.ndarray:
     """Posterior mean of the clean latent under a uniform point-set prior.
 
-    ``x_t`` is one (C, H, W) latent or a (B, C, H, W) batch; each latent
-    gets its own weights. The means are written into ``out`` when given (a
-    C-contiguous float64 array of x_t's shape), into a new array otherwise.
+    ``x_t`` is one (C, H, W) latent or a (B, C, H, W) batch with the prior's
+    channel count, at a level ``alpha_bar_t`` in (0, 1), and a conditional
+    branch names a label some point carries; the caller guarantees all
+    three. Each latent gets its own weights. The means are written into
+    ``out`` when given (a C-contiguous float64 array of x_t's shape), into a
+    new array otherwise.
 
     With points p_i at the query resolution, the
     weight of point i for a latent x_t is proportional to
@@ -247,10 +238,6 @@ def dataset_posterior_mean(
     posterior collapses onto the nearest point (ties sharing weight
     equally).
     """
-    if not 0.0 < alpha_bar_t < 1.0:
-        raise ValueError(f"alpha_bar_t must lie in (0, 1), got {alpha_bar_t}")
-    if x_t.shape[-3] != prior.channels:
-        raise DenoiserError(f"expected {prior.channels} channels, got {x_t.shape[-3]}")
     flat, half_sq_norms = prior._rows_for(*x_t.shape[-2:], condition.label)
     dots = x_t.reshape(-1, flat.shape[1]) @ flat.T
     log_w = (np.sqrt(alpha_bar_t) * dots - alpha_bar_t * half_sq_norms) / (1.0 - alpha_bar_t)
@@ -271,14 +258,10 @@ def cfg_combine(eps_uncond: np.ndarray, eps_cond: np.ndarray, omega: float) -> n
     omega = 1 returns the conditional branch, omega = 0 the unconditional
     one; values beyond 1 extrapolate along the branch difference. The result
     is written into eps_uncond's buffer and returned, and eps_cond's buffer
-    is overwritten on the way, so the two must be separate buffers; the
-    rounding is that of the expression above. One array passed as both
-    branches is returned unchanged, since the difference term is zero.
+    is overwritten on the way, so the two must be separate buffers of one
+    shape; the rounding is that of the expression above. One array passed
+    as both branches is returned unchanged, since the difference term is zero.
     """
-    if eps_uncond.shape != eps_cond.shape:
-        raise ShapeError(
-            f"branch shapes differ: {eps_uncond.shape} vs {eps_cond.shape}"
-        )
     if eps_cond is eps_uncond:
         return eps_uncond
     eps_cond -= eps_uncond

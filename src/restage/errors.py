@@ -20,10 +20,6 @@ class ShapeError(ValueError):
     """Operands have incompatible grid shapes."""
 
 
-class DenoiserError(ValueError):
-    """A denoiser was queried outside the inputs it supports."""
-
-
 class CodecError(RuntimeError):
     """Decode or encode failed; carries the external diagnostic when present
     and, in ``index``, the failing grid's position in its batch, or None."""

@@ -127,8 +127,6 @@ class SeededRng:
 
 def gaussian_noise(channels: int, height: int, width: int, rng: np.random.Generator) -> LatentGrid:
     """Draw a standard-normal grid of the given shape from ``rng``."""
-    if channels < 1 or height < 1 or width < 1:
-        raise ShapeError(f"noise dimensions must be positive, got ({channels}, {height}, {width})")
     return LatentGrid(rng.standard_normal((channels, height, width)))
 
 

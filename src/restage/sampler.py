@@ -6,10 +6,17 @@ array. Each step s:
 1. If s is a stage boundary, each seed's latent is rebuilt for the new stage
    first (see below), and the step is recorded with its ``refreshed`` flag set.
 2. The denoiser predicts both guidance branches at the current latents and
-   they are combined with the stage's guidance scale omega.
+   the step's noise level, and they are combined with the stage's guidance
+   scale omega.
 3. One deterministic update produces the clean-signal estimates p_x0 and
    the next latents, using the step's noise level and its successor's (the
    trailing post-terminal level 1.0 makes the final update return p_x0).
+
+``run`` alone reads levels from the timeline, once per step, and hands each
+to the boundary refresh, both denoiser branches and the update. The kernels
+it calls trust the levels and shapes it passes and check neither: the
+timeline was checked when built and the shapes at the run's entry, and the
+per-step energy screen still fails a bad value at its step.
 
 Inside a step the latents, both predictions and the clean estimates are
 plain float64 ndarrays, one row per seed; every step function acts row by
@@ -108,18 +115,10 @@ def ddim_step(
 
     p_x0 is a new array. Both inputs are consumed: x_prev is written into
     x_t's buffer (x_prev is x_t), and eps_tilde's buffer is overwritten as
-    scratch, so the two must not share memory. The rounding is that of the
-    expressions above. ab_prev = 1 collapses x_prev onto p_x0; ab_t = 0 is
-    singular and rejected.
+    scratch, so the two must not share memory and must have one shape. The
+    rounding is that of the expressions above. Both levels lie in (0, 1]
+    (ab_t = 0 would be singular); ab_prev = 1 collapses x_prev onto p_x0.
     """
-    if x_t.shape != eps_tilde.shape:
-        raise ShapeError(f"latent shape {x_t.shape} does not match prediction {eps_tilde.shape}")
-    if alpha_bar_t == 0.0:
-        raise ValueError("alpha_bar_t = 0 leaves no signal to recover; the update is singular")
-    if not 0.0 < alpha_bar_t <= 1.0:
-        raise ValueError(f"alpha_bar_t must lie in (0, 1], got {alpha_bar_t}")
-    if not 0.0 < alpha_bar_prev <= 1.0:
-        raise ValueError(f"alpha_bar_prev must lie in (0, 1], got {alpha_bar_prev}")
     ab_t = float(alpha_bar_t)
     ab_p = float(alpha_bar_prev)
     p_x0 = np.multiply(eps_tilde, (1.0 - ab_t) ** 0.5)
@@ -147,19 +146,16 @@ def noise_refresh(
         sqrt(ab_prev) * resized + sqrt(1 - ab_prev) * eps
 
     Returns the new (B, C, H, W) latents. ``eps_grids`` yields one grid per
-    estimate, shaped like its target, and is drawn from row by row. ab_prev = 1
-    (with zero noise) is allowed as a diagnostic and returns the resized estimates.
+    estimate, shaped like its target, and is drawn from row by row. ab_prev
+    lies in (0, 1]; ab_prev = 1 (with zero noise) is allowed as a diagnostic
+    and returns the resized estimates.
     """
-    if not 0.0 < alpha_bar_prev <= 1.0:
-        raise ValueError(f"alpha_bar_prev must lie in (0, 1], got {alpha_bar_prev}")
     resized = refresh_resize(codec, p_x0_grids, target_height, target_width)
     ab = float(alpha_bar_prev)
     out = np.empty((len(resized), *resized[0].shape))
     # row by row, releasing each resized estimate once its row is written, so
     # the batch holds about one copy of the new latents at a time
     for b, (row, eps) in enumerate(zip(out, eps_grids, strict=True)):
-        if eps.shape != row.shape:
-            raise ShapeError(f"fresh noise shape {eps.shape} does not match target {row.shape}")
         np.multiply(resized[b].data, ab**0.5, out=row)
         resized[b] = None
         row += (1.0 - ab) ** 0.5 * eps.data
@@ -201,7 +197,7 @@ def run(
     Args:
         variant: One of ``VARIANTS``.
         plan: Stage layout; must cover exactly the timeline's steps.
-        timeline: Step-to-noise-level mapping.
+        timeline: Step-to-noise-level mapping, the run's one source of levels.
         denoiser: Noise predictor queried twice per step (once per branch;
             the second call is skipped when the condition is unconditional).
         codec: Decode/encode pair; a rectified boundary passes it all seeds at once.
@@ -240,11 +236,8 @@ def run(
         (bh, bw), (th, tw) = plan.base_resolution, plan.target_resolution
         gamma = float((th / bh) * (tw / bw)) ** 2
 
-    def level(idx: int) -> float:
-        ab = float(timeline.alpha_bar_at_step[idx])
-        if variant == "snr-corrected":
-            return snr_corrected_alpha_bar(ab, gamma)
-        return ab
+    def update_level(ab: float) -> float:
+        return snr_corrected_alpha_bar(ab, gamma) if variant == "snr-corrected" else ab
 
     stage_entry = {st.first_step: st for st in stages[1:]}
     first = stages[0]
@@ -276,6 +269,7 @@ def run(
     stage = first
     eps_u, eps_c = workspace(x)
     for step in range(timeline.num_steps):
+        ab = float(timeline.alpha_bar_at_step[step])
         refreshed = False
         entered = stage_entry.get(step)
         if entered is not None:
@@ -285,7 +279,7 @@ def run(
             try:
                 if variant == "rectified":
                     x = noise_refresh(
-                        [LatentGrid._adopt(p) for p in p_x0], codec, h, w, level(step),
+                        [LatentGrid._adopt(p) for p in p_x0], codec, h, w, ab,
                         (gaussian_noise(channels, h, w, r.stream("refresh", stage.index))
                          for r in rngs),
                     )
@@ -307,11 +301,14 @@ def run(
             bad_in = {
                 b for b in np.flatnonzero(~np.isfinite(energy_in)) if not np.isfinite(x[b]).all()
             }
-            eps_tilde = denoiser.predict_eps(x, step, UNCONDITIONAL, out=eps_u)
+            eps_tilde = denoiser.predict_eps(x, ab, UNCONDITIONAL, out=eps_u)
             if guided:
-                eps_cond = denoiser.predict_eps(x, step, condition, out=eps_c)
+                eps_cond = denoiser.predict_eps(x, ab, condition, out=eps_c)
                 eps_tilde = cfg_combine(eps_tilde, eps_cond, stage.omega)
-            x, p_x0 = ddim_step(x, eps_tilde, level(step), level(step + 1))
+            # snr-corrected moves only the update's levels: both branches above
+            # saw the timeline's own level ab, and only ddim_step sees corrected ones
+            ab_next = float(timeline.alpha_bar_at_step[step + 1])
+            x, p_x0 = ddim_step(x, eps_tilde, update_level(ab), update_level(ab_next))
         except (ValueError, RuntimeError) as exc:
             raise _failure(exc, step) from exc
         p_x0.setflags(write=False)
@@ -343,10 +340,6 @@ class AffineTrajectory:
     mean_gain: float
 
     def apply(self, initial_noise: LatentGrid, mean: LatentGrid) -> LatentGrid:
-        if initial_noise.shape != mean.shape:
-            raise ShapeError(
-                f"noise shape {initial_noise.shape} does not match mean shape {mean.shape}"
-            )
         return LatentGrid(self.noise_gain * initial_noise.data + self.mean_gain * mean.data)
 
 

@@ -334,13 +334,9 @@ def snr_corrected_alpha_bar(alpha_bar_t: float, gamma: float) -> float:
 
         alpha_bar' = alpha_bar / (gamma - (gamma - 1) * alpha_bar)
 
-    gamma = 1 is the identity; the endpoints 0 and 1 are fixed points for
-    every gamma.
+    Defined for alpha_bar_t in [0, 1] and gamma >= 1. gamma = 1 is the
+    identity; the endpoints 0 and 1 are fixed points for every gamma.
     """
-    if not gamma >= 1.0:
-        raise ValueError(f"gamma must be >= 1, got {gamma}")
-    if not 0.0 <= alpha_bar_t <= 1.0:
-        raise ValueError(f"alpha_bar_t must lie in [0, 1], got {alpha_bar_t}")
     return alpha_bar_t / (gamma - (gamma - 1.0) * alpha_bar_t)
 
 
@@ -349,12 +345,8 @@ def ddim_step_coefficients(alpha_bar_t: float, alpha_bar_prev: float) -> tuple[f
 
     The update x_prev = sqrt(ab_prev) * p_x0 + sqrt(1 - ab_prev) * eps with
     p_x0 = (x_t - sqrt(1 - ab_t) * eps) / sqrt(ab_t) regrouped as
-    x_prev = a * x_t + b * eps.
+    x_prev = a * x_t + b * eps. Both levels lie in (0, 1].
     """
-    if not 0.0 < alpha_bar_t <= 1.0:
-        raise ValueError(f"alpha_bar_t must lie in (0, 1], got {alpha_bar_t}")
-    if not 0.0 < alpha_bar_prev <= 1.0:
-        raise ValueError(f"alpha_bar_prev must lie in (0, 1], got {alpha_bar_prev}")
     a = math.sqrt(alpha_bar_prev / alpha_bar_t)
     b = math.sqrt(1.0 - alpha_bar_prev) - math.sqrt(alpha_bar_prev * (1.0 - alpha_bar_t) / alpha_bar_t)
     return a, b
@@ -374,14 +366,8 @@ def snr_rewritten_step_coefficients(
                 * (sqrt(1 - ab_prev) - sqrt(ab_prev) * sqrt(1 - ab_t) / sqrt(ab_t))
 
     which exposes the correction as two bounded gain factors on the plain
-    update.
+    update. Both levels lie in (0, 1] and gamma >= 1.
     """
-    if not gamma >= 1.0:
-        raise ValueError(f"gamma must be >= 1, got {gamma}")
-    if not 0.0 < alpha_bar_t <= 1.0:
-        raise ValueError(f"alpha_bar_t must lie in (0, 1], got {alpha_bar_t}")
-    if not 0.0 < alpha_bar_prev <= 1.0:
-        raise ValueError(f"alpha_bar_prev must lie in (0, 1], got {alpha_bar_prev}")
     d_t = gamma - (gamma - 1.0) * alpha_bar_t
     d_prev = gamma - (gamma - 1.0) * alpha_bar_prev
     a = math.sqrt(d_t / d_prev) * math.sqrt(alpha_bar_prev / alpha_bar_t)
@@ -395,11 +381,8 @@ def snr_rewritten_step_coefficients(
 def snr_energy_coefficient(alpha_bar_prev: float, gamma: float) -> float:
     """Gain gamma / (gamma - (gamma - 1) * ab_prev) on the injected noise term.
 
-    Lies in [1, gamma] for ab_prev in [0, 1]: the correction never shrinks
-    the noise term and never amplifies it beyond gamma.
+    Defined for gamma >= 1, and lies in [1, gamma] for ab_prev in [0, 1]:
+    the correction never shrinks the noise term and never amplifies it
+    beyond gamma.
     """
-    if not gamma >= 1.0:
-        raise ValueError(f"gamma must be >= 1, got {gamma}")
-    if not 0.0 <= alpha_bar_prev <= 1.0:
-        raise ValueError(f"alpha_bar_prev must lie in [0, 1], got {alpha_bar_prev}")
     return gamma / (gamma - (gamma - 1.0) * alpha_bar_prev)

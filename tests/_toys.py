@@ -23,7 +23,6 @@ import numpy as np
 
 from restage.codec import IdentityCodec, refresh_resize
 from restage.denoiser import Condition, DatasetPrior
-from restage.errors import DenoiserError
 from restage.latent import LatentGrid
 from restage.schedule import LadderConfig, NoiseSchedule, build_plan, build_schedule, build_timeline
 
@@ -78,7 +77,7 @@ def final_window_energies(result):
     return np.array([r.latent_energy for r in result.trace if 40 <= r.step < 50])
 
 
-def clustered_shell_prior(timeline=TIMELINE):
+def clustered_shell_prior():
     """64 points at 4x16x16 whose guided branch resists the boundary's smoothing.
 
     Class 0 is organised as 16 near-duplicate pairs (12 of which carry two
@@ -124,10 +123,10 @@ def clustered_shell_prior(timeline=TIMELINE):
         points.append(LatentGrid(draw()))
         labels.append(0)
     assert len(points) == 64
-    return DatasetPrior(points, labels, timeline)
+    return DatasetPrior(points, labels)
 
 
-def radius_graded_prior(timeline=TIMELINE):
+def radius_graded_prior():
     """64 points with RMS graded over [0.054, 0.066]; the outer half is class 0.
 
     Guidance toward class 0 pulls the run outward, and more guidance pulls
@@ -142,10 +141,10 @@ def radius_graded_prior(timeline=TIMELINE):
         g *= (0.06 * radius * np.sqrt(CHANNELS * BASE * BASE)) / np.linalg.norm(g)
         points.append(LatentGrid(g))
         labels.append(0 if radius > 1.0 else 1)
-    return DatasetPrior(points, labels, timeline)
+    return DatasetPrior(points, labels)
 
 
-def coarse_prior(timeline=TIMELINE):
+def coarse_prior():
     """16 well-separated unit-RMS points, one class.
 
     The posterior decides between them early in a run, after which the
@@ -157,7 +156,7 @@ def coarse_prior(timeline=TIMELINE):
         g = rng.normal(0.0, 1.0, size=(CHANNELS, BASE, BASE))
         g *= np.sqrt(CHANNELS * BASE * BASE) / np.linalg.norm(g)
         points.append(LatentGrid(g))
-    return DatasetPrior(points, [0] * 16, timeline)
+    return DatasetPrior(points, [0] * 16)
 
 
 def direct_posterior_mean(prior, x_t, alpha_bar_t, condition):
@@ -170,12 +169,12 @@ def direct_posterior_mean(prior, x_t, alpha_bar_t, condition):
     if not 0.0 < alpha_bar_t < 1.0:
         raise ValueError(f"alpha_bar_t must lie in (0, 1), got {alpha_bar_t}")
     if x_t.channels != prior.channels:
-        raise DenoiserError(f"expected {prior.channels} channels, got {x_t.channels}")
+        raise ValueError(f"expected {prior.channels} channels, got {x_t.channels}")
     stack = prior.stack_for_shape(x_t.height, x_t.width)
     if condition.is_conditional:
         mask = np.array([lab == condition.label for lab in prior.labels])
         if not mask.any():
-            raise DenoiserError(f"no points carry label {condition.label}")
+            raise ValueError(f"no points carry label {condition.label}")
         stack = stack[mask]
     diffs = x_t.data[None, ...] - np.sqrt(alpha_bar_t) * stack
     log_w = -np.sum(diffs * diffs, axis=(1, 2, 3)) / (2.0 * (1.0 - alpha_bar_t))
@@ -202,9 +201,8 @@ def direct_cfg_combine(eps_uncond, eps_cond, omega):
     return eps_uncond + omega * (eps_cond - eps_uncond)
 
 
-def direct_gaussian_eps(prior, x_t, step):
-    """GaussianPrior's prediction through a new x0_hat array."""
-    ab = float(prior.timeline.alpha_bar_at_step[step])
+def direct_gaussian_eps(prior, x_t, ab):
+    """GaussianPrior's prediction at level ``ab`` through a new x0_hat array."""
     mean = prior.mean_for_shape(*x_t.shape[-2:])
     gain = np.sqrt(ab) * prior.variance / (ab * prior.variance + 1.0 - ab)
     x0_hat = mean + gain * (x_t - np.sqrt(ab) * mean)

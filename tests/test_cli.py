@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import tempfile
 import textwrap
 
 import numpy as np
@@ -140,10 +139,11 @@ class TestSample:
 
     def test_a_failing_seed_leaves_no_trace_or_final_file(self, tmp_path, capsys, monkeypatch):
         predict = GaussianPrior.predict_eps
+        level_7 = build_timeline(build_schedule(), 10).alpha_bar_at_step[7]
 
-        def poisoned(self, x_t, step, condition, out=None):
-            eps = predict(self, x_t, step, condition, out)
-            if step == 7:
+        def poisoned(self, x_t, alpha_bar, condition, out=None):
+            eps = predict(self, x_t, alpha_bar, condition, out)
+            if alpha_bar == level_7:
                 eps[1] = np.nan  # the batch's second seed only
             return eps
 
@@ -154,9 +154,7 @@ class TestSample:
         assert "error: step 7, seed 5: latent grid contains non-finite values" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
-    def test_a_failing_codec_call_leaves_no_output_or_codec_file(self, tmp_path, capsys, monkeypatch):
-        workdir = tmp_path / "tmp"
-        monkeypatch.setattr(tempfile, "tempdir", str(workdir))  # the codec's default workdir
+    def test_a_failing_codec_call_leaves_no_output_or_codec_file(self, tmp_path, codec_tmp, capsys):
         command = codec_stub(tmp_path, FAILS_ON_INDEX_1.format(dir=str(tmp_path)))
         cfg = _config(
             tmp_path,
@@ -170,7 +168,7 @@ class TestSample:
         assert "error: step 5, seed 1: decode command exited with status 3" in err
         assert "(batch index 1)" in err
         assert list(out.iterdir()) == []
-        assert list(workdir.glob("codec-*")) == []
+        assert list(codec_tmp.glob("codec-*")) == []
 
     @pytest.mark.parametrize("command", ["sample", "energy-curve"])
     def test_an_overflowing_energy_fails_both_commands_at_its_step(self, tmp_path, capsys, command):
@@ -337,8 +335,24 @@ class TestDumpGrid:
 
 class TestErrors:
     def test_config_is_required(self, capsys):
-        assert main(["sample"]) == 1
-        assert "error: --config is required" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as info:
+            main(["sample"])
+        assert info.value.code == 2
+        assert "the following arguments are required: --config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--seed", "5"],
+            ["verify", "--out", "/nonexistent/x"],
+            ["dump-grid", "--config", "x.ini", "in.rhrt", "out.pgm"],
+        ],
+    )
+    def test_verify_and_dump_grid_take_no_config_flags(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["ladder", "--config", str(tmp_path / "nope.ini")]) == 1

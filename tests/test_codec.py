@@ -52,14 +52,14 @@ class TestRefreshResize:
 
 
 class TestExternalCodec:
-    def test_construction_validation(self, tmp_path):
+    def test_construction_validation(self):
         with pytest.raises(ValueError, match="empty"):
-            ExternalCodec("", workdir=tmp_path)
+            ExternalCodec("")
         with pytest.raises(ValueError, match="granularity"):
-            ExternalCodec("true", workdir=tmp_path, granularity=0)
+            ExternalCodec("true", granularity=0)
 
-    def test_decode_scales_by_the_granularity(self, tmp_path):
-        codec = ExternalCodec(codec_stub(tmp_path, BLOCK_CODEC), workdir=tmp_path, granularity=2)
+    def test_decode_scales_by_the_granularity(self, tmp_path, codec_tmp):
+        codec = ExternalCodec(codec_stub(tmp_path, BLOCK_CODEC), granularity=2)
         grid = LatentGrid([[[1.0, 2.0], [3.0, 4.0]]])
         (decoded,) = codec.decode([grid])
         assert decoded.shape == (1, 4, 4)
@@ -68,25 +68,20 @@ class TestExternalCodec:
             np.repeat(np.repeat(grid.data, 2, axis=1), 2, axis=2),
         )
 
-    def test_encode_inverts_decode_on_storable_values(self, tmp_path):
-        codec = ExternalCodec(codec_stub(tmp_path, BLOCK_CODEC), workdir=tmp_path, granularity=2)
+    def test_encode_inverts_decode_on_storable_values(self, tmp_path, codec_tmp):
+        codec = ExternalCodec(codec_stub(tmp_path, BLOCK_CODEC), granularity=2)
         # integer-valued grid survives the float32 transport exactly
         grid = LatentGrid(np.arange(8.0).reshape(2, 2, 2))
         (back,) = codec.encode(codec.decode([grid]))
         assert np.array_equal(back.data, grid.data)
 
-    def test_refresh_resize_through_the_external_codec(self, tmp_path):
-        codec = ExternalCodec(codec_stub(tmp_path, BLOCK_CODEC), workdir=tmp_path, granularity=2)
+    def test_refresh_resize_through_the_external_codec(self, tmp_path, codec_tmp):
+        codec = ExternalCodec(codec_stub(tmp_path, BLOCK_CODEC), granularity=2)
         (out,) = refresh_resize(codec, [LatentGrid.full(1, 2, 2, 3.0)], 4, 4)
         assert out.shape == (1, 4, 4)
         assert np.allclose(out.data, 3.0, atol=1e-6)
 
-    def test_encode_requires_divisible_dims(self, tmp_path):
-        codec = ExternalCodec(codec_stub(tmp_path, BLOCK_CODEC), workdir=tmp_path, granularity=2)
-        with pytest.raises(ShapeError, match="not divisible"):
-            codec.encode([LatentGrid.full(1, 3, 3, 0.0)])
-
-    def test_nonzero_exit_surfaces_stderr(self, tmp_path):
+    def test_nonzero_exit_surfaces_stderr(self, tmp_path, codec_tmp):
         command = codec_stub(
             tmp_path,
             """\
@@ -95,12 +90,12 @@ class TestExternalCodec:
             sys.exit(3)
             """,
         )
-        codec = ExternalCodec(command, workdir=tmp_path, granularity=2)
+        codec = ExternalCodec(command, granularity=2)
         with pytest.raises(CodecError, match="status 3") as info:
             codec.decode([LatentGrid.full(1, 2, 2, 0.0)])
         assert "boom" in str(info.value)
 
-    def test_unreadable_output(self, tmp_path):
+    def test_unreadable_output(self, tmp_path, codec_tmp):
         command = codec_stub(
             tmp_path,
             """\
@@ -109,11 +104,11 @@ class TestExternalCodec:
                 fh.write(b"garbage")
             """,
         )
-        codec = ExternalCodec(command, workdir=tmp_path, granularity=2)
+        codec = ExternalCodec(command, granularity=2)
         with pytest.raises(CodecError, match="unreadable"):
             codec.decode([LatentGrid.full(1, 2, 2, 0.0)])
 
-    def test_wrong_decode_shape(self, tmp_path):
+    def test_wrong_decode_shape(self, tmp_path, codec_tmp):
         command = codec_stub(
             tmp_path,
             """\
@@ -122,15 +117,14 @@ class TestExternalCodec:
             shutil.copyfile(sys.argv[2], sys.argv[3])
             """,
         )
-        codec = ExternalCodec(command, workdir=tmp_path, granularity=2)
+        codec = ExternalCodec(command, granularity=2)
         with pytest.raises(CodecError, match="decode returned shape"):
             codec.decode([LatentGrid.full(1, 2, 2, 0.0)])
 
-    def test_temp_files_are_cleaned_up(self, tmp_path):
-        workdir = tmp_path / "scratch"
-        codec = ExternalCodec(codec_stub(tmp_path, BLOCK_CODEC), workdir=workdir, granularity=2)
+    def test_temp_files_are_cleaned_up(self, tmp_path, codec_tmp):
+        codec = ExternalCodec(codec_stub(tmp_path, BLOCK_CODEC), granularity=2)
         codec.decode([LatentGrid.full(1, 2, 2, 0.0)])
-        assert list(workdir.glob("codec-*")) == []
+        assert list(codec_tmp.glob("codec-*")) == []
 
 
 def _integer_grids(n, shape=(2, 4, 4)):
@@ -153,8 +147,8 @@ LOGGED_COPY = """\
 
 
 class TestConcurrentBatches:
-    def test_a_batch_matches_one_grid_calls(self, tmp_path):
-        codec = ExternalCodec(codec_stub(tmp_path, BLOCK_CODEC), workdir=tmp_path, granularity=2)
+    def test_a_batch_matches_one_grid_calls(self, tmp_path, codec_tmp):
+        codec = ExternalCodec(codec_stub(tmp_path, BLOCK_CODEC), granularity=2)
         grids = _integer_grids(3)
         decoded = codec._invoke("decode", grids)
         encoded = codec._invoke("encode", decoded)
@@ -166,13 +160,15 @@ class TestConcurrentBatches:
             assert np.array_equal(enc.data, grid.data)
 
     @pytest.mark.parametrize("one_cpu", [False, True])
-    def test_at_most_one_command_per_cpu_runs_at_once(self, tmp_path, monkeypatch, one_cpu):
+    def test_at_most_one_command_per_cpu_runs_at_once(
+        self, tmp_path, codec_tmp, monkeypatch, one_cpu
+    ):
         if one_cpu:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         width = len(os.sched_getaffinity(0))
         log = tmp_path / "spans.log"
         codec = ExternalCodec(
-            codec_stub(tmp_path, LOGGED_COPY.format(log=str(log))), workdir=tmp_path, granularity=1
+            codec_stub(tmp_path, LOGGED_COPY.format(log=str(log))), granularity=1
         )
         grids = _integer_grids(3)
         out = codec.decode(grids)
@@ -187,13 +183,12 @@ class TestConcurrentBatches:
             peak = max(peak, running)
         assert peak == min(width, len(grids))
 
-    def test_a_failed_call_kills_the_batch_and_names_its_index(self, tmp_path, monkeypatch):
+    def test_a_failed_call_kills_the_batch_and_names_its_index(
+        self, tmp_path, codec_tmp, monkeypatch
+    ):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-        workdir = tmp_path / "work"
         codec = ExternalCodec(
-            codec_stub(tmp_path, FAILS_ON_INDEX_1.format(dir=str(tmp_path))),
-            workdir=workdir,
-            granularity=1,
+            codec_stub(tmp_path, FAILS_ON_INDEX_1.format(dir=str(tmp_path))), granularity=1
         )
         start = time.monotonic()
         with pytest.raises(CodecError, match="decode command exited with status 3") as info:
@@ -204,7 +199,7 @@ class TestConcurrentBatches:
         assert info.value.index == 1
         assert "cannot code this grid" in str(info.value)
         assert "(batch index 1)" in str(info.value)
-        assert list(workdir.iterdir()) == []
+        assert list(codec_tmp.iterdir()) == []
         # indices 0 and 2 were still sleeping when the failure was seen: they
         # are killed, and never finish their copies
         time.sleep(0.3)

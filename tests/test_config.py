@@ -13,8 +13,6 @@ from restage.denoiser import Condition, DatasetPrior, GaussianPrior, UNCONDITION
 from restage.errors import ConfigError, PlanError
 from restage.tensorfile import write_tensor
 
-from _toys import TIMELINE
-
 MINIMAL = """\
     [schedule]
     num_steps = 50
@@ -41,7 +39,6 @@ class TestDefaults:
         assert config.run.variant == "baseline"
         assert (config.run.seed, config.run.run_count) == (0, 1)
         assert config.run.snapshot_steps is None
-        assert config.run.output_dir == "out"
         assert config.energy.variants == () and config.energy.omegas == ()
 
     def test_builders_use_the_schedule_section(self, tmp_path):
@@ -110,6 +107,9 @@ class TestValidation:
         # boundaries always resample bilinearly; the old option is gone
         with pytest.raises(ConfigError, match="codec.resize_method: unknown key"):
             _load(tmp_path, MINIMAL + "[codec]\nresize_method = bilinear\n")
+        # the output directory is the command line's --out alone
+        with pytest.raises(ConfigError, match="run.output_dir: unknown key"):
+            _load(tmp_path, MINIMAL + "[run]\noutput_dir = out\n")
         # the training schedule is a constant of restage.schedule, not an option
         # (beta_end and train_steps are the test_bad_values cases of the same kind)
         for key, value in [("kind", "linear"), ("beta_start", "0.001")]:
@@ -247,7 +247,7 @@ class TestEnergySection:
 class TestBuildDenoiser:
     def test_gaussian_prior_at_the_base_resolution(self, tmp_path):
         config = _load(tmp_path, MINIMAL + "[denoiser]\nmean_value = 0.25\nvariance = 1.5\n")
-        denoiser, condition = build_denoiser(config, TIMELINE, tmp_path)
+        denoiser, condition = build_denoiser(config, tmp_path)
         assert isinstance(denoiser, GaussianPrior)
         assert denoiser.mean.shape == (4, 16, 16)
         assert np.all(denoiser.mean.data == 0.25)
@@ -263,14 +263,14 @@ class TestBuildDenoiser:
         )
 
     def test_dataset_prior_unconditional(self, tmp_path):
-        denoiser, condition = build_denoiser(self._dataset_config(tmp_path, False), TIMELINE, tmp_path)
+        denoiser, condition = build_denoiser(self._dataset_config(tmp_path, False), tmp_path)
         assert isinstance(denoiser, DatasetPrior)
         assert len(denoiser.points) == 6
         assert denoiser.labels == (0,) * 6
         assert condition is UNCONDITIONAL
 
     def test_dataset_prior_conditional_alternates_labels(self, tmp_path):
-        denoiser, condition = build_denoiser(self._dataset_config(tmp_path, True), TIMELINE, tmp_path)
+        denoiser, condition = build_denoiser(self._dataset_config(tmp_path, True), tmp_path)
         assert denoiser.labels == (0, 1, 0, 1, 0, 1)
         assert condition == Condition(label=0)
 
@@ -278,12 +278,12 @@ class TestBuildDenoiser:
         write_tensor(tmp_path / "points.rhrt", np.zeros((4, 16, 16)))
         config = _load(tmp_path, MINIMAL + "[denoiser]\nkind = dataset\npath = points.rhrt\n")
         with pytest.raises(ConfigError, match="rank-4"):
-            build_denoiser(config, TIMELINE, tmp_path)
+            build_denoiser(config, tmp_path)
 
     def test_missing_dataset_file(self, tmp_path):
         config = _load(tmp_path, MINIMAL + "[denoiser]\nkind = dataset\npath = nope.rhrt\n")
         with pytest.raises(ConfigError, match="cannot load"):
-            build_denoiser(config, TIMELINE, tmp_path)
+            build_denoiser(config, tmp_path)
 
 
 class TestBuildCodec:

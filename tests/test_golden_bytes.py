@@ -7,7 +7,9 @@ One command is a Gaussian-prior rectified ``sample`` with every p_x0 snapshot
 written; the other a conditional ``energy-curve`` on the clustered-shell point
 set, so both the single-branch and the guided step are covered. Two more pin
 the external codec's batch at a rectified boundary (a granularity-2 stub) and
-an ``energy-curve`` over every label under a flat-guidance sweep.
+an ``energy-curve`` over every label under a flat-guidance sweep. The last
+two pin what ``restage verify`` prints, passing and under its negative
+control, so every figure its checks measure is held to the byte as well.
 """
 
 from __future__ import annotations
@@ -126,6 +128,9 @@ SWEEP_SHA256 = {
     "energy_curves.csv": "c988064dbc233cd7d5580b15ae5927aa854e138c53ee11ac4f8e2ab622b45741",
 }
 
+VERIFY_SHA256 = "9f8c952378d692df48d58c6118affabbe45d2a4ca35ca3cee34653e1c8a41c96"
+VERIFY_CORRUPT_SCHEDULE_SHA256 = "ad454c7e529132579f473be3e7fbfbcf40538b40d42b4d401a01df3ba06ea463"
+
 
 def _written(tmp_path, command, text):
     (tmp_path / "config.ini").write_text(textwrap.dedent(text), encoding="utf-8")
@@ -153,3 +158,16 @@ def test_energy_curve_over_every_label_and_a_guidance_sweep(tmp_path):
     points = np.stack([p.data for p in clustered_shell_prior().points])
     write_tensor(tmp_path / "points.rhrt", points)
     assert _written(tmp_path, "energy-curve", SWEEP) == SWEEP_SHA256
+
+
+def _printed(capsys, argv, status):
+    assert main(argv) == status
+    return hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+
+
+def test_verify_prints_the_same_lines(capsys):
+    assert _printed(capsys, ["verify"], 0) == VERIFY_SHA256
+
+
+def test_verify_with_a_corrupt_schedule_prints_the_same_lines(capsys):
+    assert _printed(capsys, ["verify", "--corrupt", "schedule"], 1) == VERIFY_CORRUPT_SCHEDULE_SHA256

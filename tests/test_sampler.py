@@ -20,7 +20,7 @@ from restage import sampler
 from restage.checks import z_test_mean_var
 from restage.codec import ExternalCodec, IdentityCodec
 from restage.denoiser import UNCONDITIONAL, DatasetPrior, GaussianPrior, cfg_combine
-from restage.errors import DenoiserError, SamplerError, ShapeError
+from restage.errors import SamplerError, ShapeError
 from restage.latent import (
     LatentGrid,
     SeededRng,
@@ -38,6 +38,7 @@ from restage.sampler import (
 )
 from restage.schedule import (
     LadderConfig,
+    SamplerTimeline,
     build_plan,
     build_schedule,
     build_timeline,
@@ -82,17 +83,6 @@ class TestDdimStep:
         _, p_x0 = ddim_step(x.data.copy(), eps.data.copy(), ab, 0.8)
         rebuilt = np.sqrt(ab) * p_x0 + np.sqrt(1 - ab) * eps.data
         assert np.allclose(rebuilt, x.data, atol=1e-12)
-
-    def test_domain_errors(self):
-        x = LatentGrid.full(1, 2, 2, 0.0).data
-        with pytest.raises(ValueError, match="singular"):
-            ddim_step(x, x, 0.0, 0.5)
-        with pytest.raises(ValueError):
-            ddim_step(x, x, 1.5, 0.5)
-        with pytest.raises(ValueError):
-            ddim_step(x, x, 0.5, 0.0)
-        with pytest.raises(ShapeError):
-            ddim_step(x, LatentGrid.full(1, 2, 3, 0.0).data, 0.5, 0.8)
 
 
 @st.composite
@@ -151,12 +141,13 @@ class TestInPlaceKernels:
         _, c, h, w = x.shape
         # at another resolution the prior broadcasts its channel means
         mean = m[0] if native else np.resize(m[0], (c, h + 1, w + 2))
-        prior = GaussianPrior(LatentGrid(mean), variance, TIMELINE)
-        want = direct_gaussian_eps(prior, x, step)
+        prior = GaussianPrior(LatentGrid(mean), variance)
+        ab = float(TIMELINE.alpha_bar_at_step[step])
+        want = direct_gaussian_eps(prior, x, ab)
         out = np.empty_like(x)
-        assert prior.predict_eps(x, step, UNCONDITIONAL, out=out) is out
+        assert prior.predict_eps(x, ab, UNCONDITIONAL, out=out) is out
         assert np.array_equal(_bits(out), _bits(want))
-        assert np.array_equal(_bits(prior.predict_eps(x, step, UNCONDITIONAL)), _bits(want))
+        assert np.array_equal(_bits(prior.predict_eps(x, ab, UNCONDITIONAL)), _bits(want))
 
 
 class TestNoiseRefresh:
@@ -173,9 +164,9 @@ class TestNoiseRefresh:
         assert np.array_equal(out, np.sqrt(0.82) * p.data + np.sqrt(1.0 - 0.82) * eps.data)
 
     @pytest.mark.parametrize("block", [False, True])
-    def test_a_batch_matches_the_one_seed_refresh(self, tmp_path, block):
+    def test_a_batch_matches_the_one_seed_refresh(self, tmp_path, codec_tmp, block):
         codec = (
-            ExternalCodec(codec_stub(tmp_path, BLOCK_CODEC), workdir=tmp_path, granularity=2)
+            ExternalCodec(codec_stub(tmp_path, BLOCK_CODEC), granularity=2)
             if block else IdentityCodec()
         )
         rngs = [SeededRng(s) for s in (12, 13, 14)]
@@ -187,23 +178,15 @@ class TestNoiseRefresh:
             want = direct_noise_refresh(p, codec, 6, 10, 0.37, e)
             assert np.array_equal(row.view(np.uint64), want.view(np.uint64))
 
-    def test_noise_shape_must_match_the_target(self):
+    def test_noise_count_must_match_the_batch(self):
         p = gaussian_noise(1, 4, 4, SeededRng(9).stream("init"))
         eps = gaussian_noise(1, 4, 4, SeededRng(10).stream("init"))
-        with pytest.raises(ShapeError, match="fresh noise"):
-            noise_refresh([p], CODEC, 8, 8, 0.5, [eps])
         with pytest.raises(ValueError, match="longer"):
             noise_refresh([p], CODEC, 4, 4, 0.5, [eps, eps])
 
-    @pytest.mark.parametrize("ab", [0.0, 1.5])
-    def test_level_domain(self, ab):
-        p = gaussian_noise(1, 2, 2, SeededRng(11).stream("init"))
-        with pytest.raises(ValueError, match="alpha_bar_prev"):
-            noise_refresh([p], CODEC, 2, 2, ab, [p])
-
 
 def _gaussian(channels=4, height=16, width=16, value=0.2, variance=1.0):
-    return GaussianPrior(LatentGrid.full(channels, height, width, value), variance, TIMELINE)
+    return GaussianPrior(LatentGrid.full(channels, height, width, value), variance)
 
 
 # built once: the batch properties draw many runs from it
@@ -274,15 +257,65 @@ class TestRunBasics:
 
     def test_denoiser_failures_carry_the_step(self):
         class Exploding(GaussianPrior):
-            def predict_eps(self, x_t, step, condition, out=None):
-                if step == 7:
-                    raise DenoiserError("synthetic failure")
-                return super().predict_eps(x_t, step, condition, out)
+            def predict_eps(self, x_t, alpha_bar, condition, out=None):
+                if alpha_bar == TIMELINE.alpha_bar_at_step[7]:
+                    raise ValueError("synthetic failure")
+                return super().predict_eps(x_t, alpha_bar, condition, out)
 
-        prior = Exploding(LatentGrid.full(4, 16, 16, 0.2), 1.0, TIMELINE)
+        prior = Exploding(LatentGrid.full(4, 16, 16, 0.2), 1.0)
         with pytest.raises(SamplerError, match="step 7") as info:
             run("baseline", single_plan(2.0), TIMELINE, prior, CODEC, UNCONDITIONAL, [SeededRng(29)])
         assert info.value.step == 7
+
+
+# a 7-step timeline whose two stages meet at step 4
+SEVEN = build_timeline(build_schedule(), 7)
+SEVEN_PLAN = build_plan(
+    LadderConfig(
+        t_min=4, t_max=7, n_stages=2, m_t=1.0, omega_min=2.0, omega_max=5.0,
+        m_omega=1.0, resolutions=((4, 4), (8, 8)),
+    ),
+    SEVEN,
+)
+
+
+class TestLevelContract:
+    """``run`` is the one source of noise levels: the denoiser sees each step's
+    timeline level, once per guidance branch, whatever the variant."""
+
+    @pytest.mark.parametrize(
+        "variant,condition",
+        [("baseline", UNCONDITIONAL), ("rectified", CLASS_ZERO), ("snr-corrected", UNCONDITIONAL)],
+        ids=["baseline", "rectified-guided", "snr-corrected"],
+    )
+    def test_the_denoiser_sees_the_timeline_levels_in_step_order(self, variant, condition):
+        seen = []
+
+        class Recording(GaussianPrior):
+            def predict_eps(self, x_t, alpha_bar, condition, out=None):
+                seen.append((alpha_bar, condition))
+                return super().predict_eps(x_t, alpha_bar, condition, out)
+
+        assert SEVEN_PLAN.refresh_steps == (4,)
+        prior = Recording(LatentGrid.full(4, 4, 4, 0.2), 1.0)
+        run(variant, SEVEN_PLAN, SEVEN, prior, CODEC, condition, [SeededRng(60), SeededRng(61)])
+        # snr-corrected too: its corrected levels go to the update, not the denoiser
+        branches = (UNCONDITIONAL, condition) if condition.is_conditional else (UNCONDITIONAL,)
+        assert seen == [(float(ab), c) for ab in SEVEN.alpha_bar_at_step[:7] for c in branches]
+
+    @pytest.mark.parametrize("variant", ["baseline", "rectified", "snr-corrected"])
+    @pytest.mark.parametrize("bad", [0.0, 1.0])
+    def test_a_degenerate_level_fails_its_step(self, variant, bad):
+        # no timeline the program builds holds such a level; in one built by
+        # hand it makes the step non-finite, and the energy screen fails it
+        levels = SEVEN.alpha_bar_at_step.copy()
+        levels[4] = bad
+        broken = SamplerTimeline(7, SEVEN.step_to_train_t, levels)
+        with warnings.catch_warnings(), pytest.raises(SamplerError) as info:
+            warnings.simplefilter("ignore")
+            run(variant, SEVEN_PLAN, broken, _gaussian(4, 4, 4), CODEC, UNCONDITIONAL, [SeededRng(62)])
+        assert info.value.step == 4
+        assert "non-finite" in str(info.value)
 
 
 class TestGridsAtTheEdges:
@@ -314,13 +347,13 @@ class TestGridsAtTheEdges:
 
     def test_a_non_finite_prediction_fails_its_step(self):
         class Poisoned(GaussianPrior):
-            def predict_eps(self, x_t, step, condition, out=None):
-                eps = super().predict_eps(x_t, step, condition, out)
-                if step == 7:
+            def predict_eps(self, x_t, alpha_bar, condition, out=None):
+                eps = super().predict_eps(x_t, alpha_bar, condition, out)
+                if alpha_bar == TIMELINE.alpha_bar_at_step[7]:
                     eps[1] = np.nan  # the second seed's row only
                 return eps
 
-        prior = Poisoned(LatentGrid.full(4, 16, 16, 0.2), 1.0, TIMELINE)
+        prior = Poisoned(LatentGrid.full(4, 16, 16, 0.2), 1.0)
         rngs = [SeededRng(41), SeededRng(1041), SeededRng(2041)]
         with pytest.raises(SamplerError, match="step 7, seed 1041") as info:
             run("baseline", single_plan(2.0), TIMELINE, prior, CODEC, UNCONDITIONAL, rngs)
@@ -341,19 +374,16 @@ class TestGridsAtTheEdges:
         assert info.value.step == 0
         assert info.value.seed == 42
 
-    def test_a_failed_codec_call_names_its_seed(self, tmp_path):
-        workdir = tmp_path / "work"
+    def test_a_failed_codec_call_names_its_seed(self, tmp_path, codec_tmp):
         codec = ExternalCodec(
-            codec_stub(tmp_path, FAILS_ON_INDEX_1.format(dir=str(tmp_path))),
-            workdir=workdir,
-            granularity=1,
+            codec_stub(tmp_path, FAILS_ON_INDEX_1.format(dir=str(tmp_path))), granularity=1
         )
         plan = build_plan(ladder(2, 2.0, 2.0, ((4, 4), (8, 8))), TIMELINE)
         rngs = [SeededRng(43), SeededRng(1043), SeededRng(2043)]
         with pytest.raises(SamplerError, match="step 40, seed 1043: decode command") as info:
             run("rectified", plan, TIMELINE, _gaussian(4, 4, 4), codec, UNCONDITIONAL, rngs)
         assert (info.value.step, info.value.seed) == (40, 1043)
-        assert list(workdir.iterdir()) == []
+        assert list(codec_tmp.iterdir()) == []
 
 
 def _rounded(trace):
@@ -369,10 +399,10 @@ def _noise_entering(rngs):
     init, fresh = [], []
 
     class Recording(GaussianPrior):
-        def predict_eps(self, x_t, step, condition, out=None):
-            if step == 0:
+        def predict_eps(self, x_t, alpha_bar, condition, out=None):
+            if alpha_bar == TIMELINE.alpha_bar_at_step[0]:
                 init.extend(x_t.copy())
-            return super().predict_eps(x_t, step, condition, out)
+            return super().predict_eps(x_t, alpha_bar, condition, out)
 
     def recording_refresh(p_x0, codec, height, width, alpha_bar_prev, eps):
         eps = list(eps)
@@ -380,7 +410,7 @@ def _noise_entering(rngs):
         return noise_refresh(p_x0, codec, height, width, alpha_bar_prev, eps)
 
     plan = build_plan(ladder(3, 2.0, 2.0, ((4, 4), (8, 8), (12, 12))), TIMELINE)
-    prior = Recording(LatentGrid.full(4, 4, 4, 0.2), 1.0, TIMELINE)
+    prior = Recording(LatentGrid.full(4, 4, 4, 0.2), 1.0)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sampler, "noise_refresh", recording_refresh)
         run("rectified", plan, TIMELINE, prior, CODEC, UNCONDITIONAL, rngs)
@@ -486,7 +516,7 @@ class TestStagedTrace:
         x = gaussian_noise(4, 16, 16, SeededRng(32).stream("init")).data.copy()
         p_x0 = None
         for step in range(40):
-            eps = prior.predict_eps(x, step, UNCONDITIONAL)
+            eps = prior.predict_eps(x, float(TIMELINE.alpha_bar_at_step[step]), UNCONDITIONAL)
             x, p_x0 = ddim_step(
                 x, eps,
                 float(TIMELINE.alpha_bar_at_step[step]),
@@ -497,7 +527,7 @@ class TestStagedTrace:
             [LatentGrid(p_x0)], CODEC, 32, 32, float(TIMELINE.alpha_bar_at_step[40]), [boundary_eps],
         )
         for step in range(40, 50):
-            eps = prior.predict_eps(x, step, UNCONDITIONAL)
+            eps = prior.predict_eps(x, float(TIMELINE.alpha_bar_at_step[step]), UNCONDITIONAL)
             x, p_x0 = ddim_step(
                 x, eps,
                 float(TIMELINE.alpha_bar_at_step[step]),
@@ -515,7 +545,7 @@ class TestStagedTrace:
         for step in range(50):
             if step == 40:
                 x = resize_bilinear(LatentGrid(x), 32, 32).data.copy()
-            eps = prior.predict_eps(x, step, UNCONDITIONAL)
+            eps = prior.predict_eps(x, float(TIMELINE.alpha_bar_at_step[step]), UNCONDITIONAL)
             x, p_x0 = ddim_step(
                 x, eps,
                 float(TIMELINE.alpha_bar_at_step[step]),
@@ -535,7 +565,7 @@ class TestStagedTrace:
         x = gaussian_noise(4, 32, 32, SeededRng(34).stream("init")).data.copy()
         p_x0 = None
         for step in range(50):
-            eps = prior.predict_eps(x, step, UNCONDITIONAL)
+            eps = prior.predict_eps(x, float(TIMELINE.alpha_bar_at_step[step]), UNCONDITIONAL)
             x, p_x0 = ddim_step(
                 x, eps,
                 snr_corrected_alpha_bar(float(TIMELINE.alpha_bar_at_step[step]), gamma),
@@ -552,8 +582,6 @@ class TestAffineOracle:
         noise = LatentGrid.full(1, 1, 1, 2.0)
         mean = LatentGrid.full(1, 1, 1, 3.0)
         assert float(traj.apply(noise, mean).data[0, 0, 0]) == 2.0
-        with pytest.raises(ShapeError):
-            traj.apply(noise, LatentGrid.full(1, 2, 2, 0.0))
 
     def test_single_step_closed_form(self):
         timeline = build_timeline(linear_schedule(0.5, 0.5, 1), 1)
@@ -565,7 +593,7 @@ class TestAffineOracle:
             timeline,
         )
         v = 1.3
-        prior = GaussianPrior(LatentGrid.full(1, 2, 2, 0.4), v, timeline)
+        prior = GaussianPrior(LatentGrid.full(1, 2, 2, 0.4), v)
         oracle = affine_trajectory_oracle(plan, timeline, prior)
         g = np.sqrt(0.5) * v / (0.5 * v + 0.5)
         assert oracle.noise_gain == pytest.approx(g, rel=1e-15)
@@ -586,14 +614,14 @@ class TestAffineOracle:
         with pytest.raises(ValueError, match="single-resolution"):
             affine_trajectory_oracle(staged_plan(2.0, 2.0), TIMELINE, _gaussian())
         points = [LatentGrid.full(4, 16, 16, 0.0)]
-        dataset = DatasetPrior(points, [0], TIMELINE)
+        dataset = DatasetPrior(points, [0])
         with pytest.raises(TypeError, match="GaussianPrior"):
             affine_trajectory_oracle(single_plan(2.0), TIMELINE, dataset)
 
     def test_matches_full_runs_at_odd_settings(self):
         rng = np.random.default_rng(35)
         mean = LatentGrid(rng.normal(0.1, 0.5, size=(3, 6, 6)))
-        prior = GaussianPrior(mean, 0.9, TIMELINE)
+        prior = GaussianPrior(mean, 0.9)
         plan = single_plan(2.5, 6, 6)
         oracle = affine_trajectory_oracle(plan, TIMELINE, prior)
         for k in range(10):
@@ -618,7 +646,7 @@ class TestRunDistribution:
             ),
             timeline,
         )
-        prior = GaussianPrior(LatentGrid.full(1, 2, 2, 0.7), 1.3, timeline)
+        prior = GaussianPrior(LatentGrid.full(1, 2, 2, 0.7), 1.3)
         oracle = affine_trajectory_oracle(plan, timeline, prior)
         rngs = [SeededRng(50_000 + k) for k in range(3000)]
         results = run("baseline", plan, timeline, prior, CODEC, UNCONDITIONAL, rngs)

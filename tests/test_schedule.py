@@ -28,7 +28,6 @@ from restage.schedule import (
     select_refresh_steps,
     snr_corrected_alpha_bar,
     snr_energy_coefficient,
-    snr_rewritten_step_coefficients,
     with_flat_omega,
 )
 
@@ -278,14 +277,6 @@ class TestAreaCorrection:
         for ab in (0.01, 0.3, 0.9):
             assert snr_corrected_alpha_bar(ab, 4.0) < ab
 
-    def test_domain_errors(self):
-        with pytest.raises(ValueError, match="gamma"):
-            snr_corrected_alpha_bar(0.5, 0.5)
-        with pytest.raises(ValueError, match="alpha_bar_t"):
-            snr_corrected_alpha_bar(-0.1, 2.0)
-        with pytest.raises(ValueError, match="alpha_bar_t"):
-            snr_corrected_alpha_bar(1.1, 2.0)
-
     def test_energy_coefficient_endpoints(self):
         for gamma in (1.0, 2.0, 16.0):
             assert snr_energy_coefficient(0.0, gamma) == 1.0
@@ -320,13 +311,3 @@ class TestStepCoefficients:
         x_prev, _ = ddim_step(x.data.copy(), eps.data.copy(), 0.37, 0.81)
         a, b = ddim_step_coefficients(0.37, 0.81)
         assert float(x_prev[0, 0, 0]) == pytest.approx(a * 1.3 + b * 0.7, rel=1e-14)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            ddim_step_coefficients(0.0, 0.5)
-        with pytest.raises(ValueError):
-            ddim_step_coefficients(0.5, 0.0)
-        with pytest.raises(ValueError):
-            ddim_step_coefficients(1.2, 0.5)
-        with pytest.raises(ValueError, match="gamma"):
-            snr_rewritten_step_coefficients(0.3, 0.5, 0.9)
