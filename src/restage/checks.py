@@ -17,7 +17,7 @@ import numpy as np
 
 from . import schedule as sched
 from .codec import IdentityCodec
-from .denoiser import UNCONDITIONAL, GaussianPrior
+from .denoiser import GaussianPrior
 from .latent import LatentGrid, SeededRng, gaussian_noise
 from .sampler import affine_trajectory_oracle, noise_refresh, run
 
@@ -159,14 +159,14 @@ def oracle_affine() -> Check:
     oracle = affine_trajectory_oracle(plan, timeline, prior)
     rngs = [SeededRng(9000 + k) for k in range(100)]
     worst = 0.0
-    for rng, got in zip(rngs, run("baseline", plan, timeline, prior, codec, UNCONDITIONAL, rngs)):
+    for rng, got in zip(rngs, run("baseline", plan, timeline, prior, codec, None, rngs)):
         noise = gaussian_noise(2, 8, 8, rng.stream("init"))
         want = oracle.apply(noise, prior.mean)
         denom = max(float(np.abs(want.data).max()), 1e-12)
         worst = max(worst, float(np.abs(got.final_p_x0.data - want.data).max()) / denom)
 
-    (base,) = run("baseline", plan, timeline, prior, codec, UNCONDITIONAL, [SeededRng(55)])
-    (corrected,) = run("snr-corrected", plan, timeline, prior, codec, UNCONDITIONAL, [SeededRng(55)])
+    (base,) = run("baseline", plan, timeline, prior, codec, None, [SeededRng(55)])
+    (corrected,) = run("snr-corrected", plan, timeline, prior, codec, None, [SeededRng(55)])
     identical = bool(
         np.array_equal(base.final_p_x0.data, corrected.final_p_x0.data)
         and base.trace == corrected.trace

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import schedule as sched
-from .config import ExperimentConfig, build_codec, build_denoiser, check_seed_range, load_config
+from .config import ExperimentConfig, build_codec, build_denoiser, load_config
 from .errors import TensorFormatError
 from .latent import LatentGrid, SeededRng
 from .sampler import RunResult, run
@@ -41,11 +41,11 @@ def _write_csv(path: Path, header: str, rows: list[str]) -> None:
     write_atomic(path, (f"{line}\n".encode("utf-8") for line in (header, *rows)))
 
 
-def _build_all(config: ExperimentConfig, base_dir: Path):
-    timeline = config.build_timeline(config.build_schedule())
+def _build_all(config: ExperimentConfig):
+    timeline = config.build_timeline()
     plan = sched.build_plan(config.ladder, timeline)
-    denoiser, condition = build_denoiser(config, base_dir)
-    return timeline, plan, denoiser, condition, build_codec(config)
+    denoiser, class_label = build_denoiser(config)
+    return timeline, plan, denoiser, class_label, build_codec(config)
 
 
 def cmd_ladder(config: ExperimentConfig, out_dir: Path) -> int:
@@ -75,20 +75,18 @@ def _trace_rows(result: RunResult) -> list[str]:
     return rows
 
 
-def cmd_sample(config: ExperimentConfig, out_dir: Path, base_dir: Path) -> int:
-    timeline, plan, denoiser, condition, codec = _build_all(config, base_dir)
+def cmd_sample(config: ExperimentConfig, out_dir: Path) -> int:
+    timeline, plan, denoiser, class_label, codec = _build_all(config)
     out_dir.mkdir(parents=True, exist_ok=True)
     seeds = [config.run.seed + i for i in range(config.run.run_count)]
-    steps = config.run.snapshot_steps
-    if steps == "all":
-        steps = range(config.schedule.num_steps)
 
     def write_snapshot(index: int, step: int, grid: LatentGrid) -> None:
         write_grid(out_dir / f"snapshot_{seeds[index]}_{step}.rhrt", grid)
 
     results = run(
-        config.run.variant, plan, timeline, denoiser, codec, condition,
-        [SeededRng(seed) for seed in seeds], snapshot_steps=steps, on_snapshot=write_snapshot,
+        config.run.variant, plan, timeline, denoiser, codec, class_label,
+        [SeededRng(seed) for seed in seeds], snapshot_steps=config.run.snapshot_steps,
+        on_snapshot=write_snapshot,
     )
     for seed, result in zip(seeds, results):
         _write_csv(
@@ -122,7 +120,7 @@ def _curve_setup(config: ExperimentConfig, label: str, omega: float | None):
     return variant, ladder
 
 
-def cmd_energy_curve(config: ExperimentConfig, out_dir: Path, base_dir: Path) -> int:
+def cmd_energy_curve(config: ExperimentConfig, out_dir: Path) -> int:
     from . import analysis  # imported here so other commands do not load it
 
     labels = list(config.energy.variants) or [config.run.variant]
@@ -134,14 +132,14 @@ def cmd_energy_curve(config: ExperimentConfig, out_dir: Path, base_dir: Path) ->
         else:
             sweeps.append((label, label, None))
 
-    timeline, _, denoiser, condition, codec = _build_all(config, base_dir)
+    timeline, _, denoiser, class_label, codec = _build_all(config)
     seeds = [config.run.seed + i for i in range(config.run.run_count)]
     rows: list[str] = []
     for curve_label, label, omega in sweeps:
         variant, ladder = _curve_setup(config, label, omega)
         plan = sched.build_plan(ladder, timeline)
         results = run(
-            variant, plan, timeline, denoiser, codec, condition, [SeededRng(s) for s in seeds]
+            variant, plan, timeline, denoiser, codec, class_label, [SeededRng(s) for s in seeds]
         )
         mean = analysis.mean_trace([analysis.trace_from_run(result) for result in results])
         for row, energy in zip(results[0].trace, mean):
@@ -198,8 +196,9 @@ def cmd_dump_grid(input_path: Path, output_path: Path) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", required=True, help="experiment config file (INI format)")
-    shared.add_argument("--seed", type=int, help="override the config's base seed")
     shared.add_argument("--out", default="out", help="output directory (default: out)")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[shared])
+    seeded.add_argument("--seed", type=int, help="override the config's base seed")
 
     parser = argparse.ArgumentParser(
         prog="restage",
@@ -207,8 +206,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("ladder", parents=[shared], help="print and save the staged plan")
-    sub.add_parser("sample", parents=[shared], help="run the sampler, write traces and tensors")
-    sub.add_parser("energy-curve", parents=[shared], help="average energy curves across variants")
+    sub.add_parser("sample", parents=[seeded], help="run the sampler, write traces and tensors")
+    sub.add_parser("energy-curve", parents=[seeded], help="average energy curves across variants")
     verify = sub.add_parser("verify", help="run property and oracle checks")
     verify.add_argument(
         "--corrupt",
@@ -221,27 +220,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args) -> tuple[ExperimentConfig, Path, Path]:
-    config = load_config(args.config)
-    if args.seed is not None:
-        check_seed_range(args.seed, config.run.run_count)
-        config = replace(config, run=replace(config.run, seed=args.seed))
-    base_dir = Path(args.config).resolve().parent
-    return config, Path(args.out), base_dir
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "ladder":
-            config, out_dir, _ = _load(args)
-            return cmd_ladder(config, out_dir)
+            return cmd_ladder(load_config(args.config), Path(args.out))
         if args.command == "sample":
-            config, out_dir, base_dir = _load(args)
-            return cmd_sample(config, out_dir, base_dir)
+            return cmd_sample(load_config(args.config, args.seed), Path(args.out))
         if args.command == "energy-curve":
-            config, out_dir, base_dir = _load(args)
-            return cmd_energy_curve(config, out_dir, base_dir)
+            return cmd_energy_curve(load_config(args.config, args.seed), Path(args.out))
         if args.command == "verify":
             return cmd_verify(corrupt=args.corrupt)
         if args.command == "dump-grid":

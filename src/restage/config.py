@@ -43,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from .codec import ExternalCodec, IdentityCodec
-from .denoiser import UNCONDITIONAL, Condition, DatasetPrior, Denoiser, GaussianPrior
+from .denoiser import DatasetPrior, Denoiser, GaussianPrior
 from .errors import ConfigError, TensorFormatError
 from .latent import LatentGrid
 from .sampler import VARIANTS
@@ -58,7 +58,7 @@ from .schedule import (
 )
 from .tensorfile import read_tensor
 
-__all__ = ["ExperimentConfig", "load_config", "check_seed_range", "build_denoiser", "build_codec"]
+__all__ = ["ExperimentConfig", "load_config", "build_denoiser", "build_codec"]
 
 CURVE_LABELS = (*VARIANTS, "native-baseline", "rectified-no-rect")
 
@@ -75,7 +75,7 @@ class DenoiserSpec:
     kind: str
     mean_value: float = 0.0
     variance: float = 1.0
-    path: str = ""
+    path: str = ""  # dataset tensor, resolved against the config file's directory
     conditional: bool = False
 
 
@@ -91,7 +91,7 @@ class RunSpec:
     variant: str = "baseline"
     seed: int = 0
     run_count: int = 1
-    snapshot_steps: tuple[int, ...] | str | None = None  # None, "all", or explicit steps
+    snapshot_steps: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -112,8 +112,8 @@ class ExperimentConfig:
     def build_schedule(self) -> NoiseSchedule:
         return build_schedule()
 
-    def build_timeline(self, schedule: NoiseSchedule | None = None) -> SamplerTimeline:
-        return build_timeline(schedule or self.build_schedule(), self.schedule.num_steps)
+    def build_timeline(self) -> SamplerTimeline:
+        return build_timeline(self.build_schedule(), self.schedule.num_steps)
 
 
 _BOOLEANS = {
@@ -205,8 +205,13 @@ def _parse_ladder(section: _Section) -> LadderConfig:
     )
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
-    """Parse and fully validate a config file."""
+def load_config(path: str | Path, seed: int | None = None) -> ExperimentConfig:
+    """Parse and fully validate a config file.
+
+    ``seed``, when given, replaces the file's ``run.seed``. A relative
+    ``denoiser.path`` is resolved against the config file's directory, and
+    ``snapshot_steps = all`` expands to every step.
+    """
     parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";", "#"))
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -251,7 +256,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     elif den_kind == "dataset":
         denoiser_spec = DenoiserSpec(
             kind="dataset",
-            path=den.value("path"),
+            path=str(Path(path).resolve().parent / den.value("path")),
             conditional=den.value("conditional", _boolean, False),
         )
     else:
@@ -284,25 +289,30 @@ def load_config(path: str | Path) -> ExperimentConfig:
     variant = run_sec.value("variant", str, "baseline")
     if variant not in VARIANTS:
         raise ConfigError(f"run.variant: unknown variant {variant!r}, expected one of {VARIANTS}")
-    snapshot_steps = run_sec.value("snapshot_steps", str, "").lower()
-    if snapshot_steps != "all":
-        snapshot_steps = run_sec.values("snapshot_steps", int) or None
+    if run_sec.value("snapshot_steps", str, "").lower() == "all":
+        snapshot_steps = tuple(range(schedule_spec.num_steps))
+    else:
+        snapshot_steps = run_sec.values("snapshot_steps", int)
+    file_seed = run_sec.value("seed", int, 0)  # read even when overridden: a known, typed key
     run_spec = RunSpec(
         variant=variant,
-        seed=run_sec.value("seed", int, 0),
+        seed=file_seed if seed is None else seed,
         run_count=run_sec.value("run_count", int, 1),
         snapshot_steps=snapshot_steps,
     )
     run_sec.reject_unknown()
     if run_spec.run_count < 1:
         raise ConfigError(f"run.run_count: must be >= 1, got {run_spec.run_count}")
-    check_seed_range(run_spec.seed, run_spec.run_count)
-    if isinstance(run_spec.snapshot_steps, tuple):
-        for s in run_spec.snapshot_steps:
-            if not 0 <= s < schedule_spec.num_steps:
-                raise ConfigError(
-                    f"run.snapshot_steps: step {s} outside [0, {schedule_spec.num_steps})"
-                )
+    if not 0 <= run_spec.seed <= run_spec.seed + run_spec.run_count - 1 < 2**64:
+        raise ConfigError(
+            f"run.seed: every run seed must fit in an unsigned 64-bit value, "
+            f"got {run_spec.seed} with run_count {run_spec.run_count}"
+        )
+    for s in run_spec.snapshot_steps:
+        if not 0 <= s < schedule_spec.num_steps:
+            raise ConfigError(
+                f"run.snapshot_steps: step {s} outside [0, {schedule_spec.num_steps})"
+            )
 
     en = section("energy")
     energy_spec = EnergySpec(variants=en.values("variants"), omegas=en.values("omegas", float))
@@ -323,36 +333,23 @@ def load_config(path: str | Path) -> ExperimentConfig:
     )
 
 
-def check_seed_range(seed: int, run_count: int) -> None:
-    """Require every run seed, ``seed + i`` for ``i < run_count``, to fit in 64 unsigned bits."""
-    if not 0 <= seed <= seed + run_count - 1 < 2**64:
-        raise ConfigError(
-            f"run.seed: every run seed must fit in an unsigned 64-bit value, "
-            f"got {seed} with run_count {run_count}"
-        )
+def build_denoiser(config: ExperimentConfig) -> tuple[Denoiser, int | None]:
+    """Instantiate the configured denoiser and the class label of its guided branch.
 
-
-def build_denoiser(
-    config: ExperimentConfig, base_dir: str | Path = "."
-) -> tuple[Denoiser, Condition]:
-    """Instantiate the configured denoiser and the run's condition.
-
-    A dataset prior loads its points from a rank-4 (points, C, H, W) tensor
-    file resolved relative to ``base_dir``. When ``conditional`` is set,
-    points get alternating class labels 0, 1, 0, 1, ... and runs condition
-    on class 0; otherwise all points share class 0 and runs are
-    unconditional.
+    A dataset prior loads its points from the rank-4 (points, C, H, W) tensor
+    file at ``denoiser.path``, which :func:`load_config` resolved. When
+    ``conditional`` is set, points get alternating class labels 0, 1, 0, 1,
+    ... and runs are guided towards class 0; otherwise all points share
+    class 0 and the label is None, so runs predict only the unconditional
+    branch. A Gaussian prior has no classes and its label is None too.
     """
     spec = config.denoiser
     if spec.kind == "gaussian":
         h, w = config.ladder.resolutions[0]
         mean = LatentGrid.full(4, h, w, spec.mean_value)
-        return GaussianPrior(mean, spec.variance), UNCONDITIONAL
-    path = Path(spec.path)
-    if not path.is_absolute():
-        path = Path(base_dir) / path
+        return GaussianPrior(mean, spec.variance), None
     try:
-        arr = read_tensor(path)
+        arr = read_tensor(spec.path)
     except (OSError, TensorFormatError) as exc:
         raise ConfigError(f"denoiser.path: cannot load dataset tensor: {exc}") from exc
     if arr.ndim != 4:
@@ -361,12 +358,8 @@ def build_denoiser(
         )
     points = [LatentGrid(arr[i].astype(np.float64)) for i in range(arr.shape[0])]
     if spec.conditional:
-        labels = [i % 2 for i in range(len(points))]
-        condition = Condition(label=0)
-    else:
-        labels = [0] * len(points)
-        condition = UNCONDITIONAL
-    return DatasetPrior(points, labels), condition
+        return DatasetPrior(points, [i % 2 for i in range(len(points))]), 0
+    return DatasetPrior(points, [0] * len(points)), None
 
 
 def build_codec(config: ExperimentConfig):

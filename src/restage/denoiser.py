@@ -19,39 +19,18 @@ of a batch is predicted on its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ShapeError
 from .latent import LatentGrid, resize_bilinear
 
 __all__ = [
-    "Condition",
-    "UNCONDITIONAL",
     "Denoiser",
     "GaussianPrior",
     "DatasetPrior",
     "dataset_posterior_mean",
     "cfg_combine",
 ]
-
-
-@dataclass(frozen=True)
-class Condition:
-    """What the prediction is conditioned on: a class label, or nothing."""
-
-    label: int | None = None
-
-    @property
-    def is_conditional(self) -> bool:
-        return self.label is not None
-
-    def __repr__(self) -> str:
-        return "Condition(unconditional)" if self.label is None else f"Condition(label={self.label})"
-
-
-UNCONDITIONAL = Condition()
 
 
 class Denoiser:
@@ -63,17 +42,18 @@ class Denoiser:
     channels: int
 
     def predict_eps(
-        self, x_t: np.ndarray, alpha_bar: float, condition: Condition, out: np.ndarray | None = None
+        self, x_t: np.ndarray, alpha_bar: float, label: int | None, out: np.ndarray | None = None
     ) -> np.ndarray:
         """Predicted noise for (..., C, H, W) float64 latents at level ``alpha_bar``.
 
-        The caller guarantees ``alpha_bar`` in (0, 1) and x_t's channel count;
-        ``sampler.run`` passes the levels of a checked timeline. The prediction
-        is written into ``out`` and returned when ``out`` is given: a
-        C-contiguous float64 array of x_t's shape that shares no memory with
-        x_t, whose contents are overwritten. Otherwise it is a new array.
-        ``x_t`` is only read. Finiteness is not checked: the sampler screens
-        it per step.
+        ``label`` is the class the prediction is conditioned on; None is the
+        unconditional branch. The caller guarantees ``alpha_bar`` in (0, 1)
+        and x_t's channel count; ``sampler.run`` passes the levels of a
+        checked timeline. The prediction is written into ``out`` and returned
+        when ``out`` is given: a C-contiguous float64 array of x_t's shape
+        that shares no memory with x_t, whose contents are overwritten.
+        Otherwise it is a new array. ``x_t`` is only read. Finiteness is not
+        checked: the sampler screens it per step.
         """
         raise NotImplementedError
 
@@ -101,7 +81,7 @@ class GaussianPrior(Denoiser):
     affine map, the basis of the trajectory oracle in the sampler module.
 
     The prior carries no class structure, so both guidance branches
-    coincide and the condition argument has no effect on the output.
+    coincide and the label argument has no effect on the output.
 
     When queried at a resolution other than the stored mean's, each
     channel's spatial mean value is broadcast to the queried shape.
@@ -123,7 +103,7 @@ class GaussianPrior(Denoiser):
         )
 
     def predict_eps(
-        self, x_t: np.ndarray, alpha_bar: float, condition: Condition, out: np.ndarray | None = None
+        self, x_t: np.ndarray, alpha_bar: float, label: int | None, out: np.ndarray | None = None
     ) -> np.ndarray:
         ab = alpha_bar
         mean = self.mean_for_shape(*x_t.shape[-2:])
@@ -138,7 +118,7 @@ class GaussianPrior(Denoiser):
 class DatasetPrior(Denoiser):
     """Bayes-optimal predictor for clean latents drawn uniformly from a point set.
 
-    Points may carry class labels; a class condition restricts the
+    Points may carry class labels; a class label restricts the
     posterior to that class's points, the unconditional branch uses all of
     them. Queries at a resolution other than the stored points' resample
     every point bilinearly to the queried shape; resampled stacks are cached
@@ -198,9 +178,9 @@ class DatasetPrior(Denoiser):
         return cached
 
     def predict_eps(
-        self, x_t: np.ndarray, alpha_bar: float, condition: Condition, out: np.ndarray | None = None
+        self, x_t: np.ndarray, alpha_bar: float, label: int | None, out: np.ndarray | None = None
     ) -> np.ndarray:
-        x0_hat = dataset_posterior_mean(self, x_t, alpha_bar, condition, out)
+        x0_hat = dataset_posterior_mean(self, x_t, alpha_bar, label, out)
         return _eps_from_x0_hat(x_t, x0_hat, alpha_bar)
 
 
@@ -208,15 +188,15 @@ def dataset_posterior_mean(
     prior: DatasetPrior,
     x_t: np.ndarray,
     alpha_bar_t: float,
-    condition: Condition,
+    label: int | None,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Posterior mean of the clean latent under a uniform point-set prior.
 
     ``x_t`` is one (C, H, W) latent or a (B, C, H, W) batch with the prior's
-    channel count, at a level ``alpha_bar_t`` in (0, 1), and a conditional
-    branch names a label some point carries; the caller guarantees all
-    three. Each latent gets its own weights. The means are written into
+    channel count, at a level ``alpha_bar_t`` in (0, 1), and ``label`` is
+    None (every point) or a label some point carries; the caller guarantees
+    all three. Each latent gets its own weights. The means are written into
     ``out`` when given (a C-contiguous float64 array of x_t's shape), into a
     new array otherwise.
 
@@ -238,7 +218,7 @@ def dataset_posterior_mean(
     posterior collapses onto the nearest point (ties sharing weight
     equally).
     """
-    flat, half_sq_norms = prior._rows_for(*x_t.shape[-2:], condition.label)
+    flat, half_sq_norms = prior._rows_for(*x_t.shape[-2:], label)
     dots = x_t.reshape(-1, flat.shape[1]) @ flat.T
     log_w = (np.sqrt(alpha_bar_t) * dots - alpha_bar_t * half_sq_norms) / (1.0 - alpha_bar_t)
     log_w -= log_w.max(axis=1, keepdims=True)

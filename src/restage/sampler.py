@@ -62,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import refresh_resize
-from .denoiser import UNCONDITIONAL, Condition, Denoiser, GaussianPrior, cfg_combine
+from .denoiser import Denoiser, GaussianPrior, cfg_combine
 from .errors import CodecError, SamplerError, ShapeError
 from .latent import LatentGrid, SeededRng, average_energy, gaussian_noise, resize_bilinear
 from .schedule import RefreshPlan, SamplerTimeline, Stage, snr_corrected_alpha_bar
@@ -186,9 +186,9 @@ def run(
     timeline: SamplerTimeline,
     denoiser: Denoiser,
     codec,
-    condition: Condition,
+    label: int | None,
     rngs: Sequence[SeededRng],
-    snapshot_steps=None,
+    snapshot_steps: Iterable[int] = (),
     initial_noise: Sequence[LatentGrid] | None = None,
     on_snapshot: Callable[[int, int, LatentGrid], None] | None = None,
 ) -> tuple[RunResult, ...]:
@@ -199,9 +199,10 @@ def run(
         plan: Stage layout; must cover exactly the timeline's steps.
         timeline: Step-to-noise-level mapping, the run's one source of levels.
         denoiser: Noise predictor queried twice per step (once per branch;
-            the second call is skipped when the condition is unconditional).
+            the second call is skipped when ``label`` is None).
         codec: Decode/encode pair; a rectified boundary passes it all seeds at once.
-        condition: Conditioning for the guided branch.
+        label: Class label of the guided branch, or None for an unguided
+            run that predicts only the unconditional branch.
         rngs: One seeded stream bundle per seed, at least one. A seed's
             initial latent draws from its stream ("init", 0); the boundary
             entering stage i draws from its ("refresh", i), so each stage's
@@ -225,7 +226,7 @@ def run(
         raise ValueError(
             f"plan covers {plan.num_steps} steps but the timeline has {timeline.num_steps}"
         )
-    wanted = frozenset(int(s) for s in snapshot_steps) if snapshot_steps is not None else frozenset()
+    wanted = frozenset(int(s) for s in snapshot_steps)
     if wanted and on_snapshot is None:
         raise ValueError("snapshot_steps needs an on_snapshot callback")
     stages = _effective_stages(variant, plan)
@@ -257,7 +258,7 @@ def run(
                 )
         x = np.stack([grid.data for grid in initial_noise])
     denoiser.prepare_resolution(first.height, first.width)
-    guided = condition.is_conditional
+    guided = label is not None
 
     def workspace(like: np.ndarray):
         # per-stage prediction buffers; the unconditional one doubles as the
@@ -301,9 +302,9 @@ def run(
             bad_in = {
                 b for b in np.flatnonzero(~np.isfinite(energy_in)) if not np.isfinite(x[b]).all()
             }
-            eps_tilde = denoiser.predict_eps(x, ab, UNCONDITIONAL, out=eps_u)
+            eps_tilde = denoiser.predict_eps(x, ab, None, out=eps_u)
             if guided:
-                eps_cond = denoiser.predict_eps(x, ab, condition, out=eps_c)
+                eps_cond = denoiser.predict_eps(x, ab, label, out=eps_c)
                 eps_tilde = cfg_combine(eps_tilde, eps_cond, stage.omega)
             # snr-corrected moves only the update's levels: both branches above
             # saw the timeline's own level ab, and only ddim_step sees corrected ones

@@ -22,14 +22,14 @@ import textwrap
 import numpy as np
 
 from restage.codec import IdentityCodec, refresh_resize
-from restage.denoiser import Condition, DatasetPrior
+from restage.denoiser import DatasetPrior
 from restage.latent import LatentGrid
 from restage.schedule import LadderConfig, NoiseSchedule, build_plan, build_schedule, build_timeline
 
 CHANNELS = 4
 BASE = 16
 TARGET = 32
-CLASS_ZERO = Condition(label=0)
+CLASS_ZERO = 0
 
 SCHEDULE = build_schedule()
 TIMELINE = build_timeline(SCHEDULE, 50)
@@ -159,7 +159,7 @@ def coarse_prior():
     return DatasetPrior(points, [0] * 16)
 
 
-def direct_posterior_mean(prior, x_t, alpha_bar_t, condition):
+def direct_posterior_mean(prior, x_t, alpha_bar_t, label):
     """Reference point-set posterior mean from the explicit difference stack.
 
     Builds x_t - sqrt(ab) * p_i for every point and sums its squares; the
@@ -171,10 +171,10 @@ def direct_posterior_mean(prior, x_t, alpha_bar_t, condition):
     if x_t.channels != prior.channels:
         raise ValueError(f"expected {prior.channels} channels, got {x_t.channels}")
     stack = prior.stack_for_shape(x_t.height, x_t.width)
-    if condition.is_conditional:
-        mask = np.array([lab == condition.label for lab in prior.labels])
+    if label is not None:
+        mask = np.array([lab == label for lab in prior.labels])
         if not mask.any():
-            raise ValueError(f"no points carry label {condition.label}")
+            raise ValueError(f"no points carry label {label}")
         stack = stack[mask]
     diffs = x_t.data[None, ...] - np.sqrt(alpha_bar_t) * stack
     log_w = -np.sum(diffs * diffs, axis=(1, 2, 3)) / (2.0 * (1.0 - alpha_bar_t))

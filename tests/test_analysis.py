@@ -8,7 +8,7 @@ import pytest
 
 from restage.analysis import mean_trace, trace_from_run
 from restage.checks import z_test_mean_var
-from restage.denoiser import UNCONDITIONAL, GaussianPrior
+from restage.denoiser import GaussianPrior
 from restage.latent import LatentGrid, SeededRng
 from restage.sampler import run
 
@@ -19,7 +19,7 @@ class TestTraceFromRun:
     def test_from_a_run(self):
         prior = GaussianPrior(LatentGrid.full(4, 16, 16, 0.2), 1.0)
         (result,) = run(
-            "baseline", single_plan(2.0), TIMELINE, prior, CODEC, UNCONDITIONAL, [SeededRng(1)]
+            "baseline", single_plan(2.0), TIMELINE, prior, CODEC, None, [SeededRng(1)]
         )
         trace = trace_from_run(result)
         assert len(trace) == 50

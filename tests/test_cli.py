@@ -346,9 +346,10 @@ class TestErrors:
             ["verify", "--seed", "5"],
             ["verify", "--out", "/nonexistent/x"],
             ["dump-grid", "--config", "x.ini", "in.rhrt", "out.pgm"],
+            ["ladder", "--config", "x.ini", "--seed", "5"],
         ],
     )
-    def test_verify_and_dump_grid_take_no_config_flags(self, capsys, argv):
+    def test_commands_reject_flags_they_ignore(self, capsys, argv):
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 2

@@ -9,7 +9,7 @@ import pytest
 
 from restage.codec import ExternalCodec, IdentityCodec
 from restage.config import build_codec, build_denoiser, load_config
-from restage.denoiser import Condition, DatasetPrior, GaussianPrior, UNCONDITIONAL
+from restage.denoiser import DatasetPrior, GaussianPrior
 from restage.errors import ConfigError, PlanError
 from restage.tensorfile import write_tensor
 
@@ -38,14 +38,14 @@ class TestDefaults:
         assert config.codec.kind == "identity"
         assert config.run.variant == "baseline"
         assert (config.run.seed, config.run.run_count) == (0, 1)
-        assert config.run.snapshot_steps is None
+        assert config.run.snapshot_steps == ()
         assert config.energy.variants == () and config.energy.omegas == ()
 
     def test_builders_use_the_schedule_section(self, tmp_path):
         config = _load(tmp_path)
         schedule = config.build_schedule()
         assert len(schedule.alpha_bar) == 1000
-        timeline = config.build_timeline(schedule)
+        timeline = config.build_timeline()
         assert timeline.num_steps == 50
 
     def test_explicit_ladder_keys(self, tmp_path):
@@ -222,8 +222,10 @@ class TestValidation:
 
 class TestSnapshotSteps:
     def test_forms(self, tmp_path):
-        assert _load(tmp_path, MINIMAL + "[run]\nsnapshot_steps =\n").run.snapshot_steps is None
-        assert _load(tmp_path, MINIMAL + "[run]\nsnapshot_steps = all\n").run.snapshot_steps == "all"
+        assert _load(tmp_path, MINIMAL + "[run]\nsnapshot_steps =\n").run.snapshot_steps == ()
+        assert _load(
+            tmp_path, MINIMAL + "[run]\nsnapshot_steps = all\n"
+        ).run.snapshot_steps == tuple(range(50))
         assert _load(
             tmp_path, MINIMAL + "[run]\nsnapshot_steps = 3, 7\n"
         ).run.snapshot_steps == (3, 7)
@@ -247,12 +249,12 @@ class TestEnergySection:
 class TestBuildDenoiser:
     def test_gaussian_prior_at_the_base_resolution(self, tmp_path):
         config = _load(tmp_path, MINIMAL + "[denoiser]\nmean_value = 0.25\nvariance = 1.5\n")
-        denoiser, condition = build_denoiser(config, tmp_path)
+        denoiser, label = build_denoiser(config)
         assert isinstance(denoiser, GaussianPrior)
         assert denoiser.mean.shape == (4, 16, 16)
         assert np.all(denoiser.mean.data == 0.25)
         assert denoiser.variance == 1.5
-        assert condition is UNCONDITIONAL
+        assert label is None
 
     def _dataset_config(self, tmp_path, conditional):
         rng = np.random.default_rng(2)
@@ -263,27 +265,36 @@ class TestBuildDenoiser:
         )
 
     def test_dataset_prior_unconditional(self, tmp_path):
-        denoiser, condition = build_denoiser(self._dataset_config(tmp_path, False), tmp_path)
+        denoiser, label = build_denoiser(self._dataset_config(tmp_path, False))
         assert isinstance(denoiser, DatasetPrior)
         assert len(denoiser.points) == 6
         assert denoiser.labels == (0,) * 6
-        assert condition is UNCONDITIONAL
+        assert label is None
 
     def test_dataset_prior_conditional_alternates_labels(self, tmp_path):
-        denoiser, condition = build_denoiser(self._dataset_config(tmp_path, True), tmp_path)
+        denoiser, label = build_denoiser(self._dataset_config(tmp_path, True))
         assert denoiser.labels == (0, 1, 0, 1, 0, 1)
-        assert condition == Condition(label=0)
+        assert label == 0
+
+    def test_relative_path_is_taken_against_the_config_directory(self, tmp_path, monkeypatch):
+        write_tensor(tmp_path / "points.rhrt", np.zeros((3, 4, 16, 16)))
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        config = _load(tmp_path, MINIMAL + "[denoiser]\nkind = dataset\npath = points.rhrt\n")
+        denoiser, _ = build_denoiser(config)
+        assert len(denoiser.points) == 3
 
     def test_dataset_tensor_must_be_rank_four(self, tmp_path):
         write_tensor(tmp_path / "points.rhrt", np.zeros((4, 16, 16)))
         config = _load(tmp_path, MINIMAL + "[denoiser]\nkind = dataset\npath = points.rhrt\n")
         with pytest.raises(ConfigError, match="rank-4"):
-            build_denoiser(config, tmp_path)
+            build_denoiser(config)
 
     def test_missing_dataset_file(self, tmp_path):
         config = _load(tmp_path, MINIMAL + "[denoiser]\nkind = dataset\npath = nope.rhrt\n")
         with pytest.raises(ConfigError, match="cannot load"):
-            build_denoiser(config, tmp_path)
+            build_denoiser(config)
 
 
 class TestBuildCodec:

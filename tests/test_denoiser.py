@@ -7,14 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from restage.denoiser import (
-    Condition,
-    DatasetPrior,
-    GaussianPrior,
-    UNCONDITIONAL,
-    cfg_combine,
-    dataset_posterior_mean,
-)
+from restage.denoiser import DatasetPrior, GaussianPrior, cfg_combine, dataset_posterior_mean
 from restage.errors import ShapeError
 from restage.latent import LatentGrid, SeededRng, gaussian_noise
 
@@ -26,28 +19,20 @@ def _level(step):
     return float(TIMELINE.alpha_bar_at_step[step])
 
 
-class TestCondition:
-    def test_flags(self):
-        assert not UNCONDITIONAL.is_conditional
-        assert Condition(label=2).is_conditional
-        assert "unconditional" in repr(UNCONDITIONAL)
-        assert "label=2" in repr(Condition(label=2))
-
-
 class TestGaussianPrior:
     def test_prediction_vanishes_at_the_scaled_mean(self):
         mean = LatentGrid(np.random.default_rng(1).normal(size=(2, 4, 4)))
         prior = GaussianPrior(mean, 0.7)
         ab = _level(20)
         x_t = LatentGrid(np.sqrt(ab) * mean.data)
-        eps = prior.predict_eps(x_t.data, ab, UNCONDITIONAL)
+        eps = prior.predict_eps(x_t.data, ab, None)
         assert np.allclose(eps, 0.0, atol=1e-12)
 
     def test_scalar_hand_case(self):
         # zero mean, unit variance, level 0.5, x = 1:
         # posterior gain sqrt(0.5), estimate and prediction both 1/sqrt(2)
         prior = GaussianPrior(LatentGrid.full(1, 1, 1, 0.0), 1.0)
-        eps = prior.predict_eps(LatentGrid.full(1, 1, 1, 1.0).data, 0.5, UNCONDITIONAL)
+        eps = prior.predict_eps(LatentGrid.full(1, 1, 1, 1.0).data, 0.5, None)
         assert float(eps[0, 0, 0]) == pytest.approx(0.7071067811865475, abs=1e-15)
 
     def test_prediction_is_affine_in_the_latent(self):
@@ -57,17 +42,17 @@ class TestGaussianPrior:
         x2 = LatentGrid(rng.normal(size=(1, 3, 3)))
         lam = 0.3
         blend = LatentGrid(lam * x1.data + (1 - lam) * x2.data)
-        got = prior.predict_eps(blend.data, _level(11), UNCONDITIONAL)
-        want = lam * prior.predict_eps(x1.data, _level(11), UNCONDITIONAL) + (
+        got = prior.predict_eps(blend.data, _level(11), None)
+        want = lam * prior.predict_eps(x1.data, _level(11), None) + (
             1 - lam
-        ) * prior.predict_eps(x2.data, _level(11), UNCONDITIONAL)
+        ) * prior.predict_eps(x2.data, _level(11), None)
         assert np.allclose(got, want, atol=1e-12)
 
     def test_condition_has_no_effect(self):
         prior = GaussianPrior(LatentGrid.full(1, 2, 2, 0.3), 1.0)
         x = gaussian_noise(1, 2, 2, SeededRng(3).stream("init"))
-        a = prior.predict_eps(x.data, _level(5), UNCONDITIONAL)
-        b = prior.predict_eps(x.data, _level(5), Condition(label=3))
+        a = prior.predict_eps(x.data, _level(5), None)
+        b = prior.predict_eps(x.data, _level(5), 3)
         assert np.array_equal(a, b)
 
     def test_other_resolutions_broadcast_channel_means(self):
@@ -82,8 +67,8 @@ class TestGaussianPrior:
         flat_prior = GaussianPrior(LatentGrid(np.array(broadcast)), 0.9)
         x = gaussian_noise(2, 8, 8, SeededRng(5).stream("init"))
         assert np.array_equal(
-            prior.predict_eps(x.data, _level(7), UNCONDITIONAL),
-            flat_prior.predict_eps(x.data, _level(7), UNCONDITIONAL),
+            prior.predict_eps(x.data, _level(7), None),
+            flat_prior.predict_eps(x.data, _level(7), None),
         )
 
     def test_native_resolution_uses_the_stored_mean(self):
@@ -104,27 +89,27 @@ class TestDatasetPrior:
     def test_single_point_posterior_is_that_point(self):
         prior = DatasetPrior(_points([1.7]), [0])
         x = LatentGrid.full(1, 1, 1, -3.0)
-        mean = dataset_posterior_mean(prior, x.data, 0.5, UNCONDITIONAL)
+        mean = dataset_posterior_mean(prior, x.data, 0.5, None)
         assert float(mean[0, 0, 0]) == 1.7
 
     def test_symmetric_pair_balances_to_zero(self):
         point = LatentGrid(np.random.default_rng(7).normal(size=(2, 3, 3)))
         mirrored = LatentGrid(-point.data)
         prior = DatasetPrior([point, mirrored], [0, 0])
-        mean = dataset_posterior_mean(prior, LatentGrid.full(2, 3, 3, 0.0).data, 0.5, UNCONDITIONAL)
+        mean = dataset_posterior_mean(prior, LatentGrid.full(2, 3, 3, 0.0).data, 0.5, None)
         assert np.all(mean == 0.0)
 
     def test_equidistant_points_share_weight_exactly(self):
         prior = DatasetPrior(_points([1.0, 3.0]), [0, 0])
         ab = 0.5
         midpoint = LatentGrid.full(1, 1, 1, np.sqrt(ab) * 2.0)
-        mean = dataset_posterior_mean(prior, midpoint.data, ab, UNCONDITIONAL)
+        mean = dataset_posterior_mean(prior, midpoint.data, ab, None)
         assert float(mean[0, 0, 0]) == pytest.approx(2.0, abs=1e-12)
 
     def test_distant_query_collapses_onto_the_nearest_point(self):
         prior = DatasetPrior(_points([0.0, 2.0]), [0, 0])
         mean = dataset_posterior_mean(
-            prior, LatentGrid.full(1, 1, 1, 10.0).data, 0.5, UNCONDITIONAL
+            prior, LatentGrid.full(1, 1, 1, 10.0).data, 0.5, None
         )
         assert float(mean[0, 0, 0]) == pytest.approx(2.0, abs=1e-6)
 
@@ -134,7 +119,7 @@ class TestDatasetPrior:
         prior = DatasetPrior(points, [0] * 5)
         ab = 1.0 - 1e-6
         x = LatentGrid(np.sqrt(ab) * points[3].data)
-        mean = dataset_posterior_mean(prior, x.data, ab, UNCONDITIONAL)
+        mean = dataset_posterior_mean(prior, x.data, ab, None)
         assert np.allclose(mean, points[3].data, atol=1e-9)
 
     def test_posterior_stays_in_the_convex_hull(self):
@@ -144,14 +129,14 @@ class TestDatasetPrior:
         stack = np.stack([p.data for p in points])
         for seed in range(5):
             x = gaussian_noise(2, 2, 2, SeededRng(seed).stream("init"))
-            mean = dataset_posterior_mean(prior, x.data, 0.3, UNCONDITIONAL)
+            mean = dataset_posterior_mean(prior, x.data, 0.3, None)
             assert np.all(mean >= stack.min(axis=0) - 1e-12)
             assert np.all(mean <= stack.max(axis=0) + 1e-12)
 
     def test_condition_restricts_to_the_labelled_points(self):
         prior = DatasetPrior(_points([-5.0, 4.0]), [0, 1])
         x = LatentGrid.full(1, 1, 1, 0.0)
-        only_one = dataset_posterior_mean(prior, x.data, 0.5, Condition(label=1))
+        only_one = dataset_posterior_mean(prior, x.data, 0.5, 1)
         assert float(only_one[0, 0, 0]) == 4.0
 
     def test_construction_validation(self):
@@ -186,7 +171,7 @@ class TestDatasetPrior:
         prior = DatasetPrior(_points([1.0]), [0])
         strided = np.empty((1, 2, 2, 2))[..., 0]
         with pytest.raises(ValueError, match="C-contiguous"):
-            dataset_posterior_mean(prior, np.zeros((1, 2, 2)), 0.5, UNCONDITIONAL, strided)
+            dataset_posterior_mean(prior, np.zeros((1, 2, 2)), 0.5, None, strided)
 
     def test_stack_cache_is_reused(self):
         prior = DatasetPrior(_points([1.0, 2.0]), [0, 0])
@@ -198,8 +183,8 @@ class TestDatasetPrior:
         points = [LatentGrid(rng.normal(size=(1, 2, 2))) for _ in range(4)]
         prior = DatasetPrior(points, [0] * 4)
         x = gaussian_noise(1, 2, 2, SeededRng(12).stream("init"))
-        eps = prior.predict_eps(x.data, 0.5, UNCONDITIONAL)
-        mean = dataset_posterior_mean(prior, x.data, 0.5, UNCONDITIONAL)
+        eps = prior.predict_eps(x.data, 0.5, None)
+        mean = dataset_posterior_mean(prior, x.data, 0.5, None)
         want = (x.data - np.sqrt(0.5) * mean) / np.sqrt(0.5)
         assert np.allclose(eps, want, atol=1e-14)
 
@@ -237,23 +222,23 @@ def posterior_cases(draw):
     for row in x:
         row *= 10.0 ** draw(st.floats(-3, 3)) / np.linalg.norm(row)
     prior = DatasetPrior([LatentGrid(d) for d in data], labels)
-    return prior, x[0] if batch is None else x, ab, Condition(label=label)
+    return prior, x[0] if batch is None else x, ab, label
 
 
 class TestMatrixFormPosterior:
     @settings(max_examples=300, deadline=None)
     @given(case=posterior_cases())
     def test_matches_the_direct_difference_form(self, case):
-        prior, x, ab, condition = case
-        got = dataset_posterior_mean(prior, x, ab, condition)
+        prior, x, ab, label = case
+        got = dataset_posterior_mean(prior, x, ab, label)
         assert got.shape == x.shape
         height, width = x.shape[-2:]
         stack = prior.stack_for_shape(height, width)
-        if condition.is_conditional:
-            stack = stack[[lab == condition.label for lab in prior.labels]]
+        if label is not None:
+            stack = stack[[lab == label for lab in prior.labels]]
         flat = stack.reshape(len(stack), -1)
         for got_row, x_row in zip(got.reshape(-1, *x.shape[-3:]), x.reshape(-1, *x.shape[-3:])):
-            want = direct_posterior_mean(prior, LatentGrid(x_row), ab, condition).data
+            want = direct_posterior_mean(prior, LatentGrid(x_row), ab, label).data
             # float64 rounding of the log-weights, scaled by their magnitude L
             xf = x_row.reshape(-1)
             log_scale = (

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from restage import sampler
 from restage.checks import z_test_mean_var
 from restage.codec import ExternalCodec, IdentityCodec
-from restage.denoiser import UNCONDITIONAL, DatasetPrior, GaussianPrior, cfg_combine
+from restage.denoiser import DatasetPrior, GaussianPrior, cfg_combine
 from restage.errors import SamplerError, ShapeError
 from restage.latent import (
     LatentGrid,
@@ -145,9 +145,9 @@ class TestInPlaceKernels:
         ab = float(TIMELINE.alpha_bar_at_step[step])
         want = direct_gaussian_eps(prior, x, ab)
         out = np.empty_like(x)
-        assert prior.predict_eps(x, ab, UNCONDITIONAL, out=out) is out
+        assert prior.predict_eps(x, ab, None, out=out) is out
         assert np.array_equal(_bits(out), _bits(want))
-        assert np.array_equal(_bits(prior.predict_eps(x, ab, UNCONDITIONAL)), _bits(want))
+        assert np.array_equal(_bits(prior.predict_eps(x, ab, None)), _bits(want))
 
 
 class TestNoiseRefresh:
@@ -200,16 +200,16 @@ class TestRunBasics:
     def test_deterministic_given_the_seed(self):
         prior = _gaussian()
         plan = staged_plan(2.0, 6.0)
-        (a,) = run("rectified", plan, TIMELINE, prior, CODEC, UNCONDITIONAL, [SeededRng(21)])
-        (b,) = run("rectified", plan, TIMELINE, prior, CODEC, UNCONDITIONAL, [SeededRng(21)])
+        (a,) = run("rectified", plan, TIMELINE, prior, CODEC, None, [SeededRng(21)])
+        (b,) = run("rectified", plan, TIMELINE, prior, CODEC, None, [SeededRng(21)])
         assert a.trace == b.trace
         assert np.array_equal(a.final_p_x0.data, b.final_p_x0.data)
 
     def test_rectified_without_boundaries_is_the_baseline(self):
         prior = _gaussian()
         plan = single_plan(2.0)
-        (a,) = run("baseline", plan, TIMELINE, prior, CODEC, UNCONDITIONAL, [SeededRng(22)])
-        (b,) = run("rectified", plan, TIMELINE, prior, CODEC, UNCONDITIONAL, [SeededRng(22)])
+        (a,) = run("baseline", plan, TIMELINE, prior, CODEC, None, [SeededRng(22)])
+        (b,) = run("rectified", plan, TIMELINE, prior, CODEC, None, [SeededRng(22)])
         assert a.trace == b.trace
         assert np.array_equal(a.final_p_x0.data, b.final_p_x0.data)
 
@@ -217,9 +217,9 @@ class TestRunBasics:
         prior = _gaussian()
         plan = single_plan(2.0)
         drawn = gaussian_noise(4, 16, 16, SeededRng(23).stream("init"))
-        (a,) = run("baseline", plan, TIMELINE, prior, CODEC, UNCONDITIONAL, [SeededRng(23)])
+        (a,) = run("baseline", plan, TIMELINE, prior, CODEC, None, [SeededRng(23)])
         (b,) = run(
-            "baseline", plan, TIMELINE, prior, CODEC, UNCONDITIONAL, [SeededRng(23)],
+            "baseline", plan, TIMELINE, prior, CODEC, None, [SeededRng(23)],
             initial_noise=[drawn],
         )
         assert a.trace == b.trace
@@ -229,14 +229,14 @@ class TestRunBasics:
         prior = _gaussian()
         noise = gaussian_noise(4, 16, 16, SeededRng(24).stream("init"))
         (result,) = run(
-            "baseline", single_plan(2.0), TIMELINE, prior, CODEC, UNCONDITIONAL, [SeededRng(24)]
+            "baseline", single_plan(2.0), TIMELINE, prior, CODEC, None, [SeededRng(24)]
         )
         assert result.trace[0].latent_energy == average_energy(noise.data)
 
     def test_wrong_initial_noise_shape(self):
         with pytest.raises(ShapeError, match="initial noise"):
             run(
-                "baseline", single_plan(2.0), TIMELINE, _gaussian(), CODEC, UNCONDITIONAL,
+                "baseline", single_plan(2.0), TIMELINE, _gaussian(), CODEC, None,
                 [SeededRng(26)], initial_noise=[LatentGrid.full(4, 8, 8, 0.0)],
             )
 
@@ -244,27 +244,27 @@ class TestRunBasics:
         short = build_timeline(build_schedule(), 10)
         with pytest.raises(ValueError, match="covers"):
             run(
-                "baseline", single_plan(2.0), short, _gaussian(), CODEC, UNCONDITIONAL,
+                "baseline", single_plan(2.0), short, _gaussian(), CODEC, None,
                 [SeededRng(27)],
             )
 
     def test_unknown_variant_and_method(self):
         with pytest.raises(ValueError, match="variant"):
             run(
-                "turbo", single_plan(2.0), TIMELINE, _gaussian(), CODEC, UNCONDITIONAL,
+                "turbo", single_plan(2.0), TIMELINE, _gaussian(), CODEC, None,
                 [SeededRng(28)],
             )
 
     def test_denoiser_failures_carry_the_step(self):
         class Exploding(GaussianPrior):
-            def predict_eps(self, x_t, alpha_bar, condition, out=None):
+            def predict_eps(self, x_t, alpha_bar, label, out=None):
                 if alpha_bar == TIMELINE.alpha_bar_at_step[7]:
                     raise ValueError("synthetic failure")
-                return super().predict_eps(x_t, alpha_bar, condition, out)
+                return super().predict_eps(x_t, alpha_bar, label, out)
 
         prior = Exploding(LatentGrid.full(4, 16, 16, 0.2), 1.0)
         with pytest.raises(SamplerError, match="step 7") as info:
-            run("baseline", single_plan(2.0), TIMELINE, prior, CODEC, UNCONDITIONAL, [SeededRng(29)])
+            run("baseline", single_plan(2.0), TIMELINE, prior, CODEC, None, [SeededRng(29)])
         assert info.value.step == 7
 
 
@@ -284,23 +284,23 @@ class TestLevelContract:
     timeline level, once per guidance branch, whatever the variant."""
 
     @pytest.mark.parametrize(
-        "variant,condition",
-        [("baseline", UNCONDITIONAL), ("rectified", CLASS_ZERO), ("snr-corrected", UNCONDITIONAL)],
+        "variant,label",
+        [("baseline", None), ("rectified", CLASS_ZERO), ("snr-corrected", None)],
         ids=["baseline", "rectified-guided", "snr-corrected"],
     )
-    def test_the_denoiser_sees_the_timeline_levels_in_step_order(self, variant, condition):
+    def test_the_denoiser_sees_the_timeline_levels_in_step_order(self, variant, label):
         seen = []
 
         class Recording(GaussianPrior):
-            def predict_eps(self, x_t, alpha_bar, condition, out=None):
-                seen.append((alpha_bar, condition))
-                return super().predict_eps(x_t, alpha_bar, condition, out)
+            def predict_eps(self, x_t, alpha_bar, label, out=None):
+                seen.append((alpha_bar, label))
+                return super().predict_eps(x_t, alpha_bar, label, out)
 
         assert SEVEN_PLAN.refresh_steps == (4,)
         prior = Recording(LatentGrid.full(4, 4, 4, 0.2), 1.0)
-        run(variant, SEVEN_PLAN, SEVEN, prior, CODEC, condition, [SeededRng(60), SeededRng(61)])
+        run(variant, SEVEN_PLAN, SEVEN, prior, CODEC, label, [SeededRng(60), SeededRng(61)])
         # snr-corrected too: its corrected levels go to the update, not the denoiser
-        branches = (UNCONDITIONAL, condition) if condition.is_conditional else (UNCONDITIONAL,)
+        branches = (None, label) if label is not None else (None,)
         assert seen == [(float(ab), c) for ab in SEVEN.alpha_bar_at_step[:7] for c in branches]
 
     @pytest.mark.parametrize("variant", ["baseline", "rectified", "snr-corrected"])
@@ -313,7 +313,7 @@ class TestLevelContract:
         broken = SamplerTimeline(7, SEVEN.step_to_train_t, levels)
         with warnings.catch_warnings(), pytest.raises(SamplerError) as info:
             warnings.simplefilter("ignore")
-            run(variant, SEVEN_PLAN, broken, _gaussian(4, 4, 4), CODEC, UNCONDITIONAL, [SeededRng(62)])
+            run(variant, SEVEN_PLAN, broken, _gaussian(4, 4, 4), CODEC, None, [SeededRng(62)])
         assert info.value.step == 4
         assert "non-finite" in str(info.value)
 
@@ -347,8 +347,8 @@ class TestGridsAtTheEdges:
 
     def test_a_non_finite_prediction_fails_its_step(self):
         class Poisoned(GaussianPrior):
-            def predict_eps(self, x_t, alpha_bar, condition, out=None):
-                eps = super().predict_eps(x_t, alpha_bar, condition, out)
+            def predict_eps(self, x_t, alpha_bar, label, out=None):
+                eps = super().predict_eps(x_t, alpha_bar, label, out)
                 if alpha_bar == TIMELINE.alpha_bar_at_step[7]:
                     eps[1] = np.nan  # the second seed's row only
                 return eps
@@ -356,7 +356,7 @@ class TestGridsAtTheEdges:
         prior = Poisoned(LatentGrid.full(4, 16, 16, 0.2), 1.0)
         rngs = [SeededRng(41), SeededRng(1041), SeededRng(2041)]
         with pytest.raises(SamplerError, match="step 7, seed 1041") as info:
-            run("baseline", single_plan(2.0), TIMELINE, prior, CODEC, UNCONDITIONAL, rngs)
+            run("baseline", single_plan(2.0), TIMELINE, prior, CODEC, None, rngs)
         assert info.value.step == 7
         assert info.value.seed == 1041
 
@@ -367,7 +367,7 @@ class TestGridsAtTheEdges:
         with warnings.catch_warnings(), pytest.raises(SamplerError) as info:
             warnings.simplefilter("error")
             run(
-                "baseline", single_plan(2.0), TIMELINE, _gaussian(), CODEC, UNCONDITIONAL,
+                "baseline", single_plan(2.0), TIMELINE, _gaussian(), CODEC, None,
                 [SeededRng(42)], initial_noise=[LatentGrid.full(4, 16, 16, 1e200)],
             )
         assert str(info.value) == "step 0, seed 42: latent energy overflows float64"
@@ -381,7 +381,7 @@ class TestGridsAtTheEdges:
         plan = build_plan(ladder(2, 2.0, 2.0, ((4, 4), (8, 8))), TIMELINE)
         rngs = [SeededRng(43), SeededRng(1043), SeededRng(2043)]
         with pytest.raises(SamplerError, match="step 40, seed 1043: decode command") as info:
-            run("rectified", plan, TIMELINE, _gaussian(4, 4, 4), codec, UNCONDITIONAL, rngs)
+            run("rectified", plan, TIMELINE, _gaussian(4, 4, 4), codec, None, rngs)
         assert (info.value.step, info.value.seed) == (40, 1043)
         assert list(codec_tmp.iterdir()) == []
 
@@ -399,10 +399,10 @@ def _noise_entering(rngs):
     init, fresh = [], []
 
     class Recording(GaussianPrior):
-        def predict_eps(self, x_t, alpha_bar, condition, out=None):
+        def predict_eps(self, x_t, alpha_bar, label, out=None):
             if alpha_bar == TIMELINE.alpha_bar_at_step[0]:
                 init.extend(x_t.copy())
-            return super().predict_eps(x_t, alpha_bar, condition, out)
+            return super().predict_eps(x_t, alpha_bar, label, out)
 
     def recording_refresh(p_x0, codec, height, width, alpha_bar_prev, eps):
         eps = list(eps)
@@ -413,7 +413,7 @@ def _noise_entering(rngs):
     prior = Recording(LatentGrid.full(4, 4, 4, 0.2), 1.0)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sampler, "noise_refresh", recording_refresh)
-        run("rectified", plan, TIMELINE, prior, CODEC, UNCONDITIONAL, rngs)
+        run("rectified", plan, TIMELINE, prior, CODEC, None, rngs)
     # each boundary refreshes its seeds as one batch, in batch order
     b = len(rngs)
     return {r.seed: (init[i], fresh[i], fresh[b + i]) for i, r in enumerate(rngs)}
@@ -429,12 +429,12 @@ class TestBatches:
         gaussian=st.booleans(),
     )
     def test_each_seed_matches_its_one_seed_run(self, seeds, variant, gaussian):
-        prior, condition = (_gaussian(), UNCONDITIONAL) if gaussian else (SHELL, CLASS_ZERO)
+        prior, label = (_gaussian(), None) if gaussian else (SHELL, CLASS_ZERO)
         plan = staged_plan(3.0, 12.0)
-        batch = run(variant, plan, TIMELINE, prior, CODEC, condition, [SeededRng(s) for s in seeds])
+        batch = run(variant, plan, TIMELINE, prior, CODEC, label, [SeededRng(s) for s in seeds])
         assert len(batch) == len(seeds)
         for seed, got in zip(seeds, batch):
-            (want,) = run(variant, plan, TIMELINE, prior, CODEC, condition, [SeededRng(seed)])
+            (want,) = run(variant, plan, TIMELINE, prior, CODEC, label, [SeededRng(seed)])
             assert got.variant == want.variant
             assert _rounded(got.trace) == _rounded(want.trace)
             # the float32 storage tolerance of the tensor files
@@ -462,18 +462,18 @@ class TestBatches:
     def test_seed_and_noise_counts_are_checked(self):
         with pytest.raises(ValueError, match="2 seeds"):
             run(
-                "baseline", single_plan(2.0), TIMELINE, _gaussian(), CODEC, UNCONDITIONAL,
+                "baseline", single_plan(2.0), TIMELINE, _gaussian(), CODEC, None,
                 [SeededRng(36), SeededRng(37)], initial_noise=[LatentGrid.full(4, 16, 16, 0.0)],
             )
         with pytest.raises(ValueError, match="at least one seed"):
-            run("baseline", single_plan(2.0), TIMELINE, _gaussian(), CODEC, UNCONDITIONAL, [])
+            run("baseline", single_plan(2.0), TIMELINE, _gaussian(), CODEC, None, [])
 
 
 class TestStagedTrace:
     def test_stage_columns_and_refresh_flags(self):
         prior = _gaussian()
         (result,) = run(
-            "rectified", staged_plan(5.0, 30.0), TIMELINE, prior, CODEC, UNCONDITIONAL,
+            "rectified", staged_plan(5.0, 30.0), TIMELINE, prior, CODEC, None,
             [SeededRng(30)],
         )
         assert len(result.trace) == 50
@@ -486,7 +486,7 @@ class TestStagedTrace:
         prior = _gaussian()
         seen = []
         results = run(
-            "rectified", staged_plan(5.0, 30.0), TIMELINE, prior, CODEC, UNCONDITIONAL,
+            "rectified", staged_plan(5.0, 30.0), TIMELINE, prior, CODEC, None,
             [SeededRng(31), SeededRng(32)], snapshot_steps=(39, 40, 49),
             on_snapshot=lambda index, step, grid: seen.append((index, step, grid.shape)),
         )
@@ -503,7 +503,7 @@ class TestStagedTrace:
     def test_snapshot_steps_need_a_callback(self):
         with pytest.raises(ValueError, match="on_snapshot"):
             run(
-                "baseline", single_plan(2.0), TIMELINE, _gaussian(), CODEC, UNCONDITIONAL,
+                "baseline", single_plan(2.0), TIMELINE, _gaussian(), CODEC, None,
                 [SeededRng(35)], snapshot_steps=(3,),
             )
 
@@ -511,12 +511,12 @@ class TestStagedTrace:
         prior = _gaussian()
         plan = staged_plan(2.0, 2.0)
         rng = SeededRng(32)
-        (want,) = run("rectified", plan, TIMELINE, prior, CODEC, UNCONDITIONAL, [rng])
+        (want,) = run("rectified", plan, TIMELINE, prior, CODEC, None, [rng])
 
         x = gaussian_noise(4, 16, 16, SeededRng(32).stream("init")).data.copy()
         p_x0 = None
         for step in range(40):
-            eps = prior.predict_eps(x, float(TIMELINE.alpha_bar_at_step[step]), UNCONDITIONAL)
+            eps = prior.predict_eps(x, float(TIMELINE.alpha_bar_at_step[step]), None)
             x, p_x0 = ddim_step(
                 x, eps,
                 float(TIMELINE.alpha_bar_at_step[step]),
@@ -527,7 +527,7 @@ class TestStagedTrace:
             [LatentGrid(p_x0)], CODEC, 32, 32, float(TIMELINE.alpha_bar_at_step[40]), [boundary_eps],
         )
         for step in range(40, 50):
-            eps = prior.predict_eps(x, float(TIMELINE.alpha_bar_at_step[step]), UNCONDITIONAL)
+            eps = prior.predict_eps(x, float(TIMELINE.alpha_bar_at_step[step]), None)
             x, p_x0 = ddim_step(
                 x, eps,
                 float(TIMELINE.alpha_bar_at_step[step]),
@@ -538,14 +538,14 @@ class TestStagedTrace:
     def test_latent_resize_boundary_replicated_from_parts(self):
         prior = _gaussian()
         plan = staged_plan(2.0, 2.0)
-        (want,) = run("latent-resize", plan, TIMELINE, prior, CODEC, UNCONDITIONAL, [SeededRng(33)])
+        (want,) = run("latent-resize", plan, TIMELINE, prior, CODEC, None, [SeededRng(33)])
 
         x = gaussian_noise(4, 16, 16, SeededRng(33).stream("init")).data.copy()
         p_x0 = None
         for step in range(50):
             if step == 40:
                 x = resize_bilinear(LatentGrid(x), 32, 32).data.copy()
-            eps = prior.predict_eps(x, float(TIMELINE.alpha_bar_at_step[step]), UNCONDITIONAL)
+            eps = prior.predict_eps(x, float(TIMELINE.alpha_bar_at_step[step]), None)
             x, p_x0 = ddim_step(
                 x, eps,
                 float(TIMELINE.alpha_bar_at_step[step]),
@@ -559,13 +559,13 @@ class TestStagedTrace:
         # with gamma = (area ratio)^2 = 16 for a 16 -> 32 plan
         prior = _gaussian()
         plan = staged_plan(2.0, 9.0)
-        (want,) = run("snr-corrected", plan, TIMELINE, prior, CODEC, UNCONDITIONAL, [SeededRng(34)])
+        (want,) = run("snr-corrected", plan, TIMELINE, prior, CODEC, None, [SeededRng(34)])
 
         gamma = 16.0
         x = gaussian_noise(4, 32, 32, SeededRng(34).stream("init")).data.copy()
         p_x0 = None
         for step in range(50):
-            eps = prior.predict_eps(x, float(TIMELINE.alpha_bar_at_step[step]), UNCONDITIONAL)
+            eps = prior.predict_eps(x, float(TIMELINE.alpha_bar_at_step[step]), None)
             x, p_x0 = ddim_step(
                 x, eps,
                 snr_corrected_alpha_bar(float(TIMELINE.alpha_bar_at_step[step]), gamma),
@@ -627,7 +627,7 @@ class TestAffineOracle:
         for k in range(10):
             srng = SeededRng(700 + k)
             noise = gaussian_noise(3, 6, 6, srng.stream("init"))
-            (got,) = run("baseline", plan, TIMELINE, prior, CODEC, UNCONDITIONAL, [srng])
+            (got,) = run("baseline", plan, TIMELINE, prior, CODEC, None, [srng])
             want = oracle.apply(noise, mean)
             denom = max(float(np.abs(want.data).max()), 1e-12)
             assert float(np.abs(got.final_p_x0.data - want.data).max()) / denom < 1e-9
@@ -649,7 +649,7 @@ class TestRunDistribution:
         prior = GaussianPrior(LatentGrid.full(1, 2, 2, 0.7), 1.3)
         oracle = affine_trajectory_oracle(plan, timeline, prior)
         rngs = [SeededRng(50_000 + k) for k in range(3000)]
-        results = run("baseline", plan, timeline, prior, CODEC, UNCONDITIONAL, rngs)
+        results = run("baseline", plan, timeline, prior, CODEC, None, rngs)
         residuals = np.array(
             [(result.final_p_x0.data - oracle.mean_gain * 0.7).ravel() for result in results]
         )
