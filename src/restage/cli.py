@@ -24,7 +24,7 @@ import numpy as np
 
 from . import schedule as sched
 from .config import ExperimentConfig, build_codec, build_denoiser, load_config
-from .errors import TensorFormatError
+from .errors import ConfigError, TensorFormatError
 from .latent import LatentGrid, SeededRng
 from .sampler import RunResult, run
 from .tensorfile import read_tensor, write_atomic, write_grid
@@ -99,52 +99,36 @@ def cmd_sample(config: ExperimentConfig, out_dir: Path) -> int:
     return 0
 
 
-def _curve_setup(config: ExperimentConfig, label: str, omega: float | None):
-    """Variant name and ladder to run for one energy-curve label."""
-    if label == "native-baseline":
-        variant = "baseline"
-        ladder = replace(
-            config.ladder,
-            n_stages=1,
-            resolutions=(config.ladder.resolutions[-1],),
-            omega_max=config.ladder.omega_min,
-        )
-    elif label == "rectified-no-rect":
-        variant = "rectified"
-        ladder = sched.with_flat_omega(config.ladder)
-    else:
-        variant = label
-        ladder = config.ladder
-    if omega is not None:
-        ladder = sched.with_flat_omega(ladder, omega)
-    return variant, ladder
-
-
 def cmd_energy_curve(config: ExperimentConfig, out_dir: Path) -> int:
     from . import analysis  # imported here so other commands do not load it
 
-    labels = list(config.energy.variants) or [config.run.variant]
-    sweeps: list[tuple[str, str, float | None]] = []
+    timeline, plan, denoiser, class_label, codec = _build_all(config)
+    variants = config.energy.variants or (config.run.variant,)
+    if config.energy.omegas:
+        # one plan per flat guidance scale, shared by every variant
+        flat = [
+            (w, sched.build_plan(replace(config.ladder, omega_min=w, omega_max=w), timeline))
+            for w in config.energy.omegas
+        ]
+        curves = [(f"{v}-omega{w:g}", v, p) for v in variants for w, p in flat]
+    else:
+        curves = [(v, v, plan) for v in variants]
+    labels = [label for label, _, _ in curves]
     for label in labels:
-        if config.energy.omegas:
-            for w in config.energy.omegas:
-                sweeps.append((f"{label}-omega{w:g}", label, w))
-        else:
-            sweeps.append((label, label, None))
+        if labels.count(label) > 1:
+            raise ConfigError(f"energy.variants/energy.omegas: curve label {label!r} repeats")
 
-    timeline, _, denoiser, class_label, codec = _build_all(config)
     seeds = [config.run.seed + i for i in range(config.run.run_count)]
     rows: list[str] = []
-    for curve_label, label, omega in sweeps:
-        variant, ladder = _curve_setup(config, label, omega)
-        plan = sched.build_plan(ladder, timeline)
+    for label, variant, curve_plan in curves:
         results = run(
-            variant, plan, timeline, denoiser, codec, class_label, [SeededRng(s) for s in seeds]
+            variant, curve_plan, timeline, denoiser, codec, class_label,
+            [SeededRng(s) for s in seeds],
         )
         mean = analysis.mean_trace([analysis.trace_from_run(result) for result in results])
         for row, energy in zip(results[0].trace, mean):
-            rows.append(f"{curve_label},{row.step},{_fmt(energy)}")
-        print(f"{curve_label}: {len(seeds)} run(s), {len(mean)} steps")
+            rows.append(f"{label},{row.step},{_fmt(energy)}")
+        print(f"{label}: {len(seeds)} run(s), {len(mean)} steps")
     _write_csv(out_dir / "energy_curves.csv", "label,step,mean_energy", rows)
     return 0
 

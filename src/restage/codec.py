@@ -95,10 +95,13 @@ class ExternalCodec:
 
             def start(i: int) -> None:
                 with open(f"{stems[i]}.log", "wb") as log:
-                    procs.append(subprocess.Popen(
-                        [*self._argv, mode, f"{stems[i]}.in", f"{stems[i]}.out"],
-                        stdin=subprocess.DEVNULL, stdout=log, stderr=subprocess.STDOUT,
-                    ))
+                    try:
+                        procs.append(subprocess.Popen(
+                            [*self._argv, mode, f"{stems[i]}.in", f"{stems[i]}.out"],
+                            stdin=subprocess.DEVNULL, stdout=log, stderr=subprocess.STDOUT,
+                        ))
+                    except OSError as exc:
+                        raise CodecError(f"{mode} command could not start: {exc}", index=i) from exc
                 fd = os.pidfd_open(procs[i].pid)
                 pidfds[fd] = i
                 poller.register(fd, select.POLLIN)

@@ -18,7 +18,7 @@ A config file has flat key = value sections:
     kind = identity              ; identity | external
 
     [run]
-    variant = rectified
+    variant = rectified          ; one of sampler.VARIANTS, as is each energy.variants entry
     seed = 7
     run_count = 1
     snapshot_steps =             ; empty, "all", or comma-separated steps
@@ -30,13 +30,15 @@ A config file has flat key = value sections:
 An absent or empty key takes its default. The output directory is not a
 key: it is the command line's ``--out``. Validation is total: any unknown
 section or key, any missing required key, any empty entry of a comma list,
-and any value outside its domain raises :class:`ConfigError` naming the
-offending field; a ladder whose stages collide raises :class:`PlanError`.
+any non-finite number and any value outside its domain raises
+:class:`ConfigError` naming the offending field; a ladder whose stages
+collide raises :class:`PlanError`.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -59,8 +61,6 @@ from .schedule import (
 from .tensorfile import read_tensor
 
 __all__ = ["ExperimentConfig", "load_config", "build_denoiser", "build_codec"]
-
-CURVE_LABELS = (*VARIANTS, "native-baseline", "rectified-no-rect")
 
 _LADDER_KEYS = ("t_min", "t_max", "n_stages", "m_t", "omega_min", "omega_max", "m_omega")
 
@@ -169,9 +169,12 @@ class _Section:
 
     def _parse(self, key: str, parse, raw: str):
         try:
-            return parse(raw)
+            value = parse(raw)
         except ValueError:
             raise ConfigError(f"{self.name}.{key}: not {_EXPECTED[parse]}: {raw!r}") from None
+        if parse is float and not math.isfinite(value):
+            raise ConfigError(f"{self.name}.{key}: must be finite, got {raw!r}")
+        return value
 
     def reject_unknown(self):
         unknown = set(self.items) - self.seen
@@ -318,10 +321,8 @@ def load_config(path: str | Path, seed: int | None = None) -> ExperimentConfig:
     energy_spec = EnergySpec(variants=en.values("variants"), omegas=en.values("omegas", float))
     en.reject_unknown()
     for v in energy_spec.variants:
-        if v not in CURVE_LABELS:
-            raise ConfigError(
-                f"energy.variants: unknown variant {v!r}, expected one of {CURVE_LABELS}"
-            )
+        if v not in VARIANTS:
+            raise ConfigError(f"energy.variants: unknown variant {v!r}, expected one of {VARIANTS}")
 
     return ExperimentConfig(
         schedule=schedule_spec,

@@ -39,25 +39,28 @@ resolution happens at the boundary step itself. The recorded
 ``latent_energy`` of a row is the energy of the latent entering that step,
 after any boundary action, so boundary rows report the rebuilt latent.
 
-Variants:
+Variants, decided here alone (``docs/DECISIONS.md`` entry 12):
 
-* ``baseline``      - stage 0's resolution and omega for the whole run.
-* ``rectified``     - full plan: at each boundary the previous clean
-                      estimate is resized through the codec and re-noised
-                      with fresh stage noise to the boundary step's level.
-* ``latent-resize`` - the plan's stages and omegas, but each boundary
-                      resizes the running latent in latent space directly;
-                      nothing is re-noised.
-* ``snr-corrected`` - single resolution at the plan's final stage with
-                      stage 0's omega; every update uses noise levels
-                      passed through the area-ratio correction with
-                      gamma = (target area / base area)^2.
+    variant            stages                                   gamma
+    baseline           one, at stage 0's size and omega         1
+    native-baseline    one, at the target size, stage 0's omega 1
+    snr-corrected      one, at the target size, stage 0's omega (target / base area)^2
+    rectified-no-rect  the plan's, each at stage 0's omega      1
+    rectified          the plan's                               1
+    latent-resize      the plan's                               1
+
+Every update passes its two levels through the area-ratio correction at the
+variant's gamma, which at gamma 1 returns them unchanged, bit for bit. A
+``rectified`` or ``rectified-no-rect`` boundary resizes the previous clean
+estimate through the codec and re-noises it with fresh stage noise to the
+boundary step's level; a ``latent-resize`` boundary resizes the running
+latent in latent space directly and re-noises nothing.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -78,7 +81,10 @@ __all__ = [
     "affine_trajectory_oracle",
 ]
 
-VARIANTS = ("baseline", "rectified", "latent-resize", "snr-corrected")
+VARIANTS = (
+    "baseline", "rectified", "latent-resize", "snr-corrected", "native-baseline",
+    "rectified-no-rect",
+)
 
 
 @dataclass(frozen=True)
@@ -167,17 +173,19 @@ def _failure(cause, step: int, seed: int | None = None) -> SamplerError:
     return SamplerError(f"{where}: {cause}", step=step, seed=seed)
 
 
-def _effective_stages(variant: str, plan: RefreshPlan) -> tuple:
-    if variant == "baseline":
-        s0 = plan.stages[0]
-        return (
-            Stage(0, 0, plan.num_steps, s0.height, s0.width, s0.omega),
-        )
+def _variant_stages(variant: str, plan: RefreshPlan) -> tuple[tuple[Stage, ...], float]:
+    """The stages ``variant`` runs over ``plan`` and the gamma of its update levels."""
+    s0 = plan.stages[0]
+    if variant == "rectified-no-rect":
+        return tuple(replace(st, omega=s0.omega) for st in plan.stages), 1.0
+    if variant not in ("baseline", "native-baseline", "snr-corrected"):
+        return plan.stages, 1.0
+    h, w = plan.base_resolution if variant == "baseline" else plan.target_resolution
+    gamma = 1.0
     if variant == "snr-corrected":
-        s0 = plan.stages[0]
-        h, w = plan.target_resolution
-        return (Stage(0, 0, plan.num_steps, h, w, s0.omega),)
-    return plan.stages
+        bh, bw = plan.base_resolution
+        gamma = float((h / bh) * (w / bw)) ** 2
+    return (Stage(0, 0, plan.num_steps, h, w, s0.omega),), gamma
 
 
 def run(
@@ -229,17 +237,8 @@ def run(
     wanted = frozenset(int(s) for s in snapshot_steps)
     if wanted and on_snapshot is None:
         raise ValueError("snapshot_steps needs an on_snapshot callback")
-    stages = _effective_stages(variant, plan)
+    stages, gamma = _variant_stages(variant, plan)
     channels = denoiser.channels
-
-    gamma = 1.0
-    if variant == "snr-corrected":
-        (bh, bw), (th, tw) = plan.base_resolution, plan.target_resolution
-        gamma = float((th / bh) * (tw / bw)) ** 2
-
-    def update_level(ab: float) -> float:
-        return snr_corrected_alpha_bar(ab, gamma) if variant == "snr-corrected" else ab
-
     stage_entry = {st.first_step: st for st in stages[1:]}
     first = stages[0]
     if initial_noise is None:
@@ -278,7 +277,7 @@ def run(
             h, w = stage.height, stage.width
             denoiser.prepare_resolution(h, w)
             try:
-                if variant == "rectified":
+                if variant in ("rectified", "rectified-no-rect"):
                     x = noise_refresh(
                         [LatentGrid._adopt(p) for p in p_x0], codec, h, w, ab,
                         (gaussian_noise(channels, h, w, r.stream("refresh", stage.index))
@@ -306,10 +305,13 @@ def run(
             if guided:
                 eps_cond = denoiser.predict_eps(x, ab, label, out=eps_c)
                 eps_tilde = cfg_combine(eps_tilde, eps_cond, stage.omega)
-            # snr-corrected moves only the update's levels: both branches above
-            # saw the timeline's own level ab, and only ddim_step sees corrected ones
+            # gamma moves only the update's levels: both branches above saw
+            # the timeline's own level ab, and only ddim_step sees corrected ones
             ab_next = float(timeline.alpha_bar_at_step[step + 1])
-            x, p_x0 = ddim_step(x, eps_tilde, update_level(ab), update_level(ab_next))
+            x, p_x0 = ddim_step(
+                x, eps_tilde, snr_corrected_alpha_bar(ab, gamma),
+                snr_corrected_alpha_bar(ab_next, gamma),
+            )
         except (ValueError, RuntimeError) as exc:
             raise _failure(exc, step) from exc
         p_x0.setflags(write=False)

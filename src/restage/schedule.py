@@ -19,7 +19,7 @@ Conventions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,7 +41,6 @@ __all__ = [
     "select_omegas",
     "build_plan",
     "ladder_preset",
-    "with_flat_omega",
     "snr_corrected_alpha_bar",
     "snr_rewritten_step_coefficients",
     "ddim_step_coefficients",
@@ -312,16 +311,6 @@ def ladder_preset(name: str, resolutions: tuple[tuple[int, int], ...]) -> Ladder
             f"ladder.preset: unknown preset {name!r}, expected one of {sorted(LADDER_PRESETS)}"
         )
     return LadderConfig(resolutions=tuple(resolutions), **LADDER_PRESETS[name])
-
-
-def with_flat_omega(config: LadderConfig, omega: float | None = None) -> LadderConfig:
-    """Copy of ``config`` with every stage pinned to one guidance scale.
-
-    With the default ``omega=None`` the ladder collapses to its own
-    omega_min; passing a value pins all stages to that value instead.
-    """
-    w = config.omega_min if omega is None else float(omega)
-    return replace(config, omega_min=w, omega_max=w)
 
 
 def snr_corrected_alpha_bar(alpha_bar_t: float, gamma: float) -> float:

@@ -249,6 +249,21 @@ class TestEnergyCurve:
         assert sorted(rows) == ["baseline-omega1", "baseline-omega3"]
         assert "baseline-omega1: 1 run(s), 10 steps" in capsys.readouterr().out
 
+    def test_a_repeated_curve_label_fails_before_any_run(self, tmp_path, capsys):
+        # both scales print as 3, so the two variants make four baseline-omega3 curves
+        cfg = _config(
+            tmp_path,
+            SMALL + "[energy]\nvariants = baseline, baseline\nomegas = 3.0000001, 3.0000002\n",
+        )
+        out = tmp_path / "out"
+        assert main(["energy-curve", "--config", cfg, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: energy.variants/energy.omegas: curve label 'baseline-omega3' repeats\n"
+        )
+        assert not (out / "energy_curves.csv").exists()
+
     def test_reference_variants(self, tmp_path):
         cfg = _config(
             tmp_path,

@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 
 from restage.codec import ExternalCodec, IdentityCodec, refresh_resize
-from restage.errors import CodecError, ShapeError
+from restage.denoiser import GaussianPrior
+from restage.errors import CodecError, SamplerError, ShapeError
 from restage.latent import LatentGrid, SeededRng, average_energy, gaussian_noise, resize_bilinear
+from restage.sampler import run
 
-from _toys import BLOCK_CODEC, FAILS_ON_INDEX_1, codec_stub
+from _toys import BLOCK_CODEC, FAILS_ON_INDEX_1, TIMELINE, codec_stub, staged_plan
 
 
 class TestIdentityCodec:
@@ -120,6 +122,16 @@ class TestExternalCodec:
         codec = ExternalCodec(command, granularity=2)
         with pytest.raises(CodecError, match="decode returned shape"):
             codec.decode([LatentGrid.full(1, 2, 2, 0.0)])
+
+    def test_a_command_that_cannot_start_names_its_step_and_seed(self, tmp_path, codec_tmp):
+        codec = ExternalCodec(str(tmp_path / "no-such-codec"), granularity=1)
+        plan = staged_plan(2.0, 6.0)
+        prior = GaussianPrior(LatentGrid.full(4, 16, 16, 0.2), 1.0)
+        with pytest.raises(SamplerError, match="decode command could not start") as info:
+            run("rectified", plan, TIMELINE, prior, codec, None, [SeededRng(31), SeededRng(32)])
+        assert info.value.step == plan.refresh_steps[0]
+        assert info.value.seed == 31
+        assert list(codec_tmp.glob("codec-*")) == []
 
     def test_temp_files_are_cleaned_up(self, tmp_path, codec_tmp):
         codec = ExternalCodec(codec_stub(tmp_path, BLOCK_CODEC), granularity=2)

@@ -144,6 +144,8 @@ class TestValidation:
             ("[run]\nsnapshot_steps = 1, x\n", "snapshot_steps"),
             ("[denoiser]\nkind = lookup\n", "denoiser.kind"),
             ("[denoiser]\nvariance = 0\n", "variance"),
+            ("[denoiser]\nvariance = inf\n", "denoiser.variance: must be finite"),
+            ("[denoiser]\nmean_value = nan\n", "denoiser.mean_value: must be finite"),
             ("[denoiser]\nkind = dataset\n", "denoiser.path"),
             ("[denoiser]\nkind = dataset\npath = p.rhrt\nconditional = maybe\n", "boolean"),
             ("[codec]\nkind = mp3\n", "codec.kind"),
@@ -152,6 +154,7 @@ class TestValidation:
             ("[codec]\nkind = external\ncommand = vae\ngranularity = 0\n", "granularity"),
             ("[energy]\nvariants = warped\n", "energy.variants"),
             ("[energy]\nomegas = 1, x\n", "energy.omegas"),
+            ("[energy]\nomegas = 1, nan\n", "energy.omegas: must be finite"),
             ("[energy]\nomegas = 1,, 2\n", "energy.omegas: empty entry"),
             ("[energy]\nvariants = baseline,\n", "energy.variants: empty entry"),
             ("[schedule]\nnum_steps = 50\nbeta_end = 2\n", "schedule.beta_end: unknown key"),
@@ -191,6 +194,14 @@ class TestValidation:
             _load(tmp_path, MINIMAL.replace("num_steps = 50", "num_steps = soon"))
         with pytest.raises(ConfigError, match="denoiser.variance: not a number"):
             _load(tmp_path, MINIMAL + "[denoiser]\nvariance = tiny\n")
+
+    def test_explicit_ladder_rejects_a_nan_omega(self, tmp_path):
+        text = (
+            "[schedule]\nnum_steps = 50\n[ladder]\nt_min = 40\nt_max = 50\nn_stages = 2\nm_t = 1\n"
+            "omega_min = 2\nomega_max = nan\nm_omega = 1\nresolutions = 8x8, 16x16\n"
+        )
+        with pytest.raises(ConfigError, match="ladder.omega_max: must be finite"):
+            _load(tmp_path, text)
 
     def test_unknown_preset(self, tmp_path):
         with pytest.raises(ConfigError, match="preset"):

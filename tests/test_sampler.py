@@ -50,6 +50,7 @@ from _toys import (
     CLASS_ZERO,
     CODEC,
     FAILS_ON_INDEX_1,
+    TARGET,
     TIMELINE,
     clustered_shell_prior,
     codec_stub,
@@ -195,7 +196,10 @@ SHELL = clustered_shell_prior()
 
 class TestRunBasics:
     def test_variants_tuple(self):
-        assert VARIANTS == ("baseline", "rectified", "latent-resize", "snr-corrected")
+        assert VARIANTS == (
+            "baseline", "rectified", "latent-resize", "snr-corrected", "native-baseline",
+            "rectified-no-rect",
+        )
 
     def test_deterministic_given_the_seed(self):
         prior = _gaussian()
@@ -268,6 +272,29 @@ class TestRunBasics:
         assert info.value.step == 7
 
 
+class TestReferenceVariants:
+    """The two energy-curve references run as the plain variants would on the
+    plan each one stands for, bit for bit (docs/DECISIONS.md entry 12)."""
+
+    def _assert_same_runs(self, got, want):
+        for a, b in zip(got, want, strict=True):
+            assert a.trace == b.trace
+            assert np.array_equal(_bits(a.final_p_x0.data), _bits(b.final_p_x0.data))
+
+    def test_native_baseline_is_the_baseline_at_the_target_size(self):
+        rngs = [SeededRng(70), SeededRng(71)]
+        got = run("native-baseline", staged_plan(3, 12), TIMELINE, SHELL, CODEC, CLASS_ZERO, rngs)
+        target = single_plan(3.0, TARGET, TARGET)
+        want = run("baseline", target, TIMELINE, SHELL, CODEC, CLASS_ZERO, rngs)
+        self._assert_same_runs(got, want)
+
+    def test_rectified_no_rect_is_the_rectified_run_at_a_flat_omega(self):
+        rngs = [SeededRng(72), SeededRng(73)]
+        got = run("rectified-no-rect", staged_plan(3, 12), TIMELINE, SHELL, CODEC, CLASS_ZERO, rngs)
+        want = run("rectified", staged_plan(3, 3), TIMELINE, SHELL, CODEC, CLASS_ZERO, rngs)
+        self._assert_same_runs(got, want)
+
+
 # a 7-step timeline whose two stages meet at step 4
 SEVEN = build_timeline(build_schedule(), 7)
 SEVEN_PLAN = build_plan(
@@ -285,8 +312,14 @@ class TestLevelContract:
 
     @pytest.mark.parametrize(
         "variant,label",
-        [("baseline", None), ("rectified", CLASS_ZERO), ("snr-corrected", None)],
-        ids=["baseline", "rectified-guided", "snr-corrected"],
+        [
+            ("baseline", None), ("rectified", CLASS_ZERO), ("snr-corrected", None),
+            ("native-baseline", None), ("rectified-no-rect", CLASS_ZERO),
+        ],
+        ids=[
+            "baseline", "rectified-guided", "snr-corrected", "native-baseline",
+            "rectified-no-rect-guided",
+        ],
     )
     def test_the_denoiser_sees_the_timeline_levels_in_step_order(self, variant, label):
         seen = []

@@ -28,7 +28,6 @@ from restage.schedule import (
     select_refresh_steps,
     snr_corrected_alpha_bar,
     snr_energy_coefficient,
-    with_flat_omega,
 )
 
 from _toys import TIMELINE, linear_schedule
@@ -249,15 +248,6 @@ class TestPresets:
     def test_unknown_preset(self):
         with pytest.raises(ConfigError, match="preset"):
             ladder_preset("paper-8192", ((16, 16),))
-
-    def test_flat_omega_defaults_to_the_floor(self):
-        flat = with_flat_omega(_ladder())
-        assert (flat.omega_min, flat.omega_max) == (5.0, 5.0)
-        assert flat.t_min == 40 and flat.resolutions == ((16, 16), (32, 32))
-
-    def test_flat_omega_explicit_value(self):
-        flat = with_flat_omega(_ladder(), 7.0)
-        assert (flat.omega_min, flat.omega_max) == (7.0, 7.0)
 
 
 class TestAreaCorrection:
