@@ -5,13 +5,15 @@ call the same functions, so the command and the release criteria cannot
 drift apart. Each check returns a :class:`Check` whose ``detail`` carries
 the measured figures; ``value`` holds the one a test pins, where one does.
 Where the command and the criteria once differed, a check uses the
-criteria's inputs and enforces both tolerances.
+criteria's inputs and enforces both tolerances. The closed-form step
+coefficients live here too: the SNR checks are their only users, so the
+sampling commands never load them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,12 +26,12 @@ from .sampler import affine_trajectory_oracle, noise_refresh, run
 __all__ = [
     "Check", "run_all", "schedule_monotonic", "timeline_endpoints", "ladder_presets",
     "snr_identity", "snr_energy_range", "snr_near_unity", "oracle_affine", "refresh_distribution",
-    "z_test_mean_var",
+    "z_test_mean_var", "ddim_step_coefficients", "snr_rewritten_step_coefficients",
+    "snr_energy_coefficient",
 ]
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """Outcome of one check: its name, whether it held, and what was measured.
 
     ``value`` is the bounded figure, for the checks whose tests pin one.
@@ -100,6 +102,54 @@ def ladder_presets() -> Check:
     )
 
 
+def ddim_step_coefficients(alpha_bar_t: float, alpha_bar_prev: float) -> tuple[float, float]:
+    """Coefficients (on x_t, on eps) of one deterministic update.
+
+    The update x_prev = sqrt(ab_prev) * p_x0 + sqrt(1 - ab_prev) * eps with
+    p_x0 = (x_t - sqrt(1 - ab_t) * eps) / sqrt(ab_t) regrouped as
+    x_prev = a * x_t + b * eps. Both levels lie in (0, 1].
+    """
+    a = math.sqrt(alpha_bar_prev / alpha_bar_t)
+    b = math.sqrt(1.0 - alpha_bar_prev) - math.sqrt(alpha_bar_prev * (1.0 - alpha_bar_t) / alpha_bar_t)
+    return a, b
+
+
+def snr_rewritten_step_coefficients(
+    alpha_bar_t: float, alpha_bar_prev: float, gamma: float
+) -> tuple[float, float]:
+    """The corrected update's coefficients written in uncorrected levels.
+
+    Substituting :func:`restage.schedule.snr_corrected_alpha_bar` into the
+    two-coefficient update and simplifying yields
+
+        on x_t: sqrt((gamma - (gamma-1)*ab_t) / (gamma - (gamma-1)*ab_prev))
+                * sqrt(ab_prev / ab_t)
+        on eps: sqrt(gamma / (gamma - (gamma-1)*ab_prev))
+                * (sqrt(1 - ab_prev) - sqrt(ab_prev) * sqrt(1 - ab_t) / sqrt(ab_t))
+
+    which exposes the correction as two bounded gain factors on the plain
+    update. Both levels lie in (0, 1] and gamma >= 1.
+    """
+    d_t = gamma - (gamma - 1.0) * alpha_bar_t
+    d_prev = gamma - (gamma - 1.0) * alpha_bar_prev
+    a = math.sqrt(d_t / d_prev) * math.sqrt(alpha_bar_prev / alpha_bar_t)
+    b = math.sqrt(gamma / d_prev) * (
+        math.sqrt(1.0 - alpha_bar_prev)
+        - math.sqrt(alpha_bar_prev) * math.sqrt(1.0 - alpha_bar_t) / math.sqrt(alpha_bar_t)
+    )
+    return a, b
+
+
+def snr_energy_coefficient(alpha_bar_prev: float, gamma: float) -> float:
+    """Gain gamma / (gamma - (gamma - 1) * ab_prev) on the injected noise term.
+
+    Defined for gamma >= 1, and lies in [1, gamma] for ab_prev in [0, 1]:
+    the correction never shrinks the noise term and never amplifies it
+    beyond gamma.
+    """
+    return gamma / (gamma - (gamma - 1.0) * alpha_bar_prev)
+
+
 def _snr_triples():
     """1000 (lo, hi, gamma) triples: ordered levels in (0, 1), gamma in [1, 16)."""
     rng = np.random.default_rng(424242)
@@ -112,10 +162,10 @@ def snr_identity() -> Check:
     """The rewritten corrected update equals the plain update at corrected levels."""
     worst = 0.0
     for lo, hi, gamma in _snr_triples():
-        direct = sched.ddim_step_coefficients(
+        direct = ddim_step_coefficients(
             sched.snr_corrected_alpha_bar(lo, gamma), sched.snr_corrected_alpha_bar(hi, gamma)
         )
-        rewritten = sched.snr_rewritten_step_coefficients(lo, hi, gamma)
+        rewritten = snr_rewritten_step_coefficients(lo, hi, gamma)
         # relative error of the affine step as a whole; the eps coefficient
         # alone can cancel to ~0 and has no meaningful own-scale
         scale = max(*(abs(c) for c in direct + rewritten), 1e-300)
@@ -127,7 +177,7 @@ def snr_identity() -> Check:
 def snr_energy_range() -> Check:
     """The corrected update's noise gain stays within [1, gamma]."""
     ok = all(
-        1.0 - 1e-12 <= sched.snr_energy_coefficient(hi, gamma) <= gamma + 1e-12
+        1.0 - 1e-12 <= snr_energy_coefficient(hi, gamma) <= gamma + 1e-12
         for _, hi, gamma in _snr_triples()
     )
     return Check("snr-energy-range", ok, f"noise gain within [1, gamma]: {ok}")

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -107,7 +106,7 @@ def cmd_energy_curve(config: ExperimentConfig, out_dir: Path) -> int:
     if config.energy.omegas:
         # one plan per flat guidance scale, shared by every variant
         flat = [
-            (w, sched.build_plan(replace(config.ladder, omega_min=w, omega_max=w), timeline))
+            (w, sched.build_plan(config.ladder._replace(omega_min=w, omega_max=w), timeline))
             for w in config.energy.omegas
         ]
         curves = [(f"{v}-omega{w:g}", v, p) for v in variants for w, p in flat]

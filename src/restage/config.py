@@ -39,8 +39,8 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,13 +65,11 @@ __all__ = ["ExperimentConfig", "load_config", "build_denoiser", "build_codec"]
 _LADDER_KEYS = ("t_min", "t_max", "n_stages", "m_t", "omega_min", "omega_max", "m_omega")
 
 
-@dataclass(frozen=True)
-class ScheduleSpec:
+class ScheduleSpec(NamedTuple):
     num_steps: int
 
 
-@dataclass(frozen=True)
-class DenoiserSpec:
+class DenoiserSpec(NamedTuple):
     kind: str
     mean_value: float = 0.0
     variance: float = 1.0
@@ -79,35 +77,31 @@ class DenoiserSpec:
     conditional: bool = False
 
 
-@dataclass(frozen=True)
-class CodecSpec:
+class CodecSpec(NamedTuple):
     kind: str
     command: str = ""
     granularity: int = 1
 
 
-@dataclass(frozen=True)
-class RunSpec:
+class RunSpec(NamedTuple):
     variant: str = "baseline"
     seed: int = 0
     run_count: int = 1
     snapshot_steps: tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
-class EnergySpec:
+class EnergySpec(NamedTuple):
     variants: tuple[str, ...] = ()
     omegas: tuple[float, ...] = ()
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     schedule: ScheduleSpec
     ladder: LadderConfig
-    denoiser: DenoiserSpec = field(default_factory=lambda: DenoiserSpec(kind="gaussian"))
-    codec: CodecSpec = field(default_factory=lambda: CodecSpec(kind="identity"))
-    run: RunSpec = field(default_factory=RunSpec)
-    energy: EnergySpec = field(default_factory=EnergySpec)
+    denoiser: DenoiserSpec = DenoiserSpec(kind="gaussian")
+    codec: CodecSpec = CodecSpec(kind="identity")
+    run: RunSpec = RunSpec()
+    energy: EnergySpec = EnergySpec()
 
     def build_schedule(self) -> NoiseSchedule:
         return build_schedule()
@@ -357,7 +351,10 @@ def build_denoiser(config: ExperimentConfig) -> tuple[Denoiser, int | None]:
         raise ConfigError(
             f"denoiser.path: dataset tensor must be rank-4 (points, C, H, W), got rank {arr.ndim}"
         )
-    points = [LatentGrid(arr[i].astype(np.float64)) for i in range(arr.shape[0])]
+    # read_tensor has screened every value finite: widen once and adopt the rows
+    data = arr.astype(np.float64)
+    data.setflags(write=False)
+    points = [LatentGrid._adopt(row) for row in data]
     if spec.conditional:
         return DatasetPrior(points, [i % 2 for i in range(len(points))]), 0
     return DatasetPrior(points, [0] * len(points)), None

@@ -60,7 +60,7 @@ latent in latent space directly and re-noises nothing.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,8 +87,7 @@ VARIANTS = (
 )
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     """One row of a run's trace."""
 
     step: int
@@ -99,8 +98,7 @@ class StepRecord:
     refreshed: bool
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(NamedTuple):
     """What one seed's finished run exposes. Snapshots go to ``run``'s callback."""
 
     variant: str
@@ -177,7 +175,7 @@ def _variant_stages(variant: str, plan: RefreshPlan) -> tuple[tuple[Stage, ...],
     """The stages ``variant`` runs over ``plan`` and the gamma of its update levels."""
     s0 = plan.stages[0]
     if variant == "rectified-no-rect":
-        return tuple(replace(st, omega=s0.omega) for st in plan.stages), 1.0
+        return tuple(st._replace(omega=s0.omega) for st in plan.stages), 1.0
     if variant not in ("baseline", "native-baseline", "snr-corrected"):
         return plan.stages, 1.0
     h, w = plan.base_resolution if variant == "baseline" else plan.target_resolution
@@ -335,8 +333,7 @@ def run(
     )
 
 
-@dataclass(frozen=True)
-class AffineTrajectory:
+class AffineTrajectory(NamedTuple):
     """A whole run collapsed to final_p_x0 = noise_gain * x_T + mean_gain * mean."""
 
     noise_gain: float

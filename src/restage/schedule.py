@@ -19,7 +19,7 @@ Conventions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,9 +42,6 @@ __all__ = [
     "build_plan",
     "ladder_preset",
     "snr_corrected_alpha_bar",
-    "snr_rewritten_step_coefficients",
-    "ddim_step_coefficients",
-    "snr_energy_coefficient",
 ]
 
 # The training schedule: the scaled-linear ramp of the large latent-diffusion
@@ -55,8 +52,7 @@ BETA_END = 0.012
 TRAIN_STEPS = 1000
 
 
-@dataclass(frozen=True)
-class NoiseSchedule:
+class NoiseSchedule(NamedTuple):
     """Per-training-timestep noise levels, one entry per training timestep.
 
     Attributes:
@@ -65,12 +61,11 @@ class NoiseSchedule:
             strictly decreasing, all values in (0, 1).
     """
 
-    betas: np.ndarray = field(repr=False)
-    alpha_bar: np.ndarray = field(repr=False)
+    betas: np.ndarray
+    alpha_bar: np.ndarray
 
 
-@dataclass(frozen=True)
-class SamplerTimeline:
+class SamplerTimeline(NamedTuple):
     """Mapping from sampling steps to training timesteps.
 
     Attributes:
@@ -83,12 +78,11 @@ class SamplerTimeline:
     """
 
     num_steps: int
-    step_to_train_t: np.ndarray = field(repr=False)
-    alpha_bar_at_step: np.ndarray = field(repr=False)
+    step_to_train_t: np.ndarray
+    alpha_bar_at_step: np.ndarray
 
 
-@dataclass(frozen=True)
-class LadderConfig:
+class LadderConfig(NamedTuple):
     """Hyperparameters of the staged-resolution ladder.
 
     ``t_min``/``t_max`` bound the sampling-step window inside which refresh
@@ -99,6 +93,9 @@ class LadderConfig:
 
     ``resolutions`` lists one (height, width) per stage in latent units,
     non-decreasing in both dimensions.
+
+    The record checks nothing itself: :func:`build_plan` checks every field
+    before it plans, so a ladder changed with ``_replace`` is checked too.
     """
 
     t_min: int
@@ -110,43 +107,8 @@ class LadderConfig:
     m_omega: float
     resolutions: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
-        if self.n_stages < 1:
-            raise ConfigError(f"ladder.n_stages: must be >= 1, got {self.n_stages}")
-        if self.t_min < 0:
-            raise ConfigError(f"ladder.t_min: must be >= 0, got {self.t_min}")
-        if self.t_min >= self.t_max:
-            raise ConfigError(
-                f"ladder.t_min: must be strictly below t_max, got {self.t_min} >= {self.t_max}"
-            )
-        if not self.m_t > 0:
-            raise ConfigError(f"ladder.m_t: must be > 0, got {self.m_t}")
-        if not self.m_omega > 0:
-            raise ConfigError(f"ladder.m_omega: must be > 0, got {self.m_omega}")
-        if self.omega_min > self.omega_max:
-            raise ConfigError(
-                f"ladder.omega_min: must be <= omega_max, got {self.omega_min} > {self.omega_max}"
-            )
-        if len(self.resolutions) != self.n_stages:
-            raise ConfigError(
-                f"ladder.resolutions: need one (height, width) per stage, "
-                f"got {len(self.resolutions)} for {self.n_stages} stages"
-            )
-        for i, (h, w) in enumerate(self.resolutions):
-            if h < 1 or w < 1:
-                raise ConfigError(f"ladder.resolutions: stage {i} has non-positive dims ({h}, {w})")
-        for i in range(1, self.n_stages):
-            ph, pw = self.resolutions[i - 1]
-            h, w = self.resolutions[i]
-            if h < ph or w < pw:
-                raise ConfigError(
-                    f"ladder.resolutions: stage {i} ({h}, {w}) shrinks below stage "
-                    f"{i - 1} ({ph}, {pw}); resolutions must be non-decreasing"
-                )
 
-
-@dataclass(frozen=True)
-class Stage:
+class Stage(NamedTuple):
     """One contiguous run of sampling steps at a fixed resolution and omega.
 
     ``first_step`` is inclusive, ``last_step`` exclusive.
@@ -160,8 +122,7 @@ class Stage:
     omega: float
 
 
-@dataclass(frozen=True)
-class RefreshPlan:
+class RefreshPlan(NamedTuple):
     """Stages tiling [0, num_steps) plus the boundary steps between them."""
 
     stages: tuple[Stage, ...]
@@ -255,12 +216,45 @@ def build_plan(config: LadderConfig, timeline: SamplerTimeline) -> RefreshPlan:
     """Tile the timeline into stages separated by the ladder's boundaries.
 
     Raises:
-        ConfigError: if the ladder window extends past the run length.
+        ConfigError: if a ladder field is outside its domain or the ladder
+            window extends past the run length.
         PlanError: if two boundaries collide (the floor in
             :func:`select_refresh_steps` can map distinct stages to the same
             step) or a boundary falls outside (0, num_steps), either of
             which would create an empty stage.
     """
+    if config.n_stages < 1:
+        raise ConfigError(f"ladder.n_stages: must be >= 1, got {config.n_stages}")
+    if config.t_min < 0:
+        raise ConfigError(f"ladder.t_min: must be >= 0, got {config.t_min}")
+    if config.t_min >= config.t_max:
+        raise ConfigError(
+            f"ladder.t_min: must be strictly below t_max, got {config.t_min} >= {config.t_max}"
+        )
+    if not config.m_t > 0:
+        raise ConfigError(f"ladder.m_t: must be > 0, got {config.m_t}")
+    if not config.m_omega > 0:
+        raise ConfigError(f"ladder.m_omega: must be > 0, got {config.m_omega}")
+    if config.omega_min > config.omega_max:
+        raise ConfigError(
+            f"ladder.omega_min: must be <= omega_max, got {config.omega_min} > {config.omega_max}"
+        )
+    if len(config.resolutions) != config.n_stages:
+        raise ConfigError(
+            f"ladder.resolutions: need one (height, width) per stage, "
+            f"got {len(config.resolutions)} for {config.n_stages} stages"
+        )
+    for i, (h, w) in enumerate(config.resolutions):
+        if h < 1 or w < 1:
+            raise ConfigError(f"ladder.resolutions: stage {i} has non-positive dims ({h}, {w})")
+    for i in range(1, config.n_stages):
+        ph, pw = config.resolutions[i - 1]
+        h, w = config.resolutions[i]
+        if h < ph or w < pw:
+            raise ConfigError(
+                f"ladder.resolutions: stage {i} ({h}, {w}) shrinks below stage "
+                f"{i - 1} ({ph}, {pw}); resolutions must be non-decreasing"
+            )
     if config.t_max > timeline.num_steps:
         raise ConfigError(
             f"ladder.t_max: must be <= the run's step count, "
@@ -327,51 +321,3 @@ def snr_corrected_alpha_bar(alpha_bar_t: float, gamma: float) -> float:
     identity; the endpoints 0 and 1 are fixed points for every gamma.
     """
     return alpha_bar_t / (gamma - (gamma - 1.0) * alpha_bar_t)
-
-
-def ddim_step_coefficients(alpha_bar_t: float, alpha_bar_prev: float) -> tuple[float, float]:
-    """Coefficients (on x_t, on eps) of one deterministic update.
-
-    The update x_prev = sqrt(ab_prev) * p_x0 + sqrt(1 - ab_prev) * eps with
-    p_x0 = (x_t - sqrt(1 - ab_t) * eps) / sqrt(ab_t) regrouped as
-    x_prev = a * x_t + b * eps. Both levels lie in (0, 1].
-    """
-    a = math.sqrt(alpha_bar_prev / alpha_bar_t)
-    b = math.sqrt(1.0 - alpha_bar_prev) - math.sqrt(alpha_bar_prev * (1.0 - alpha_bar_t) / alpha_bar_t)
-    return a, b
-
-
-def snr_rewritten_step_coefficients(
-    alpha_bar_t: float, alpha_bar_prev: float, gamma: float
-) -> tuple[float, float]:
-    """The corrected update's coefficients written in uncorrected levels.
-
-    Substituting :func:`snr_corrected_alpha_bar` into the two-coefficient
-    update and simplifying yields
-
-        on x_t: sqrt((gamma - (gamma-1)*ab_t) / (gamma - (gamma-1)*ab_prev))
-                * sqrt(ab_prev / ab_t)
-        on eps: sqrt(gamma / (gamma - (gamma-1)*ab_prev))
-                * (sqrt(1 - ab_prev) - sqrt(ab_prev) * sqrt(1 - ab_t) / sqrt(ab_t))
-
-    which exposes the correction as two bounded gain factors on the plain
-    update. Both levels lie in (0, 1] and gamma >= 1.
-    """
-    d_t = gamma - (gamma - 1.0) * alpha_bar_t
-    d_prev = gamma - (gamma - 1.0) * alpha_bar_prev
-    a = math.sqrt(d_t / d_prev) * math.sqrt(alpha_bar_prev / alpha_bar_t)
-    b = math.sqrt(gamma / d_prev) * (
-        math.sqrt(1.0 - alpha_bar_prev)
-        - math.sqrt(alpha_bar_prev) * math.sqrt(1.0 - alpha_bar_t) / math.sqrt(alpha_bar_t)
-    )
-    return a, b
-
-
-def snr_energy_coefficient(alpha_bar_prev: float, gamma: float) -> float:
-    """Gain gamma / (gamma - (gamma - 1) * ab_prev) on the injected noise term.
-
-    Defined for gamma >= 1, and lies in [1, gamma] for ab_prev in [0, 1]:
-    the correction never shrinks the noise term and never amplifies it
-    beyond gamma.
-    """
-    return gamma / (gamma - (gamma - 1.0) * alpha_bar_prev)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from restage import checks
+from restage.checks import ddim_step_coefficients, snr_energy_coefficient
 from restage.errors import ConfigError, PlanError
 from restage.latent import LatentGrid
 from restage.sampler import ddim_step
@@ -22,12 +23,10 @@ from restage.schedule import (
     build_plan,
     build_schedule,
     build_timeline,
-    ddim_step_coefficients,
     ladder_preset,
     select_omegas,
     select_refresh_steps,
     snr_corrected_alpha_bar,
-    snr_energy_coefficient,
 )
 
 from _toys import TIMELINE, linear_schedule
@@ -129,11 +128,16 @@ class TestLadderConfigValidation:
     )
     def test_each_field_is_checked(self, overrides, fragment):
         with pytest.raises(ConfigError, match=fragment):
-            _ladder(**overrides)
+            build_plan(_ladder(**overrides), TIMELINE)
+
+    def test_a_replaced_field_is_checked_when_planned(self):
+        # the energy-curve omega sweep plans ladders changed with _replace
+        with pytest.raises(ConfigError, match=r"ladder\.m_t"):
+            build_plan(_ladder()._replace(m_t=0), TIMELINE)
 
     def test_equal_resolutions_allowed(self):
-        config = _ladder(resolutions=((16, 16), (16, 16)))
-        assert config.resolutions == ((16, 16), (16, 16))
+        plan = build_plan(_ladder(resolutions=((16, 16), (16, 16))), TIMELINE)
+        assert [(s.height, s.width) for s in plan.stages] == [(16, 16), (16, 16)]
 
 
 class TestStageSelection:
