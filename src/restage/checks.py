@@ -256,7 +256,7 @@ def refresh_distribution() -> Check:
     eps = gaussian_noise(4, 180, 180, SeededRng(123).stream("refresh", 1))
     # same size, identity codec: the resize inside is a no-op, so the output
     # must be exactly sqrt(level) * clean + sqrt(1 - level) * eps
-    (refreshed,) = noise_refresh([clean], IdentityCodec(), 180, 180, level, [eps])
+    (refreshed,) = noise_refresh(clean.data[None], IdentityCodec(), 180, 180, level, [eps])
     residual = refreshed - np.sqrt(level) * clean.data
     z, ratio = z_test_mean_var(residual, 0.0, 1.0 - level)
     return Check(

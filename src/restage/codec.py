@@ -1,10 +1,10 @@
 """Latent <-> decoded-space codecs and the refresh resize path.
 
-A codec maps a batch of latent grids to decoded representations and back:
-``decode`` and ``encode`` take a sequence of (C, H, W) grids and return a
-list in the same order. The identity codec makes the decoded space the
-latent space itself; the external codec shells out to a user-supplied
-command (e.g. a real autoencoder wrapper) speaking a small file protocol.
+A codec maps a batch of latents to decoded representations and back:
+``decode`` and ``encode`` take one read-only (B, C, H, W) float64 array and
+return one, row by row. The identity codec returns its input; the external
+codec shells out to a user-supplied command (e.g. a real autoencoder
+wrapper) speaking a small file protocol.
 
 External protocol: the command is invoked once per grid as
 
@@ -22,8 +22,9 @@ from __future__ import annotations
 
 import os
 import tempfile
-from collections.abc import Sequence
 from pathlib import Path
+
+import numpy as np
 
 from .errors import CodecError
 from .latent import LatentGrid, resize_bilinear
@@ -37,26 +38,20 @@ class IdentityCodec:
 
     granularity = 1
 
-    def decode(self, grids: Sequence[LatentGrid]) -> list[LatentGrid]:
-        return list(grids)
+    def decode(self, batch: np.ndarray) -> np.ndarray:
+        return batch
 
-    def encode(self, grids: Sequence[LatentGrid]) -> list[LatentGrid]:
-        return list(grids)
-
-
-def _expect(mode: str, outputs: list[LatentGrid], shapes) -> list[LatentGrid]:
-    for index, (out, want) in enumerate(zip(outputs, shapes)):
-        if out.shape != want:
-            raise CodecError(f"{mode} returned shape {out.shape}, expected {want}", index=index)
-    return outputs
+    def encode(self, batch: np.ndarray) -> np.ndarray:
+        return batch
 
 
 class ExternalCodec:
     """Codec backed by an external command speaking the file protocol above.
 
-    A batch runs one command per grid, at most one per CPU this process may
+    A batch runs one command per row, at most one per CPU this process may
     use (``os.sched_getaffinity``) at a time, starting the next as any one
-    exits, and reads the outputs once all have exited. A failed call or an
+    exits, and reads the outputs into one array once all have exited,
+    checking each output's shape as it is read. A failed call or an
     interrupt kills and reaps the running commands and removes the batch's
     files before the error propagates.
 
@@ -80,18 +75,21 @@ class ExternalCodec:
         self.command = command
         self.granularity = int(granularity)
 
-    def _invoke(self, mode: str, grids: Sequence[LatentGrid]) -> list[LatentGrid]:
+    def _invoke(self, mode: str, batch: np.ndarray) -> np.ndarray:
         import select
         import subprocess  # imported here so identity-codec runs do not load them
 
+        _, c, h, w = batch.shape
+        g = self.granularity
+        shape = (c, h * g, w * g) if mode == "decode" else (c, h // g, w // g)
         width = len(os.sched_getaffinity(0))
         procs = []
         pidfds: dict[int, int] = {}  # an open pidfd -> the batch index of its command
         poller = select.poll()
         with tempfile.TemporaryDirectory(prefix="codec-") as tmp:
-            stems = [Path(tmp, str(i)) for i in range(len(grids))]
-            for stem, grid in zip(stems, grids):
-                write_grid(f"{stem}.in", grid)
+            stems = [Path(tmp, str(i)) for i in range(len(batch))]
+            for stem, row in zip(stems, batch):
+                write_grid(f"{stem}.in", LatentGrid._adopt(row))
 
             def start(i: int) -> None:
                 with open(f"{stems[i]}.log", "wb") as log:
@@ -107,7 +105,7 @@ class ExternalCodec:
                 poller.register(fd, select.POLLIN)
 
             try:
-                for i in range(min(width, len(grids))):
+                for i in range(min(width, len(batch))):
                     start(i)
                 # take commands as they exit, whichever comes first, and start
                 # the next queued one in each one's place, so that at most
@@ -121,7 +119,7 @@ class ExternalCodec:
                         if status != 0:
                             log = Path(f"{stems[i]}.log").read_text(errors="replace").strip() or "(no output)"
                             raise CodecError(f"{mode} command exited with status {status}: {log}", index=i)
-                        if len(procs) < len(grids):
+                        if len(procs) < len(batch):
                             start(len(procs))
             finally:
                 for fd in pidfds:
@@ -130,36 +128,37 @@ class ExternalCodec:
                     if proc.poll() is None:
                         proc.kill()
                         proc.wait()
-            outputs = []
+            out = np.empty((len(batch), *shape))
             for i, stem in enumerate(stems):
                 try:
-                    outputs.append(read_grid(f"{stem}.out"))
+                    grid = read_grid(f"{stem}.out")
                 except (ValueError, OSError) as exc:
                     raise CodecError(f"{mode} produced an unreadable tensor: {exc}", index=i) from exc
-            return outputs
+                if grid.shape != shape:
+                    raise CodecError(f"{mode} returned shape {grid.shape}, expected {shape}", index=i)
+                out[i] = grid.data
+        out.setflags(write=False)
+        return out
 
-    def decode(self, grids: Sequence[LatentGrid]) -> list[LatentGrid]:
-        g = self.granularity
-        shapes = [(x.channels, x.height * g, x.width * g) for x in grids]
-        return _expect("decode", self._invoke("decode", grids), shapes)
+    def decode(self, batch: np.ndarray) -> np.ndarray:
+        return self._invoke("decode", batch)
 
-    def encode(self, grids: Sequence[LatentGrid]) -> list[LatentGrid]:
-        """Encode grids whose dims are multiples of the granularity."""
-        g = self.granularity
-        shapes = [(x.channels, x.height // g, x.width // g) for x in grids]
-        return _expect("encode", self._invoke("encode", grids), shapes)
+    def encode(self, batch: np.ndarray) -> np.ndarray:
+        """Encode a batch whose height and width are multiples of the granularity."""
+        return self._invoke("encode", batch)
 
 
-def refresh_resize(
-    codec, grids: Sequence[LatentGrid], target_height: int, target_width: int
-) -> list[LatentGrid]:
+def refresh_resize(codec, batch: np.ndarray, target_height: int, target_width: int) -> np.ndarray:
     """Resize a batch of clean-signal estimates through decoded space.
 
-    Decodes every grid, resamples each decoded representation bilinearly to
-    the target resolution (given in latent units), and encodes them all
-    back, i.e. encode(resize(decode(grid))) per grid. With the identity
-    codec this reduces to a plain latent resample.
+    Decodes the read-only (B, C, H, W) batch, resamples it bilinearly to the
+    target resolution (given in latent units) as one grid of its B*C
+    channels, and encodes it back into one read-only array. With the
+    identity codec this reduces to a plain latent resample.
     """
     g = codec.granularity
-    return codec.encode([resize_bilinear(d, target_height * g, target_width * g)
-                         for d in codec.decode(grids)])
+    decoded = codec.decode(batch)
+    n, c, h, w = decoded.shape
+    th, tw = target_height * g, target_width * g
+    resized = resize_bilinear(LatentGrid._adopt(decoded.reshape(n * c, h, w)), th, tw)
+    return codec.encode(resized.data.reshape(n, c, th, tw))

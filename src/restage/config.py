@@ -31,8 +31,8 @@ An absent or empty key takes its default. The output directory is not a
 key: it is the command line's ``--out``. Validation is total: any unknown
 section or key, any missing required key, any empty entry of a comma list,
 any non-finite number and any value outside its domain raises
-:class:`ConfigError` naming the offending field; a ladder whose stages
-collide raises :class:`PlanError`.
+:class:`ConfigError` naming the offending field (for a ladder whose
+stages collide, the stages).
 """
 
 from __future__ import annotations
@@ -351,10 +351,9 @@ def build_denoiser(config: ExperimentConfig) -> tuple[Denoiser, int | None]:
         raise ConfigError(
             f"denoiser.path: dataset tensor must be rank-4 (points, C, H, W), got rank {arr.ndim}"
         )
-    # read_tensor has screened every value finite: widen once and adopt the rows
-    data = arr.astype(np.float64)
-    data.setflags(write=False)
-    points = [LatentGrid._adopt(row) for row in data]
+    # read_tensor has screened every value finite: widen once, and the prior keeps it
+    points = arr.astype(np.float64)
+    points.setflags(write=False)
     if spec.conditional:
         return DatasetPrior(points, [i % 2 for i in range(len(points))]), 0
     return DatasetPrior(points, [0] * len(points)), None

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeError
 from .latent import LatentGrid, resize_bilinear
 
 __all__ = [
@@ -129,26 +128,24 @@ class DatasetPrior(Denoiser):
     resolution for all points (the matrix is a view of the cached stack),
     and per (resolution, label) for one class's rows, copied contiguous so
     a conditional query touches only those rows. The row indices of each
-    label are fixed at construction. The native-resolution points are held
-    once, as a read-only (N, C, H, W) stack; ``points`` are grids over its
-    rows, not the caller's grids.
+    label are fixed at construction. ``points`` is the (N, C, H, W) stack of
+    finite values, kept as given when it is a read-only float64 array and
+    copied into one otherwise.
     """
 
-    def __init__(self, points: list[LatentGrid], labels: list[int]):
-        if not points:
-            raise ValueError("dataset prior needs at least one point")
-        if len(labels) != len(points):
-            raise ValueError(f"got {len(points)} points but {len(labels)} labels")
-        shape = points[0].shape
-        for i, p in enumerate(points):
-            if p.shape != shape:
-                raise ShapeError(f"point {i} has shape {p.shape}, expected {shape}")
-        native = np.stack([p.data for p in points])
-        native.setflags(write=False)
-        self.points = tuple(LatentGrid._adopt(row) for row in native)
+    def __init__(self, points: np.ndarray, labels: list[int]):
+        native = np.asarray(points, dtype=np.float64)
+        if native.ndim != 4 or native.size == 0:
+            raise ValueError(f"need a non-empty (N, C, H, W) stack of points, got {native.shape}")
+        if len(labels) != len(native):
+            raise ValueError(f"got {len(native)} points but {len(labels)} labels")
+        if native.flags.writeable:  # the caller may still write to it
+            native = native.copy()
+            native.setflags(write=False)
+        self.points = native
         self.labels = tuple(int(l) for l in labels)
-        self.channels = shape[0]
-        self._stacks: dict[tuple[int, int], np.ndarray] = {(shape[1], shape[2]): native}
+        self.channels = native.shape[1]
+        self._stacks: dict[tuple[int, int], np.ndarray] = {native.shape[2:]: native}
         label_array = np.array(self.labels)
         self._label_rows = {lab: np.flatnonzero(label_array == lab) for lab in set(self.labels)}
         # (height, width, label or None) -> (flattened rows, half squared norms)
@@ -157,9 +154,11 @@ class DatasetPrior(Denoiser):
     def prepare_resolution(self, height: int, width: int) -> None:
         key = (height, width)
         if key not in self._stacks:
-            self._stacks[key] = np.stack(
-                [resize_bilinear(p, height, width).data for p in self.points]
-            )
+            # every channel of every point as one grid
+            n, c, h, w = self.points.shape
+            grid = LatentGrid._adopt(self.points.reshape(n * c, h, w))
+            resized = resize_bilinear(grid, height, width).data
+            self._stacks[key] = resized.reshape(n, c, height, width)
 
     def stack_for_shape(self, height: int, width: int) -> np.ndarray:
         self.prepare_resolution(height, width)

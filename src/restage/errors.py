@@ -2,7 +2,7 @@
 
 Every failure mode that callers are expected to distinguish gets its own
 class; plain ``ValueError`` is used for simple argument-domain violations
-that no caller needs to tell apart.
+that no caller needs to tell apart, shape mismatches among them.
 """
 
 from __future__ import annotations
@@ -10,14 +10,6 @@ from __future__ import annotations
 
 class ConfigError(ValueError):
     """Invalid configuration value or combination; the message names the field."""
-
-
-class PlanError(ValueError):
-    """A refresh plan could not be built from the ladder settings."""
-
-
-class ShapeError(ValueError):
-    """Operands have incompatible grid shapes."""
 
 
 class CodecError(RuntimeError):

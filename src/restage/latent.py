@@ -2,14 +2,14 @@
 
 A latent is a dense (channels, height, width) block of float64 values.
 :class:`LatentGrid` is the validated form used at a run's edges: initial
-noise, boundary resizes and codecs, snapshots, final estimates, tensor files
-and the priors' stored points. Grids are immutable once constructed: the
-wrapped array is copied in, checked finite and marked read-only, so a grid
-can be shared freely between runs. The package's own already-screened,
-read-only arrays (a run's clean estimates, a prior's stacked points) are
-adopted as grids without the copy. Inside a sampling step the latents,
-predictions and clean estimates of a batch of seeds are plain (B, C, H, W)
-float64 ndarrays, so :func:`average_energy` takes an array.
+noise, snapshots, final estimates, tensor files and the external codec's
+per-row files. Grids are immutable once constructed: the wrapped array is
+copied in, checked finite and marked read-only, so a grid can be shared
+freely between runs. The package's own already-screened, read-only arrays
+(rows of a run's clean estimates, a resize's output) are adopted as grids
+without the copy. From a step to a stage boundary, the latents, predictions
+and clean estimates of a batch of seeds are plain (B, C, H, W) float64
+ndarrays: :func:`average_energy` takes one, and a resize takes its channels.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
-
-from .errors import ShapeError
 
 __all__ = [
     "LatentGrid",
@@ -42,9 +40,9 @@ class LatentGrid:
     def __init__(self, values):
         data = np.asarray(values, dtype=np.float64)
         if data.ndim != 3:
-            raise ShapeError(f"latent grid must be 3-D (C, H, W), got ndim={data.ndim}")
+            raise ValueError(f"latent grid must be 3-D (C, H, W), got ndim={data.ndim}")
         if data.size == 0:
-            raise ShapeError(f"latent grid dimensions must be positive, got {data.shape}")
+            raise ValueError(f"latent grid dimensions must be positive, got {data.shape}")
         if not np.all(np.isfinite(data)):
             raise ValueError("latent grid contains non-finite values")
         data = data.copy()
@@ -154,17 +152,28 @@ def _axis_lerp_indices(src_size: int, dst_size: int) -> tuple[np.ndarray, np.nda
     return lo, hi, frac
 
 
+def _lerp(arr: np.ndarray, lo: np.ndarray, hi: np.ndarray, frac: np.ndarray, axis: int):
+    # arr[lo] * (1 - frac) + arr[hi] * frac along ``axis``, into the first take
+    out = np.take(arr, lo, axis=axis)
+    out *= 1.0 - frac
+    upper = np.take(arr, hi, axis=axis)
+    upper *= frac
+    out += upper
+    return out
+
+
 def resize_bilinear(grid: LatentGrid, target_height: int, target_width: int) -> LatentGrid:
     """Separable bilinear resample with half-pixel centers and clamped edges.
 
     Every output value is a convex combination of input values, so the
-    output range is contained in the input range channel by channel.
+    output range is contained in the input range channel by channel. Each
+    channel is resampled alone, so a (B, C, H, W) batch resizes as one grid
+    of its B*C channels, bit for bit as grid by grid.
     """
     if target_height < 1 or target_width < 1:
-        raise ShapeError(f"target dimensions must be positive, got ({target_height}, {target_width})")
-    arr = grid.data
+        raise ValueError(f"target dimensions must be positive, got ({target_height}, {target_width})")
     y_lo, y_hi, fy = _axis_lerp_indices(grid.height, target_height)
     x_lo, x_hi, fx = _axis_lerp_indices(grid.width, target_width)
-    rows = arr[:, y_lo, :] * (1.0 - fy)[None, :, None] + arr[:, y_hi, :] * fy[None, :, None]
-    out = rows[:, :, x_lo] * (1.0 - fx)[None, None, :] + rows[:, :, x_hi] * fx[None, None, :]
-    return LatentGrid(out)
+    out = _lerp(_lerp(grid.data, y_lo, y_hi, fy[:, None], -2), x_lo, x_hi, fx, -1)
+    out.setflags(write=False)  # a new array of convex combinations of finite values
+    return LatentGrid._adopt(out)

@@ -25,10 +25,11 @@ A stage's latents and predictions live in buffers allocated when the stage
 starts: the predictions, the guidance combine, the update and the energies
 all write into them in place, so the only batch-sized array a step
 allocates is its clean estimate p_x0. That estimate is read-only once
-computed. :class:`LatentGrid` is built only at the run's edges, one per
-seed: the initial noise and each boundary's resize or refresh. Snapshots
-and ``final_p_x0`` adopt rows of p_x0 as grids without a copy, and stay
-valid after the run. Finiteness is screened once per step through the two
+computed. A stage boundary acts on the whole batch too: the codec, the
+resize and the refresh take (B, C, H, W) arrays. :class:`LatentGrid` is
+built only for each seed's initial and boundary noise. Snapshots and
+``final_p_x0`` adopt rows of p_x0 as grids without a copy, and stay valid
+after the run. Finiteness is screened once per step through the two
 energies the trace records; only a non-finite energy triggers the
 element-wise check, which fails the run naming the step and the seed.
 
@@ -66,7 +67,7 @@ import numpy as np
 
 from .codec import refresh_resize
 from .denoiser import Denoiser, GaussianPrior, cfg_combine
-from .errors import CodecError, SamplerError, ShapeError
+from .errors import CodecError, SamplerError
 from .latent import LatentGrid, SeededRng, average_energy, gaussian_noise, resize_bilinear
 from .schedule import RefreshPlan, SamplerTimeline, Stage, snr_corrected_alpha_bar
 
@@ -135,7 +136,7 @@ def ddim_step(
 
 
 def noise_refresh(
-    p_x0_grids: Sequence[LatentGrid],
+    p_x0: np.ndarray,
     codec,
     target_height: int,
     target_width: int,
@@ -144,24 +145,21 @@ def noise_refresh(
 ) -> np.ndarray:
     """Rebuild a batch of latents at a new resolution from clean-signal estimates.
 
-    The estimates are resized through the codec's decoded space as one batch,
-    and each is re-noised to the requested level with its own fresh noise:
+    The read-only (B, C, H, W) estimates are resized through the codec's
+    decoded space as one batch, and each is re-noised to the requested level
+    with its own fresh noise:
 
         sqrt(ab_prev) * resized + sqrt(1 - ab_prev) * eps
 
-    Returns the new (B, C, H, W) latents. ``eps_grids`` yields one grid per
-    estimate, shaped like its target, and is drawn from row by row. ab_prev
-    lies in (0, 1]; ab_prev = 1 (with zero noise) is allowed as a diagnostic
-    and returns the resized estimates.
+    Returns the new (B, C, H, W) latents as a new array. ``eps_grids`` yields
+    one grid per estimate, shaped like its target; each is drawn only as its
+    row is re-noised, so no more than one seed's noise is held at a time.
+    ab_prev lies in (0, 1]; ab_prev = 1 (with zero noise) is allowed as a
+    diagnostic and returns the resized estimates.
     """
-    resized = refresh_resize(codec, p_x0_grids, target_height, target_width)
     ab = float(alpha_bar_prev)
-    out = np.empty((len(resized), *resized[0].shape))
-    # row by row, releasing each resized estimate once its row is written, so
-    # the batch holds about one copy of the new latents at a time
-    for b, (row, eps) in enumerate(zip(out, eps_grids, strict=True)):
-        np.multiply(resized[b].data, ab**0.5, out=row)
-        resized[b] = None
+    out = np.multiply(refresh_resize(codec, p_x0, target_height, target_width), ab**0.5)
+    for row, eps in zip(out, eps_grids, strict=True):
         row += (1.0 - ab) ** 0.5 * eps.data
     return out
 
@@ -249,7 +247,7 @@ def run(
             raise ValueError(f"got {len(initial_noise)} initial noise grids for {len(rngs)} seeds")
         for grid in initial_noise:
             if grid.shape != (channels, first.height, first.width):
-                raise ShapeError(
+                raise ValueError(
                     f"initial noise shape {grid.shape} does not match the starting "
                     f"stage ({channels}, {first.height}, {first.width})"
                 )
@@ -277,12 +275,15 @@ def run(
             try:
                 if variant in ("rectified", "rectified-no-rect"):
                     x = noise_refresh(
-                        [LatentGrid._adopt(p) for p in p_x0], codec, h, w, ab,
+                        p_x0, codec, h, w, ab,
                         (gaussian_noise(channels, h, w, r.stream("refresh", stage.index))
                          for r in rngs),
                     )
                 elif variant == "latent-resize":
-                    x = np.stack([resize_bilinear(LatentGrid(row), h, w).data for row in x])
+                    # every seed's channels as one grid, copied out for the update to write
+                    x.setflags(write=False)
+                    resized = resize_bilinear(LatentGrid._adopt(x.reshape(-1, *x.shape[2:])), h, w)
+                    x = resized.data.reshape(len(rngs), channels, h, w).copy()
             except CodecError as exc:
                 seed = None if exc.index is None else rngs[exc.index].seed
                 raise _failure(exc, step, seed) from exc

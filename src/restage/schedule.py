@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, PlanError
+from .errors import ConfigError
 
 __all__ = [
     "NoiseSchedule",
@@ -216,12 +216,11 @@ def build_plan(config: LadderConfig, timeline: SamplerTimeline) -> RefreshPlan:
     """Tile the timeline into stages separated by the ladder's boundaries.
 
     Raises:
-        ConfigError: if a ladder field is outside its domain or the ladder
-            window extends past the run length.
-        PlanError: if two boundaries collide (the floor in
-            :func:`select_refresh_steps` can map distinct stages to the same
-            step) or a boundary falls outside (0, num_steps), either of
-            which would create an empty stage.
+        ConfigError: if a ladder field is outside its domain, the ladder
+            window extends past the run length, two boundaries collide (the
+            floor in :func:`select_refresh_steps` can map distinct stages to
+            the same step) or a boundary falls outside (0, num_steps); either
+            of the last two would create an empty stage.
     """
     if config.n_stages < 1:
         raise ConfigError(f"ladder.n_stages: must be >= 1, got {config.n_stages}")
@@ -263,13 +262,13 @@ def build_plan(config: LadderConfig, timeline: SamplerTimeline) -> RefreshPlan:
     boundaries = select_refresh_steps(config)
     for i in range(1, len(boundaries)):
         if boundaries[i] <= boundaries[i - 1]:
-            raise PlanError(
+            raise ConfigError(
                 f"stages {i} and {i + 1} collide at boundary step {boundaries[i]}; "
                 f"adjust t_min/t_max/m_t so every stage keeps at least one step"
             )
     for i, step in enumerate(boundaries):
         if not 0 < step < timeline.num_steps:
-            raise PlanError(
+            raise ConfigError(
                 f"boundary for stage {i + 1} at step {step} falls outside "
                 f"(0, {timeline.num_steps})"
             )

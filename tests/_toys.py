@@ -8,7 +8,8 @@ at module level executes a sampling run. It also holds oracles: the
 direct-difference point-set posterior that the matrix-form kernel is checked
 against, the allocating forms of the update, the guidance combine and the
 Gaussian prediction that the in-place step kernel must match bit for bit,
-and the one-seed noise refresh that the batched boundary must match. Then
+the one-seed noise refresh that the batched boundary must match, and the
+one-grid resize that the channel-stack resize must match. Then
 the two statistics only criteria 07 and 08 use, and last, external codec
 stubs: scripts speaking the codec file protocol.
 """
@@ -23,7 +24,7 @@ import numpy as np
 
 from restage.codec import IdentityCodec, refresh_resize
 from restage.denoiser import DatasetPrior
-from restage.latent import LatentGrid
+from restage.latent import LatentGrid, _axis_lerp_indices
 from restage.schedule import LadderConfig, NoiseSchedule, build_plan, build_schedule, build_timeline
 
 CHANNELS = 4
@@ -106,24 +107,24 @@ def clustered_shell_prior():
 
     for _ in range(12):
         g = draw()
-        points.append(LatentGrid(g))
+        points.append(g)
         labels.append(0)
-        points.append(LatentGrid(rotate(g)))
+        points.append(rotate(g))
         labels.append(0)
         for lam in (0.93, 0.87):
-            points.append(LatentGrid(g * lam))
+            points.append(g * lam)
             labels.append(1)
     for _ in range(4):
         g = draw()
-        points.append(LatentGrid(g))
+        points.append(g)
         labels.append(0)
-        points.append(LatentGrid(rotate(g)))
+        points.append(rotate(g))
         labels.append(0)
     for _ in range(8):
-        points.append(LatentGrid(draw()))
+        points.append(draw())
         labels.append(0)
     assert len(points) == 64
-    return DatasetPrior(points, labels)
+    return DatasetPrior(np.stack(points), labels)
 
 
 def radius_graded_prior():
@@ -139,9 +140,9 @@ def radius_graded_prior():
         g = rng.normal(0.0, 1.0, size=(CHANNELS, BASE, BASE))
         radius = 0.9 + 0.2 * (i / 63.0)
         g *= (0.06 * radius * np.sqrt(CHANNELS * BASE * BASE)) / np.linalg.norm(g)
-        points.append(LatentGrid(g))
+        points.append(g)
         labels.append(0 if radius > 1.0 else 1)
-    return DatasetPrior(points, labels)
+    return DatasetPrior(np.stack(points), labels)
 
 
 def coarse_prior():
@@ -155,8 +156,8 @@ def coarse_prior():
     for _ in range(16):
         g = rng.normal(0.0, 1.0, size=(CHANNELS, BASE, BASE))
         g *= np.sqrt(CHANNELS * BASE * BASE) / np.linalg.norm(g)
-        points.append(LatentGrid(g))
-    return DatasetPrior(points, [0] * 16)
+        points.append(g)
+    return DatasetPrior(np.stack(points), [0] * 16)
 
 
 def direct_posterior_mean(prior, x_t, alpha_bar_t, label):
@@ -210,11 +211,29 @@ def direct_gaussian_eps(prior, x_t, ab):
 
 
 def direct_noise_refresh(p_x0, codec, target_height, target_width, alpha_bar_prev, eps):
-    """One seed's boundary refresh as a (C, H, W) array: its own one-grid codec
+    """One seed's boundary refresh as a (C, H, W) array: its own one-row codec
     batch, re-noised by itself, as the sampler refreshed seed by seed."""
-    (resized,) = refresh_resize(codec, [p_x0], target_height, target_width)
+    (resized,) = refresh_resize(codec, p_x0.data[None], target_height, target_width)
     ab = float(alpha_bar_prev)
-    return ab**0.5 * resized.data + (1.0 - ab) ** 0.5 * eps.data
+    return ab**0.5 * resized + (1.0 - ab) ** 0.5 * eps.data
+
+
+def direct_resize_bilinear(grid, target_height, target_width):
+    """One grid's bilinear resample as a new (C, H, W) array, in the two
+    expressions ``resize_bilinear`` used before it acted on channel stacks."""
+    arr = grid.data
+    y_lo, y_hi, fy = _axis_lerp_indices(grid.height, target_height)
+    x_lo, x_hi, fx = _axis_lerp_indices(grid.width, target_width)
+    rows = arr[:, y_lo, :] * (1.0 - fy)[None, :, None] + arr[:, y_hi, :] * fy[None, :, None]
+    return rows[:, :, x_lo] * (1.0 - fx)[None, None, :] + rows[:, :, x_hi] * fx[None, None, :]
+
+
+def read_only(values):
+    """A read-only float64 copy of ``values``: the form a codec batch, a
+    refresh's estimates and a prior's stack take."""
+    out = np.array(values, dtype=np.float64)
+    out.setflags(write=False)
+    return out
 
 
 def p_x0_mse_series(

@@ -1,14 +1,22 @@
-"""Every restage function ``bench/tracer.py`` wraps by name still exists, so a
-rename cannot silently break ``bench/run.py --trace 1``. The stdlib-only tracer
-module is loaded by path; nothing is wrapped."""
+"""The restage names the benchmark borrows still exist and keep their form, so
+a rename or a signature change fails here instead of in ``bench/run.py``.
+
+``bench/tracer.py`` wraps restage functions by name, and ``bench/checks.py``
+imports the resize and the seeded streams for its reference. Both bench
+modules are read from their files; nothing is wrapped or run."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
-_TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+import numpy as np
+
+from restage.latent import LatentGrid, resize_bilinear
+
+_BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def _resolves(location: str, attr: str) -> bool:
@@ -20,8 +28,31 @@ def _resolves(location: str, attr: str) -> bool:
 
 
 def test_every_traced_name_resolves_to_a_callable():
-    spec = importlib.util.spec_from_file_location("_bench_tracer", _TRACER)
+    spec = importlib.util.spec_from_file_location("_bench_tracer", _BENCH / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
     missing = [f"{loc}.{attr}" for loc, attr, _, _ in tracer.WRAPS if not _resolves(loc, attr)]
     assert len(tracer.WRAPS) > 0 and missing == []
+
+
+def test_every_name_the_reference_check_imports_resolves():
+    tree = ast.parse((_BENCH / "checks.py").read_text(encoding="utf-8"))
+    borrowed = [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "restage"
+        for alias in node.names
+    ]
+    missing = [
+        f"{module}.{name}" for module, name in borrowed
+        if not hasattr(importlib.import_module(module), name)
+    ]
+    assert len(borrowed) > 0 and missing == []
+
+
+def test_the_reference_check_resizes_a_grid_as_it_calls_it():
+    # bench/checks.py calls resize_bilinear(LatentGrid(p), h, w).data on (C, H, W) arrays
+    a = np.arange(24.0).reshape(2, 3, 4)
+    out = resize_bilinear(LatentGrid(a), 5, 7).data
+    assert type(out) is np.ndarray
+    assert out.shape == (2, 5, 7) and out.dtype == np.float64

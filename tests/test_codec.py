@@ -10,47 +10,51 @@ import pytest
 
 from restage.codec import ExternalCodec, IdentityCodec, refresh_resize
 from restage.denoiser import GaussianPrior
-from restage.errors import CodecError, SamplerError, ShapeError
+from restage.errors import CodecError, SamplerError
 from restage.latent import LatentGrid, SeededRng, average_energy, gaussian_noise, resize_bilinear
 from restage.sampler import run
 
-from _toys import BLOCK_CODEC, FAILS_ON_INDEX_1, TIMELINE, codec_stub, staged_plan
+from _toys import BLOCK_CODEC, FAILS_ON_INDEX_1, TIMELINE, codec_stub, read_only, staged_plan
+
+
+def _batch(*grids):
+    """The read-only (B, C, H, W) batch of ``grids``."""
+    return read_only([g.data for g in grids])
 
 
 class TestIdentityCodec:
     def test_passes_grids_through(self):
         codec = IdentityCodec()
-        grids = (LatentGrid.full(1, 2, 2, 1.0), LatentGrid.full(2, 3, 3, 0.5))
+        batch = _batch(LatentGrid.full(2, 3, 3, 1.0), LatentGrid.full(2, 3, 3, 0.5))
         assert codec.granularity == 1
-        for out in (codec.decode(grids), codec.encode(grids)):
-            assert isinstance(out, list) and len(out) == 2
-            assert all(o is g for o, g in zip(out, grids))
+        assert codec.decode(batch) is batch
+        assert codec.encode(batch) is batch
 
 
 class TestRefreshResize:
     def test_identity_codec_reduces_to_plain_resampling(self):
-        codec = IdentityCodec()
-        grid = gaussian_noise(3, 5, 5, SeededRng(1).stream("init"))
-        (via_codec,) = refresh_resize(codec, [grid], 9, 7)
-        assert np.array_equal(via_codec.data, resize_bilinear(grid, 9, 7).data)
+        grids = [gaussian_noise(3, 5, 5, SeededRng(s).stream("init")) for s in (1, 2)]
+        out = refresh_resize(IdentityCodec(), _batch(*grids), 9, 7)
+        assert out.shape == (2, 3, 9, 7) and not out.flags.writeable
+        for row, grid in zip(out, grids):
+            assert np.array_equal(row, resize_bilinear(grid, 9, 7).data)
 
     def test_same_size_is_the_identity(self):
-        grid = gaussian_noise(2, 4, 4, SeededRng(2).stream("init"))
-        (out,) = refresh_resize(IdentityCodec(), [grid], 4, 4)
-        assert np.array_equal(out.data, grid.data)
+        batch = _batch(gaussian_noise(2, 4, 4, SeededRng(2).stream("init")))
+        assert np.array_equal(refresh_resize(IdentityCodec(), batch, 4, 4), batch)
 
     def test_constant_grids_stay_constant(self):
-        (out,) = refresh_resize(IdentityCodec(), [LatentGrid.full(2, 3, 3, 1.25)], 6, 6)
-        assert np.allclose(out.data, 1.25, atol=1e-15)
+        out = refresh_resize(IdentityCodec(), _batch(LatentGrid.full(2, 3, 3, 1.25)), 6, 6)
+        assert np.allclose(out, 1.25, atol=1e-15)
 
     def test_upsampled_noise_sheds_energy(self):
         noise = gaussian_noise(1, 32, 32, SeededRng(3).stream("init"))
-        (up,) = refresh_resize(IdentityCodec(), [noise], 64, 64)
-        assert average_energy(up.data) < 0.6 * average_energy(noise.data)
+        (up,) = refresh_resize(IdentityCodec(), _batch(noise), 64, 64)
+        assert average_energy(up) < 0.6 * average_energy(noise.data)
 
     def test_bad_target(self):
-        with pytest.raises(ShapeError, match="positive"):
-            refresh_resize(IdentityCodec(), [LatentGrid.full(1, 2, 2, 0.0)], 0, 4)
+        with pytest.raises(ValueError, match="positive"):
+            refresh_resize(IdentityCodec(), _batch(LatentGrid.full(1, 2, 2, 0.0)), 0, 4)
 
 
 class TestExternalCodec:
@@ -63,25 +67,22 @@ class TestExternalCodec:
     def test_decode_scales_by_the_granularity(self, tmp_path, codec_tmp):
         codec = ExternalCodec(codec_stub(tmp_path, BLOCK_CODEC), granularity=2)
         grid = LatentGrid([[[1.0, 2.0], [3.0, 4.0]]])
-        (decoded,) = codec.decode([grid])
+        (decoded,) = codec.decode(_batch(grid))
         assert decoded.shape == (1, 4, 4)
-        assert np.array_equal(
-            decoded.data,
-            np.repeat(np.repeat(grid.data, 2, axis=1), 2, axis=2),
-        )
+        assert np.array_equal(decoded, np.repeat(np.repeat(grid.data, 2, axis=1), 2, axis=2))
 
     def test_encode_inverts_decode_on_storable_values(self, tmp_path, codec_tmp):
         codec = ExternalCodec(codec_stub(tmp_path, BLOCK_CODEC), granularity=2)
         # integer-valued grid survives the float32 transport exactly
         grid = LatentGrid(np.arange(8.0).reshape(2, 2, 2))
-        (back,) = codec.encode(codec.decode([grid]))
-        assert np.array_equal(back.data, grid.data)
+        (back,) = codec.encode(codec.decode(_batch(grid)))
+        assert np.array_equal(back, grid.data)
 
     def test_refresh_resize_through_the_external_codec(self, tmp_path, codec_tmp):
         codec = ExternalCodec(codec_stub(tmp_path, BLOCK_CODEC), granularity=2)
-        (out,) = refresh_resize(codec, [LatentGrid.full(1, 2, 2, 3.0)], 4, 4)
+        (out,) = refresh_resize(codec, _batch(LatentGrid.full(1, 2, 2, 3.0)), 4, 4)
         assert out.shape == (1, 4, 4)
-        assert np.allclose(out.data, 3.0, atol=1e-6)
+        assert np.allclose(out, 3.0, atol=1e-6)
 
     def test_nonzero_exit_surfaces_stderr(self, tmp_path, codec_tmp):
         command = codec_stub(
@@ -94,7 +95,7 @@ class TestExternalCodec:
         )
         codec = ExternalCodec(command, granularity=2)
         with pytest.raises(CodecError, match="status 3") as info:
-            codec.decode([LatentGrid.full(1, 2, 2, 0.0)])
+            codec.decode(_batch(LatentGrid.full(1, 2, 2, 0.0)))
         assert "boom" in str(info.value)
 
     def test_unreadable_output(self, tmp_path, codec_tmp):
@@ -108,20 +109,29 @@ class TestExternalCodec:
         )
         codec = ExternalCodec(command, granularity=2)
         with pytest.raises(CodecError, match="unreadable"):
-            codec.decode([LatentGrid.full(1, 2, 2, 0.0)])
+            codec.decode(_batch(LatentGrid.full(1, 2, 2, 0.0)))
 
     def test_wrong_decode_shape(self, tmp_path, codec_tmp):
+        # copies every grid but index 2's, for which it writes one value
         command = codec_stub(
             tmp_path,
             """\
-            import sys
-            import shutil
-            shutil.copyfile(sys.argv[2], sys.argv[3])
+            import os, shutil, struct, sys
+
+            src, dst = sys.argv[2:4]
+            if os.path.basename(src) == "2.in":
+                with open(dst, "wb") as fh:
+                    fh.write(b"RHRT" + struct.pack("<5I", 1, 3, 1, 1, 1) + struct.pack("<f", 0.0))
+            else:
+                shutil.copyfile(src, dst)
             """,
         )
-        codec = ExternalCodec(command, granularity=2)
-        with pytest.raises(CodecError, match="decode returned shape"):
-            codec.decode([LatentGrid.full(1, 2, 2, 0.0)])
+        codec = ExternalCodec(command, granularity=1)
+        with pytest.raises(CodecError, match=r"decode returned shape \(1, 1, 1\)") as info:
+            codec.decode(_integer_batch(4))
+        assert info.value.index == 2
+        assert "expected (2, 4, 4) (batch index 2)" in str(info.value)
+        assert list(codec_tmp.iterdir()) == []
 
     def test_a_command_that_cannot_start_names_its_step_and_seed(self, tmp_path, codec_tmp):
         codec = ExternalCodec(str(tmp_path / "no-such-codec"), granularity=1)
@@ -135,14 +145,15 @@ class TestExternalCodec:
 
     def test_temp_files_are_cleaned_up(self, tmp_path, codec_tmp):
         codec = ExternalCodec(codec_stub(tmp_path, BLOCK_CODEC), granularity=2)
-        codec.decode([LatentGrid.full(1, 2, 2, 0.0)])
+        codec.decode(_batch(LatentGrid.full(1, 2, 2, 0.0)))
         assert list(codec_tmp.glob("codec-*")) == []
 
 
-def _integer_grids(n, shape=(2, 4, 4)):
-    """Distinct grids whose values survive the float32 transport exactly."""
+def _integer_batch(n, shape=(2, 4, 4)):
+    """A read-only (n, *shape) batch of distinct grids whose values survive
+    the float32 transport exactly."""
     rng = np.random.default_rng(17)
-    return [LatentGrid(rng.integers(-50, 50, size=shape).astype(np.float64)) for _ in range(n)]
+    return read_only(rng.integers(-50, 50, size=(n, *shape)))
 
 
 # granularity 1: copies its input after a pause, appending its own start and
@@ -161,15 +172,16 @@ LOGGED_COPY = """\
 class TestConcurrentBatches:
     def test_a_batch_matches_one_grid_calls(self, tmp_path, codec_tmp):
         codec = ExternalCodec(codec_stub(tmp_path, BLOCK_CODEC), granularity=2)
-        grids = _integer_grids(3)
-        decoded = codec._invoke("decode", grids)
-        encoded = codec._invoke("encode", decoded)
-        for grid, dec, enc in zip(grids, decoded, encoded):
-            (one_dec,) = codec._invoke("decode", [grid])
-            (one_enc,) = codec._invoke("encode", [one_dec])
-            assert np.array_equal(dec.data, one_dec.data)
-            assert np.array_equal(enc.data, one_enc.data)
-            assert np.array_equal(enc.data, grid.data)
+        batch = _integer_batch(3)
+        decoded = codec.decode(batch)
+        encoded = codec.encode(decoded)
+        assert decoded.shape == (3, 2, 8, 8) and encoded.shape == batch.shape
+        assert not decoded.flags.writeable and not encoded.flags.writeable
+        for b in range(len(batch)):
+            one_dec = codec.decode(batch[b : b + 1])
+            assert np.array_equal(decoded[b : b + 1], one_dec)
+            assert np.array_equal(encoded[b : b + 1], codec.encode(one_dec))
+        assert np.array_equal(encoded, batch)
 
     @pytest.mark.parametrize("one_cpu", [False, True])
     def test_at_most_one_command_per_cpu_runs_at_once(
@@ -182,18 +194,17 @@ class TestConcurrentBatches:
         codec = ExternalCodec(
             codec_stub(tmp_path, LOGGED_COPY.format(log=str(log))), granularity=1
         )
-        grids = _integer_grids(3)
-        out = codec.decode(grids)
-        assert all(np.array_equal(o.data, g.data) for o, g in zip(out, grids))
+        batch = _integer_batch(3)
+        assert np.array_equal(codec.decode(batch), batch)
         spans = [tuple(map(float, line.split())) for line in log.read_text().splitlines()]
-        assert len(spans) == len(grids)
+        assert len(spans) == len(batch)
         # an end sorts before a start at the same instant
         events = sorted([(t0, 1) for t0, _ in spans] + [(t1, -1) for _, t1 in spans])
         running = peak = 0
         for _, delta in events:
             running += delta
             peak = max(peak, running)
-        assert peak == min(width, len(grids))
+        assert peak == min(width, len(batch))
 
     def test_a_failed_call_kills_the_batch_and_names_its_index(
         self, tmp_path, codec_tmp, monkeypatch
@@ -204,7 +215,7 @@ class TestConcurrentBatches:
         )
         start = time.monotonic()
         with pytest.raises(CodecError, match="decode command exited with status 3") as info:
-            codec.decode(_integer_grids(3))
+            codec.decode(_integer_batch(3))
         # index 0 sleeps for five seconds: the failure of index 1 is seen
         # as it exits, not after the commands started before it
         assert time.monotonic() - start < 2.5

@@ -10,7 +10,7 @@ import pytest
 from restage.codec import ExternalCodec, IdentityCodec
 from restage.config import build_codec, build_denoiser, load_config
 from restage.denoiser import DatasetPrior, GaussianPrior
-from restage.errors import ConfigError, PlanError
+from restage.errors import ConfigError
 from restage.tensorfile import write_tensor
 
 MINIMAL = """\
@@ -216,7 +216,7 @@ class TestValidation:
             "[schedule]\nnum_steps = 50\n[ladder]\nt_min = 40\nt_max = 42\nn_stages = 4\nm_t = 1\n"
             "omega_min = 1\nomega_max = 1\nm_omega = 1\nresolutions = 8x8, 8x8, 16x16, 16x16\n"
         )
-        with pytest.raises(PlanError, match="collide"):
+        with pytest.raises(ConfigError, match="collide"):
             _load(tmp_path, text)
 
     def test_resolutions_must_match_the_granularity(self, tmp_path):

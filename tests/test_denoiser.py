@@ -8,10 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from restage.denoiser import DatasetPrior, GaussianPrior, cfg_combine, dataset_posterior_mean
-from restage.errors import ShapeError
 from restage.latent import LatentGrid, SeededRng, gaussian_noise
 
-from _toys import TIMELINE, direct_posterior_mean
+from _toys import TIMELINE, direct_posterior_mean, read_only
 
 
 def _level(step):
@@ -82,7 +81,8 @@ class TestGaussianPrior:
 
 
 def _points(values):
-    return [LatentGrid.full(1, 1, 1, v) for v in values]
+    """One 1x1x1 point per value, as an (N, 1, 1, 1) stack."""
+    return np.reshape(np.asarray(values, dtype=np.float64), (-1, 1, 1, 1))
 
 
 class TestDatasetPrior:
@@ -93,9 +93,8 @@ class TestDatasetPrior:
         assert float(mean[0, 0, 0]) == 1.7
 
     def test_symmetric_pair_balances_to_zero(self):
-        point = LatentGrid(np.random.default_rng(7).normal(size=(2, 3, 3)))
-        mirrored = LatentGrid(-point.data)
-        prior = DatasetPrior([point, mirrored], [0, 0])
+        point = np.random.default_rng(7).normal(size=(2, 3, 3))
+        prior = DatasetPrior(np.stack([point, -point]), [0, 0])
         mean = dataset_posterior_mean(prior, LatentGrid.full(2, 3, 3, 0.0).data, 0.5, None)
         assert np.all(mean == 0.0)
 
@@ -115,18 +114,16 @@ class TestDatasetPrior:
 
     def test_near_clean_level_snaps_to_the_matching_point(self):
         rng = np.random.default_rng(8)
-        points = [LatentGrid(rng.normal(size=(1, 2, 2))) for _ in range(5)]
+        points = rng.normal(size=(5, 1, 2, 2))
         prior = DatasetPrior(points, [0] * 5)
         ab = 1.0 - 1e-6
-        x = LatentGrid(np.sqrt(ab) * points[3].data)
-        mean = dataset_posterior_mean(prior, x.data, ab, None)
-        assert np.allclose(mean, points[3].data, atol=1e-9)
+        mean = dataset_posterior_mean(prior, np.sqrt(ab) * points[3], ab, None)
+        assert np.allclose(mean, points[3], atol=1e-9)
 
     def test_posterior_stays_in_the_convex_hull(self):
         rng = np.random.default_rng(9)
-        points = [LatentGrid(rng.normal(size=(2, 2, 2))) for _ in range(6)]
-        prior = DatasetPrior(points, [0] * 6)
-        stack = np.stack([p.data for p in points])
+        stack = rng.normal(size=(6, 2, 2, 2))
+        prior = DatasetPrior(stack, [0] * 6)
         for seed in range(5):
             x = gaussian_noise(2, 2, 2, SeededRng(seed).stream("init"))
             mean = dataset_posterior_mean(prior, x.data, 0.3, None)
@@ -140,32 +137,35 @@ class TestDatasetPrior:
         assert float(only_one[0, 0, 0]) == 4.0
 
     def test_construction_validation(self):
-        with pytest.raises(ValueError, match="at least one"):
-            DatasetPrior([], [])
+        with pytest.raises(ValueError, match=r"non-empty .* got \(0, 1, 2, 2\)"):
+            DatasetPrior(np.zeros((0, 1, 2, 2)), [])
+        with pytest.raises(ValueError, match=r"non-empty .* got \(1, 2, 2\)"):
+            DatasetPrior(np.zeros((1, 2, 2)), [0])
         with pytest.raises(ValueError, match="labels"):
             DatasetPrior(_points([1.0, 2.0]), [0])
-        with pytest.raises(ShapeError, match="point 1"):
-            DatasetPrior([LatentGrid.full(1, 2, 2, 0.0), LatentGrid.full(1, 3, 3, 0.0)], [0, 0])
 
     def test_resampled_stack_matches_per_point_resizing(self):
         from restage.latent import resize_bilinear
 
         rng = np.random.default_rng(10)
-        points = [LatentGrid(rng.normal(size=(2, 4, 4))) for _ in range(3)]
+        points = rng.normal(size=(3, 2, 4, 4))
         prior = DatasetPrior(points, [0] * 3)
         stack = prior.stack_for_shape(8, 8)
-        want = np.stack([resize_bilinear(p, 8, 8).data for p in points])
+        want = np.stack([resize_bilinear(LatentGrid(p), 8, 8).data for p in points])
         assert np.array_equal(stack, want)
 
-    def test_points_are_read_only_rows_of_the_one_native_stack(self):
-        rng = np.random.default_rng(9)
-        given_points = [LatentGrid(rng.normal(size=(2, 3, 3))) for _ in range(3)]
-        prior = DatasetPrior(given_points, [0] * 3)
-        native = prior.stack_for_shape(3, 3)
-        assert not native.flags.writeable
-        for i, (point, given) in enumerate(zip(prior.points, given_points)):
-            assert np.shares_memory(point.data, native[i])
-            assert np.array_equal(point.data, given.data)
+    def test_a_read_only_stack_is_kept_without_a_copy(self):
+        stack = read_only(np.random.default_rng(9).normal(size=(3, 2, 3, 3)))
+        prior = DatasetPrior(stack, [0] * 3)
+        assert np.shares_memory(prior.points, stack)
+        assert prior.stack_for_shape(3, 3) is prior.points
+
+    def test_a_writable_stack_is_copied_read_only(self):
+        given = np.random.default_rng(9).normal(size=(3, 2, 3, 3))
+        prior = DatasetPrior(given, [0] * 3)
+        assert not prior.points.flags.writeable
+        assert not np.shares_memory(prior.points, given)
+        assert np.array_equal(prior.points, given)
 
     def test_out_must_be_c_contiguous(self):
         prior = DatasetPrior(_points([1.0]), [0])
@@ -180,8 +180,7 @@ class TestDatasetPrior:
 
     def test_predict_eps_consistent_with_the_posterior_mean(self):
         rng = np.random.default_rng(11)
-        points = [LatentGrid(rng.normal(size=(1, 2, 2))) for _ in range(4)]
-        prior = DatasetPrior(points, [0] * 4)
+        prior = DatasetPrior(rng.normal(size=(4, 1, 2, 2)), [0] * 4)
         x = gaussian_noise(1, 2, 2, SeededRng(12).stream("init"))
         eps = prior.predict_eps(x.data, 0.5, None)
         mean = dataset_posterior_mean(prior, x.data, 0.5, None)
@@ -221,7 +220,7 @@ def posterior_cases(draw):
     x = rng.normal(size=(rows, channels, *query_shape))
     for row in x:
         row *= 10.0 ** draw(st.floats(-3, 3)) / np.linalg.norm(row)
-    prior = DatasetPrior([LatentGrid(d) for d in data], labels)
+    prior = DatasetPrior(data, labels)
     return prior, x[0] if batch is None else x, ab, label
 
 

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from restage.errors import ShapeError
 from restage.latent import LatentGrid, SeededRng, average_energy, gaussian_noise, resize_bilinear
+
+from _toys import direct_resize_bilinear
 
 
 class TestLatentGrid:
@@ -35,11 +36,11 @@ class TestLatentGrid:
 
     @pytest.mark.parametrize("values", [np.zeros((2, 2)), np.zeros((1, 1, 2, 2))])
     def test_wrong_rank_rejected(self, values):
-        with pytest.raises(ShapeError, match="3-D"):
+        with pytest.raises(ValueError, match="3-D"):
             LatentGrid(values)
 
     def test_empty_rejected(self):
-        with pytest.raises(ShapeError, match="positive"):
+        with pytest.raises(ValueError, match="positive"):
             LatentGrid(np.zeros((1, 0, 2)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -97,7 +98,7 @@ class TestGaussianNoise:
         assert 0.9 < noise.data.var() < 1.1
 
     def test_bad_dims(self):
-        with pytest.raises(ShapeError, match="positive"):
+        with pytest.raises(ValueError, match="positive"):
             gaussian_noise(0, 4, 4, SeededRng(1).stream("init"))
 
 
@@ -137,8 +138,27 @@ class TestResizeBilinear:
         assert resize_bilinear(grid, 3, 5).shape == (1, 3, 5)
 
     def test_bad_target(self):
-        with pytest.raises(ShapeError, match="positive"):
+        with pytest.raises(ValueError, match="positive"):
             resize_bilinear(LatentGrid.full(1, 2, 2, 0.0), 0, 2)
+
+    @pytest.mark.parametrize(
+        "shape, target",
+        [
+            ((4, 4, 128, 128), (256, 256)),
+            ((64, 4, 16, 16), (32, 32)),
+            ((8, 4, 8, 8), (20, 20)),
+            ((3, 4, 20, 20), (13, 9)),
+        ],
+    )
+    def test_a_channel_stack_matches_the_direct_form_grid_by_grid(self, shape, target):
+        # a (B, C, H, W) batch resized as one (B*C, H, W) grid, as the stage
+        # boundaries and the dataset prior resize theirs
+        batch = np.random.default_rng(sum(shape)).normal(size=shape)
+        stacked = resize_bilinear(LatentGrid(batch.reshape(-1, *shape[2:])), *target)
+        got = stacked.data.reshape(*shape[:2], *target)
+        for row, grid in zip(got, batch):
+            want = direct_resize_bilinear(LatentGrid(grid), *target)
+            assert np.array_equal(row.view(np.uint64), want.view(np.uint64))
 
     @settings(max_examples=50, deadline=None)
     @given(

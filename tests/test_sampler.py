@@ -20,7 +20,7 @@ from restage import sampler
 from restage.checks import z_test_mean_var
 from restage.codec import ExternalCodec, IdentityCodec
 from restage.denoiser import DatasetPrior, GaussianPrior, cfg_combine
-from restage.errors import SamplerError, ShapeError
+from restage.errors import SamplerError
 from restage.latent import (
     LatentGrid,
     SeededRng,
@@ -60,6 +60,7 @@ from _toys import (
     direct_noise_refresh,
     ladder,
     linear_schedule,
+    read_only,
     single_plan,
     staged_plan,
 )
@@ -155,13 +156,13 @@ class TestNoiseRefresh:
     def test_full_signal_level_returns_the_resized_estimate(self):
         p = gaussian_noise(1, 4, 4, SeededRng(5).stream("init"))
         eps = gaussian_noise(1, 8, 8, SeededRng(6).stream("init"))
-        (out,) = noise_refresh([p], CODEC, 8, 8, 1.0, [eps])
+        (out,) = noise_refresh(p.data[None], CODEC, 8, 8, 1.0, [eps])
         assert np.array_equal(out, resize_bilinear(p, 8, 8).data)
 
     def test_same_resolution_matches_forward_noising(self):
         p = gaussian_noise(2, 4, 4, SeededRng(7).stream("init"))
         eps = gaussian_noise(2, 4, 4, SeededRng(8).stream("init"))
-        (out,) = noise_refresh([p], CODEC, 4, 4, 0.82, [eps])
+        (out,) = noise_refresh(p.data[None], CODEC, 4, 4, 0.82, [eps])
         assert np.array_equal(out, np.sqrt(0.82) * p.data + np.sqrt(1.0 - 0.82) * eps.data)
 
     @pytest.mark.parametrize("block", [False, True])
@@ -173,7 +174,7 @@ class TestNoiseRefresh:
         rngs = [SeededRng(s) for s in (12, 13, 14)]
         p_x0 = [gaussian_noise(3, 4, 6, r.stream("init")) for r in rngs]
         eps = [gaussian_noise(3, 6, 10, r.stream("refresh", 1)) for r in rngs]
-        got = noise_refresh(p_x0, codec, 6, 10, 0.37, eps)
+        got = noise_refresh(read_only([p.data for p in p_x0]), codec, 6, 10, 0.37, eps)
         assert got.shape == (3, 3, 6, 10) and got.flags.writeable
         for row, p, e in zip(got, p_x0, eps):
             want = direct_noise_refresh(p, codec, 6, 10, 0.37, e)
@@ -183,7 +184,7 @@ class TestNoiseRefresh:
         p = gaussian_noise(1, 4, 4, SeededRng(9).stream("init"))
         eps = gaussian_noise(1, 4, 4, SeededRng(10).stream("init"))
         with pytest.raises(ValueError, match="longer"):
-            noise_refresh([p], CODEC, 4, 4, 0.5, [eps, eps])
+            noise_refresh(p.data[None], CODEC, 4, 4, 0.5, [eps, eps])
 
 
 def _gaussian(channels=4, height=16, width=16, value=0.2, variance=1.0):
@@ -238,7 +239,7 @@ class TestRunBasics:
         assert result.trace[0].latent_energy == average_energy(noise.data)
 
     def test_wrong_initial_noise_shape(self):
-        with pytest.raises(ShapeError, match="initial noise"):
+        with pytest.raises(ValueError, match="initial noise"):
             run(
                 "baseline", single_plan(2.0), TIMELINE, _gaussian(), CODEC, None,
                 [SeededRng(26)], initial_noise=[LatentGrid.full(4, 8, 8, 0.0)],
@@ -556,9 +557,10 @@ class TestStagedTrace:
                 float(TIMELINE.alpha_bar_at_step[step + 1]),
             )
         boundary_eps = gaussian_noise(4, 32, 32, SeededRng(32).stream("refresh", 1))
-        (x,) = noise_refresh(
-            [LatentGrid(p_x0)], CODEC, 32, 32, float(TIMELINE.alpha_bar_at_step[40]), [boundary_eps],
-        )
+        x = noise_refresh(
+            read_only(p_x0[None]), CODEC, 32, 32, float(TIMELINE.alpha_bar_at_step[40]),
+            [boundary_eps],
+        )[0]
         for step in range(40, 50):
             eps = prior.predict_eps(x, float(TIMELINE.alpha_bar_at_step[step]), None)
             x, p_x0 = ddim_step(
@@ -646,8 +648,7 @@ class TestAffineOracle:
     def test_rejects_staged_plans_and_point_priors(self):
         with pytest.raises(ValueError, match="single-resolution"):
             affine_trajectory_oracle(staged_plan(2.0, 2.0), TIMELINE, _gaussian())
-        points = [LatentGrid.full(4, 16, 16, 0.0)]
-        dataset = DatasetPrior(points, [0])
+        dataset = DatasetPrior(np.zeros((1, 4, 16, 16)), [0])
         with pytest.raises(TypeError, match="GaussianPrior"):
             affine_trajectory_oracle(single_plan(2.0), TIMELINE, dataset)
 

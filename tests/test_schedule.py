@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from restage import checks
 from restage.checks import ddim_step_coefficients, snr_energy_coefficient
-from restage.errors import ConfigError, PlanError
+from restage.errors import ConfigError
 from restage.latent import LatentGrid
 from restage.sampler import ddim_step
 from restage.schedule import (
@@ -182,11 +182,11 @@ class TestBuildPlan:
         config = _ladder(
             n_stages=3, m_t=8.0, resolutions=((16, 16), (24, 24), (32, 32))
         )
-        with pytest.raises(PlanError, match="collide"):
+        with pytest.raises(ConfigError, match="collide"):
             build_plan(config, TIMELINE)
 
     def test_boundary_at_step_zero_rejected(self):
-        with pytest.raises(PlanError, match="falls outside"):
+        with pytest.raises(ConfigError, match="falls outside"):
             build_plan(_ladder(t_min=0), TIMELINE)
 
     def test_window_past_run_length_rejected(self):
@@ -223,8 +223,8 @@ class TestPlanProperties:
         timeline = build_timeline(build_schedule(), num_steps)
         try:
             plan = build_plan(config, timeline)
-        except PlanError:
-            return  # a refused ladder raises PlanError and nothing else
+        except ConfigError:
+            return  # a refused ladder raises ConfigError and nothing else
         edges = [(s.first_step, s.last_step) for s in plan.stages]
         assert len(edges) == config.n_stages
         assert edges[0][0] == 0 and edges[-1][1] == num_steps
