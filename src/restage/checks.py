@@ -213,12 +213,12 @@ def oracle_affine() -> Check:
         noise = gaussian_noise(2, 8, 8, rng.stream("init"))
         want = oracle.apply(noise, prior.mean)
         denom = max(float(np.abs(want.data).max()), 1e-12)
-        worst = max(worst, float(np.abs(got.final_p_x0.data - want.data).max()) / denom)
+        worst = max(worst, float(np.abs(got.final_p_x0 - want.data).max()) / denom)
 
     (base,) = run("baseline", plan, timeline, prior, codec, None, [SeededRng(55)])
     (corrected,) = run("snr-corrected", plan, timeline, prior, codec, None, [SeededRng(55)])
     identical = bool(
-        np.array_equal(base.final_p_x0.data, corrected.final_p_x0.data)
+        np.array_equal(base.final_p_x0, corrected.final_p_x0)
         and base.trace == corrected.trace
     )
     return Check(

@@ -23,10 +23,10 @@ import numpy as np
 
 from . import schedule as sched
 from .config import ExperimentConfig, build_codec, build_denoiser, load_config
-from .errors import ConfigError, TensorFormatError
-from .latent import LatentGrid, SeededRng
+from .errors import ConfigError
+from .latent import SeededRng
 from .sampler import RunResult, run
-from .tensorfile import read_tensor, write_atomic, write_grid
+from .tensorfile import read_grid, write_atomic, write_grid
 
 __all__ = ["main", "cmd_ladder", "cmd_sample", "cmd_energy_curve", "cmd_verify", "cmd_dump_grid"]
 
@@ -79,8 +79,8 @@ def cmd_sample(config: ExperimentConfig, out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     seeds = [config.run.seed + i for i in range(config.run.run_count)]
 
-    def write_snapshot(index: int, step: int, grid: LatentGrid) -> None:
-        write_grid(out_dir / f"snapshot_{seeds[index]}_{step}.rhrt", grid)
+    def write_snapshot(index: int, step: int, p_x0: np.ndarray) -> None:
+        write_grid(out_dir / f"snapshot_{seeds[index]}_{step}.rhrt", p_x0)
 
     results = run(
         config.run.variant, plan, timeline, denoiser, codec, class_label,
@@ -159,11 +159,7 @@ def _to_pgm(channel: np.ndarray) -> bytes:
 
 
 def cmd_dump_grid(input_path: Path, output_path: Path) -> int:
-    arr = read_tensor(input_path)
-    if arr.ndim != 3:
-        raise TensorFormatError(
-            f"dump-grid needs a rank-3 (C, H, W) tensor, got rank {arr.ndim}", offset=8
-        )
+    arr = read_grid(input_path)
     channels = arr.shape[0]
     output_path.parent.mkdir(parents=True, exist_ok=True)
     for c in range(channels):
@@ -171,7 +167,7 @@ def cmd_dump_grid(input_path: Path, output_path: Path) -> int:
             target = output_path
         else:
             target = output_path.with_name(f"{output_path.stem}_c{c}{output_path.suffix}")
-        write_atomic(target, [_to_pgm(arr[c].astype(np.float64))])
+        write_atomic(target, [_to_pgm(arr[c])])
         print(f"wrote {target}")
     return 0
 

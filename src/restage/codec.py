@@ -15,7 +15,10 @@ A non-zero exit status is an error and the command's output is passed
 through in the diagnostic. Decoding must scale height and width by the
 codec's declared granularity and preserve the channel count; encoding must
 invert that scaling. Each call must be a pure file-to-file map, since the
-calls of a batch run concurrently (``docs/DECISIONS.md`` entry 8).
+calls of a batch run concurrently (``docs/DECISIONS.md`` entry 8). A latent
+resolution need not be a multiple of the granularity: ``refresh_resize``
+resizes the decoded batch to the target times the granularity, so every
+batch it encodes divides evenly.
 """
 
 from __future__ import annotations
@@ -89,7 +92,7 @@ class ExternalCodec:
         with tempfile.TemporaryDirectory(prefix="codec-") as tmp:
             stems = [Path(tmp, str(i)) for i in range(len(batch))]
             for stem, row in zip(stems, batch):
-                write_grid(f"{stem}.in", LatentGrid._adopt(row))
+                write_grid(f"{stem}.in", row)
 
             def start(i: int) -> None:
                 with open(f"{stems[i]}.log", "wb") as log:
@@ -136,7 +139,7 @@ class ExternalCodec:
                     raise CodecError(f"{mode} produced an unreadable tensor: {exc}", index=i) from exc
                 if grid.shape != shape:
                     raise CodecError(f"{mode} returned shape {grid.shape}, expected {shape}", index=i)
-                out[i] = grid.data
+                out[i] = grid
         out.setflags(write=False)
         return out
 

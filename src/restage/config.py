@@ -110,16 +110,11 @@ class ExperimentConfig(NamedTuple):
         return build_timeline(self.build_schedule(), self.schedule.num_steps)
 
 
-_BOOLEANS = {
-    "true": True, "yes": True, "1": True, "on": True,
-    "false": False, "no": False, "0": False, "off": False,
-}
-
-
 def _boolean(raw: str) -> bool:
-    if raw.lower() not in _BOOLEANS:
+    states = configparser.ConfigParser.BOOLEAN_STATES  # true/false, yes/no, on/off, 1/0
+    if raw.lower() not in states:
         raise ValueError(raw)
-    return _BOOLEANS[raw.lower()]
+    return states[raw.lower()]
 
 
 def _resolution(raw: str) -> tuple[int, int]:
@@ -275,12 +270,6 @@ def load_config(path: str | Path, seed: int | None = None) -> ExperimentConfig:
     else:
         raise ConfigError(f"codec.kind: unknown kind {cod_kind!r}, expected identity or external")
     cod.reject_unknown()
-    for i, (h, w) in enumerate(ladder.resolutions):
-        if h % codec_spec.granularity or w % codec_spec.granularity:
-            raise ConfigError(
-                f"ladder.resolutions: stage {i} ({h}, {w}) not divisible by "
-                f"codec granularity {codec_spec.granularity}"
-            )
 
     run_sec = section("run")
     variant = run_sec.value("variant", str, "baseline")

@@ -56,9 +56,6 @@ class Denoiser:
         """
         raise NotImplementedError
 
-    def prepare_resolution(self, height: int, width: int) -> None:
-        """Warm any per-resolution state before a stage starts. No-op by default."""
-
 
 def _eps_from_x0_hat(x_t: np.ndarray, x0_hat: np.ndarray, ab: float) -> np.ndarray:
     # (x_t - sqrt(ab) * x0_hat) / sqrt(1 - ab), rounded alike, in x0_hat's buffer
@@ -120,8 +117,8 @@ class DatasetPrior(Denoiser):
     Points may carry class labels; a class label restricts the
     posterior to that class's points, the unconditional branch uses all of
     them. Queries at a resolution other than the stored points' resample
-    every point bilinearly to the queried shape; resampled stacks are cached
-    per resolution and can be warmed eagerly via :meth:`prepare_resolution`.
+    every point bilinearly to the queried shape; :meth:`prepare_resolution`
+    builds each resolution's stack on its first query and caches it.
 
     The posterior reads the points as rows of a flattened (N, C*H*W) matrix
     alongside their half squared norms. Both are cached on first use: per
@@ -238,11 +235,8 @@ def cfg_combine(eps_uncond: np.ndarray, eps_cond: np.ndarray, omega: float) -> n
     one; values beyond 1 extrapolate along the branch difference. The result
     is written into eps_uncond's buffer and returned, and eps_cond's buffer
     is overwritten on the way, so the two must be separate buffers of one
-    shape; the rounding is that of the expression above. One array passed
-    as both branches is returned unchanged, since the difference term is zero.
+    shape; the rounding is that of the expression above.
     """
-    if eps_cond is eps_uncond:
-        return eps_uncond
     eps_cond -= eps_uncond
     eps_cond *= omega
     eps_uncond += eps_cond

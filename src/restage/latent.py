@@ -1,15 +1,16 @@
 """Latent grids and the elementary operations the sampler is built from.
 
 A latent is a dense (channels, height, width) block of float64 values.
-:class:`LatentGrid` is the validated form used at a run's edges: initial
-noise, snapshots, final estimates, tensor files and the external codec's
-per-row files. Grids are immutable once constructed: the wrapped array is
+:class:`LatentGrid` is its validated, immutable form: the wrapped array is
 copied in, checked finite and marked read-only, so a grid can be shared
-freely between runs. The package's own already-screened, read-only arrays
-(rows of a run's clean estimates, a resize's output) are adopted as grids
-without the copy. From a step to a stage boundary, the latents, predictions
-and clean estimates of a batch of seeds are plain (B, C, H, W) float64
-ndarrays: :func:`average_energy` takes one, and a resize takes its channels.
+freely between runs. It remains in three places: the draws of
+:func:`gaussian_noise`, the grid form of :func:`resize_bilinear` (whose
+batch callers adopt a read-only view of their channels without the copy),
+and inputs built outside a run, such as a Gaussian prior's mean. Everything
+else, from a run's initial noise to its snapshots, final estimates and
+tensor files, is a plain float64 ndarray: the latents, predictions and
+clean estimates of a batch of seeds are (B, C, H, W) arrays, and
+:func:`average_energy` takes one.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ class LatentGrid:
         """Wrap a read-only (C, H, W) float64 array without copying or screening it.
 
         Only for arrays already screened finite that nothing writes through
-        any more, such as a row of a run's read-only clean estimates.
+        any more, such as the channels of a read-only batch given to a resize.
         """
         if data.flags.writeable or data.dtype != np.float64 or data.ndim != 3:
             raise ValueError("only a read-only 3-D float64 array can be adopted")

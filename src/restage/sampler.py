@@ -26,10 +26,11 @@ starts: the predictions, the guidance combine, the update and the energies
 all write into them in place, so the only batch-sized array a step
 allocates is its clean estimate p_x0. That estimate is read-only once
 computed. A stage boundary acts on the whole batch too: the codec, the
-resize and the refresh take (B, C, H, W) arrays. :class:`LatentGrid` is
-built only for each seed's initial and boundary noise. Snapshots and
-``final_p_x0`` adopt rows of p_x0 as grids without a copy, and stay valid
-after the run. Finiteness is screened once per step through the two
+resize and the refresh take (B, C, H, W) arrays. ``run`` takes and gives
+plain arrays: the initial noise is one (B, C, H, W) array, and snapshots
+and ``final_p_x0`` are the read-only (C, H, W) rows of p_x0 as they are,
+valid after the run. :class:`LatentGrid` is built only for each seed's
+drawn noise. Finiteness is screened once per step through the two
 energies the trace records; only a non-finite energy triggers the
 element-wise check, which fails the run naming the step and the seed.
 
@@ -100,10 +101,12 @@ class StepRecord(NamedTuple):
 
 
 class RunResult(NamedTuple):
-    """What one seed's finished run exposes. Snapshots go to ``run``'s callback."""
+    """What one seed's finished run exposes. Snapshots go to ``run``'s callback.
 
-    variant: str
-    final_p_x0: LatentGrid
+    ``final_p_x0`` is the read-only (C, H, W) float64 row of the last estimate.
+    """
+
+    final_p_x0: np.ndarray
     trace: tuple[StepRecord, ...]
 
 
@@ -193,8 +196,8 @@ def run(
     label: int | None,
     rngs: Sequence[SeededRng],
     snapshot_steps: Iterable[int] = (),
-    initial_noise: Sequence[LatentGrid] | None = None,
-    on_snapshot: Callable[[int, int, LatentGrid], None] | None = None,
+    initial_noise: np.ndarray | None = None,
+    on_snapshot: Callable[[int, int, np.ndarray], None] | None = None,
 ) -> tuple[RunResult, ...]:
     """Execute one sampling run per seed, all seeds as one batch.
 
@@ -212,12 +215,13 @@ def run(
             entering stage i draws from its ("refresh", i), so each stage's
             noise depends only on the seed and the stage.
         snapshot_steps: Iterable of step indices whose p_x0 to report.
-        initial_noise: Optional explicit starting latents, one per seed, each
-            shaped like the starting stage; drawn from ``rngs`` when omitted.
+        initial_noise: Optional explicit starting latents, one (B, C, H, W)
+            array with a row per seed, each shaped like the starting stage;
+            copied, not written. Drawn from ``rngs`` when omitted.
         on_snapshot: Required with ``snapshot_steps``; called as
-            ``on_snapshot(index in rngs, step, p_x0 grid)`` as each requested
-            estimate is produced. The grid wraps a row of the step's
-            read-only estimate and stays valid after the callback returns.
+            ``on_snapshot(index in rngs, step, p_x0 row)`` as each requested
+            estimate is produced. The row is a read-only (C, H, W) view of
+            the step's estimate and stays valid after the callback returns.
 
     Returns one :class:`RunResult` per seed, in the order of ``rngs``.
     """
@@ -242,17 +246,13 @@ def run(
             [gaussian_noise(channels, first.height, first.width, r.stream("init")).data for r in rngs]
         )
     else:
-        initial_noise = tuple(initial_noise)
-        if len(initial_noise) != len(rngs):
-            raise ValueError(f"got {len(initial_noise)} initial noise grids for {len(rngs)} seeds")
-        for grid in initial_noise:
-            if grid.shape != (channels, first.height, first.width):
-                raise ValueError(
-                    f"initial noise shape {grid.shape} does not match the starting "
-                    f"stage ({channels}, {first.height}, {first.width})"
-                )
-        x = np.stack([grid.data for grid in initial_noise])
-    denoiser.prepare_resolution(first.height, first.width)
+        x = np.array(initial_noise, dtype=np.float64)  # a copy: the update writes into it
+        want = (len(rngs), channels, first.height, first.width)
+        if x.shape != want:
+            raise ValueError(
+                f"initial noise shape {x.shape} does not match {len(rngs)} seeds "
+                f"of the starting stage, {want}"
+            )
     guided = label is not None
 
     def workspace(like: np.ndarray):
@@ -271,7 +271,6 @@ def run(
         if entered is not None:
             stage = entered
             h, w = stage.height, stage.width
-            denoiser.prepare_resolution(h, w)
             try:
                 if variant in ("rectified", "rectified-no-rect"):
                     x = noise_refresh(
@@ -326,12 +325,9 @@ def run(
             trace.append(StepRecord(step, train_t, stage.omega, e_in, e_p, refreshed))
         if step in wanted:
             for b, row in enumerate(p_x0):
-                on_snapshot(b, step, LatentGrid._adopt(row))
+                on_snapshot(b, step, row)
 
-    return tuple(
-        RunResult(variant=variant, final_p_x0=LatentGrid._adopt(row), trace=tuple(trace))
-        for row, trace in zip(p_x0, traces)
-    )
+    return tuple(RunResult(final_p_x0=row, trace=tuple(trace)) for row, trace in zip(p_x0, traces))
 
 
 class AffineTrajectory(NamedTuple):

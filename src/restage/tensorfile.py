@@ -10,7 +10,9 @@ Layout, all integers little-endian:
 
 Values are stored as float32; reading back a written file reproduces the
 float32 payload bit for bit. Core math runs in float64 and is truncated
-only at this boundary.
+only at this boundary. A latent is a rank-3 (C, H, W) tensor:
+:func:`write_grid` and :func:`read_grid` take and give plain arrays and
+check the rank.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import TensorFormatError
-from .latent import LatentGrid
 
 MAGIC = b"RHRT"
 VERSION = 1
@@ -108,16 +109,18 @@ def read_tensor(path: str | Path) -> np.ndarray:
     return flat.reshape(dims).copy()
 
 
-def write_grid(path: str | Path, grid: LatentGrid) -> None:
-    write_tensor(path, grid.data)
+def write_grid(path: str | Path, grid: np.ndarray) -> None:
+    """Write one (C, H, W) latent as a rank-3 tensor."""
+    if np.ndim(grid) != 3:
+        raise TensorFormatError(f"expected a rank-3 (C, H, W) tensor, got rank {np.ndim(grid)}")
+    write_tensor(path, grid)
 
 
-def read_grid(path: str | Path) -> LatentGrid:
-    """Read a file that must contain a rank-3 (C, H, W) tensor."""
+def read_grid(path: str | Path) -> np.ndarray:
+    """Read a file that must contain a rank-3 (C, H, W) tensor, as read-only float64."""
     arr = read_tensor(path)
     if arr.ndim != 3:
         raise TensorFormatError(f"expected a rank-3 (C, H, W) tensor, got rank {arr.ndim}", offset=8)
-    # read_tensor has screened every value finite: adopt the widened copy as it is
     data = arr.astype(np.float64)
     data.setflags(write=False)
-    return LatentGrid._adopt(data)
+    return data

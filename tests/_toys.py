@@ -237,7 +237,7 @@ def read_only(values):
 
 
 def p_x0_mse_series(
-    snapshots: list[tuple[int, LatentGrid]],
+    snapshots: list[tuple[int, np.ndarray]],
 ) -> list[list[tuple[int, float]]]:
     """Mean squared change between consecutive clean-signal snapshots.
 
@@ -256,7 +256,7 @@ def p_x0_mse_series(
                 segments.append(current)
             current = []
             continue
-        diff = cur.data - prev.data
+        diff = cur - prev
         current.append((step, float(np.mean(diff * diff))))
     if current:
         segments.append(current)

@@ -33,7 +33,7 @@ from _toys import (
     staged_plan,
 )
 from restage import checks, cli
-from restage.latent import LatentGrid, SeededRng, gaussian_noise
+from restage.latent import SeededRng, gaussian_noise
 from restage.sampler import run
 from restage.tensorfile import read_grid, write_grid
 
@@ -44,9 +44,11 @@ def _verdict(num: int, ok: bool, budget_s: float, elapsed: float, detail: str) -
     assert ok and elapsed < budget_s, line
 
 
-def _boundary_noise(rng: SeededRng) -> LatentGrid:
-    """The noise tensor a staged 16 -> 32 run injects at its boundary (stage 1)."""
-    return gaussian_noise(CHANNELS, TARGET, TARGET, rng.stream("refresh", 1))
+def _boundary_noise(rngs: list[SeededRng]) -> np.ndarray:
+    """The noise each seed's staged 16 -> 32 run injects at its boundary (stage 1)."""
+    return np.stack(
+        [gaussian_noise(CHANNELS, TARGET, TARGET, rng.stream("refresh", 1)).data for rng in rngs]
+    )
 
 
 def _check_verdict(num: int, budget_s: float, *check_fns) -> None:
@@ -89,7 +91,7 @@ def test_criterion_05_boundary_energy_deficit():
     # of the gap seed by seed
     natives = run(
         "baseline", native, TIMELINE, prior, CODEC, CLASS_ZERO, rngs,
-        initial_noise=[_boundary_noise(rng) for rng in rngs],
+        initial_noise=_boundary_noise(rngs),
     )
     stageds = run("rectified", flat, TIMELINE, prior, CODEC, CLASS_ZERO, rngs)
     gaps = [
@@ -115,7 +117,7 @@ def test_criterion_06_guidance_closes_the_deficit():
     rngs = [SeededRng(seed) for seed in range(100, 140)]
     natives = run(
         "baseline", native, TIMELINE, prior, CODEC, CLASS_ZERO, rngs,
-        initial_noise=[_boundary_noise(rng) for rng in rngs],
+        initial_noise=_boundary_noise(rngs),
     )
     native_windows = [post_boundary_energies(nat) for nat in natives]
     mean_abs_gap = {}
@@ -255,13 +257,13 @@ def test_criterion_10_determinism_and_round_trip(tmp_path):
     )
 
     rng = np.random.default_rng(31337)
-    grid = LatentGrid(rng.normal(0.0, 2.0, size=(3, 7, 5)))
+    grid = rng.normal(0.0, 2.0, size=(3, 7, 5))
     path = tmp_path / "grid.rhrt"
     write_grid(path, grid)
     back = read_grid(path)
     # storage is float32; the round trip must reproduce that truncation exactly
     round_trip_exact = bool(
-        np.array_equal(back.data, grid.data.astype(np.float32).astype(np.float64))
+        np.array_equal(back, grid.astype(np.float32).astype(np.float64))
     )
     write_grid(tmp_path / "again.rhrt", back)
     rewrites_identical = (tmp_path / "again.rhrt").read_bytes() == path.read_bytes()

@@ -35,28 +35,28 @@ class TestMeanTrace:
 
 class TestSnapshotSeries:
     def test_identical_snapshots_give_zero(self):
-        grid = LatentGrid.full(1, 2, 2, 1.5)
+        grid = np.full((1, 2, 2), 1.5)
         segments = p_x0_mse_series([(0, grid), (1, grid), (2, grid)])
         assert segments == [[(1, 0.0), (2, 0.0)]]
 
     def test_scalar_change(self):
         segments = p_x0_mse_series(
-            [(0, LatentGrid.full(1, 1, 1, 1.0)), (1, LatentGrid.full(1, 1, 1, 3.0))]
+            [(0, np.full((1, 1, 1), 1.0)), (1, np.full((1, 1, 1), 3.0))]
         )
         assert segments == [[(1, 4.0)]]
 
     def test_shape_change_starts_a_new_segment(self):
-        small_a = LatentGrid.full(1, 2, 2, 1.0)
-        small_b = LatentGrid.full(1, 2, 2, 2.0)
-        big_a = LatentGrid.full(1, 4, 4, 5.0)
-        big_b = LatentGrid.full(1, 4, 4, 5.5)
+        small_a = np.full((1, 2, 2), 1.0)
+        small_b = np.full((1, 2, 2), 2.0)
+        big_a = np.full((1, 4, 4), 5.0)
+        big_b = np.full((1, 4, 4), 5.5)
         segments = p_x0_mse_series([(0, small_a), (1, small_b), (2, big_a), (3, big_b)])
         # the mixed-shape pair (1, 2) contributes nothing
         assert segments == [[(1, 1.0)], [(3, 0.25)]]
 
     def test_too_few_snapshots(self):
         with pytest.raises(ValueError, match="at least 2"):
-            p_x0_mse_series([(0, LatentGrid.full(1, 1, 1, 0.0))])
+            p_x0_mse_series([(0, np.full((1, 1, 1), 0.0))])
 
 
 class TestMonotonicityStat:

@@ -7,11 +7,14 @@ import textwrap
 import numpy as np
 import pytest
 
+from restage.cli import cmd_sample
 from restage.codec import ExternalCodec, IdentityCodec
 from restage.config import build_codec, build_denoiser, load_config
 from restage.denoiser import DatasetPrior, GaussianPrior
 from restage.errors import ConfigError
-from restage.tensorfile import write_tensor
+from restage.tensorfile import read_grid, write_tensor
+
+from _toys import BLOCK_CODEC, codec_stub
 
 MINIMAL = """\
     [schedule]
@@ -219,12 +222,19 @@ class TestValidation:
         with pytest.raises(ConfigError, match="collide"):
             _load(tmp_path, text)
 
-    def test_resolutions_must_match_the_granularity(self, tmp_path):
-        with pytest.raises(ConfigError, match="granularity 3"):
-            _load(
-                tmp_path,
-                MINIMAL + "[codec]\nkind = external\ncommand = vae\ngranularity = 3\n",
-            )
+    def test_resolutions_need_not_be_multiples_of_the_granularity(self, tmp_path):
+        # decode doubles 5x5, the refresh resizes to twice 9x9 and encode
+        # halves that, so a granularity-2 codec runs an odd ladder
+        command = codec_stub(tmp_path, BLOCK_CODEC)
+        config = _load(
+            tmp_path,
+            MINIMAL.replace("16x16, 32x32", "5x5, 9x9")
+            + f"[codec]\nkind = external\ncommand = {command}\ngranularity = 2\n"
+            + "[run]\nvariant = rectified\nrun_count = 2\n",
+        )
+        assert cmd_sample(config, tmp_path / "out") == 0
+        for seed in (0, 1):
+            assert read_grid(tmp_path / "out" / f"final_{seed}.rhrt").shape == (4, 9, 9)
 
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):

@@ -269,11 +269,6 @@ class TestCfgCombine:
         c = LatentGrid.full(1, 1, 1, 2.0)
         assert float(cfg_combine(u.data.copy(), c.data.copy(), 5.0)[0, 0, 0]) == 6.0
 
-    def test_identical_branches_are_a_fixed_point(self):
-        u, _ = self._branches()
-        both = u.data.copy()
-        assert np.array_equal(cfg_combine(both, both, 17.0), u.data)
-
     @settings(max_examples=40, deadline=None)
     @given(
         w1=st.floats(-4, 8, allow_nan=False),

@@ -17,8 +17,6 @@ from __future__ import annotations
 import hashlib
 import textwrap
 
-import numpy as np
-
 from restage.cli import main
 from restage.tensorfile import write_tensor
 
@@ -144,7 +142,7 @@ def test_sample_with_every_snapshot(tmp_path):
 
 
 def test_conditional_energy_curve_on_the_clustered_shell(tmp_path):
-    points = np.stack([p.data for p in clustered_shell_prior().points])
+    points = clustered_shell_prior().points
     write_tensor(tmp_path / "points.rhrt", points)
     assert _written(tmp_path, "energy-curve", CURVE) == CURVE_SHA256
 
@@ -155,7 +153,7 @@ def test_rectified_sample_through_an_external_codec(tmp_path):
 
 
 def test_energy_curve_over_every_label_and_a_guidance_sweep(tmp_path):
-    points = np.stack([p.data for p in clustered_shell_prior().points])
+    points = clustered_shell_prior().points
     write_tensor(tmp_path / "points.rhrt", points)
     assert _written(tmp_path, "energy-curve", SWEEP) == SWEEP_SHA256
 

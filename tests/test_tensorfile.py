@@ -14,7 +14,6 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from restage import tensorfile
 from restage.cli import _write_csv
 from restage.errors import TensorFormatError
-from restage.latent import LatentGrid
 from restage.tensorfile import MAGIC, VERSION, read_grid, read_tensor, write_grid, write_tensor
 
 
@@ -43,17 +42,23 @@ class TestRoundTrip:
         assert first.read_bytes() == second.read_bytes()
 
     def test_grid_round_trip(self, tmp_path):
-        grid = LatentGrid(np.random.default_rng(3).normal(size=(2, 3, 3)))
+        grid = np.random.default_rng(3).normal(size=(2, 3, 3))
         path = tmp_path / "g.rhrt"
         write_grid(path, grid)
         back = read_grid(path)
-        assert back.data.dtype == np.float64
-        assert not back.data.flags.writeable
-        assert back.data.tobytes() == read_tensor(path).astype(np.float64).tobytes()
-        assert np.array_equal(back.data, grid.data.astype(np.float32).astype(np.float64))
+        assert type(back) is np.ndarray and back.dtype == np.float64
+        assert not back.flags.writeable
+        assert back.tobytes() == read_tensor(path).astype(np.float64).tobytes()
+        assert np.array_equal(back, grid.astype(np.float32).astype(np.float64))
 
 
 class TestWriteValidation:
+    @pytest.mark.parametrize("shape", [(3, 3), (1, 2, 3, 3)])
+    def test_grid_writer_requires_rank_three(self, tmp_path, shape):
+        with pytest.raises(TensorFormatError, match="rank-3"):
+            write_grid(tmp_path / "g.rhrt", np.zeros(shape))
+        assert list(tmp_path.iterdir()) == []
+
     def test_rank_zero_rejected(self, tmp_path):
         with pytest.raises(TensorFormatError, match="rank"):
             write_tensor(tmp_path / "t.rhrt", np.float64(1.0))
