@@ -9,13 +9,16 @@ Subcommands:
 
 All CSV output is byte-stable: fixed column order, floats at 9 significant
 digits, LF newlines. Every file is written under a temporary name and renamed
-into place. ``sample`` runs all seeds of a command as one batch, ``energy-curve``
-all seeds of one curve label; no flag or config key changes that partition.
+into place. SIGTERM unwinds as Ctrl-C does, then exits with status 143, and
+a failed or interrupted ``sample`` removes the snapshots it wrote.
+``sample`` runs all seeds of a command as one batch, ``energy-curve`` all
+seeds of one curve label; no flag or config key changes that partition.
 """
 
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
 from pathlib import Path
 
@@ -78,15 +81,23 @@ def cmd_sample(config: ExperimentConfig, out_dir: Path) -> int:
     timeline, plan, denoiser, class_label, codec = _build_all(config)
     out_dir.mkdir(parents=True, exist_ok=True)
     seeds = [config.run.seed + i for i in range(config.run.run_count)]
+    snapshots: list[Path] = []
 
     def write_snapshot(index: int, step: int, p_x0: np.ndarray) -> None:
-        write_grid(out_dir / f"snapshot_{seeds[index]}_{step}.rhrt", p_x0)
+        snapshots.append(out_dir / f"snapshot_{seeds[index]}_{step}.rhrt")
+        write_grid(snapshots[-1], p_x0)
 
-    results = run(
-        config.run.variant, plan, timeline, denoiser, codec, class_label,
-        [SeededRng(seed) for seed in seeds], snapshot_steps=config.run.snapshot_steps,
-        on_snapshot=write_snapshot,
-    )
+    try:
+        results = run(
+            config.run.variant, plan, timeline, denoiser, codec, class_label,
+            [SeededRng(seed) for seed in seeds], snapshot_steps=config.run.snapshot_steps,
+            on_snapshot=write_snapshot,
+        )
+    except BaseException:
+        # a failed or interrupted run leaves none of its snapshots behind
+        for path in snapshots:
+            path.unlink(missing_ok=True)
+        raise
     for seed, result in zip(seeds, results):
         _write_csv(
             out_dir / f"trace_{seed}.csv",
@@ -201,6 +212,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # SIGTERM unwinds as Ctrl-C does, so codec commands are reaped and files cleaned up
+    previous = signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     try:
         if args.command == "ladder":
             return cmd_ladder(load_config(args.config), Path(args.out))
@@ -215,6 +228,8 @@ def main(argv=None) -> int:
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     raise AssertionError("unreachable")
 
 

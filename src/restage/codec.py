@@ -55,8 +55,9 @@ class ExternalCodec:
     use (``os.sched_getaffinity``) at a time, starting the next as any one
     exits, and reads the outputs into one array once all have exited,
     checking each output's shape as it is read. A failed call or an
-    interrupt kills and reaps the running commands and removes the batch's
-    files before the error propagates.
+    interrupt (Ctrl-C, or SIGTERM, which the command-line interface turns
+    into ``SystemExit``) kills and reaps the running commands and removes
+    the batch's files before the error propagates.
 
     A batch's tensor files live in a temporary directory under
     ``tempfile.gettempdir()``, removed when the batch ends.

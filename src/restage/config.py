@@ -47,7 +47,6 @@ import numpy as np
 from .codec import ExternalCodec, IdentityCodec
 from .denoiser import DatasetPrior, Denoiser, GaussianPrior
 from .errors import ConfigError, TensorFormatError
-from .latent import LatentGrid
 from .sampler import VARIANTS
 from .schedule import (
     LadderConfig,
@@ -330,8 +329,7 @@ def build_denoiser(config: ExperimentConfig) -> tuple[Denoiser, int | None]:
     spec = config.denoiser
     if spec.kind == "gaussian":
         h, w = config.ladder.resolutions[0]
-        mean = LatentGrid.full(4, h, w, spec.mean_value)
-        return GaussianPrior(mean, spec.variance), None
+        return GaussianPrior(np.full((4, h, w), spec.mean_value), spec.variance), None
     try:
         arr = read_tensor(spec.path)
     except (OSError, TensorFormatError) as exc:

@@ -79,21 +79,29 @@ class GaussianPrior(Denoiser):
     The prior carries no class structure, so both guidance branches
     coincide and the label argument has no effect on the output.
 
-    When queried at a resolution other than the stored mean's, each
-    channel's spatial mean value is broadcast to the queried shape.
+    ``mean`` is a non-empty (C, H, W) array of finite values, checked here
+    and kept as a read-only float64 copy. When queried at a resolution other
+    than the stored mean's, each channel's spatial mean value is broadcast
+    to the queried shape.
     """
 
-    def __init__(self, mean: LatentGrid, variance: float):
+    def __init__(self, mean: np.ndarray, variance: float):
+        mean = np.array(mean, dtype=np.float64)  # a copy the caller cannot write through
+        if mean.ndim != 3 or mean.size == 0:
+            raise ValueError(f"prior mean must be a non-empty (C, H, W) array, got shape {mean.shape}")
+        if not np.isfinite(mean).all():
+            raise ValueError("prior mean contains non-finite values")
         if not variance > 0:
             raise ValueError(f"variance must be positive, got {variance}")
+        mean.setflags(write=False)
         self.mean = mean
         self.variance = float(variance)
-        self.channels = mean.channels
-        self._channel_means = mean.data.mean(axis=(1, 2))
+        self.channels = mean.shape[0]
+        self._channel_means = mean.mean(axis=(1, 2))
 
     def mean_for_shape(self, height: int, width: int) -> np.ndarray:
-        if (height, width) == (self.mean.height, self.mean.width):
-            return self.mean.data
+        if (height, width) == self.mean.shape[1:]:
+            return self.mean
         return np.broadcast_to(
             self._channel_means[:, None, None], (self.channels, height, width)
         )

@@ -2,15 +2,14 @@
 
 A latent is a dense (channels, height, width) block of float64 values.
 :class:`LatentGrid` is its validated, immutable form: the wrapped array is
-copied in, checked finite and marked read-only, so a grid can be shared
-freely between runs. It remains in three places: the draws of
-:func:`gaussian_noise`, the grid form of :func:`resize_bilinear` (whose
-batch callers adopt a read-only view of their channels without the copy),
-and inputs built outside a run, such as a Gaussian prior's mean. Everything
-else, from a run's initial noise to its snapshots, final estimates and
-tensor files, is a plain float64 ndarray: the latents, predictions and
-clean estimates of a batch of seeds are (B, C, H, W) arrays, and
-:func:`average_energy` takes one.
+copied in, checked finite and marked read-only. It remains in two places:
+the draws of :func:`gaussian_noise`, and the grid form of
+:func:`resize_bilinear`, whose batch callers adopt a read-only view of their
+channels without the copy. Everything else is a plain float64 ndarray: a
+Gaussian prior's mean (which the prior checks), a run's initial noise, the
+noise a refresh takes, and a run's snapshots, final estimates and tensor
+files. The latents, predictions and clean estimates of a batch of seeds
+are (B, C, H, W) arrays, and :func:`average_energy` takes one.
 """
 
 from __future__ import annotations
@@ -63,34 +62,10 @@ class LatentGrid:
         grid._data = data
         return grid
 
-    @classmethod
-    def full(cls, channels: int, height: int, width: int, value: float) -> "LatentGrid":
-        return cls(np.full((channels, height, width), value, dtype=np.float64))
-
     @property
     def data(self) -> np.ndarray:
         """Read-only view of the underlying (C, H, W) array."""
         return self._data
-
-    @property
-    def channels(self) -> int:
-        return self._data.shape[0]
-
-    @property
-    def height(self) -> int:
-        return self._data.shape[1]
-
-    @property
-    def width(self) -> int:
-        return self._data.shape[2]
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        return self._data.shape
-
-    def __repr__(self) -> str:
-        c, h, w = self.shape
-        return f"LatentGrid(channels={c}, height={h}, width={w})"
 
 
 def _stable_tag(purpose: str) -> int:
@@ -173,8 +148,8 @@ def resize_bilinear(grid: LatentGrid, target_height: int, target_width: int) -> 
     """
     if target_height < 1 or target_width < 1:
         raise ValueError(f"target dimensions must be positive, got ({target_height}, {target_width})")
-    y_lo, y_hi, fy = _axis_lerp_indices(grid.height, target_height)
-    x_lo, x_hi, fx = _axis_lerp_indices(grid.width, target_width)
+    y_lo, y_hi, fy = _axis_lerp_indices(grid.data.shape[1], target_height)
+    x_lo, x_hi, fx = _axis_lerp_indices(grid.data.shape[2], target_width)
     out = _lerp(_lerp(grid.data, y_lo, y_hi, fy[:, None], -2), x_lo, x_hi, fx, -1)
     out.setflags(write=False)  # a new array of convex combinations of finite values
     return LatentGrid._adopt(out)

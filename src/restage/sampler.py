@@ -30,9 +30,10 @@ resize and the refresh take (B, C, H, W) arrays. ``run`` takes and gives
 plain arrays: the initial noise is one (B, C, H, W) array, and snapshots
 and ``final_p_x0`` are the read-only (C, H, W) rows of p_x0 as they are,
 valid after the run. :class:`LatentGrid` is built only for each seed's
-drawn noise. Finiteness is screened once per step through the two
-energies the trace records; only a non-finite energy triggers the
-element-wise check, which fails the run naming the step and the seed.
+drawn noise, and unwrapped as it is drawn. Finiteness is screened once per
+step through the two energies the trace records; only a non-finite energy
+triggers the element-wise check, which fails the run naming the step and
+the seed.
 
 Boundary convention: the boundary belonging to stage i is the first step
 OF stage i. The previous step's denoiser output (computed at the old
@@ -144,7 +145,7 @@ def noise_refresh(
     target_height: int,
     target_width: int,
     alpha_bar_prev: float,
-    eps_grids: Iterable[LatentGrid],
+    eps: Iterable[np.ndarray],
 ) -> np.ndarray:
     """Rebuild a batch of latents at a new resolution from clean-signal estimates.
 
@@ -154,16 +155,17 @@ def noise_refresh(
 
         sqrt(ab_prev) * resized + sqrt(1 - ab_prev) * eps
 
-    Returns the new (B, C, H, W) latents as a new array. ``eps_grids`` yields
-    one grid per estimate, shaped like its target; each is drawn only as its
-    row is re-noised, so no more than one seed's noise is held at a time.
+    Returns the new (B, C, H, W) latents as a new array. ``eps`` yields one
+    (C, H, W) noise array per estimate, shaped like its target; each is
+    drawn only as its row is re-noised, so no more than one seed's noise is
+    held at a time.
     ab_prev lies in (0, 1]; ab_prev = 1 (with zero noise) is allowed as a
     diagnostic and returns the resized estimates.
     """
     ab = float(alpha_bar_prev)
     out = np.multiply(refresh_resize(codec, p_x0, target_height, target_width), ab**0.5)
-    for row, eps in zip(out, eps_grids, strict=True):
-        row += (1.0 - ab) ** 0.5 * eps.data
+    for row, noise in zip(out, eps, strict=True):
+        row += (1.0 - ab) ** 0.5 * noise
     return out
 
 
@@ -275,7 +277,7 @@ def run(
                 if variant in ("rectified", "rectified-no-rect"):
                     x = noise_refresh(
                         p_x0, codec, h, w, ab,
-                        (gaussian_noise(channels, h, w, r.stream("refresh", stage.index))
+                        (gaussian_noise(channels, h, w, r.stream("refresh", stage.index)).data
                          for r in rngs),
                     )
                 elif variant == "latent-resize":
@@ -335,9 +337,6 @@ class AffineTrajectory(NamedTuple):
 
     noise_gain: float
     mean_gain: float
-
-    def apply(self, initial_noise: LatentGrid, mean: LatentGrid) -> LatentGrid:
-        return LatentGrid(self.noise_gain * initial_noise.data + self.mean_gain * mean.data)
 
 
 def affine_trajectory_oracle(

@@ -24,7 +24,7 @@ import numpy as np
 
 from restage.codec import IdentityCodec, refresh_resize
 from restage.denoiser import DatasetPrior
-from restage.latent import LatentGrid, _axis_lerp_indices
+from restage.latent import _axis_lerp_indices
 from restage.schedule import LadderConfig, NoiseSchedule, build_plan, build_schedule, build_timeline
 
 CHANNELS = 4
@@ -169,20 +169,20 @@ def direct_posterior_mean(prior, x_t, alpha_bar_t, label):
     """
     if not 0.0 < alpha_bar_t < 1.0:
         raise ValueError(f"alpha_bar_t must lie in (0, 1), got {alpha_bar_t}")
-    if x_t.channels != prior.channels:
-        raise ValueError(f"expected {prior.channels} channels, got {x_t.channels}")
-    stack = prior.stack_for_shape(x_t.height, x_t.width)
+    if x_t.shape[0] != prior.channels:
+        raise ValueError(f"expected {prior.channels} channels, got {x_t.shape[0]}")
+    stack = prior.stack_for_shape(*x_t.shape[1:])
     if label is not None:
         mask = np.array([lab == label for lab in prior.labels])
         if not mask.any():
             raise ValueError(f"no points carry label {label}")
         stack = stack[mask]
-    diffs = x_t.data[None, ...] - np.sqrt(alpha_bar_t) * stack
+    diffs = x_t[None, ...] - np.sqrt(alpha_bar_t) * stack
     log_w = -np.sum(diffs * diffs, axis=(1, 2, 3)) / (2.0 * (1.0 - alpha_bar_t))
     log_w -= log_w.max()
     weights = np.exp(log_w)
     weights /= weights.sum()
-    return LatentGrid(np.tensordot(weights, stack, axes=(0, 0)))
+    return np.tensordot(weights, stack, axes=(0, 0))
 
 
 # Oracles for the in-place step kernel: the direct forms it replaced. Each
@@ -213,17 +213,16 @@ def direct_gaussian_eps(prior, x_t, ab):
 def direct_noise_refresh(p_x0, codec, target_height, target_width, alpha_bar_prev, eps):
     """One seed's boundary refresh as a (C, H, W) array: its own one-row codec
     batch, re-noised by itself, as the sampler refreshed seed by seed."""
-    (resized,) = refresh_resize(codec, p_x0.data[None], target_height, target_width)
+    (resized,) = refresh_resize(codec, p_x0[None], target_height, target_width)
     ab = float(alpha_bar_prev)
-    return ab**0.5 * resized + (1.0 - ab) ** 0.5 * eps.data
+    return ab**0.5 * resized + (1.0 - ab) ** 0.5 * eps
 
 
-def direct_resize_bilinear(grid, target_height, target_width):
-    """One grid's bilinear resample as a new (C, H, W) array, in the two
+def direct_resize_bilinear(arr, target_height, target_width):
+    """One (C, H, W) array's bilinear resample as a new array, in the two
     expressions ``resize_bilinear`` used before it acted on channel stacks."""
-    arr = grid.data
-    y_lo, y_hi, fy = _axis_lerp_indices(grid.height, target_height)
-    x_lo, x_hi, fx = _axis_lerp_indices(grid.width, target_width)
+    y_lo, y_hi, fy = _axis_lerp_indices(arr.shape[1], target_height)
+    x_lo, x_hi, fx = _axis_lerp_indices(arr.shape[2], target_width)
     rows = arr[:, y_lo, :] * (1.0 - fy)[None, :, None] + arr[:, y_hi, :] * fy[None, :, None]
     return rows[:, :, x_lo] * (1.0 - fx)[None, None, :] + rows[:, :, x_hi] * fx[None, None, :]
 
@@ -349,4 +348,16 @@ FAILS_ON_INDEX_1 = """\
     time.sleep(5.0 if index == "0" else 0.2)
     shutil.copyfile(src, dst)
     open(os.path.join(DIR, "done-" + index), "w").close()
+"""
+
+# writes its pid to PIDFILE, renamed into place so that a reader never sees
+# a partial one, then sleeps for a minute and writes no output
+WRITES_PID_THEN_SLEEPS = """\
+    import os, time
+
+    PIDFILE = {pidfile!r}
+    with open(PIDFILE + ".part", "w") as fh:
+        fh.write(str(os.getpid()))
+    os.replace(PIDFILE + ".part", PIDFILE)
+    time.sleep(60.0)
 """

@@ -2,7 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
+import os
+import signal
+import subprocess
+import sys
 import textwrap
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +19,9 @@ from restage.denoiser import GaussianPrior
 from restage.schedule import build_schedule, build_timeline
 from restage.tensorfile import read_tensor, write_grid, write_tensor
 
-from _toys import FAILS_ON_INDEX_1, codec_stub
+from _toys import FAILS_ON_INDEX_1, WRITES_PID_THEN_SLEEPS, codec_stub
+
+_SRC = Path(__file__).resolve().parent.parent / "src"
 
 PAPER_LADDER = """\
     [schedule]
@@ -148,27 +157,67 @@ class TestSample:
             return eps
 
         monkeypatch.setattr(GaussianPrior, "predict_eps", poisoned)
-        cfg = _config(tmp_path, SMALL + "run_count = 3\n")
-        out = tmp_path / "out"
-        assert main(["sample", "--config", cfg, "--out", str(out)]) == 1
-        assert "error: step 7, seed 5: latent grid contains non-finite values" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        # with snapshots too: those of the steps before the failure go with it
+        for k, snapshots in enumerate(["", "snapshot_steps = all\n"]):
+            cfg = _config(tmp_path, SMALL + "run_count = 3\n" + snapshots)
+            out = tmp_path / f"out{k}"
+            assert main(["sample", "--config", cfg, "--out", str(out)]) == 1
+            assert "error: step 7, seed 5: latent grid contains non-finite values" in capsys.readouterr().err
+            assert list(out.iterdir()) == []
 
     def test_a_failing_codec_call_leaves_no_output_or_codec_file(self, tmp_path, codec_tmp, capsys):
         command = codec_stub(tmp_path, FAILS_ON_INDEX_1.format(dir=str(tmp_path)))
+        for k, snapshots in enumerate(["", "snapshot_steps = all\n"]):
+            cfg = _config(
+                tmp_path,
+                STAGED_SMALL
+                + f"[codec]\nkind = external\ncommand = {command}\ngranularity = 1\n"
+                + "[run]\nvariant = rectified\nrun_count = 3\n" + snapshots,
+            )
+            out = tmp_path / f"out{k}"
+            assert main(["sample", "--config", cfg, "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert "error: step 5, seed 1: decode command exited with status 3" in err
+            assert "(batch index 1)" in err
+            assert list(out.iterdir()) == []
+            assert list(codec_tmp.glob("codec-*")) == []
+
+    def test_sigterm_reaps_the_codec_and_leaves_no_file(self, tmp_path):
+        # two processes at most: the command, and its one codec call, which
+        # writes its pid and then sleeps until it is killed
+        pidfile = tmp_path / "codec.pid"
+        command = codec_stub(tmp_path, WRITES_PID_THEN_SLEEPS.format(pidfile=str(pidfile)))
         cfg = _config(
             tmp_path,
             STAGED_SMALL
             + f"[codec]\nkind = external\ncommand = {command}\ngranularity = 1\n"
-            + "[run]\nvariant = rectified\nrun_count = 3\n",
+            + "[run]\nvariant = rectified\nsnapshot_steps = all\n",
         )
-        out = tmp_path / "out"
-        assert main(["sample", "--config", cfg, "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert "error: step 5, seed 1: decode command exited with status 3" in err
-        assert "(batch index 1)" in err
-        assert list(out.iterdir()) == []
-        assert list(codec_tmp.glob("codec-*")) == []
+        work, out = tmp_path / "tmp", tmp_path / "out"
+        work.mkdir()
+        env = dict(os.environ, PYTHONPATH=str(_SRC), TMPDIR=str(work))
+        argv = [sys.executable, "-m", "restage.cli", "sample", "--config", cfg, "--out", str(out)]
+        stub = None
+        with subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE) as proc:
+            try:
+                deadline = time.monotonic() + 60.0
+                while not pidfile.exists():
+                    assert proc.poll() is None, proc.stderr.read()
+                    assert time.monotonic() < deadline, "the codec command did not start"
+                    time.sleep(0.02)
+                stub = int(pidfile.read_text())
+                proc.send_signal(signal.SIGTERM)
+                assert proc.wait(timeout=60) == 143
+                with pytest.raises(ProcessLookupError):
+                    os.kill(stub, 0)  # killed and reaped
+                assert list(work.iterdir()) == []
+                assert list(out.iterdir()) == []  # no snapshot, and no partial file
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
+                if stub is not None:
+                    with contextlib.suppress(ProcessLookupError):
+                        os.kill(stub, signal.SIGKILL)
 
     @pytest.mark.parametrize("command", ["sample", "energy-curve"])
     def test_an_overflowing_energy_fails_both_commands_at_its_step(self, tmp_path, capsys, command):

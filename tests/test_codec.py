@@ -11,21 +11,21 @@ import pytest
 from restage.codec import ExternalCodec, IdentityCodec, refresh_resize
 from restage.denoiser import GaussianPrior
 from restage.errors import CodecError, SamplerError
-from restage.latent import LatentGrid, SeededRng, average_energy, gaussian_noise, resize_bilinear
+from restage.latent import SeededRng, average_energy, gaussian_noise, resize_bilinear
 from restage.sampler import run
 
 from _toys import BLOCK_CODEC, FAILS_ON_INDEX_1, TIMELINE, codec_stub, read_only, staged_plan
 
 
-def _batch(*grids):
-    """The read-only (B, C, H, W) batch of ``grids``."""
-    return read_only([g.data for g in grids])
+def _batch(*latents):
+    """The read-only (B, C, H, W) batch of (C, H, W) ``latents``."""
+    return read_only(latents)
 
 
 class TestIdentityCodec:
     def test_passes_grids_through(self):
         codec = IdentityCodec()
-        batch = _batch(LatentGrid.full(2, 3, 3, 1.0), LatentGrid.full(2, 3, 3, 0.5))
+        batch = _batch(np.full((2, 3, 3), 1.0), np.full((2, 3, 3), 0.5))
         assert codec.granularity == 1
         assert codec.decode(batch) is batch
         assert codec.encode(batch) is batch
@@ -34,27 +34,27 @@ class TestIdentityCodec:
 class TestRefreshResize:
     def test_identity_codec_reduces_to_plain_resampling(self):
         grids = [gaussian_noise(3, 5, 5, SeededRng(s).stream("init")) for s in (1, 2)]
-        out = refresh_resize(IdentityCodec(), _batch(*grids), 9, 7)
+        out = refresh_resize(IdentityCodec(), _batch(*(g.data for g in grids)), 9, 7)
         assert out.shape == (2, 3, 9, 7) and not out.flags.writeable
         for row, grid in zip(out, grids):
             assert np.array_equal(row, resize_bilinear(grid, 9, 7).data)
 
     def test_same_size_is_the_identity(self):
-        batch = _batch(gaussian_noise(2, 4, 4, SeededRng(2).stream("init")))
+        batch = _batch(gaussian_noise(2, 4, 4, SeededRng(2).stream("init")).data)
         assert np.array_equal(refresh_resize(IdentityCodec(), batch, 4, 4), batch)
 
     def test_constant_grids_stay_constant(self):
-        out = refresh_resize(IdentityCodec(), _batch(LatentGrid.full(2, 3, 3, 1.25)), 6, 6)
+        out = refresh_resize(IdentityCodec(), _batch(np.full((2, 3, 3), 1.25)), 6, 6)
         assert np.allclose(out, 1.25, atol=1e-15)
 
     def test_upsampled_noise_sheds_energy(self):
-        noise = gaussian_noise(1, 32, 32, SeededRng(3).stream("init"))
+        noise = gaussian_noise(1, 32, 32, SeededRng(3).stream("init")).data
         (up,) = refresh_resize(IdentityCodec(), _batch(noise), 64, 64)
-        assert average_energy(up) < 0.6 * average_energy(noise.data)
+        assert average_energy(up) < 0.6 * average_energy(noise)
 
     def test_bad_target(self):
         with pytest.raises(ValueError, match="positive"):
-            refresh_resize(IdentityCodec(), _batch(LatentGrid.full(1, 2, 2, 0.0)), 0, 4)
+            refresh_resize(IdentityCodec(), _batch(np.full((1, 2, 2), 0.0)), 0, 4)
 
 
 class TestExternalCodec:
@@ -66,21 +66,21 @@ class TestExternalCodec:
 
     def test_decode_scales_by_the_granularity(self, tmp_path, codec_tmp):
         codec = ExternalCodec(codec_stub(tmp_path, BLOCK_CODEC), granularity=2)
-        grid = LatentGrid([[[1.0, 2.0], [3.0, 4.0]]])
+        grid = np.array([[[1.0, 2.0], [3.0, 4.0]]])
         (decoded,) = codec.decode(_batch(grid))
         assert decoded.shape == (1, 4, 4)
-        assert np.array_equal(decoded, np.repeat(np.repeat(grid.data, 2, axis=1), 2, axis=2))
+        assert np.array_equal(decoded, np.repeat(np.repeat(grid, 2, axis=1), 2, axis=2))
 
     def test_encode_inverts_decode_on_storable_values(self, tmp_path, codec_tmp):
         codec = ExternalCodec(codec_stub(tmp_path, BLOCK_CODEC), granularity=2)
         # integer-valued grid survives the float32 transport exactly
-        grid = LatentGrid(np.arange(8.0).reshape(2, 2, 2))
+        grid = np.arange(8.0).reshape(2, 2, 2)
         (back,) = codec.encode(codec.decode(_batch(grid)))
-        assert np.array_equal(back, grid.data)
+        assert np.array_equal(back, grid)
 
     def test_refresh_resize_through_the_external_codec(self, tmp_path, codec_tmp):
         codec = ExternalCodec(codec_stub(tmp_path, BLOCK_CODEC), granularity=2)
-        (out,) = refresh_resize(codec, _batch(LatentGrid.full(1, 2, 2, 3.0)), 4, 4)
+        (out,) = refresh_resize(codec, _batch(np.full((1, 2, 2), 3.0)), 4, 4)
         assert out.shape == (1, 4, 4)
         assert np.allclose(out, 3.0, atol=1e-6)
 
@@ -95,7 +95,7 @@ class TestExternalCodec:
         )
         codec = ExternalCodec(command, granularity=2)
         with pytest.raises(CodecError, match="status 3") as info:
-            codec.decode(_batch(LatentGrid.full(1, 2, 2, 0.0)))
+            codec.decode(_batch(np.full((1, 2, 2), 0.0)))
         assert "boom" in str(info.value)
 
     def test_unreadable_output(self, tmp_path, codec_tmp):
@@ -109,7 +109,7 @@ class TestExternalCodec:
         )
         codec = ExternalCodec(command, granularity=2)
         with pytest.raises(CodecError, match="unreadable"):
-            codec.decode(_batch(LatentGrid.full(1, 2, 2, 0.0)))
+            codec.decode(_batch(np.full((1, 2, 2), 0.0)))
 
     def test_wrong_decode_shape(self, tmp_path, codec_tmp):
         # copies every grid but index 2's, for which it writes one value
@@ -136,7 +136,7 @@ class TestExternalCodec:
     def test_a_command_that_cannot_start_names_its_step_and_seed(self, tmp_path, codec_tmp):
         codec = ExternalCodec(str(tmp_path / "no-such-codec"), granularity=1)
         plan = staged_plan(2.0, 6.0)
-        prior = GaussianPrior(LatentGrid.full(4, 16, 16, 0.2), 1.0)
+        prior = GaussianPrior(np.full((4, 16, 16), 0.2), 1.0)
         with pytest.raises(SamplerError, match="decode command could not start") as info:
             run("rectified", plan, TIMELINE, prior, codec, None, [SeededRng(31), SeededRng(32)])
         assert info.value.step == plan.refresh_steps[0]
@@ -145,7 +145,7 @@ class TestExternalCodec:
 
     def test_temp_files_are_cleaned_up(self, tmp_path, codec_tmp):
         codec = ExternalCodec(codec_stub(tmp_path, BLOCK_CODEC), granularity=2)
-        codec.decode(_batch(LatentGrid.full(1, 2, 2, 0.0)))
+        codec.decode(_batch(np.full((1, 2, 2), 0.0)))
         assert list(codec_tmp.glob("codec-*")) == []
 
 

@@ -273,7 +273,7 @@ class TestBuildDenoiser:
         denoiser, label = build_denoiser(config)
         assert isinstance(denoiser, GaussianPrior)
         assert denoiser.mean.shape == (4, 16, 16)
-        assert np.all(denoiser.mean.data == 0.25)
+        assert np.all(denoiser.mean == 0.25)
         assert denoiser.variance == 1.5
         assert label is None
 

@@ -20,35 +20,34 @@ def _level(step):
 
 class TestGaussianPrior:
     def test_prediction_vanishes_at_the_scaled_mean(self):
-        mean = LatentGrid(np.random.default_rng(1).normal(size=(2, 4, 4)))
+        mean = np.random.default_rng(1).normal(size=(2, 4, 4))
         prior = GaussianPrior(mean, 0.7)
         ab = _level(20)
-        x_t = LatentGrid(np.sqrt(ab) * mean.data)
-        eps = prior.predict_eps(x_t.data, ab, None)
+        eps = prior.predict_eps(np.sqrt(ab) * mean, ab, None)
         assert np.allclose(eps, 0.0, atol=1e-12)
 
     def test_scalar_hand_case(self):
         # zero mean, unit variance, level 0.5, x = 1:
         # posterior gain sqrt(0.5), estimate and prediction both 1/sqrt(2)
-        prior = GaussianPrior(LatentGrid.full(1, 1, 1, 0.0), 1.0)
-        eps = prior.predict_eps(LatentGrid.full(1, 1, 1, 1.0).data, 0.5, None)
+        prior = GaussianPrior(np.full((1, 1, 1), 0.0), 1.0)
+        eps = prior.predict_eps(np.full((1, 1, 1), 1.0), 0.5, None)
         assert float(eps[0, 0, 0]) == pytest.approx(0.7071067811865475, abs=1e-15)
 
     def test_prediction_is_affine_in_the_latent(self):
         rng = np.random.default_rng(2)
-        prior = GaussianPrior(LatentGrid(rng.normal(size=(1, 3, 3))), 1.4)
-        x1 = LatentGrid(rng.normal(size=(1, 3, 3)))
-        x2 = LatentGrid(rng.normal(size=(1, 3, 3)))
+        prior = GaussianPrior(rng.normal(size=(1, 3, 3)), 1.4)
+        x1 = rng.normal(size=(1, 3, 3))
+        x2 = rng.normal(size=(1, 3, 3))
         lam = 0.3
-        blend = LatentGrid(lam * x1.data + (1 - lam) * x2.data)
-        got = prior.predict_eps(blend.data, _level(11), None)
-        want = lam * prior.predict_eps(x1.data, _level(11), None) + (
+        blend = lam * x1 + (1 - lam) * x2
+        got = prior.predict_eps(blend, _level(11), None)
+        want = lam * prior.predict_eps(x1, _level(11), None) + (
             1 - lam
-        ) * prior.predict_eps(x2.data, _level(11), None)
+        ) * prior.predict_eps(x2, _level(11), None)
         assert np.allclose(got, want, atol=1e-12)
 
     def test_condition_has_no_effect(self):
-        prior = GaussianPrior(LatentGrid.full(1, 2, 2, 0.3), 1.0)
+        prior = GaussianPrior(np.full((1, 2, 2), 0.3), 1.0)
         x = gaussian_noise(1, 2, 2, SeededRng(3).stream("init"))
         a = prior.predict_eps(x.data, _level(5), None)
         b = prior.predict_eps(x.data, _level(5), 3)
@@ -56,14 +55,14 @@ class TestGaussianPrior:
 
     def test_other_resolutions_broadcast_channel_means(self):
         rng = np.random.default_rng(4)
-        mean = LatentGrid(rng.normal(size=(2, 4, 4)))
+        mean = rng.normal(size=(2, 4, 4))
         prior = GaussianPrior(mean, 0.9)
         broadcast = prior.mean_for_shape(8, 8)
-        channel_means = mean.data.mean(axis=(1, 2))
+        channel_means = mean.mean(axis=(1, 2))
         assert broadcast.shape == (2, 8, 8)
         assert np.array_equal(broadcast, np.broadcast_to(channel_means[:, None, None], (2, 8, 8)))
         # prediction at the new shape must equal a prior built on that mean
-        flat_prior = GaussianPrior(LatentGrid(np.array(broadcast)), 0.9)
+        flat_prior = GaussianPrior(broadcast, 0.9)
         x = gaussian_noise(2, 8, 8, SeededRng(5).stream("init"))
         assert np.array_equal(
             prior.predict_eps(x.data, _level(7), None),
@@ -71,13 +70,38 @@ class TestGaussianPrior:
         )
 
     def test_native_resolution_uses_the_stored_mean(self):
-        mean = LatentGrid(np.random.default_rng(6).normal(size=(2, 4, 4)))
-        prior = GaussianPrior(mean, 1.0)
-        assert prior.mean_for_shape(4, 4) is mean.data
+        prior = GaussianPrior(np.random.default_rng(6).normal(size=(2, 4, 4)), 1.0)
+        assert prior.mean_for_shape(4, 4) is prior.mean
 
     def test_bad_variance(self):
         with pytest.raises(ValueError, match="variance"):
-            GaussianPrior(LatentGrid.full(1, 2, 2, 0.0), 0.0)
+            GaussianPrior(np.full((1, 2, 2), 0.0), 0.0)
+
+    @pytest.mark.parametrize(
+        "mean, match",
+        [
+            (np.array([[[0.0, np.nan]]]), "non-finite"),
+            (np.zeros((2, 2)), r"\(C, H, W\) array, got shape \(2, 2\)"),
+            (np.zeros((1, 0, 2)), r"non-empty .* got shape \(1, 0, 2\)"),
+        ],
+    )
+    def test_a_bad_mean_is_refused(self, mean, match):
+        with pytest.raises(ValueError, match=match):
+            GaussianPrior(mean, 1.0)
+
+    def test_writes_to_the_callers_array_do_not_reach_predictions(self):
+        given = np.random.default_rng(14).normal(size=(2, 3, 3))
+        prior = GaussianPrior(given, 0.8)
+        x = gaussian_noise(2, 3, 3, SeededRng(15).stream("init")).data
+        before = prior.predict_eps(x, _level(9), None)
+        given[...] = 5.0
+        assert np.array_equal(prior.predict_eps(x, _level(9), None), before)
+
+    def test_the_mean_is_read_only(self):
+        prior = GaussianPrior(np.zeros((1, 2, 2)), 1.0)
+        assert not prior.mean.flags.writeable
+        with pytest.raises(ValueError):
+            prior.mean[0, 0, 0] = 1.0
 
 
 def _points(values):
@@ -88,28 +112,26 @@ def _points(values):
 class TestDatasetPrior:
     def test_single_point_posterior_is_that_point(self):
         prior = DatasetPrior(_points([1.7]), [0])
-        x = LatentGrid.full(1, 1, 1, -3.0)
-        mean = dataset_posterior_mean(prior, x.data, 0.5, None)
+        x = np.full((1, 1, 1), -3.0)
+        mean = dataset_posterior_mean(prior, x, 0.5, None)
         assert float(mean[0, 0, 0]) == 1.7
 
     def test_symmetric_pair_balances_to_zero(self):
         point = np.random.default_rng(7).normal(size=(2, 3, 3))
         prior = DatasetPrior(np.stack([point, -point]), [0, 0])
-        mean = dataset_posterior_mean(prior, LatentGrid.full(2, 3, 3, 0.0).data, 0.5, None)
+        mean = dataset_posterior_mean(prior, np.full((2, 3, 3), 0.0), 0.5, None)
         assert np.all(mean == 0.0)
 
     def test_equidistant_points_share_weight_exactly(self):
         prior = DatasetPrior(_points([1.0, 3.0]), [0, 0])
         ab = 0.5
-        midpoint = LatentGrid.full(1, 1, 1, np.sqrt(ab) * 2.0)
-        mean = dataset_posterior_mean(prior, midpoint.data, ab, None)
+        midpoint = np.full((1, 1, 1), np.sqrt(ab) * 2.0)
+        mean = dataset_posterior_mean(prior, midpoint, ab, None)
         assert float(mean[0, 0, 0]) == pytest.approx(2.0, abs=1e-12)
 
     def test_distant_query_collapses_onto_the_nearest_point(self):
         prior = DatasetPrior(_points([0.0, 2.0]), [0, 0])
-        mean = dataset_posterior_mean(
-            prior, LatentGrid.full(1, 1, 1, 10.0).data, 0.5, None
-        )
+        mean = dataset_posterior_mean(prior, np.full((1, 1, 1), 10.0), 0.5, None)
         assert float(mean[0, 0, 0]) == pytest.approx(2.0, abs=1e-6)
 
     def test_near_clean_level_snaps_to_the_matching_point(self):
@@ -132,8 +154,8 @@ class TestDatasetPrior:
 
     def test_condition_restricts_to_the_labelled_points(self):
         prior = DatasetPrior(_points([-5.0, 4.0]), [0, 1])
-        x = LatentGrid.full(1, 1, 1, 0.0)
-        only_one = dataset_posterior_mean(prior, x.data, 0.5, 1)
+        x = np.full((1, 1, 1), 0.0)
+        only_one = dataset_posterior_mean(prior, x, 0.5, 1)
         assert float(only_one[0, 0, 0]) == 4.0
 
     def test_construction_validation(self):
@@ -237,7 +259,7 @@ class TestMatrixFormPosterior:
             stack = stack[[lab == label for lab in prior.labels]]
         flat = stack.reshape(len(stack), -1)
         for got_row, x_row in zip(got.reshape(-1, *x.shape[-3:]), x.reshape(-1, *x.shape[-3:])):
-            want = direct_posterior_mean(prior, LatentGrid(x_row), ab, label).data
+            want = direct_posterior_mean(prior, x_row, ab, label)
             # float64 rounding of the log-weights, scaled by their magnitude L
             xf = x_row.reshape(-1)
             log_scale = (
@@ -254,20 +276,20 @@ class TestCfgCombine:
 
     def _branches(self):
         rng = np.random.default_rng(13)
-        u = LatentGrid(rng.normal(size=(2, 3, 3)))
-        c = LatentGrid(rng.normal(size=(2, 3, 3)))
+        u = rng.normal(size=(2, 3, 3))
+        c = rng.normal(size=(2, 3, 3))
         return u, c
 
     def test_endpoint_scales(self):
         u, c = self._branches()
-        assert np.array_equal(cfg_combine(u.data.copy(), c.data.copy(), 0.0), u.data)
+        assert np.array_equal(cfg_combine(u.copy(), c.copy(), 0.0), u)
         # omega = 1 recovers the conditional branch up to one cancellation
-        assert np.allclose(cfg_combine(u.data.copy(), c.data.copy(), 1.0), c.data, atol=1e-15)
+        assert np.allclose(cfg_combine(u.copy(), c.copy(), 1.0), c, atol=1e-15)
 
     def test_extrapolation(self):
-        u = LatentGrid.full(1, 1, 1, 1.0)
-        c = LatentGrid.full(1, 1, 1, 2.0)
-        assert float(cfg_combine(u.data.copy(), c.data.copy(), 5.0)[0, 0, 0]) == 6.0
+        u = np.full((1, 1, 1), 1.0)
+        c = np.full((1, 1, 1), 2.0)
+        assert float(cfg_combine(u.copy(), c.copy(), 5.0)[0, 0, 0]) == 6.0
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -278,7 +300,7 @@ class TestCfgCombine:
         u, c = self._branches()
 
         def combine(omega):
-            return cfg_combine(u.data.copy(), c.data.copy(), omega)
+            return cfg_combine(u.copy(), c.copy(), omega)
 
         mid = combine((w1 + w2) / 2.0)
         avg = (combine(w1) + combine(w2)) / 2.0

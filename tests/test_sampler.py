@@ -30,7 +30,6 @@ from restage.latent import (
 )
 from restage.sampler import (
     VARIANTS,
-    AffineTrajectory,
     affine_trajectory_oracle,
     ddim_step,
     noise_refresh,
@@ -140,7 +139,7 @@ class TestInPlaceKernels:
         _, c, h, w = x.shape
         # at another resolution the prior broadcasts its channel means
         mean = m[0] if native else np.resize(m[0], (c, h + 1, w + 2))
-        prior = GaussianPrior(LatentGrid(mean), variance)
+        prior = GaussianPrior(mean, variance)
         ab = float(TIMELINE.alpha_bar_at_step[step])
         want = direct_gaussian_eps(prior, x, ab)
         out = np.empty_like(x)
@@ -152,15 +151,15 @@ class TestInPlaceKernels:
 class TestNoiseRefresh:
     def test_full_signal_level_returns_the_resized_estimate(self):
         p = gaussian_noise(1, 4, 4, SeededRng(5).stream("init"))
-        eps = gaussian_noise(1, 8, 8, SeededRng(6).stream("init"))
+        eps = gaussian_noise(1, 8, 8, SeededRng(6).stream("init")).data
         (out,) = noise_refresh(p.data[None], CODEC, 8, 8, 1.0, [eps])
         assert np.array_equal(out, resize_bilinear(p, 8, 8).data)
 
     def test_same_resolution_matches_forward_noising(self):
-        p = gaussian_noise(2, 4, 4, SeededRng(7).stream("init"))
-        eps = gaussian_noise(2, 4, 4, SeededRng(8).stream("init"))
-        (out,) = noise_refresh(p.data[None], CODEC, 4, 4, 0.82, [eps])
-        assert np.array_equal(out, np.sqrt(0.82) * p.data + np.sqrt(1.0 - 0.82) * eps.data)
+        p = gaussian_noise(2, 4, 4, SeededRng(7).stream("init")).data
+        eps = gaussian_noise(2, 4, 4, SeededRng(8).stream("init")).data
+        (out,) = noise_refresh(p[None], CODEC, 4, 4, 0.82, [eps])
+        assert np.array_equal(out, np.sqrt(0.82) * p + np.sqrt(1.0 - 0.82) * eps)
 
     @pytest.mark.parametrize("block", [False, True])
     def test_a_batch_matches_the_one_seed_refresh(self, tmp_path, codec_tmp, block):
@@ -169,23 +168,23 @@ class TestNoiseRefresh:
             if block else IdentityCodec()
         )
         rngs = [SeededRng(s) for s in (12, 13, 14)]
-        p_x0 = [gaussian_noise(3, 4, 6, r.stream("init")) for r in rngs]
-        eps = [gaussian_noise(3, 6, 10, r.stream("refresh", 1)) for r in rngs]
-        got = noise_refresh(read_only([p.data for p in p_x0]), codec, 6, 10, 0.37, eps)
+        p_x0 = [gaussian_noise(3, 4, 6, r.stream("init")).data for r in rngs]
+        eps = [gaussian_noise(3, 6, 10, r.stream("refresh", 1)).data for r in rngs]
+        got = noise_refresh(read_only(p_x0), codec, 6, 10, 0.37, eps)
         assert got.shape == (3, 3, 6, 10) and got.flags.writeable
         for row, p, e in zip(got, p_x0, eps):
             want = direct_noise_refresh(p, codec, 6, 10, 0.37, e)
             assert np.array_equal(row.view(np.uint64), want.view(np.uint64))
 
     def test_noise_count_must_match_the_batch(self):
-        p = gaussian_noise(1, 4, 4, SeededRng(9).stream("init"))
-        eps = gaussian_noise(1, 4, 4, SeededRng(10).stream("init"))
+        p = gaussian_noise(1, 4, 4, SeededRng(9).stream("init")).data
+        eps = gaussian_noise(1, 4, 4, SeededRng(10).stream("init")).data
         with pytest.raises(ValueError, match="longer"):
-            noise_refresh(p.data[None], CODEC, 4, 4, 0.5, [eps, eps])
+            noise_refresh(p[None], CODEC, 4, 4, 0.5, [eps, eps])
 
 
 def _gaussian(channels=4, height=16, width=16, value=0.2, variance=1.0):
-    return GaussianPrior(LatentGrid.full(channels, height, width, value), variance)
+    return GaussianPrior(np.full((channels, height, width), value), variance)
 
 
 # built once: the batch properties draw many runs from it
@@ -265,7 +264,7 @@ class TestRunBasics:
                     raise ValueError("synthetic failure")
                 return super().predict_eps(x_t, alpha_bar, label, out)
 
-        prior = Exploding(LatentGrid.full(4, 16, 16, 0.2), 1.0)
+        prior = Exploding(np.full((4, 16, 16), 0.2), 1.0)
         with pytest.raises(SamplerError, match="step 7") as info:
             run("baseline", single_plan(2.0), TIMELINE, prior, CODEC, None, [SeededRng(29)])
         assert info.value.step == 7
@@ -329,7 +328,7 @@ class TestLevelContract:
                 return super().predict_eps(x_t, alpha_bar, label, out)
 
         assert SEVEN_PLAN.refresh_steps == (4,)
-        prior = Recording(LatentGrid.full(4, 4, 4, 0.2), 1.0)
+        prior = Recording(np.full((4, 4, 4), 0.2), 1.0)
         run(variant, SEVEN_PLAN, SEVEN, prior, CODEC, label, [SeededRng(60), SeededRng(61)])
         # snr-corrected too: its corrected levels go to the update, not the denoiser
         branches = (None, label) if label is not None else (None,)
@@ -393,7 +392,7 @@ class TestGridsAtTheEdges:
                     eps[1] = np.nan  # the second seed's row only
                 return eps
 
-        prior = Poisoned(LatentGrid.full(4, 16, 16, 0.2), 1.0)
+        prior = Poisoned(np.full((4, 16, 16), 0.2), 1.0)
         rngs = [SeededRng(41), SeededRng(1041), SeededRng(2041)]
         with pytest.raises(SamplerError, match="step 7, seed 1041") as info:
             run("baseline", single_plan(2.0), TIMELINE, prior, CODEC, None, rngs)
@@ -456,11 +455,11 @@ def _noise_entering(rngs):
 
     def recording_refresh(p_x0, codec, height, width, alpha_bar_prev, eps):
         eps = list(eps)
-        fresh.extend(e.data for e in eps)
+        fresh.extend(eps)
         return noise_refresh(p_x0, codec, height, width, alpha_bar_prev, eps)
 
     plan = build_plan(ladder(3, 2.0, 2.0, ((4, 4), (8, 8), (12, 12))), TIMELINE)
-    prior = Recording(LatentGrid.full(4, 4, 4, 0.2), 1.0)
+    prior = Recording(np.full((4, 4, 4), 0.2), 1.0)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sampler, "noise_refresh", recording_refresh)
         run("rectified", plan, TIMELINE, prior, CODEC, None, rngs)
@@ -571,7 +570,7 @@ class TestStagedTrace:
                 float(TIMELINE.alpha_bar_at_step[step]),
                 float(TIMELINE.alpha_bar_at_step[step + 1]),
             )
-        boundary_eps = gaussian_noise(4, 32, 32, SeededRng(32).stream("refresh", 1))
+        boundary_eps = gaussian_noise(4, 32, 32, SeededRng(32).stream("refresh", 1)).data
         x = noise_refresh(
             read_only(p_x0[None]), CODEC, 32, 32, float(TIMELINE.alpha_bar_at_step[40]),
             [boundary_eps],
@@ -627,12 +626,6 @@ class TestStagedTrace:
 
 
 class TestAffineOracle:
-    def test_apply_combines_noise_and_mean(self):
-        traj = AffineTrajectory(noise_gain=0.25, mean_gain=0.5)
-        noise = LatentGrid.full(1, 1, 1, 2.0)
-        mean = LatentGrid.full(1, 1, 1, 3.0)
-        assert float(traj.apply(noise, mean).data[0, 0, 0]) == 2.0
-
     def test_single_step_closed_form(self):
         timeline = build_timeline(linear_schedule(0.5, 0.5, 1), 1)
         plan = build_plan(
@@ -643,7 +636,7 @@ class TestAffineOracle:
             timeline,
         )
         v = 1.3
-        prior = GaussianPrior(LatentGrid.full(1, 2, 2, 0.4), v)
+        prior = GaussianPrior(np.full((1, 2, 2), 0.4), v)
         oracle = affine_trajectory_oracle(plan, timeline, prior)
         g = np.sqrt(0.5) * v / (0.5 * v + 0.5)
         assert oracle.noise_gain == pytest.approx(g, rel=1e-15)
@@ -669,17 +662,17 @@ class TestAffineOracle:
 
     def test_matches_full_runs_at_odd_settings(self):
         rng = np.random.default_rng(35)
-        mean = LatentGrid(rng.normal(0.1, 0.5, size=(3, 6, 6)))
+        mean = rng.normal(0.1, 0.5, size=(3, 6, 6))
         prior = GaussianPrior(mean, 0.9)
         plan = single_plan(2.5, 6, 6)
         oracle = affine_trajectory_oracle(plan, TIMELINE, prior)
         for k in range(10):
             srng = SeededRng(700 + k)
-            noise = gaussian_noise(3, 6, 6, srng.stream("init"))
+            noise = gaussian_noise(3, 6, 6, srng.stream("init")).data
             (got,) = run("baseline", plan, TIMELINE, prior, CODEC, None, [srng])
-            want = oracle.apply(noise, mean)
-            denom = max(float(np.abs(want.data).max()), 1e-12)
-            assert float(np.abs(got.final_p_x0 - want.data).max()) / denom < 1e-9
+            want = oracle.noise_gain * noise + oracle.mean_gain * mean
+            denom = max(float(np.abs(want).max()), 1e-12)
+            assert float(np.abs(got.final_p_x0 - want).max()) / denom < 1e-9
 
 
 class TestRunDistribution:
@@ -695,7 +688,7 @@ class TestRunDistribution:
             ),
             timeline,
         )
-        prior = GaussianPrior(LatentGrid.full(1, 2, 2, 0.7), 1.3)
+        prior = GaussianPrior(np.full((1, 2, 2), 0.7), 1.3)
         oracle = affine_trajectory_oracle(plan, timeline, prior)
         rngs = [SeededRng(50_000 + k) for k in range(3000)]
         results = run("baseline", plan, timeline, prior, CODEC, None, rngs)

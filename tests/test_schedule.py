@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from restage import checks
 from restage.checks import ddim_step_coefficients, snr_energy_coefficient
 from restage.errors import ConfigError
-from restage.latent import LatentGrid
 from restage.sampler import ddim_step
 from restage.schedule import (
     BETA_END,
@@ -300,8 +299,6 @@ class TestStepCoefficients:
         assert b == pytest.approx(math.sqrt(0.2) - math.sqrt(0.8), rel=1e-14)
 
     def test_coefficients_reproduce_the_update(self):
-        x = LatentGrid.full(1, 1, 1, 1.3)
-        eps = LatentGrid.full(1, 1, 1, 0.7)
-        x_prev, _ = ddim_step(x.data.copy(), eps.data.copy(), 0.37, 0.81)
+        x_prev, _ = ddim_step(np.full((1, 1, 1), 1.3), np.full((1, 1, 1), 0.7), 0.37, 0.81)
         a, b = ddim_step_coefficients(0.37, 0.81)
         assert float(x_prev[0, 0, 0]) == pytest.approx(a * 1.3 + b * 0.7, rel=1e-14)
