@@ -8,9 +8,11 @@ Subcommands:
     dump-grid     render a tensor file to one PGM image per channel
 
 All CSV output is byte-stable: fixed column order, floats at 9 significant
-digits, LF newlines. Every file is written under a temporary name and renamed
-into place. SIGTERM unwinds as Ctrl-C does, then exits with status 143, and
-a failed or interrupted ``sample`` removes the snapshots it wrote.
+digits, LF newlines. Each command that writes files stages them all in a
+hidden directory inside its output directory and renames them into place
+only once its last write has succeeded, so a command that fails or is
+interrupted publishes nothing (``docs/DECISIONS.md`` entry 17). SIGTERM
+unwinds as Ctrl-C does, then exits with status 143.
 ``sample`` runs all seeds of a command as one batch, ``energy-curve`` all
 seeds of one curve label; no flag or config key changes that partition.
 """
@@ -18,8 +20,11 @@ seeds of one curve label; no flag or config key changes that partition.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import signal
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +34,7 @@ from .config import ExperimentConfig, build_codec, build_denoiser, load_config
 from .errors import ConfigError
 from .latent import SeededRng
 from .sampler import RunResult, run
-from .tensorfile import read_grid, write_atomic, write_grid
+from .tensorfile import read_grid, write_grid
 
 __all__ = ["main", "cmd_ladder", "cmd_sample", "cmd_energy_curve", "cmd_verify", "cmd_dump_grid"]
 
@@ -39,8 +44,23 @@ def _fmt(value: float) -> str:
 
 
 def _write_csv(path: Path, header: str, rows: list[str]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    write_atomic(path, (f"{line}\n".encode("utf-8") for line in (header, *rows)))
+    with open(path, "wb") as fh:
+        fh.writelines(f"{line}\n".encode("utf-8") for line in (header, *rows))
+
+
+@contextlib.contextmanager
+def _commit(out_dir: Path):
+    """Yield a staging directory inside ``out_dir``; publish its files only if the block succeeds.
+
+    After the block's last write, each staged file is renamed into
+    ``out_dir``, replacing a same-named file. The staging directory is
+    removed on success, on any exception and on an interrupt.
+    """
+    out_dir.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory(prefix=".restage-", dir=out_dir) as stage:
+        yield Path(stage)
+        for path in sorted(Path(stage).iterdir()):
+            os.replace(path, out_dir / path.name)
 
 
 def _build_all(config: ExperimentConfig):
@@ -62,7 +82,8 @@ def cmd_ladder(config: ExperimentConfig, out_dir: Path) -> int:
             f"at {s.height}x{s.width}, omega {_fmt(s.omega)}"
         )
         rows.append(f"{s.index},{s.first_step},{s.last_step},{s.height},{s.width},{_fmt(s.omega)}")
-    _write_csv(out_dir / "ladder.csv", "stage,first_step,last_step,height,width,omega", rows)
+    with _commit(out_dir) as stage:
+        _write_csv(stage / "ladder.csv", "stage,first_step,last_step,height,width,omega", rows)
     return 0
 
 
@@ -79,32 +100,22 @@ def _trace_rows(result: RunResult) -> list[str]:
 
 def cmd_sample(config: ExperimentConfig, out_dir: Path) -> int:
     timeline, plan, denoiser, class_label, codec = _build_all(config)
-    out_dir.mkdir(parents=True, exist_ok=True)
     seeds = [config.run.seed + i for i in range(config.run.run_count)]
-    snapshots: list[Path] = []
-
-    def write_snapshot(index: int, step: int, p_x0: np.ndarray) -> None:
-        snapshots.append(out_dir / f"snapshot_{seeds[index]}_{step}.rhrt")
-        write_grid(snapshots[-1], p_x0)
-
-    try:
+    with _commit(out_dir) as stage:
         results = run(
             config.run.variant, plan, timeline, denoiser, codec, class_label,
             [SeededRng(seed) for seed in seeds], snapshot_steps=config.run.snapshot_steps,
-            on_snapshot=write_snapshot,
+            on_snapshot=lambda index, step, p_x0: write_grid(
+                stage / f"snapshot_{seeds[index]}_{step}.rhrt", p_x0
+            ),
         )
-    except BaseException:
-        # a failed or interrupted run leaves none of its snapshots behind
-        for path in snapshots:
-            path.unlink(missing_ok=True)
-        raise
-    for seed, result in zip(seeds, results):
-        _write_csv(
-            out_dir / f"trace_{seed}.csv",
-            "step,train_t,omega,latent_energy,p_x0_energy,refreshed",
-            _trace_rows(result),
-        )
-        write_grid(out_dir / f"final_{seed}.rhrt", result.final_p_x0)
+        for seed, result in zip(seeds, results):
+            _write_csv(
+                stage / f"trace_{seed}.csv",
+                "step,train_t,omega,latent_energy,p_x0_energy,refreshed",
+                _trace_rows(result),
+            )
+            write_grid(stage / f"final_{seed}.rhrt", result.final_p_x0)
     print(f"wrote {len(seeds)} run(s) to {out_dir}")
     return 0
 
@@ -139,7 +150,8 @@ def cmd_energy_curve(config: ExperimentConfig, out_dir: Path) -> int:
         for row, energy in zip(results[0].trace, mean):
             rows.append(f"{label},{row.step},{_fmt(energy)}")
         print(f"{label}: {len(seeds)} run(s), {len(mean)} steps")
-    _write_csv(out_dir / "energy_curves.csv", "label,step,mean_energy", rows)
+    with _commit(out_dir) as stage:
+        _write_csv(stage / "energy_curves.csv", "label,step,mean_energy", rows)
     return 0
 
 
@@ -171,15 +183,15 @@ def _to_pgm(channel: np.ndarray) -> bytes:
 
 def cmd_dump_grid(input_path: Path, output_path: Path) -> int:
     arr = read_grid(input_path)
-    channels = arr.shape[0]
-    output_path.parent.mkdir(parents=True, exist_ok=True)
-    for c in range(channels):
-        if channels == 1:
-            target = output_path
-        else:
-            target = output_path.with_name(f"{output_path.stem}_c{c}{output_path.suffix}")
-        write_atomic(target, [_to_pgm(arr[c])])
-        print(f"wrote {target}")
+    names = [output_path.name]
+    if arr.shape[0] > 1:
+        names = [f"{output_path.stem}_c{c}{output_path.suffix}" for c in range(arr.shape[0])]
+    with _commit(output_path.parent) as stage:
+        for name, channel in zip(names, arr):
+            with open(stage / name, "wb") as fh:
+                fh.write(_to_pgm(channel))
+    for name in names:
+        print(f"wrote {output_path.with_name(name)}")
     return 0
 
 

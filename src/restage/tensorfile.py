@@ -12,14 +12,14 @@ Values are stored as float32; reading back a written file reproduces the
 float32 payload bit for bit. Core math runs in float64 and is truncated
 only at this boundary. A latent is a rank-3 (C, H, W) tensor:
 :func:`write_grid` and :func:`read_grid` take and give plain arrays and
-check the rank.
+check the rank. The writers write straight to the path they are given; the
+command-line interface stages a command's files and publishes them together
+(``docs/DECISIONS.md`` entry 17).
 """
 
 from __future__ import annotations
 
-import os
 import struct
-from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -30,26 +30,7 @@ MAGIC = b"RHRT"
 VERSION = 1
 MAX_NDIM = 8
 
-__all__ = [
-    "MAGIC", "VERSION", "read_tensor", "write_tensor", "read_grid", "write_grid", "write_atomic",
-]
-
-
-def write_atomic(path: str | Path, chunks: Iterable[bytes | memoryview]) -> None:
-    """Write ``chunks`` under a temporary name beside ``path``, then rename it to ``path``.
-
-    A write that raises or is interrupted never leaves a partial file at ``path``.
-    """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+__all__ = ["MAGIC", "VERSION", "read_tensor", "write_tensor", "read_grid", "write_grid"]
 
 
 def write_tensor(path: str | Path, values: np.ndarray) -> None:
@@ -61,12 +42,15 @@ def write_tensor(path: str | Path, values: np.ndarray) -> None:
     arr = np.asarray(values)
     if arr.ndim < 1 or arr.ndim > MAX_NDIM:
         raise TensorFormatError(f"tensor rank must be 1..{MAX_NDIM}, got {arr.ndim}")
-    payload = np.ascontiguousarray(arr, dtype=np.float32)
+    with np.errstate(over="ignore"):  # an overflow is refused below, not warned about
+        payload = np.ascontiguousarray(arr, dtype=np.float32)
     if not np.all(np.isfinite(payload)):
         raise ValueError("tensor contains values that are not finite as float32")
     header = MAGIC + struct.pack("<II", VERSION, arr.ndim)
     header += struct.pack(f"<{arr.ndim}I", *arr.shape)
-    write_atomic(path, (header, memoryview(payload.astype("<f4", copy=False))))
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(memoryview(payload.astype("<f4", copy=False)))
 
 
 def read_tensor(path: str | Path) -> np.ndarray:

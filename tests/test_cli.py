@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import builtins
 import contextlib
 import os
+import shutil
 import signal
 import subprocess
 import sys
 import textwrap
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -227,6 +230,16 @@ class TestSample:
         assert capsys.readouterr().err == "error: step 0, seed 4: latent energy overflows float64\n"
         assert not out.exists() or list(out.iterdir()) == []
 
+    def test_a_value_beyond_float32_fails_with_no_output_and_no_warning(self, tmp_path, capsys):
+        # finite in float64, so the run succeeds, but the final tensors cannot be stored
+        cfg = _config(tmp_path, SMALL.replace("mean_value = 0.25", "mean_value = 1e39") + "run_count = 2\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["sample", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: tensor contains values that are not finite as float32\n"
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize(
         "extra,argv",
         [
@@ -426,3 +439,88 @@ class TestErrors:
     def test_subcommand_is_required(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+_OPEN = builtins.open
+
+
+class _WriteFault:
+    """Stands in for ``open``: the k-th file opened for writing under ``root``
+    raises ``exc`` once it holds a byte. With k = 0 it only records the paths."""
+
+    def __init__(self, root, k=0, exc=None):
+        self.root, self.k, self.exc = root, k, exc
+        self.paths = []
+
+    def __call__(self, file, mode="r", *args, **kwargs):
+        fh = _OPEN(file, mode, *args, **kwargs)
+        if "w" in mode and Path(file).is_relative_to(self.root):
+            self.paths.append(Path(file))
+            if len(self.paths) == self.k:
+                with fh:
+                    fh.write(b"\0")
+                raise self.exc
+        return fh
+
+
+def _contents(directory):
+    """Every entry of ``directory``: a file's bytes, or None for a directory."""
+    return {p.name: p.read_bytes() if p.is_file() else None for p in directory.iterdir()}
+
+
+def _refill(directory, contents):
+    shutil.rmtree(directory, ignore_errors=True)
+    directory.mkdir()
+    for name, data in contents.items():
+        (directory / name).write_bytes(data)
+
+
+class TestCommitPoint:
+    """A command publishes all of its files or none: unless it succeeds, its
+    output directory ends holding exactly what it held before."""
+
+    def test_every_failing_sample_write_leaves_out_as_it_was(self, tmp_path, monkeypatch, capsys):
+        cfg = _config(tmp_path, SMALL + "run_count = 2\nsnapshot_steps = all\n")
+        out = tmp_path / "out"
+        argv = ["sample", "--config", cfg, "--out", str(out)]
+        record = _WriteFault(out)
+        monkeypatch.setattr(builtins, "open", record)
+        assert main(argv) == 0
+        published = sorted(p.name for p in out.iterdir())  # no staging entry is left either
+        assert len(published) == 24  # 20 snapshots, 2 traces, 2 finals
+        assert sorted(p.name for p in record.paths) == published
+        assert all(p.parent.parent == out for p in record.paths)  # each written in staging
+        capsys.readouterr()
+
+        for k in range(1, len(published) + 1):
+            faults = [OSError("disk full")]
+            if k in (1, len(published)):  # the first snapshot, inside the run; the last final
+                faults.append(KeyboardInterrupt())
+            for exc in faults:
+                for before in ({}, {"trace_4.csv": b"an earlier trace\n"}):
+                    _refill(out, before)
+                    monkeypatch.setattr(builtins, "open", _WriteFault(out, k, exc))
+                    if isinstance(exc, OSError):
+                        assert main(argv) == 1
+                        assert capsys.readouterr().err == "error: disk full\n"
+                    else:
+                        with pytest.raises(KeyboardInterrupt):
+                            main(argv)
+                    assert _contents(out) == before, (k, exc)
+
+    @pytest.mark.parametrize("command", ["ladder", "energy-curve", "dump-grid"])
+    def test_a_failing_write_leaves_the_directory_as_it_was(self, tmp_path, monkeypatch, capsys, command):
+        out = tmp_path / "out"
+        if command == "dump-grid":
+            src = tmp_path / "grid.rhrt"
+            write_grid(src, np.arange(12, dtype=float).reshape(3, 2, 2))
+            argv, before, k = ["dump-grid", str(src), str(out / "img.pgm")], "img_c0.pgm", 3
+        else:
+            cfg = _config(tmp_path, SMALL + "[energy]\nvariants = baseline, rectified\n")
+            name = "ladder.csv" if command == "ladder" else "energy_curves.csv"
+            argv, before, k = [command, "--config", cfg, "--out", str(out)], name, 1
+        _refill(out, {before: b"an earlier file\n"})
+        monkeypatch.setattr(builtins, "open", _WriteFault(out, k, OSError("disk full")))
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: disk full\n"
+        assert _contents(out) == {before: b"an earlier file\n"}

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import builtins
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -11,8 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from restage import tensorfile
-from restage.cli import _write_csv
 from restage.errors import TensorFormatError
 from restage.tensorfile import MAGIC, VERSION, read_grid, read_tensor, write_grid, write_tensor
 
@@ -68,51 +66,12 @@ class TestWriteValidation:
             write_tensor(tmp_path / "t.rhrt", np.zeros((1,) * 9))
 
     def test_float32_overflow_rejected(self, tmp_path):
-        # finite in float64 but infinite once truncated to storage precision
-        with pytest.warns(RuntimeWarning), pytest.raises(ValueError, match="finite"):
-            write_tensor(tmp_path / "t.rhrt", np.array([1e39]))
-
-
-class TestAtomicWrites:
-    @pytest.mark.parametrize(
-        "write",
-        [
-            lambda path: write_tensor(path, np.ones((2, 3))),
-            lambda path: _write_csv(path, "a,b", ["1,2", "3,4"]),
-        ],
-        ids=["tensor", "csv"],
-    )
-    def test_a_write_that_fails_partway_leaves_no_file(self, tmp_path, monkeypatch, write):
-        class DiskFull:
-            """A file that takes its first chunk and fails on the next."""
-
-            def __init__(self, path, mode):
-                self._fh = builtins.open(path, mode)
-                self._chunks = 0
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self._fh.close()
-
-            def write(self, chunk):
-                self._chunks += 1
-                if self._chunks > 1:
-                    raise OSError("disk full")
-                return self._fh.write(chunk)
-
-        monkeypatch.setattr(tensorfile, "open", DiskFull, raising=False)
-        target = tmp_path / "out"
-        with pytest.raises(OSError, match="disk full"):
-            write(target)
-        assert list(tmp_path.iterdir()) == []
-        # an earlier complete file under the final name survives intact
-        target.write_bytes(b"old")
-        with pytest.raises(OSError, match="disk full"):
-            write(target)
-        assert list(tmp_path.iterdir()) == [target]
-        assert target.read_bytes() == b"old"
+        # finite in float64 but infinite once truncated to storage precision:
+        # refused with the error alone, without numpy's cast warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                write_tensor(tmp_path / "t.rhrt", np.array([1e39]))
 
 
 class TestReadValidation:
