@@ -15,6 +15,10 @@ interrupted publishes nothing (``docs/DECISIONS.md`` entry 17). SIGTERM
 unwinds as Ctrl-C does, then exits with status 143.
 ``sample`` runs all seeds of a command as one batch, ``energy-curve`` all
 seeds of one curve label; no flag or config key changes that partition.
+``energy-curve`` passes one store of trajectory states to every curve's
+run, so a step that two curves share runs once and each curve is still
+bitwise its standalone run (``docs/DECISIONS.md`` entry 19); ``sample``
+passes none.
 """
 
 from __future__ import annotations
@@ -141,10 +145,11 @@ def cmd_energy_curve(config: ExperimentConfig, out_dir: Path) -> int:
 
     seeds = [config.run.seed + i for i in range(config.run.run_count)]
     rows: list[str] = []
+    shared: dict = {}  # the curves' trajectory states, so a shared step runs once
     for label, variant, curve_plan in curves:
         results = run(
             variant, curve_plan, timeline, denoiser, codec, class_label,
-            [SeededRng(s) for s in seeds],
+            [SeededRng(s) for s in seeds], shared=shared,
         )
         mean = analysis.mean_trace([analysis.trace_from_run(result) for result in results])
         for row, energy in zip(results[0].trace, mean):

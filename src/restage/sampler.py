@@ -35,6 +35,19 @@ step through the two energies the trace records; only a non-finite energy
 triggers the element-wise check, which fails the run naming the step and
 the seed.
 
+Runs that share steps can share their computation. A caller passes the
+same ``shared`` store, a plain dict it owns, to each of them. A run with a
+store saves its state (the latent, the last estimate and the energies so
+far) at each of its plan's refresh steps and at its end. A later run
+resumes from the longest saved state whose key matches its own, so it
+skips the steps they share. The key holds the run's inputs (the denoiser,
+codec and timeline objects, the label and the seeds, in order) and, step by
+step, what each step reads: its stage's index and size, the boundary action
+entering it, gamma, and omega when the run is guided. The steps a resumed
+run does take are the ones it would take alone, so its result is bitwise
+its standalone result; its trace records its own omega
+(``docs/DECISIONS.md`` entry 19).
+
 Boundary convention: the boundary belonging to stage i is the first step
 OF stage i. The previous step's denoiser output (computed at the old
 resolution) is consumed by the jump; the first denoiser call at the new
@@ -174,19 +187,23 @@ def _failure(cause, step: int, seed: int | None = None) -> SamplerError:
     return SamplerError(f"{where}: {cause}", step=step, seed=seed)
 
 
-def _variant_stages(variant: str, plan: RefreshPlan) -> tuple[tuple[Stage, ...], float]:
-    """The stages ``variant`` runs over ``plan`` and the gamma of its update levels."""
+def _variant_stages(
+    variant: str, plan: RefreshPlan
+) -> tuple[tuple[Stage, ...], float, str | None]:
+    """The stages ``variant`` runs over ``plan``, the gamma of its update levels,
+    and the action of its boundaries ("refresh", "resize", or None for a run
+    with one stage)."""
     s0 = plan.stages[0]
     if variant == "rectified-no-rect":
-        return tuple(st._replace(omega=s0.omega) for st in plan.stages), 1.0
+        return tuple(st._replace(omega=s0.omega) for st in plan.stages), 1.0, "refresh"
     if variant not in ("baseline", "native-baseline", "snr-corrected"):
-        return plan.stages, 1.0
+        return plan.stages, 1.0, "refresh" if variant == "rectified" else "resize"
     h, w = plan.base_resolution if variant == "baseline" else plan.target_resolution
     gamma = 1.0
     if variant == "snr-corrected":
         bh, bw = plan.base_resolution
         gamma = float((h / bh) * (w / bw)) ** 2
-    return (Stage(0, 0, plan.num_steps, h, w, s0.omega),), gamma
+    return (Stage(0, 0, plan.num_steps, h, w, s0.omega),), gamma, None
 
 
 def run(
@@ -200,6 +217,7 @@ def run(
     snapshot_steps: Iterable[int] = (),
     initial_noise: np.ndarray | None = None,
     on_snapshot: Callable[[int, int, np.ndarray], None] | None = None,
+    shared: dict | None = None,
 ) -> tuple[RunResult, ...]:
     """Execute one sampling run per seed, all seeds as one batch.
 
@@ -224,6 +242,12 @@ def run(
             ``on_snapshot(index in rngs, step, p_x0 row)`` as each requested
             estimate is produced. The row is a read-only (C, H, W) view of
             the step's estimate and stays valid after the callback returns.
+        shared: Optional store of trajectory states that the caller creates
+            and owns; a plain dict. The run resumes from the longest stored
+            state whose key matches its own, and stores its state at each
+            of ``plan``'s refresh steps and at its end. The result is bitwise
+            the one it would be without a store. A run with a store takes
+            neither ``initial_noise`` nor ``snapshot_steps``.
 
     Returns one :class:`RunResult` per seed, in the order of ``rngs``.
     """
@@ -239,11 +263,44 @@ def run(
     wanted = frozenset(int(s) for s in snapshot_steps)
     if wanted and on_snapshot is None:
         raise ValueError("snapshot_steps needs an on_snapshot callback")
-    stages, gamma = _variant_stages(variant, plan)
+    if shared is not None and (wanted or initial_noise is not None):
+        raise ValueError("a run with a shared store takes neither initial_noise nor snapshot_steps")
+    stages, gamma, boundary = _variant_stages(variant, plan)
+    num_steps = timeline.num_steps
     channels = denoiser.channels
-    stage_entry = {st.first_step: st for st in stages[1:]}
     first = stages[0]
-    if initial_noise is None:
+    guided = label is not None
+    # each step's stage, and the action entering it: the boundary's at a
+    # stage's first step after the first stage, None elsewhere
+    stage_of = [st for st in stages for _ in range(st.first_step, st.last_step)]
+    action = [boundary if step == st.first_step > 0 else None for step, st in enumerate(stage_of)]
+
+    start, saves = 0, frozenset()
+    if shared is not None:
+        # What step s reads besides the latent entering it: its stage's index
+        # and size, its action and gamma, and omega only when guided. The hex
+        # form keeps -0.0 apart from 0.0, as the guidance combine does.
+        reads = [
+            (st.index, st.height, st.width, act, gamma, float(st.omega).hex() if guided else None)
+            for st, act in zip(stage_of, action)
+        ]
+        inputs = (id(denoiser), id(codec), id(timeline), label, tuple(r.seed for r in rngs))
+        held = (denoiser, codec, timeline)  # kept with each state, so no other object takes their ids
+
+        def key(p: int) -> tuple:
+            return (inputs, *reads[:p])
+
+        points = sorted({*plan.refresh_steps, num_steps})
+        start = next((p for p in reversed(points) if key(p) in shared), 0)
+        saves = frozenset(p for p in points if p > start)
+
+    energies: list[tuple[list[float], list[float]]] = []
+    p_x0: np.ndarray | None = None
+    if start:
+        kept, p_x0, kept_energies, _ = shared[key(start)]
+        x = kept.copy()  # the update writes into x
+        energies = list(kept_energies)
+    elif initial_noise is None:
         x = np.stack(
             [gaussian_noise(channels, first.height, first.width, r.stream("init")).data for r in rngs]
         )
@@ -255,32 +312,33 @@ def run(
                 f"initial noise shape {x.shape} does not match {len(rngs)} seeds "
                 f"of the starting stage, {want}"
             )
-    guided = label is not None
+
+    def save(p: int) -> None:
+        kept = x.copy()
+        kept.setflags(write=False)
+        shared[key(p)] = (kept, p_x0, tuple(energies), held)
 
     def workspace(like: np.ndarray):
         # per-stage prediction buffers; the unconditional one doubles as the
         # energies' scratch, before it is predicted into and after the update
         return np.empty_like(like), np.empty_like(like) if guided else None
 
-    traces: list[list[StepRecord]] = [[] for _ in rngs]
-    p_x0: np.ndarray | None = None
-    stage = first
     eps_u, eps_c = workspace(x)
-    for step in range(timeline.num_steps):
+    for step in range(start, num_steps):
+        if step in saves:
+            save(step)
         ab = float(timeline.alpha_bar_at_step[step])
-        refreshed = False
-        entered = stage_entry.get(step)
-        if entered is not None:
-            stage = entered
+        stage = stage_of[step]
+        if action[step] is not None:
             h, w = stage.height, stage.width
             try:
-                if variant in ("rectified", "rectified-no-rect"):
+                if action[step] == "refresh":
                     x = noise_refresh(
                         p_x0, codec, h, w, ab,
                         (gaussian_noise(channels, h, w, r.stream("refresh", stage.index)).data
                          for r in rngs),
                     )
-                elif variant == "latent-resize":
+                else:
                     # every seed's channels as one grid, copied out for the update to write
                     x.setflags(write=False)
                     resized = resize_bilinear(LatentGrid._adopt(x.reshape(-1, *x.shape[2:])), h, w)
@@ -292,7 +350,6 @@ def run(
                 raise _failure(exc, step) from exc
             eps_u = eps_c = None  # the old stage's buffers go before the new ones come
             eps_u, eps_c = workspace(x)
-            refreshed = True
         # Release the previous estimate before the update allocates the next.
         p_x0 = None
         try:
@@ -322,14 +379,28 @@ def run(
             if b in bad_in or not np.isfinite(p_x0[b]).all():
                 raise _failure("latent grid contains non-finite values", step, rngs[b].seed)
             raise _failure("latent energy overflows float64", step, rngs[b].seed)
-        train_t = int(timeline.step_to_train_t[step])
-        for trace, e_in, e_p in zip(traces, energy_in.tolist(), p_x0_energy.tolist()):
-            trace.append(StepRecord(step, train_t, stage.omega, e_in, e_p, refreshed))
+        energies.append((energy_in.tolist(), p_x0_energy.tolist()))
         if step in wanted:
             for b, row in enumerate(p_x0):
                 on_snapshot(b, step, row)
+    if num_steps in saves:
+        save(num_steps)
 
-    return tuple(RunResult(final_p_x0=row, trace=tuple(trace)) for row, trace in zip(p_x0, traces))
+    # trace rows are rebuilt from the energies, so a resumed run records its own omega
+    rows = [
+        (step, int(timeline.step_to_train_t[step]), st.omega, act is not None)
+        for step, (st, act) in enumerate(zip(stage_of, action))
+    ]
+    return tuple(
+        RunResult(
+            final_p_x0=row,
+            trace=tuple(
+                StepRecord(step, train_t, omega, e_in[b], e_p[b], refreshed)
+                for (step, train_t, omega, refreshed), (e_in, e_p) in zip(rows, energies)
+            ),
+        )
+        for b, row in enumerate(p_x0)
+    )
 
 
 class AffineTrajectory(NamedTuple):

@@ -17,12 +17,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from restage import cli
 from restage.cli import main
-from restage.denoiser import GaussianPrior
+from restage.denoiser import DatasetPrior, GaussianPrior
+from restage.sampler import VARIANTS
 from restage.schedule import build_schedule, build_timeline
 from restage.tensorfile import read_tensor, write_grid, write_tensor
 
-from _toys import FAILS_ON_INDEX_1, WRITES_PID_THEN_SLEEPS, codec_stub
+from _toys import FAILS_ON_INDEX_1, WRITES_PID_THEN_SLEEPS, clustered_shell_prior, codec_stub
 
 _SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -361,6 +363,38 @@ class TestEnergyCurve:
         # once the post-refresh stage starts stepping
         assert all(rect[s] == flat[s] for s in range(6))
         assert any(rect[s] != flat[s] for s in range(6, 10))
+
+    def test_curves_run_the_steps_they_share_once(self, tmp_path, monkeypatch):
+        # the energy-sweep bench workload's shape: six labels, an unguided
+        # clustered shell, 16 -> 32 at paper-2048, two seeds
+        write_tensor(tmp_path / "points.rhrt", clustered_shell_prior().points)
+        cfg = _config(tmp_path, PAPER_LADDER + f"""\
+    [denoiser]
+    kind = dataset
+    path = points.rhrt
+    [run]
+    run_count = 2
+    [energy]
+    variants = {", ".join(VARIANTS)}
+""")
+        calls, entered = [], []
+        predict, inner = DatasetPrior.predict_eps, cli.run
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return predict(*args, **kwargs)
+
+        def recorded(*args, **kwargs):
+            entered.append(len(calls))  # the predictions made before this run
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(DatasetPrior, "predict_eps", counted)
+        monkeypatch.setattr(cli, "run", recorded)
+        assert main(["energy-curve", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        # baseline runs 50 steps; rectified and latent-resize resume its 40-step
+        # stage-0 trunk; snr-corrected and native-baseline share no step; the
+        # unguided rectified-no-rect is rectified's run and costs none
+        assert entered + [len(calls)] == [0, 50, 60, 70, 120, 170, 170]
 
 
 class TestVerify:

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from restage import sampler
 from restage.checks import z_test_mean_var
 from restage.codec import ExternalCodec, IdentityCodec
-from restage.denoiser import DatasetPrior, GaussianPrior, cfg_combine
+from restage.denoiser import DatasetPrior, Denoiser, GaussianPrior, cfg_combine
 from restage.errors import SamplerError
 from restage.latent import (
     LatentGrid,
@@ -515,6 +515,108 @@ class TestBatches:
             )
         with pytest.raises(ValueError, match="at least one seed"):
             run("baseline", single_plan(2.0), TIMELINE, _gaussian(), CODEC, None, [])
+
+
+# a 12-step timeline whose two- or three-stage ladders meet at steps 6 and 8
+TWELVE = build_timeline(build_schedule(), 12)
+
+
+def _twelve_plan(omegas):
+    """Stages of 8x8, (12x12,) 16x16 over TWELVE, one guidance scale each."""
+    sizes = ((8, 8), (16, 16)) if len(omegas) == 2 else ((8, 8), (12, 12), (16, 16))
+    config = LadderConfig(
+        t_min=6, t_max=12, n_stages=len(omegas), m_t=1.0, omega_min=1.0, omega_max=2.0,
+        m_omega=1.0, resolutions=sizes,
+    )
+    plan = build_plan(config, TWELVE)
+    return plan._replace(stages=tuple(s._replace(omega=w) for s, w in zip(plan.stages, omegas)))
+
+
+class _Counting(Denoiser):
+    """Passes every prediction to ``inner`` and counts the calls."""
+
+    def __init__(self, inner):
+        self.inner, self.channels, self.calls = inner, inner.channels, 0
+
+    def predict_eps(self, x_t, alpha_bar, label, out=None):
+        self.calls += 1
+        return self.inner.predict_eps(x_t, alpha_bar, label, out)
+
+
+class TestSharedStore:
+    """Runs that share a store of trajectory states return, curve by curve,
+    bitwise what their standalone runs return (docs/DECISIONS.md entry 19)."""
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(
+        scales=st.lists(
+            st.lists(st.sampled_from([3.0, 12.0]), min_size=2, max_size=3), min_size=2, max_size=2
+        ),
+        gaussian=st.booleans(),
+        guided=st.booleans(),
+        seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=2),
+        data=st.data(),
+    )
+    def test_each_curve_matches_its_standalone_run(self, scales, gaussian, guided, seeds, data):
+        # each plan's scales are staged, flat, or held over the first two stages
+        plans = [_twelve_plan(omegas) for omegas in scales]
+        prior = _gaussian(height=8, width=8) if gaussian else SHELL
+        label = CLASS_ZERO if guided else None
+        every = [(v, k) for v in VARIANTS for k in range(len(plans))]
+        curves = data.draw(st.permutations(every)) + data.draw(
+            st.lists(st.sampled_from(every), max_size=3)
+        )
+        rngs = [SeededRng(s) for s in seeds]
+        counted, shared = _Counting(prior), {}
+        alone = {
+            (v, k): run(v, plans[k], TWELVE, prior, CODEC, label, rngs) for v, k in every
+        }
+        for variant, k in curves:
+            got = run(variant, plans[k], TWELVE, counted, CODEC, label, rngs, shared=shared)
+            for a, b in zip(got, alone[variant, k], strict=True):
+                assert a.trace == b.trace
+                assert np.array_equal(_bits(a.final_p_x0), _bits(b.final_p_x0))
+        # baseline and rectified on one plan always share their stage-0 steps
+        assert counted.calls < len(curves) * 12 * (2 if guided else 1)
+
+    @pytest.mark.parametrize(
+        "change, calls",
+        [(None, 0), ("rngs", 24), ("denoiser", 24), ("codec", 24), ("label", 24), ("timeline", 24)],
+    )
+    def test_a_store_resumes_only_runs_of_the_same_inputs(self, change, calls):
+        plan = _twelve_plan((3.0, 12.0))
+        counted, shared = _Counting(SHELL), {}
+        inputs = dict(
+            timeline=TWELVE, denoiser=counted, codec=CODEC, label=CLASS_ZERO,
+            rngs=[SeededRng(80)],
+        )
+        run("rectified", plan, **inputs, shared=shared)
+        if change is not None:
+            inputs[change] = {
+                "rngs": [SeededRng(81)],
+                "denoiser": _Counting(SHELL),
+                "codec": IdentityCodec(),
+                "label": 1,
+                "timeline": build_timeline(build_schedule(), 12),
+            }[change]
+        probe = inputs["denoiser"]
+        probe.calls = 0
+        got = run("rectified", plan, **inputs, shared=shared)
+        assert probe.calls == calls
+        want = run("rectified", plan, **inputs)
+        assert all(a.trace == b.trace for a, b in zip(got, want))
+
+    @pytest.mark.parametrize(
+        "extra", [dict(initial_noise=np.zeros((1, 4, 8, 8))), dict(snapshot_steps=(3,))]
+    )
+    def test_a_store_takes_no_initial_noise_or_snapshots(self, extra):
+        counted, shared = _Counting(SHELL), {}
+        with pytest.raises(ValueError, match="shared store"):
+            run(
+                "rectified", _twelve_plan((3.0, 12.0)), TWELVE, counted, CODEC, None,
+                [SeededRng(82)], on_snapshot=lambda *a: None, shared=shared, **extra,
+            )
+        assert counted.calls == 0 and shared == {}
 
 
 class TestStagedTrace:
