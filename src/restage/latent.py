@@ -9,7 +9,11 @@ channels without the copy. Everything else is a plain float64 ndarray: a
 Gaussian prior's mean (which the prior checks), a run's initial noise, the
 noise a refresh takes, and a run's snapshots, final estimates and tensor
 files. The latents, predictions and clean estimates of a batch of seeds
-are (B, C, H, W) arrays, and :func:`average_energy` takes one.
+are (B, C, H, W) arrays. :func:`average_energy` takes one and sums each
+seed's energy as one BLAS dot product of its row, so a seed's energy does
+not depend on the batch around it. Its summation order is not the direct
+mean's: the energies are observers that no tensor reads
+(``docs/DECISIONS.md`` entry 20).
 """
 
 from __future__ import annotations
@@ -104,16 +108,18 @@ def gaussian_noise(channels: int, height: int, width: int, rng: np.random.Genera
     return LatentGrid(rng.standard_normal((channels, height, width)))
 
 
-def average_energy(x: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+def average_energy(x: np.ndarray) -> np.ndarray:
     """sum(x^2) / (C * H * W) of each (C, H, W) latent in an (..., C, H, W) array.
 
-    One reduction: one energy per seed of a (B, C, H, W) batch, a scalar for
-    one latent. The squares go into ``scratch`` (x's shape, overwritten) when
-    it is given, into a new array otherwise; the energies are the same.
-    Squares that overflow give an infinite energy, without a warning.
+    One energy per seed of a (B, C, H, W) batch, a scalar for one latent.
+    Each is one BLAS dot product of the seed's flattened row with itself, so
+    a seed's energy is bitwise the same in any batch and alone. Squares that
+    overflow give an infinite energy, without a warning.
     """
+    n = x.shape[-3] * x.shape[-2] * x.shape[-1]
+    rows = x.reshape(*x.shape[:-3], 1, n)
     with np.errstate(over="ignore"):
-        return np.mean(np.multiply(x, x, out=scratch), axis=(-3, -2, -1))
+        return (rows @ rows.swapaxes(-1, -2))[..., 0, 0] / n
 
 
 def _axis_lerp_indices(src_size: int, dst_size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

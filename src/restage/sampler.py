@@ -22,18 +22,20 @@ Inside a step the latents, both predictions and the clean estimates are
 plain float64 ndarrays, one row per seed; every step function acts row by
 row, and each seed draws its noise from its own :class:`SeededRng`.
 A stage's latents and predictions live in buffers allocated when the stage
-starts: the predictions, the guidance combine, the update and the energies
-all write into them in place, so the only batch-sized array a step
-allocates is its clean estimate p_x0. That estimate is read-only once
-computed. A stage boundary acts on the whole batch too: the codec, the
-resize and the refresh take (B, C, H, W) arrays. ``run`` takes and gives
-plain arrays: the initial noise is one (B, C, H, W) array, and snapshots
-and ``final_p_x0`` are the read-only (C, H, W) rows of p_x0 as they are,
-valid after the run. :class:`LatentGrid` is built only for each seed's
-drawn noise, and unwrapped as it is drawn. Finiteness is screened once per
+starts: the predictions, the guidance combine and the update write into
+them in place, so the only batch-sized array a step allocates is its clean
+estimate p_x0. That estimate is read-only once computed. A stage boundary
+acts on the whole batch too: the codec, the resize and the refresh take
+(B, C, H, W) arrays. ``run`` takes and gives plain arrays: the initial
+noise is one (B, C, H, W) array, and snapshots and ``final_p_x0`` are
+the read-only (C, H, W) rows of p_x0 as they are, valid after the run.
+:class:`LatentGrid` is built only for each seed's drawn noise, and
+unwrapped as it is drawn. Finiteness is screened once per
 step through the two energies the trace records; only a non-finite energy
 triggers the element-wise check, which fails the run naming the step and
-the seed.
+the seed. The energies are observers: each is one BLAS dot product per
+seed, and only the trace and that screen read them, never a tensor
+(``docs/DECISIONS.md`` entry 20).
 
 Runs that share steps can share their computation. A caller passes the
 same ``shared`` store, a plain dict it owns, to each of them. A run with a
@@ -319,8 +321,7 @@ def run(
         shared[key(p)] = (kept, p_x0, tuple(energies), held)
 
     def workspace(like: np.ndarray):
-        # per-stage prediction buffers; the unconditional one doubles as the
-        # energies' scratch, before it is predicted into and after the update
+        # per-stage prediction buffers, one per guidance branch
         return np.empty_like(like), np.empty_like(like) if guided else None
 
     eps_u, eps_c = workspace(x)
@@ -353,7 +354,7 @@ def run(
         # Release the previous estimate before the update allocates the next.
         p_x0 = None
         try:
-            energy_in = average_energy(x, eps_u)
+            energy_in = average_energy(x)
             # the update overwrites x, so screen the latent entering the step now
             bad_in = {
                 b for b in np.flatnonzero(~np.isfinite(energy_in)) if not np.isfinite(x[b]).all()
@@ -372,7 +373,7 @@ def run(
         except (ValueError, RuntimeError) as exc:
             raise _failure(exc, step) from exc
         p_x0.setflags(write=False)
-        p_x0_energy = average_energy(p_x0, eps_u)
+        p_x0_energy = average_energy(p_x0)
         # A non-finite prediction reaches p_x0, so finite energy sums clear
         # the step; an infinite one of finite values is an overflow.
         for b in np.flatnonzero(~np.isfinite(energy_in + p_x0_energy)):

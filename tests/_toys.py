@@ -8,8 +8,9 @@ at module level executes a sampling run. It also holds oracles: the
 direct-difference point-set posterior that the matrix-form kernel is checked
 against, the allocating forms of the update, the guidance combine and the
 Gaussian prediction that the in-place step kernel must match bit for bit,
-the one-seed noise refresh that the batched boundary must match, and the
-one-grid resize that the channel-stack resize must match. Then
+the one-seed noise refresh that the batched boundary must match, the
+one-grid resize that the channel-stack resize must match, and the pairwise
+mean that the per-seed energies must agree with to rounding. Then
 the two statistics only criteria 07 and 08 use, and last, external codec
 stubs: scripts speaking the codec file protocol.
 """
@@ -225,6 +226,13 @@ def direct_resize_bilinear(arr, target_height, target_width):
     x_lo, x_hi, fx = _axis_lerp_indices(arr.shape[2], target_width)
     rows = arr[:, y_lo, :] * (1.0 - fy)[None, :, None] + arr[:, y_hi, :] * fy[None, :, None]
     return rows[:, :, x_lo] * (1.0 - fx)[None, None, :] + rows[:, :, x_hi] * fx[None, None, :]
+
+
+def direct_average_energy(x):
+    """Each (C, H, W) latent's energy as the pairwise mean of a new batch of
+    squares: the form ``average_energy`` used before it took one dot product
+    per seed."""
+    return np.mean(x * x, axis=(-3, -2, -1))
 
 
 def read_only(values):

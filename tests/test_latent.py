@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 from restage.latent import LatentGrid, SeededRng, average_energy, gaussian_noise, resize_bilinear
 
-from _toys import direct_resize_bilinear
+from _toys import direct_average_energy, direct_resize_bilinear
 
 
 class TestLatentGrid:
@@ -97,7 +99,28 @@ class TestGaussianNoise:
             gaussian_noise(0, 4, 4, SeededRng(1).stream("init"))
 
 
+# the workloads' batch shapes, a two-seed batch and one lone latent
+ENERGY_SHAPES = [
+    (24, 4, 16, 16), (24, 4, 32, 32), (4, 4, 128, 128), (4, 4, 256, 256), (2, 4, 32, 32),
+    (4, 16, 16),
+]
+SHAPE_IDS = ["x".join(map(str, shape)) for shape in ENERGY_SHAPES]
+
+
+def _latents(shape):
+    """A (B, C, H, W) batch of offset normal latents; a lone latent is a batch of one."""
+    x = 0.3 + 1.7 * np.random.default_rng(list(shape)).standard_normal(shape)
+    return x if x.ndim == 4 else x[None]
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
 class TestAverageEnergy:
+    """One dot product per seed: bitwise the same in any batch, and the
+    direct mean to rounding (docs/DECISIONS.md entry 20)."""
+
     def test_values(self):
         assert average_energy(np.full((2, 3, 3), 0.0)) == 0.0
         assert average_energy(np.full((2, 3, 3), 2.0)) == 4.0
@@ -105,6 +128,47 @@ class TestAverageEnergy:
         # a (B, C, H, W) batch gives one energy per seed
         batch = np.stack([np.zeros((2, 3, 3)), np.full((2, 3, 3), 2.0), np.full((2, 3, 3), -3.0)])
         assert average_energy(batch).tolist() == [0.0, 4.0, 9.0]
+
+    @pytest.mark.parametrize("shape", ENERGY_SHAPES, ids=SHAPE_IDS)
+    def test_each_energy_is_its_row_summed_alone(self, shape):
+        x = _latents(shape)
+        got = average_energy(x)
+        assert got.shape == (len(x),)
+        alone = [average_energy(row) for row in x]
+        assert all(np.ndim(e) == 0 for e in alone)
+        assert np.array_equal(_bits(got), _bits(alone))
+        assert np.array_equal(_bits(average_energy(x[::-1])), _bits(got[::-1]))
+
+    @pytest.mark.parametrize("shape", ENERGY_SHAPES, ids=SHAPE_IDS)
+    def test_agrees_with_the_direct_mean(self, shape):
+        x = _latents(shape)
+        want = direct_average_energy(x)
+        assert np.all(np.abs(average_energy(x) - want) <= 1e-13 * want)
+
+    @pytest.mark.parametrize("shape", ENERGY_SHAPES, ids=SHAPE_IDS)
+    def test_a_nan_row_gives_nan_in_that_row_only(self, shape):
+        x = _latents(shape)
+        clean = average_energy(x)
+        bad = len(x) // 2
+        x[bad, -1, 3, 5] = np.nan
+        got = average_energy(x)
+        assert np.isnan(got[bad]) and np.isnan(average_energy(x[bad]))
+        keep = np.arange(len(x)) != bad
+        assert np.array_equal(_bits(got[keep]), _bits(clean[keep]))
+
+    @pytest.mark.parametrize("shape", ENERGY_SHAPES, ids=SHAPE_IDS)
+    def test_an_overflowing_row_gives_inf_without_a_warning(self, shape):
+        x = _latents(shape)
+        clean = average_energy(x)
+        bad = len(x) - 1
+        x[bad, 0, 0, 1] = -1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = average_energy(x)
+            alone = average_energy(x[bad])
+        assert got[bad] == alone == np.inf
+        keep = np.arange(len(x)) != bad
+        assert np.array_equal(_bits(got[keep]), _bits(clean[keep]))
 
 
 class TestResizeBilinear:

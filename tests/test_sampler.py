@@ -619,6 +619,53 @@ class TestSharedStore:
         assert counted.calls == 0 and shared == {}
 
 
+class TestEnergiesAreObservers:
+    """No tensor reads an energy, so the energies' rounding cannot reach one
+    (docs/DECISIONS.md entry 20): scaling every energy by 1 + 1e-9 leaves
+    every estimate and snapshot bitwise as it was."""
+
+    SCALE = 1.0 + 1e-9
+
+    def _runs(self, prior, label, store):
+        """Each run's (result, snapshots) of staged ``rectified`` runs: one
+        snapshotting every step, or two resuming from one store."""
+        rngs = [SeededRng(90), SeededRng(91)]
+        if not store:
+            snaps = []
+            results = run(
+                "rectified", _twelve_plan((3.0, 12.0)), TWELVE, prior, CODEC, label, rngs,
+                snapshot_steps=range(12), on_snapshot=lambda b, step, row: snaps.append(row),
+            )
+            return [(results, snaps)]
+        shared = {}
+        return [
+            (run("rectified", _twelve_plan(omegas), TWELVE, prior, CODEC, label, rngs,
+                 shared=shared), [])
+            for omegas in ((3.0, 12.0), (3.0, 6.0))
+        ]
+
+    @pytest.mark.parametrize("store", [False, True], ids=["snapshots", "store"])
+    @pytest.mark.parametrize("guided", [False, True], ids=["unguided", "guided"])
+    @pytest.mark.parametrize("gaussian", [True, False], ids=["gaussian", "shell"])
+    def test_scaled_energies_change_no_tensor(self, monkeypatch, gaussian, guided, store):
+        prior = _gaussian(height=8, width=8) if gaussian else SHELL
+        label = CLASS_ZERO if guided else None
+        plain = self._runs(prior, label, store)
+        energy = sampler.average_energy
+        monkeypatch.setattr(sampler, "average_energy", lambda x: energy(x) * self.SCALE)
+        scaled = self._runs(prior, label, store)
+        for (want, want_snaps), (got, got_snaps) in zip(plain, scaled, strict=True):
+            assert len(got_snaps) == len(want_snaps) == (0 if store else 24)
+            for a, b in zip(got_snaps, want_snaps):
+                assert np.array_equal(_bits(a), _bits(b))
+            for a, b in zip(got, want, strict=True):
+                assert np.array_equal(_bits(a.final_p_x0), _bits(b.final_p_x0))
+                for r, s in zip(a.trace, b.trace, strict=True):
+                    assert r[:3] + r[5:] == s[:3] + s[5:]
+                    assert r.latent_energy == s.latent_energy * self.SCALE != s.latent_energy
+                    assert r.p_x0_energy == s.p_x0_energy * self.SCALE != s.p_x0_energy
+
+
 class TestStagedTrace:
     def test_stage_columns_and_refresh_flags(self):
         prior = _gaussian()
