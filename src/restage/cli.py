@@ -13,12 +13,10 @@ hidden directory inside its output directory and renames them into place
 only once its last write has succeeded, so a command that fails or is
 interrupted publishes nothing (``docs/DECISIONS.md`` entry 17). SIGTERM
 unwinds as Ctrl-C does, then exits with status 143.
-``sample`` runs all seeds of a command as one batch, ``energy-curve`` all
-seeds of one curve label; no flag or config key changes that partition.
-``energy-curve`` passes one store of trajectory states to every curve's
-run, so a step that two curves share runs once and each curve is still
-bitwise its standalone run (``docs/DECISIONS.md`` entry 19); ``sample``
-passes none.
+``sample`` runs capped seed batches, fixed by the config alone, on one process
+per CPU (``docs/DECISIONS.md`` entry 21). ``energy-curve`` runs all seeds of a
+curve label as one batch, and its curves share one store of trajectory states,
+so a step they share runs once (``docs/DECISIONS.md`` entry 19).
 """
 
 from __future__ import annotations
@@ -26,21 +24,24 @@ from __future__ import annotations
 import argparse
 import contextlib
 import os
+import pickle
 import signal
 import sys
 import tempfile
+from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
 
 from . import schedule as sched
 from .config import ExperimentConfig, build_codec, build_denoiser, load_config
-from .errors import ConfigError
+from .errors import ConfigError, SamplerError
 from .latent import SeededRng
 from .sampler import RunResult, run
 from .tensorfile import read_grid, write_grid
 
 __all__ = ["main", "cmd_ladder", "cmd_sample", "cmd_energy_curve", "cmd_verify", "cmd_dump_grid"]
+BATCH_VALUES = 2**19  # a batch's latent at its largest stage: 4 MiB of float64
 
 
 def _fmt(value: float) -> str:
@@ -102,24 +103,86 @@ def _trace_rows(result: RunResult) -> list[str]:
     return rows
 
 
+def _partition(seeds: list[int], values: int) -> list[list[int]]:
+    """The fewest contiguous, balanced batches of ``seeds`` under the cap, at ``values`` per seed."""
+    count = -(-len(seeds) // max(1, BATCH_VALUES // values))
+    size, extra = divmod(len(seeds), count)
+    ends = [k * size + min(k, extra) for k in range(count + 1)]
+    return [seeds[a:b] for a, b in zip(ends, ends[1:])]
+
+
+def _fan_out(batches: list[list[int]], work: Callable[[list[int]], None]) -> None:
+    """Call ``work`` on each batch, batch i on worker i % w of w = min(CPUs, batches), this process
+    or a forked child; raise the first failing batch's failure (``docs/DECISIONS.md`` entry 21)."""
+    cpus = sorted(os.sched_getaffinity(0))
+    w = min(len(cpus), len(batches))
+    failures: list[tuple[int, Exception]] = []  # (batch index, its failure)
+    children: list[tuple[int, int]] = []  # (the read end of its pipe, pid)
+    # a stop sent to a child before its interpreter can take it would be lost, so it waits
+    held = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT, signal.SIGTERM})
+
+    def share(k: int) -> None:  # worker k's batches, on its share of the CPUs, to its first failure
+        signal.pthread_sigmask(signal.SIG_SETMASK, held)
+        os.sched_setaffinity(0, cpus[k::w])
+        try:
+            for i in range(k, len(batches), w):
+                work(batches[i])
+        except Exception as exc:
+            failures.append((i, exc))
+
+    interrupted = True
+    try:
+        for k in range(1, w):
+            read, write = os.pipe()
+            if (pid := os.fork()) == 0:  # a child: its share, then its failures down the pipe
+                try:
+                    share(k)
+                    report = [(i, str(e), vars(e).get("step"), vars(e).get("seed")) for i, e in failures]
+                    os.write(write, pickle.dumps(report))
+                finally:
+                    os._exit(0)  # the parent reads the report, not the status
+            os.close(write)
+            children.append((read, pid))
+        share(0)
+        interrupted = False
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, held)
+        os.sched_setaffinity(0, cpus)
+        for read, pid in children:  # in order; once anything has failed, the rest get SIGTERM
+            if stop := interrupted or bool(failures):
+                os.kill(pid, signal.SIGTERM)
+            with open(read, "rb") as pipe:
+                report = pipe.read()
+            os.waitpid(pid, 0)
+            failures += [(i, SamplerError(*why)) for i, *why in pickle.loads(report)] if report else []
+            if not report and not stop:
+                failures.append((len(batches), SamplerError("a sampling worker stopped unreported")))
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+
+
 def cmd_sample(config: ExperimentConfig, out_dir: Path) -> int:
     timeline, plan, denoiser, class_label, codec = _build_all(config)
     seeds = [config.run.seed + i for i in range(config.run.run_count)]
+    values = denoiser.channels * max(st.height * st.width for st in plan.stages)
     with _commit(out_dir) as stage:
-        results = run(
-            config.run.variant, plan, timeline, denoiser, codec, class_label,
-            [SeededRng(seed) for seed in seeds], snapshot_steps=config.run.snapshot_steps,
-            on_snapshot=lambda index, step, p_x0: write_grid(
-                stage / f"snapshot_{seeds[index]}_{step}.rhrt", p_x0
-            ),
-        )
-        for seed, result in zip(seeds, results):
-            _write_csv(
-                stage / f"trace_{seed}.csv",
-                "step,train_t,omega,latent_energy,p_x0_energy,refreshed",
-                _trace_rows(result),
+        def sample(batch: list[int]) -> None:
+            results = run(
+                config.run.variant, plan, timeline, denoiser, codec, class_label,
+                [SeededRng(seed) for seed in batch], snapshot_steps=config.run.snapshot_steps,
+                on_snapshot=lambda index, step, p_x0: write_grid(
+                    stage / f"snapshot_{batch[index]}_{step}.rhrt", p_x0
+                ),
             )
-            write_grid(stage / f"final_{seed}.rhrt", result.final_p_x0)
+            for seed, result in zip(batch, results):
+                _write_csv(
+                    stage / f"trace_{seed}.csv",
+                    "step,train_t,omega,latent_energy,p_x0_energy,refreshed",
+                    _trace_rows(result),
+                )
+                write_grid(stage / f"final_{seed}.rhrt", result.final_p_x0)
+
+        _fan_out(_partition(seeds, values), sample)
     print(f"wrote {len(seeds)} run(s) to {out_dir}")
     return 0
 

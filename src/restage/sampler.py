@@ -1,7 +1,8 @@
 """Deterministic sampling runs over a staged-resolution plan.
 
 One call runs B seeds, each its own latent trajectory, as one (B, C, H, W)
-array. Each step s:
+array; ``restage sample`` makes one call per capped batch of seeds, each in
+a worker process (``docs/DECISIONS.md`` entry 21). Each step s:
 
 1. If s is a stage boundary, each seed's latent is rebuilt for the new stage
    first (see below), and the step is recorded with its ``refreshed`` flag set.

@@ -12,7 +12,8 @@ the one-seed noise refresh that the batched boundary must match, the
 one-grid resize that the channel-stack resize must match, and the pairwise
 mean that the per-seed energies must agree with to rounding. Then
 the two statistics only criteria 07 and 08 use, and last, external codec
-stubs: scripts speaking the codec file protocol.
+stubs: scripts speaking the codec file protocol, and a reader of the
+concurrency one of them logs.
 """
 
 from __future__ import annotations
@@ -358,14 +359,35 @@ FAILS_ON_INDEX_1 = """\
     open(os.path.join(DIR, "done-" + index), "w").close()
 """
 
-# writes its pid to PIDFILE, renamed into place so that a reader never sees
-# a partial one, then sleeps for a minute and writes no output
+# creates an empty file in DIR named after its own pid, then sleeps for a
+# minute and writes no output
 WRITES_PID_THEN_SLEEPS = """\
     import os, time
 
-    PIDFILE = {pidfile!r}
-    with open(PIDFILE + ".part", "w") as fh:
-        fh.write(str(os.getpid()))
-    os.replace(PIDFILE + ".part", PIDFILE)
+    open(os.path.join({dir!r}, str(os.getpid())), "x").close()
     time.sleep(60.0)
 """
+
+# granularity 1: copies its input after a pause, appending its own start and
+# end times (the system-wide monotonic clock) to LOG
+LOGGED_COPY = """\
+    import shutil, sys, time
+
+    start = time.monotonic()
+    time.sleep(0.15)
+    shutil.copyfile(sys.argv[2], sys.argv[3])
+    with open({log!r}, "a") as fh:
+        fh.write(f"{{start}} {{time.monotonic()}}\\n")
+"""
+
+
+def most_at_once(log) -> int:
+    """The most ``LOGGED_COPY`` calls logged in ``log`` that ran at one instant."""
+    spans = [tuple(map(float, line.split())) for line in log.read_text().splitlines()]
+    # an end sorts before a start at the same instant
+    events = sorted([(t0, 1) for t0, _ in spans] + [(t1, -1) for _, t1 in spans])
+    running = peak = 0
+    for _, delta in events:
+        running += delta
+        peak = max(peak, running)
+    return peak

@@ -19,12 +19,21 @@ import pytest
 
 from restage import cli
 from restage.cli import main
+from restage.config import load_config
 from restage.denoiser import DatasetPrior, GaussianPrior
-from restage.sampler import VARIANTS
+from restage.latent import SeededRng
+from restage.sampler import VARIANTS, run
 from restage.schedule import build_schedule, build_timeline
 from restage.tensorfile import read_tensor, write_grid, write_tensor
 
-from _toys import FAILS_ON_INDEX_1, WRITES_PID_THEN_SLEEPS, clustered_shell_prior, codec_stub
+from _toys import (
+    FAILS_ON_INDEX_1,
+    LOGGED_COPY,
+    WRITES_PID_THEN_SLEEPS,
+    clustered_shell_prior,
+    codec_stub,
+    most_at_once,
+)
 
 _SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -190,8 +199,9 @@ class TestSample:
     def test_sigterm_reaps_the_codec_and_leaves_no_file(self, tmp_path):
         # two processes at most: the command, and its one codec call, which
         # writes its pid and then sleeps until it is killed
-        pidfile = tmp_path / "codec.pid"
-        command = codec_stub(tmp_path, WRITES_PID_THEN_SLEEPS.format(pidfile=str(pidfile)))
+        pids = tmp_path / "pids"
+        pids.mkdir()
+        command = codec_stub(tmp_path, WRITES_PID_THEN_SLEEPS.format(dir=str(pids)))
         cfg = _config(
             tmp_path,
             STAGED_SMALL
@@ -206,11 +216,11 @@ class TestSample:
         with subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE) as proc:
             try:
                 deadline = time.monotonic() + 60.0
-                while not pidfile.exists():
+                while not any(pids.iterdir()):
                     assert proc.poll() is None, proc.stderr.read()
                     assert time.monotonic() < deadline, "the codec command did not start"
                     time.sleep(0.02)
-                stub = int(pidfile.read_text())
+                stub = int(next(pids.iterdir()).name)
                 proc.send_signal(signal.SIGTERM)
                 assert proc.wait(timeout=60) == 143
                 with pytest.raises(ProcessLookupError):
@@ -558,3 +568,240 @@ class TestCommitPoint:
         assert main(argv) == 1
         assert capsys.readouterr().err == "error: disk full\n"
         assert _contents(out) == {before: b"an earlier file\n"}
+
+
+# Gaussian, 64x64 then 128x128: 4 * 128 * 128 = 65,536 values per seed, so
+# the 2^19 cap holds 8 seeds and nine seeds 0..8 split into batches of 5 and 4
+SPLIT = STAGED_SMALL.replace("8x8, 16x16", "64x64, 128x128") + "[run]\nvariant = rectified\nrun_count = 9\n"
+
+
+def _dataset_split(tmp_path):
+    """SPLIT with a conditional dataset prior in place of the Gaussian one."""
+    rng = np.random.default_rng(12)
+    write_tensor(tmp_path / "points.rhrt", 0.05 * rng.normal(size=(6, 4, 8, 8)))
+    return SPLIT.replace(
+        "mean_value = 0.25\n    variance = 1.5",
+        "kind = dataset\n    path = points.rhrt\n    conditional = true",
+    )
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """``workers(n)`` makes ``sample`` see an n-CPU mask, on any host, and leave
+    the real one alone; returns the pids that ``os.fork`` gives the parent."""
+    forked = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    def use(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+        monkeypatch.setattr(os, "sched_setaffinity", lambda pid, mask: None)
+        monkeypatch.setattr(os, "fork", recording_fork)
+        return forked
+
+    return use
+
+
+class TestPartition:
+    """``sample``'s seed batches: a rule of the config alone."""
+
+    @pytest.mark.parametrize(
+        "workload,seeds,values,sizes",
+        [
+            ("posterior-staged", 24, 4 * 32 * 32, [24]),
+            ("snapshot-io", 4, 4 * 256 * 256, [2, 2]),
+            ("energy-sweep", 2, 4 * 32 * 32, [2]),
+            ("codec-external", 8, 4 * 32 * 32, [8]),
+            ("1000 seeds at 64x64", 1000, 4 * 64 * 64, [32] * 8 + [31] * 24),
+        ],
+    )
+    def test_the_bench_shapes(self, workload, seeds, values, sizes):
+        batches = cli._partition(list(range(100, 100 + seeds)), values)
+        assert [len(b) for b in batches] == sizes
+        assert max(len(b) for b in batches) * values <= cli.BATCH_VALUES == 2**19
+
+    def test_fewest_balanced_contiguous_batches_under_the_cap(self):
+        for values in (1, 1000, 2**14, 2**17, 2**18 + 1, 2**19, 2**19 + 1, 2**21):
+            for n in range(1, 41):
+                seeds = list(range(7, 7 + n))
+                batches = cli._partition(seeds, values)
+                sizes = [len(b) for b in batches]
+                assert [s for b in batches for s in b] == seeds
+                assert max(sizes) - min(sizes) <= 1
+                # each batch under the cap, or one seed alone; one batch fewer
+                # would put more seeds than the cap holds into one of them
+                assert all(size * values <= cli.BATCH_VALUES or size == 1 for size in sizes)
+                if len(batches) > 1:
+                    assert -(-n // (len(batches) - 1)) * values > cli.BATCH_VALUES
+
+
+class TestWorkers:
+    """Seed batches on forked workers: the same bytes, the same errors, no leftovers."""
+
+    @pytest.mark.parametrize("prior", ["gaussian", "dataset"])
+    def test_bytes_do_not_depend_on_the_worker_count(self, tmp_path, capsys, workers, prior):
+        text = SPLIT if prior == "gaussian" else _dataset_split(tmp_path)
+        cfg = _config(tmp_path, text + "snapshot_steps = 2, 8\n")
+        outs = {}
+        for n in (2, 1):
+            forked = workers(n)
+            outs[n] = tmp_path / f"workers{n}"
+            assert main(["sample", "--config", cfg, "--out", str(outs[n])]) == 0
+            assert len(forked) == n - 1
+            forked.clear()
+        assert "wrote 9 run(s) to" in capsys.readouterr().out
+        assert len(_contents(outs[2])) == 9 * 4  # a trace, a final and two snapshots per seed
+        assert _contents(outs[2]) == _contents(outs[1])
+
+    def test_a_split_run_is_bitwise_one_run_of_all_its_seeds(self, tmp_path, workers):
+        cfg = _config(tmp_path, SPLIT + "snapshot_steps = 2, 8\n")
+        split, whole = tmp_path / "split", tmp_path / "whole"
+        forked = workers(2)
+        assert main(["sample", "--config", cfg, "--out", str(split)]) == 0
+        assert len(forked) == 1
+
+        config = load_config(cfg)
+        timeline, plan, denoiser, label, codec = cli._build_all(config)
+        seeds = list(range(9))
+        whole.mkdir()
+        results = run(
+            config.run.variant, plan, timeline, denoiser, codec, label,
+            [SeededRng(s) for s in seeds], snapshot_steps=config.run.snapshot_steps,
+            on_snapshot=lambda b, step, p_x0: write_grid(whole / f"snapshot_{seeds[b]}_{step}.rhrt", p_x0),
+        )
+        for seed, result in zip(seeds, results):
+            write_grid(whole / f"final_{seed}.rhrt", result.final_p_x0)
+            header = "step,train_t,omega,latent_energy,p_x0_energy,refreshed"
+            cli._write_csv(whole / f"trace_{seed}.csv", header, cli._trace_rows(result))
+        assert _contents(split) == _contents(whole)
+
+    @pytest.mark.parametrize("poisoned", ["child", "both"])
+    def test_a_failing_seed_in_a_child_fails_the_command(self, tmp_path, capsys, monkeypatch, workers, poisoned):
+        predict = GaussianPrior.predict_eps
+        timeline = build_timeline(build_schedule(), 10)
+        parent = os.getpid()
+
+        def poisoned_predict(self, x_t, alpha_bar, condition, out=None):
+            eps = predict(self, x_t, alpha_bar, condition, out)
+            # the child fails at step 2; the parent, if at all, later at step 7
+            in_child = os.getpid() != parent
+            if alpha_bar == timeline.alpha_bar_at_step[2 if in_child else 7] and (in_child or poisoned == "both"):
+                eps[1] = np.nan  # the batch's second seed: 6 in the child's, 1 in the parent's
+            return eps
+
+        monkeypatch.setattr(GaussianPrior, "predict_eps", poisoned_predict)
+        workers(2)
+        out = tmp_path / "out"
+        assert main(["sample", "--config", _config(tmp_path, SPLIT), "--out", str(out)]) == 1
+        # the first failing batch in seed order names the error, whichever failed first
+        want = "step 7, seed 1" if poisoned == "both" else "step 2, seed 6"
+        assert capsys.readouterr().err == f"error: {want}: latent grid contains non-finite values\n"
+        assert list(out.iterdir()) == []
+
+    def test_a_failure_in_the_parents_batch_reaps_the_children(self, tmp_path, capsys, monkeypatch, workers):
+        predict = GaussianPrior.predict_eps
+        parent = os.getpid()
+
+        def poisoned_predict(self, x_t, alpha_bar, condition, out=None):
+            if os.getpid() != parent:
+                # the child's batch would outlast the test; it sleeps in slices,
+                # as a batch computes, since a stop that lands on a BLAS thread
+                # is taken at the main thread's next bytecode, not inside a sleep
+                for _ in range(1200):
+                    time.sleep(0.05)
+            eps = predict(self, x_t, alpha_bar, condition, out)
+            eps[0] = np.nan
+            return eps
+
+        monkeypatch.setattr(GaussianPrior, "predict_eps", poisoned_predict)
+        forked = workers(2)
+        out = tmp_path / "out"
+        start = time.monotonic()
+        assert main(["sample", "--config", _config(tmp_path, SPLIT), "--out", str(out)]) == 1
+        assert time.monotonic() - start < 30.0
+        assert capsys.readouterr().err == "error: step 0, seed 0: latent grid contains non-finite values\n"
+        assert list(out.iterdir()) == []
+        assert len(forked) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(forked[0], os.WNOHANG)  # already reaped
+
+    def test_sigterm_during_a_split_run_leaves_no_file_and_no_process(self, tmp_path):
+        if len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("a split run forks only with two CPUs in the mask")
+        # three seeds at 256x256 split into batches of 2 and 1; each worker
+        # blocks in its first codec call, which writes its pid and sleeps
+        pids = tmp_path / "pids"
+        pids.mkdir()
+        command = codec_stub(tmp_path, WRITES_PID_THEN_SLEEPS.format(dir=str(pids)))
+        cfg = _config(
+            tmp_path,
+            STAGED_SMALL.replace("8x8, 16x16", "128x128, 256x256")
+            + f"[codec]\nkind = external\ncommand = {command}\ngranularity = 1\n"
+            + "[run]\nvariant = rectified\nrun_count = 3\nsnapshot_steps = all\n",
+        )
+        work, out = tmp_path / "tmp", tmp_path / "out"
+        work.mkdir()
+        env = dict(os.environ, PYTHONPATH=str(_SRC), TMPDIR=str(work))
+        argv = [sys.executable, "-m", "restage.cli", "sample", "--config", cfg, "--out", str(out)]
+        with subprocess.Popen(
+            argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, start_new_session=True
+        ) as proc:
+            try:
+                deadline = time.monotonic() + 60.0
+                while len(list(pids.iterdir())) < 2:
+                    assert proc.poll() is None, proc.stderr.read()
+                    assert time.monotonic() < deadline, "the codec commands did not start"
+                    time.sleep(0.02)
+                proc.send_signal(signal.SIGTERM)
+                assert proc.wait(timeout=60) == 143
+                with pytest.raises(ProcessLookupError):
+                    os.killpg(proc.pid, 0)  # no worker and no codec command is left
+                assert list(work.iterdir()) == []
+                assert list(out.iterdir()) == []
+            finally:
+                with contextlib.suppress(ProcessLookupError):
+                    os.killpg(proc.pid, signal.SIGKILL)
+
+    def test_codec_commands_stay_one_per_cpu_across_workers(self, tmp_path, codec_tmp):
+        mask = os.sched_getaffinity(0)
+        if len(mask) < 2:
+            pytest.skip("needs two CPUs")
+        log = tmp_path / "spans.log"
+        command = codec_stub(tmp_path, LOGGED_COPY.format(log=str(log)))
+        cfg = _config(
+            tmp_path,
+            STAGED_SMALL.replace("8x8, 16x16", "128x128, 256x256")
+            + f"[codec]\nkind = external\ncommand = {command}\ngranularity = 1\n"
+            + "[run]\nvariant = rectified\nrun_count = 3\n",
+        )
+        two = set(sorted(mask)[:2])
+        os.sched_setaffinity(0, two)
+        try:
+            # batches of 2 and 1 seeds: one decode and one encode per seed
+            assert main(["sample", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+            assert os.sched_getaffinity(0) == two  # the parent's mask is restored
+        finally:
+            os.sched_setaffinity(0, mask)
+        assert len(log.read_text().splitlines()) == 6
+        assert most_at_once(log) <= 2
+
+    def test_a_child_that_dies_unreported_fails_the_command(self, tmp_path, capsys, monkeypatch, workers):
+        predict = GaussianPrior.predict_eps
+        parent = os.getpid()
+
+        def dying_predict(self, x_t, alpha_bar, condition, out=None):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return predict(self, x_t, alpha_bar, condition, out)
+
+        monkeypatch.setattr(GaussianPrior, "predict_eps", dying_predict)
+        workers(2)
+        out = tmp_path / "out"
+        assert main(["sample", "--config", _config(tmp_path, SPLIT), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: a sampling worker stopped unreported\n"
+        assert list(out.iterdir()) == []

@@ -14,7 +14,16 @@ from restage.errors import CodecError, SamplerError
 from restage.latent import SeededRng, average_energy, gaussian_noise, resize_bilinear
 from restage.sampler import run
 
-from _toys import BLOCK_CODEC, FAILS_ON_INDEX_1, TIMELINE, codec_stub, read_only, staged_plan
+from _toys import (
+    BLOCK_CODEC,
+    FAILS_ON_INDEX_1,
+    LOGGED_COPY,
+    TIMELINE,
+    codec_stub,
+    most_at_once,
+    read_only,
+    staged_plan,
+)
 
 
 def _batch(*latents):
@@ -156,19 +165,6 @@ def _integer_batch(n, shape=(2, 4, 4)):
     return read_only(rng.integers(-50, 50, size=(n, *shape)))
 
 
-# granularity 1: copies its input after a pause, appending its own start and
-# end times (the system-wide monotonic clock) to LOG
-LOGGED_COPY = """\
-    import shutil, sys, time
-
-    start = time.monotonic()
-    time.sleep(0.15)
-    shutil.copyfile(sys.argv[2], sys.argv[3])
-    with open({log!r}, "a") as fh:
-        fh.write(f"{{start}} {{time.monotonic()}}\\n")
-"""
-
-
 class TestConcurrentBatches:
     def test_a_batch_matches_one_grid_calls(self, tmp_path, codec_tmp):
         codec = ExternalCodec(codec_stub(tmp_path, BLOCK_CODEC), granularity=2)
@@ -196,15 +192,8 @@ class TestConcurrentBatches:
         )
         batch = _integer_batch(3)
         assert np.array_equal(codec.decode(batch), batch)
-        spans = [tuple(map(float, line.split())) for line in log.read_text().splitlines()]
-        assert len(spans) == len(batch)
-        # an end sorts before a start at the same instant
-        events = sorted([(t0, 1) for t0, _ in spans] + [(t1, -1) for _, t1 in spans])
-        running = peak = 0
-        for _, delta in events:
-            running += delta
-            peak = max(peak, running)
-        assert peak == min(width, len(batch))
+        assert len(log.read_text().splitlines()) == len(batch)
+        assert most_at_once(log) == min(width, len(batch))
 
     def test_a_failed_call_kills_the_batch_and_names_its_index(
         self, tmp_path, codec_tmp, monkeypatch
