@@ -113,50 +113,85 @@ def _partition(seeds: list[int], values: int) -> list[list[int]]:
 
 def _fan_out(batches: list[list[int]], work: Callable[[list[int]], None]) -> None:
     """Call ``work`` on each batch, batch i on worker i % w of w = min(CPUs, batches), this process
-    or a forked child; raise the first failing batch's failure (``docs/DECISIONS.md`` entry 21)."""
+    or a forked child; raise the failure of the first batch in seed order among those that failed
+    (``docs/DECISIONS.md`` entry 21)."""
     cpus = sorted(os.sched_getaffinity(0))
     w = min(len(cpus), len(batches))
+    # from Python 3.12 os.fork warns in a process with threads (OpenBLAS's): the batches run here
+    if w == 1 or sys.version_info >= (3, 12):
+        for batch in batches:
+            work(batch)
+        return
     failures: list[tuple[int, Exception]] = []  # (batch index, its failure)
-    children: list[tuple[int, int]] = []  # (the read end of its pipe, pid)
-    # a stop sent to a child before its interpreter can take it would be lost, so it waits
-    held = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT, signal.SIGTERM})
+    children: dict[int, int] = {}  # pid: the read end of its report pipe
+    alive: set[int] = set()  # the children neither stopped nor seen to end
+    taken: list[int] = []  # the stops (Ctrl-C, SIGTERM) that reached this process
+    handlers = {s: h for s in (signal.SIGINT, signal.SIGTERM) if callable(h := signal.getsignal(s))}
+    working = False  # whether a stop unwinds worker 0's batches; otherwise it waits for the reap
+
+    def halt() -> None:  # SIGTERM, once, to each child still running
+        while alive:
+            os.kill(alive.pop(), signal.SIGTERM)
+
+    def stop(signum, frame) -> None:  # the handler of Ctrl-C and SIGTERM while the workers run
+        taken.append(signum)
+        halt()
+        if working:
+            handlers[signum](signum, frame)
 
     def share(k: int) -> None:  # worker k's batches, on its share of the CPUs, to its first failure
-        signal.pthread_sigmask(signal.SIG_SETMASK, held)
         os.sched_setaffinity(0, cpus[k::w])
         try:
             for i in range(k, len(batches), w):
                 work(batches[i])
-        except Exception as exc:
+        except (ValueError, RuntimeError, OSError) as exc:  # the failures main reports
             failures.append((i, exc))
 
-    interrupted = True
+    # a stop sent to a child before its interpreter can take it would be lost, so it waits
+    held = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT, signal.SIGTERM})
+    for s in handlers:
+        signal.signal(s, stop)
+    finished = False
     try:
         for k in range(1, w):
             read, write = os.pipe()
             if (pid := os.fork()) == 0:  # a child: its share, then its failures down the pipe
                 try:
+                    for s, h in handlers.items():
+                        signal.signal(s, h)
+                    signal.pthread_sigmask(signal.SIG_SETMASK, held)
                     share(k)
-                    report = [(i, str(e), vars(e).get("step"), vars(e).get("seed")) for i, e in failures]
-                    os.write(write, pickle.dumps(report))
+                    signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT, signal.SIGTERM})  # a whole report
+                    os.write(write, pickle.dumps([(i, SamplerError(str(e))) for i, e in failures]))
+                except Exception:  # not a failure main reports: its traceback, and no report
+                    sys.excepthook(*sys.exc_info())
                 finally:
                     os._exit(0)  # the parent reads the report, not the status
             os.close(write)
-            children.append((read, pid))
-        share(0)
-        interrupted = False
+            children[pid] = read
+            alive.add(pid)
+        signal.pthread_sigmask(signal.SIG_SETMASK, held)
+        working = not taken
+        if working:
+            share(0)
+        finished = True
     finally:
+        working = False
         signal.pthread_sigmask(signal.SIG_SETMASK, held)
         os.sched_setaffinity(0, cpus)
-        for read, pid in children:  # in order; once anything has failed, the rest get SIGTERM
-            if stop := interrupted or bool(failures):
-                os.kill(pid, signal.SIGTERM)
+        for pid, read in children.items():  # in order; once anything has failed, the rest get SIGTERM
+            if taken or failures or not finished:
+                halt()
             with open(read, "rb") as pipe:
                 report = pipe.read()
+            alive.discard(pid)
             os.waitpid(pid, 0)
-            failures += [(i, SamplerError(*why)) for i, *why in pickle.loads(report)] if report else []
-            if not report and not stop:
-                failures.append((len(batches), SamplerError("a sampling worker stopped unreported")))
+            lost = [(len(batches), SamplerError("a sampling worker stopped unreported"))]
+            failures += pickle.loads(report) if report else lost
+        for s, h in handlers.items():
+            signal.signal(s, h)
+    if taken:  # a stop that came while worker 0 ran no batch, raised now that every child is reaped
+        handlers[taken[0]](taken[0], None)
     if failures:
         raise min(failures, key=lambda f: f[0])[1]
 

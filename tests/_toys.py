@@ -368,6 +368,18 @@ WRITES_PID_THEN_SLEEPS = """\
     time.sleep(60.0)
 """
 
+# granularity 1: copies its input when CPU is in its affinity mask, and
+# otherwise does as WRITES_PID_THEN_SLEEPS
+SLEEPS_OFF_CPU = """\
+    import os, shutil, sys, time
+
+    if {cpu} in os.sched_getaffinity(0):
+        shutil.copyfile(sys.argv[2], sys.argv[3])
+    else:
+        open(os.path.join({dir!r}, str(os.getpid())), "x").close()
+        time.sleep(60.0)
+"""
+
 # granularity 1: copies its input after a pause, appending its own start and
 # end times (the system-wide monotonic clock) to LOG
 LOGGED_COPY = """\

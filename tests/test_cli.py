@@ -29,6 +29,7 @@ from restage.tensorfile import read_tensor, write_grid, write_tensor
 from _toys import (
     FAILS_ON_INDEX_1,
     LOGGED_COPY,
+    SLEEPS_OFF_CPU,
     WRITES_PID_THEN_SLEEPS,
     clustered_shell_prior,
     codec_stub,
@@ -640,6 +641,7 @@ class TestPartition:
                     assert -(-n // (len(batches) - 1)) * values > cli.BATCH_VALUES
 
 
+@pytest.mark.skipif(sys.version_info >= (3, 12), reason="sample forks no worker from Python 3.12 on")
 class TestWorkers:
     """Seed batches on forked workers: the same bytes, the same errors, no leftovers."""
 
@@ -805,3 +807,86 @@ class TestWorkers:
         assert main(["sample", "--config", _config(tmp_path, SPLIT), "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: a sampling worker stopped unreported\n"
         assert list(out.iterdir()) == []
+
+    def test_sigterm_while_worker_0_waits_for_a_child_stops_the_child(self, tmp_path):
+        mask = os.sched_getaffinity(0)
+        if len(mask) < 2:
+            pytest.skip("a split run forks only with two CPUs in the mask")
+        # three seeds at 256x256 split into batches of 2 and 1 on a two-CPU
+        # mask: worker 0's codec calls copy, on the first CPU, and its batch
+        # ends; the child's first call writes its pid and sleeps
+        first, second = sorted(mask)[:2]
+        pids = tmp_path / "pids"
+        pids.mkdir()
+        command = codec_stub(tmp_path, SLEEPS_OFF_CPU.format(cpu=first, dir=str(pids)))
+        cfg = _config(
+            tmp_path,
+            STAGED_SMALL.replace("8x8, 16x16", "128x128, 256x256")
+            + f"[codec]\nkind = external\ncommand = {command}\ngranularity = 1\n"
+            + "[run]\nvariant = rectified\nrun_count = 3\n",
+        )
+        work, out = tmp_path / "tmp", tmp_path / "out"
+        work.mkdir()
+        env = dict(os.environ, PYTHONPATH=str(_SRC), TMPDIR=str(work))
+        argv = [sys.executable, "-m", "restage.cli", "sample", "--config", cfg, "--out", str(out)]
+        os.sched_setaffinity(0, {first, second})
+        try:
+            proc = subprocess.Popen(
+                argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, start_new_session=True
+            )
+        finally:
+            os.sched_setaffinity(0, mask)
+        with proc:
+            try:
+                deadline = time.monotonic() + 60.0
+                while not (any(pids.iterdir()) and list(out.glob(".restage-*/final_1.rhrt"))):
+                    assert proc.poll() is None, proc.stderr.read()
+                    assert time.monotonic() < deadline, "worker 0's batch did not end"
+                    time.sleep(0.02)
+                time.sleep(0.3)  # worker 0 now waits for the child's report
+                assert proc.poll() is None
+                proc.send_signal(signal.SIGTERM)
+                assert proc.wait(timeout=30) == 143
+                with pytest.raises(ProcessLookupError):
+                    os.killpg(proc.pid, 0)  # no worker and no codec command is left
+                assert list(work.iterdir()) == []
+                assert list(out.iterdir()) == []
+            finally:
+                with contextlib.suppress(ProcessLookupError):
+                    os.killpg(proc.pid, signal.SIGKILL)
+
+    @pytest.mark.parametrize("where", ["child", "parent"])
+    def test_an_error_main_does_not_report_keeps_its_traceback(self, tmp_path, capfd, monkeypatch, workers, where):
+        predict = GaussianPrior.predict_eps
+        parent = os.getpid()
+
+        def broken_predict(self, x_t, alpha_bar, condition, out=None):
+            if (os.getpid() != parent) == (where == "child"):
+                raise TypeError("a bug")
+            return predict(self, x_t, alpha_bar, condition, out)
+
+        monkeypatch.setattr(GaussianPrior, "predict_eps", broken_predict)
+        forked = workers(2)
+        out = tmp_path / "out"
+        argv = ["sample", "--config", _config(tmp_path, SPLIT), "--out", str(out)]
+        if where == "parent":
+            with pytest.raises(TypeError, match="a bug"):
+                main(argv)
+        else:
+            # the child prints the traceback; it sends no report, as only the
+            # failures main reports go down the pipe
+            assert main(argv) == 1
+            err = capfd.readouterr().err
+            assert "TypeError: a bug\n" in err
+            assert err.endswith("error: a sampling worker stopped unreported\n")
+        assert list(out.iterdir()) == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(forked[0], os.WNOHANG)  # already reaped
+
+    def test_from_python_3_12_the_batches_run_in_the_command_itself(self, tmp_path, monkeypatch, workers):
+        forked = workers(2)
+        monkeypatch.setattr(sys, "version_info", (3, 12, 0, "final", 0))
+        out = tmp_path / "out"
+        assert main(["sample", "--config", _config(tmp_path, SPLIT), "--out", str(out)]) == 0
+        assert forked == []
+        assert len(_contents(out)) == 9 * 2
