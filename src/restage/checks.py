@@ -210,7 +210,7 @@ def oracle_affine() -> Check:
     rngs = [SeededRng(9000 + k) for k in range(100)]
     worst = 0.0
     for rng, got in zip(rngs, run("baseline", plan, timeline, prior, codec, None, rngs)):
-        noise = gaussian_noise(2, 8, 8, rng.stream("init")).data
+        noise = gaussian_noise(2, 8, 8, rng.stream("init"))
         want = oracle.noise_gain * noise + oracle.mean_gain * prior.mean
         denom = max(float(np.abs(want).max()), 1e-12)
         worst = max(worst, float(np.abs(got.final_p_x0 - want).max()) / denom)
@@ -252,9 +252,9 @@ def z_test_mean_var(
 def refresh_distribution() -> Check:
     """A same-size refresh adds noise of mean 0 and variance 1 - ab_prev."""
     clean = np.random.default_rng(7).normal(0.0, 1.0, size=(1, 4, 180, 180))
-    clean.setflags(write=False)  # the codec path adopts its input without a copy
+    clean.setflags(write=False)  # a codec's input is read-only
     level = 0.82
-    eps = gaussian_noise(4, 180, 180, SeededRng(123).stream("refresh", 1)).data
+    eps = gaussian_noise(4, 180, 180, SeededRng(123).stream("refresh", 1))
     # same size, identity codec: the resize inside is a no-op, so the output
     # must be exactly sqrt(level) * clean + sqrt(1 - level) * eps
     (refreshed,) = noise_refresh(clean, IdentityCodec(), 180, 180, level, [eps])

@@ -112,16 +112,12 @@ def _partition(seeds: list[int], values: int) -> list[list[int]]:
 
 
 def _fan_out(batches: list[list[int]], work: Callable[[list[int]], None]) -> None:
-    """Call ``work`` on each batch, batch i on worker i % w of w = min(CPUs, batches), this process
-    or a forked child; raise the failure of the first batch in seed order among those that failed
-    (``docs/DECISIONS.md`` entry 21)."""
+    """Call ``work`` on each batch, batch i on worker i % w of w = min(CPUs, batches), or 1 from
+    Python 3.12, this process or a forked child; raise the failure of the first batch in seed
+    order among those that failed (``docs/DECISIONS.md`` entry 21)."""
     cpus = sorted(os.sched_getaffinity(0))
-    w = min(len(cpus), len(batches))
-    # from Python 3.12 os.fork warns in a process with threads (OpenBLAS's): the batches run here
-    if w == 1 or sys.version_info >= (3, 12):
-        for batch in batches:
-            work(batch)
-        return
+    # from Python 3.12 os.fork warns in a process with threads (OpenBLAS's): one worker, this process
+    w = 1 if sys.version_info >= (3, 12) else min(len(cpus), len(batches))
     failures: list[tuple[int, Exception]] = []  # (batch index, its failure)
     children: dict[int, int] = {}  # pid: the read end of its report pipe
     alive: set[int] = set()  # the children neither stopped nor seen to end

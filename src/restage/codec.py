@@ -81,7 +81,9 @@ class ExternalCodec:
 
     def _invoke(self, mode: str, batch: np.ndarray) -> np.ndarray:
         import select
-        import subprocess  # imported here so identity-codec runs do not load them
+        import signal
+        import subprocess
+        import threading  # imported here so identity-codec runs do not load them
 
         _, c, h, w = batch.shape
         g = self.granularity
@@ -108,6 +110,13 @@ class ExternalCodec:
                 pidfds[fd] = i
                 poller.register(fd, select.POLLIN)
 
+            # a stop that lands on another thread (one of OpenBLAS's) wakes the
+            # poll through this pipe, and its handler runs at the next bytecode;
+            # handlers run, and the wakeup fd is set, on the main thread only
+            wake, woken = os.pipe2(os.O_NONBLOCK | os.O_CLOEXEC)
+            poller.register(wake, select.POLLIN)
+            main = threading.current_thread() is threading.main_thread()
+            previous = signal.set_wakeup_fd(woken) if main else None
             try:
                 for i in range(min(width, len(batch))):
                     start(i)
@@ -116,6 +125,9 @@ class ExternalCodec:
                 # `width` run at once and a failure is seen as soon as it exits
                 while pidfds:
                     for fd, _ in poller.poll():
+                        if fd == wake:  # what a read leaves wakes the next poll
+                            os.read(wake, 512)
+                            continue
                         i = pidfds.pop(fd)
                         poller.unregister(fd)
                         os.close(fd)
@@ -126,7 +138,9 @@ class ExternalCodec:
                         if len(procs) < len(batch):
                             start(len(procs))
             finally:
-                for fd in pidfds:
+                if main:
+                    signal.set_wakeup_fd(previous)
+                for fd in (*pidfds, wake, woken):
                     os.close(fd)
                 for proc in procs:
                     if proc.poll() is None:
@@ -156,13 +170,12 @@ def refresh_resize(codec, batch: np.ndarray, target_height: int, target_width: i
     """Resize a batch of clean-signal estimates through decoded space.
 
     Decodes the read-only (B, C, H, W) batch, resamples it bilinearly to the
-    target resolution (given in latent units) as one grid of its B*C
-    channels, and encodes it back into one read-only array. With the
-    identity codec this reduces to a plain latent resample.
+    target resolution (given in latent units) as it is, marks the resized
+    batch read-only, as every codec input is, and encodes it back into one
+    read-only array. With the identity codec this reduces to a plain latent
+    resample.
     """
     g = codec.granularity
-    decoded = codec.decode(batch)
-    n, c, h, w = decoded.shape
-    th, tw = target_height * g, target_width * g
-    resized = resize_bilinear(LatentGrid._adopt(decoded.reshape(n * c, h, w)), th, tw)
-    return codec.encode(resized.data.reshape(n, c, th, tw))
+    resized = resize_bilinear(LatentGrid(codec.decode(batch)), target_height * g, target_width * g).data
+    resized.setflags(write=False)
+    return codec.encode(resized)

@@ -159,11 +159,9 @@ class DatasetPrior(Denoiser):
     def prepare_resolution(self, height: int, width: int) -> None:
         key = (height, width)
         if key not in self._stacks:
-            # every channel of every point as one grid
-            n, c, h, w = self.points.shape
-            grid = LatentGrid._adopt(self.points.reshape(n * c, h, w))
-            resized = resize_bilinear(grid, height, width).data
-            self._stacks[key] = resized.reshape(n, c, height, width)
+            resized = resize_bilinear(LatentGrid(self.points), height, width).data
+            resized.setflags(write=False)  # cached stacks are read-only, as the native one is
+            self._stacks[key] = resized
 
     def stack_for_shape(self, height: int, width: int) -> np.ndarray:
         self.prepare_resolution(height, width)

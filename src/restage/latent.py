@@ -1,15 +1,12 @@
 """Latent grids and the elementary operations the sampler is built from.
 
-A latent is a dense (channels, height, width) block of float64 values.
-:class:`LatentGrid` is its validated, immutable form: the wrapped array is
-copied in, checked finite and marked read-only. It remains in two places:
-the draws of :func:`gaussian_noise`, and the grid form of
-:func:`resize_bilinear`, whose batch callers adopt a read-only view of their
-channels without the copy. Everything else is a plain float64 ndarray: a
-Gaussian prior's mean (which the prior checks), a run's initial noise, the
-noise a refresh takes, and a run's snapshots, final estimates and tensor
-files. The latents, predictions and clean estimates of a batch of seeds
-are (B, C, H, W) arrays. :func:`average_energy` takes one and sums each
+A latent is a dense (channels, height, width) block of float64 values,
+held as a plain ndarray, noise draws included; the latents, predictions
+and clean estimates of a batch of seeds are (B, C, H, W) arrays.
+:class:`LatentGrid` is a bare holder of an array that checks, copies and
+freezes nothing. It remains only as the form :func:`resize_bilinear`
+takes and returns, which two benchmark pins name (``docs/DECISIONS.md``
+entry 16). :func:`average_energy` takes a batch and sums each
 seed's energy as one BLAS dot product of its row, so a seed's energy does
 not depend on the batch around it. Its summation order is not the direct
 mean's: the energies are observers that no tensor reads
@@ -32,44 +29,12 @@ __all__ = [
 
 
 class LatentGrid:
-    """Immutable 3-D grid of finite float64 values.
+    """Holder of a float64 array, the form ``resize_bilinear`` takes and returns."""
 
-    Args:
-        values: Array-like of shape (channels, height, width). Copied and
-            converted to float64; every element must be finite.
-    """
-
-    __slots__ = ("_data",)
+    __slots__ = ("data",)
 
     def __init__(self, values):
-        data = np.asarray(values, dtype=np.float64)
-        if data.ndim != 3:
-            raise ValueError(f"latent grid must be 3-D (C, H, W), got ndim={data.ndim}")
-        if data.size == 0:
-            raise ValueError(f"latent grid dimensions must be positive, got {data.shape}")
-        if not np.all(np.isfinite(data)):
-            raise ValueError("latent grid contains non-finite values")
-        data = data.copy()
-        data.setflags(write=False)
-        self._data = data
-
-    @classmethod
-    def _adopt(cls, data: np.ndarray) -> "LatentGrid":
-        """Wrap a read-only (C, H, W) float64 array without copying or screening it.
-
-        Only for arrays already screened finite that nothing writes through
-        any more, such as the channels of a read-only batch given to a resize.
-        """
-        if data.flags.writeable or data.dtype != np.float64 or data.ndim != 3:
-            raise ValueError("only a read-only 3-D float64 array can be adopted")
-        grid = object.__new__(cls)
-        grid._data = data
-        return grid
-
-    @property
-    def data(self) -> np.ndarray:
-        """Read-only view of the underlying (C, H, W) array."""
-        return self._data
+        self.data = np.asarray(values, dtype=np.float64)  # a float64 array is not copied
 
 
 def _stable_tag(purpose: str) -> int:
@@ -103,9 +68,9 @@ class SeededRng:
         return f"SeededRng(seed={self.seed})"
 
 
-def gaussian_noise(channels: int, height: int, width: int, rng: np.random.Generator) -> LatentGrid:
-    """Draw a standard-normal grid of the given shape from ``rng``."""
-    return LatentGrid(rng.standard_normal((channels, height, width)))
+def gaussian_noise(channels: int, height: int, width: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw a standard-normal (C, H, W) array from ``rng``."""
+    return rng.standard_normal((channels, height, width))
 
 
 def average_energy(x: np.ndarray) -> np.ndarray:
@@ -145,17 +110,16 @@ def _lerp(arr: np.ndarray, lo: np.ndarray, hi: np.ndarray, frac: np.ndarray, axi
 
 
 def resize_bilinear(grid: LatentGrid, target_height: int, target_width: int) -> LatentGrid:
-    """Separable bilinear resample with half-pixel centers and clamped edges.
+    """Separable bilinear resample of the last two axes, half-pixel centers, clamped edges.
 
-    Every output value is a convex combination of input values, so the
-    output range is contained in the input range channel by channel. Each
-    channel is resampled alone, so a (B, C, H, W) batch resizes as one grid
-    of its B*C channels, bit for bit as grid by grid.
+    Takes and returns a holder of an (..., H, W) array; the output is a new,
+    writable array. Every output value is a convex combination of input
+    values, so the output range is contained in the input range grid by
+    grid. Each (H, W) grid is resampled alone, so a (B, C, H, W) batch
+    resizes bit for bit as grid by grid.
     """
     if target_height < 1 or target_width < 1:
         raise ValueError(f"target dimensions must be positive, got ({target_height}, {target_width})")
-    y_lo, y_hi, fy = _axis_lerp_indices(grid.data.shape[1], target_height)
-    x_lo, x_hi, fx = _axis_lerp_indices(grid.data.shape[2], target_width)
-    out = _lerp(_lerp(grid.data, y_lo, y_hi, fy[:, None], -2), x_lo, x_hi, fx, -1)
-    out.setflags(write=False)  # a new array of convex combinations of finite values
-    return LatentGrid._adopt(out)
+    y_lo, y_hi, fy = _axis_lerp_indices(grid.data.shape[-2], target_height)
+    x_lo, x_hi, fx = _axis_lerp_indices(grid.data.shape[-1], target_width)
+    return LatentGrid(_lerp(_lerp(grid.data, y_lo, y_hi, fy[:, None], -2), x_lo, x_hi, fx, -1))

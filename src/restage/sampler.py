@@ -30,11 +30,11 @@ acts on the whole batch too: the codec, the resize and the refresh take
 (B, C, H, W) arrays. ``run`` takes and gives plain arrays: the initial
 noise is one (B, C, H, W) array, and snapshots and ``final_p_x0`` are
 the read-only (C, H, W) rows of p_x0 as they are, valid after the run.
-:class:`LatentGrid` is built only for each seed's drawn noise, and
-unwrapped as it is drawn. Finiteness is screened once per
-step through the two energies the trace records; only a non-finite energy
-triggers the element-wise check, which fails the run naming the step and
-the seed. The energies are observers: each is one BLAS dot product per
+Noise is drawn as plain arrays; a latent-resize boundary wraps the batch in
+a bare :class:`LatentGrid` holder only to resize it. Finiteness is screened
+once per step through the two energies the trace records; only a non-finite
+energy triggers the element-wise check, which fails the run naming the step
+and the seed. The energies are observers: each is one BLAS dot product per
 seed, and only the trace and that screen read them, never a tensor
 (``docs/DECISIONS.md`` entry 20).
 
@@ -305,7 +305,7 @@ def run(
         energies = list(kept_energies)
     elif initial_noise is None:
         x = np.stack(
-            [gaussian_noise(channels, first.height, first.width, r.stream("init")).data for r in rngs]
+            [gaussian_noise(channels, first.height, first.width, r.stream("init")) for r in rngs]
         )
     else:
         x = np.array(initial_noise, dtype=np.float64)  # a copy: the update writes into it
@@ -337,14 +337,10 @@ def run(
                 if action[step] == "refresh":
                     x = noise_refresh(
                         p_x0, codec, h, w, ab,
-                        (gaussian_noise(channels, h, w, r.stream("refresh", stage.index)).data
-                         for r in rngs),
+                        (gaussian_noise(channels, h, w, r.stream("refresh", stage.index)) for r in rngs),
                     )
-                else:
-                    # every seed's channels as one grid, copied out for the update to write
-                    x.setflags(write=False)
-                    resized = resize_bilinear(LatentGrid._adopt(x.reshape(-1, *x.shape[2:])), h, w)
-                    x = resized.data.reshape(len(rngs), channels, h, w).copy()
+                else:  # a new array, which the update writes into
+                    x = resize_bilinear(LatentGrid(x), h, w).data
             except CodecError as exc:
                 seed = None if exc.index is None else rngs[exc.index].seed
                 raise _failure(exc, step, seed) from exc

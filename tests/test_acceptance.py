@@ -47,7 +47,7 @@ def _verdict(num: int, ok: bool, budget_s: float, elapsed: float, detail: str) -
 def _boundary_noise(rngs: list[SeededRng]) -> np.ndarray:
     """The noise each seed's staged 16 -> 32 run injects at its boundary (stage 1)."""
     return np.stack(
-        [gaussian_noise(CHANNELS, TARGET, TARGET, rng.stream("refresh", 1)).data for rng in rngs]
+        [gaussian_noise(CHANNELS, TARGET, TARGET, rng.stream("refresh", 1)) for rng in rngs]
     )
 
 

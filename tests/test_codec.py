@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import os
+import signal
+import threading
 import time
 
 import numpy as np
@@ -11,7 +13,7 @@ import pytest
 from restage.codec import ExternalCodec, IdentityCodec, refresh_resize
 from restage.denoiser import GaussianPrior
 from restage.errors import CodecError, SamplerError
-from restage.latent import SeededRng, average_energy, gaussian_noise, resize_bilinear
+from restage.latent import LatentGrid, SeededRng, average_energy, gaussian_noise, resize_bilinear
 from restage.sampler import run
 
 from _toys import (
@@ -43,13 +45,13 @@ class TestIdentityCodec:
 class TestRefreshResize:
     def test_identity_codec_reduces_to_plain_resampling(self):
         grids = [gaussian_noise(3, 5, 5, SeededRng(s).stream("init")) for s in (1, 2)]
-        out = refresh_resize(IdentityCodec(), _batch(*(g.data for g in grids)), 9, 7)
+        out = refresh_resize(IdentityCodec(), _batch(*grids), 9, 7)
         assert out.shape == (2, 3, 9, 7) and not out.flags.writeable
         for row, grid in zip(out, grids):
-            assert np.array_equal(row, resize_bilinear(grid, 9, 7).data)
+            assert np.array_equal(row, resize_bilinear(LatentGrid(grid), 9, 7).data)
 
     def test_same_size_is_the_identity(self):
-        batch = _batch(gaussian_noise(2, 4, 4, SeededRng(2).stream("init")).data)
+        batch = _batch(gaussian_noise(2, 4, 4, SeededRng(2).stream("init")))
         assert np.array_equal(refresh_resize(IdentityCodec(), batch, 4, 4), batch)
 
     def test_constant_grids_stay_constant(self):
@@ -57,13 +59,24 @@ class TestRefreshResize:
         assert np.allclose(out, 1.25, atol=1e-15)
 
     def test_upsampled_noise_sheds_energy(self):
-        noise = gaussian_noise(1, 32, 32, SeededRng(3).stream("init")).data
+        noise = gaussian_noise(1, 32, 32, SeededRng(3).stream("init"))
         (up,) = refresh_resize(IdentityCodec(), _batch(noise), 64, 64)
         assert average_energy(up) < 0.6 * average_energy(noise)
 
     def test_bad_target(self):
         with pytest.raises(ValueError, match="positive"):
             refresh_resize(IdentityCodec(), _batch(np.full((1, 2, 2), 0.0)), 0, 4)
+
+    def test_the_codec_encodes_a_read_only_batch(self):
+        seen = []
+
+        class Recording(IdentityCodec):
+            def encode(self, batch):
+                seen.append(batch.flags.writeable)
+                return batch
+
+        out = refresh_resize(Recording(), _batch(np.full((2, 3, 3), 0.5)), 6, 6)
+        assert seen == [False] and not out.flags.writeable
 
 
 class TestExternalCodec:
@@ -216,3 +229,44 @@ class TestConcurrentBatches:
         # are killed, and never finish their copies
         time.sleep(0.3)
         assert list(tmp_path.glob("done-*")) == []
+
+    def test_a_stop_that_lands_on_another_thread_ends_the_wait(self, tmp_path, codec_tmp):
+        # with SIGTERM blocked on the main thread the kernel hands it to the
+        # helper thread, as it may hand it to one of OpenBLAS's; only the
+        # wakeup pipe then ends the main thread's wait for the command
+        pids = tmp_path / "pids"
+        pids.mkdir()
+        body = f"""\
+            import os, time
+
+            open(os.path.join({str(pids)!r}, str(os.getpid())), "x").close()
+            time.sleep(8.0)
+            """
+        codec = ExternalCodec(codec_stub(tmp_path, body), granularity=1)
+
+        def stop(signum, frame):
+            raise SystemExit(143)
+
+        idle = threading.Event()
+        helper = threading.Thread(target=idle.wait)
+        helper.start()  # before the mask, so SIGTERM stays open on it
+        previous = signal.signal(signal.SIGTERM, stop)
+        signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
+        timer = threading.Timer(0.5, os.kill, (os.getpid(), signal.SIGTERM))
+        start = time.monotonic()
+        try:
+            timer.start()
+            with pytest.raises(SystemExit):
+                codec.decode(_integer_batch(1))
+            elapsed = time.monotonic() - start
+        finally:
+            timer.cancel()
+            signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
+            signal.signal(signal.SIGTERM, previous)
+            idle.set()
+            helper.join()
+        assert elapsed < 2.0
+        (pid,) = (int(p.name) for p in pids.iterdir())
+        with pytest.raises(ProcessLookupError):  # killed and reaped
+            os.kill(pid, 0)
+        assert list(codec_tmp.iterdir()) == []

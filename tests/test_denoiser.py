@@ -49,8 +49,8 @@ class TestGaussianPrior:
     def test_condition_has_no_effect(self):
         prior = GaussianPrior(np.full((1, 2, 2), 0.3), 1.0)
         x = gaussian_noise(1, 2, 2, SeededRng(3).stream("init"))
-        a = prior.predict_eps(x.data, _level(5), None)
-        b = prior.predict_eps(x.data, _level(5), 3)
+        a = prior.predict_eps(x, _level(5), None)
+        b = prior.predict_eps(x, _level(5), 3)
         assert np.array_equal(a, b)
 
     def test_other_resolutions_broadcast_channel_means(self):
@@ -65,8 +65,8 @@ class TestGaussianPrior:
         flat_prior = GaussianPrior(broadcast, 0.9)
         x = gaussian_noise(2, 8, 8, SeededRng(5).stream("init"))
         assert np.array_equal(
-            prior.predict_eps(x.data, _level(7), None),
-            flat_prior.predict_eps(x.data, _level(7), None),
+            prior.predict_eps(x, _level(7), None),
+            flat_prior.predict_eps(x, _level(7), None),
         )
 
     def test_native_resolution_uses_the_stored_mean(self):
@@ -92,7 +92,7 @@ class TestGaussianPrior:
     def test_writes_to_the_callers_array_do_not_reach_predictions(self):
         given = np.random.default_rng(14).normal(size=(2, 3, 3))
         prior = GaussianPrior(given, 0.8)
-        x = gaussian_noise(2, 3, 3, SeededRng(15).stream("init")).data
+        x = gaussian_noise(2, 3, 3, SeededRng(15).stream("init"))
         before = prior.predict_eps(x, _level(9), None)
         given[...] = 5.0
         assert np.array_equal(prior.predict_eps(x, _level(9), None), before)
@@ -148,7 +148,7 @@ class TestDatasetPrior:
         prior = DatasetPrior(stack, [0] * 6)
         for seed in range(5):
             x = gaussian_noise(2, 2, 2, SeededRng(seed).stream("init"))
-            mean = dataset_posterior_mean(prior, x.data, 0.3, None)
+            mean = dataset_posterior_mean(prior, x, 0.3, None)
             assert np.all(mean >= stack.min(axis=0) - 1e-12)
             assert np.all(mean <= stack.max(axis=0) + 1e-12)
 
@@ -174,7 +174,7 @@ class TestDatasetPrior:
         prior = DatasetPrior(points, [0] * 3)
         stack = prior.stack_for_shape(8, 8)
         want = np.stack([resize_bilinear(LatentGrid(p), 8, 8).data for p in points])
-        assert np.array_equal(stack, want)
+        assert np.array_equal(stack, want) and not stack.flags.writeable
 
     def test_a_read_only_stack_is_kept_without_a_copy(self):
         stack = read_only(np.random.default_rng(9).normal(size=(3, 2, 3, 3)))
@@ -204,9 +204,9 @@ class TestDatasetPrior:
         rng = np.random.default_rng(11)
         prior = DatasetPrior(rng.normal(size=(4, 1, 2, 2)), [0] * 4)
         x = gaussian_noise(1, 2, 2, SeededRng(12).stream("init"))
-        eps = prior.predict_eps(x.data, 0.5, None)
-        mean = dataset_posterior_mean(prior, x.data, 0.5, None)
-        want = (x.data - np.sqrt(0.5) * mean) / np.sqrt(0.5)
+        eps = prior.predict_eps(x, 0.5, None)
+        mean = dataset_posterior_mean(prior, x, 0.5, None)
+        want = (x - np.sqrt(0.5) * mean) / np.sqrt(0.5)
         assert np.allclose(eps, want, atol=1e-14)
 
 

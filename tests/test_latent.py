@@ -20,32 +20,9 @@ class TestLatentGrid:
         assert grid.data.dtype == np.float64
         assert grid.data.shape == (1, 2, 2)
 
-    def test_copies_the_input(self):
-        src = np.ones((1, 2, 2))
-        grid = LatentGrid(src)
-        src[0, 0, 0] = 99.0
-        assert grid.data[0, 0, 0] == 1.0
-
-    def test_data_is_read_only(self):
-        grid = LatentGrid(np.zeros((1, 2, 2)))
-        with pytest.raises(ValueError):
-            grid.data[0, 0, 0] = 1.0
-
-    @pytest.mark.parametrize("values", [np.zeros((2, 2)), np.zeros((1, 1, 2, 2))])
-    def test_wrong_rank_rejected(self, values):
-        with pytest.raises(ValueError, match="3-D"):
-            LatentGrid(values)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="positive"):
-            LatentGrid(np.zeros((1, 0, 2)))
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_rejected(self, bad):
-        values = np.zeros((1, 2, 2))
-        values[0, 1, 1] = bad
-        with pytest.raises(ValueError, match="finite"):
-            LatentGrid(values)
+    def test_holds_a_float64_array_as_it_is(self):
+        src = np.ones((2, 1, 2, 2))
+        assert LatentGrid(src).data is src
 
 
 class TestSeededRng:
@@ -86,17 +63,14 @@ class TestGaussianNoise:
     def test_deterministic_per_stream(self):
         a = gaussian_noise(2, 3, 3, SeededRng(5).stream("init"))
         b = gaussian_noise(2, 3, 3, SeededRng(5).stream("init"))
-        assert np.array_equal(a.data, b.data)
+        assert isinstance(a, np.ndarray) and a.shape == (2, 3, 3)
+        assert np.array_equal(a, b)
 
     def test_standard_moments(self):
         noise = gaussian_noise(4, 64, 64, SeededRng(7).stream("init"))
-        n = noise.data.size
-        assert abs(noise.data.mean()) < 4.0 / np.sqrt(n)
-        assert 0.9 < noise.data.var() < 1.1
-
-    def test_bad_dims(self):
-        with pytest.raises(ValueError, match="positive"):
-            gaussian_noise(0, 4, 4, SeededRng(1).stream("init"))
+        n = noise.size
+        assert abs(noise.mean()) < 4.0 / np.sqrt(n)
+        assert 0.9 < noise.var() < 1.1
 
 
 # the workloads' batch shapes, a two-seed batch and one lone latent
@@ -181,11 +155,11 @@ class TestResizeBilinear:
         assert np.allclose(out.data, 3.7, atol=1e-15)
 
     def test_same_size_is_the_identity(self):
-        grid = gaussian_noise(2, 5, 6, SeededRng(3).stream("init"))
+        grid = LatentGrid(gaussian_noise(2, 5, 6, SeededRng(3).stream("init")))
         assert np.array_equal(resize_bilinear(grid, 5, 6).data, grid.data)
 
     def test_upsample_shape_and_containment(self):
-        grid = gaussian_noise(3, 4, 4, SeededRng(4).stream("init"))
+        grid = LatentGrid(gaussian_noise(3, 4, 4, SeededRng(4).stream("init")))
         out = resize_bilinear(grid, 8, 8)
         assert out.data.shape == (3, 8, 8)
         for c in range(3):
@@ -193,12 +167,21 @@ class TestResizeBilinear:
             assert out.data[c].max() <= grid.data[c].max() + 1e-12
 
     def test_downsample_shape(self):
-        grid = gaussian_noise(1, 8, 8, SeededRng(5).stream("init"))
+        grid = LatentGrid(gaussian_noise(1, 8, 8, SeededRng(5).stream("init")))
         assert resize_bilinear(grid, 3, 5).data.shape == (1, 3, 5)
 
     def test_bad_target(self):
         with pytest.raises(ValueError, match="positive"):
             resize_bilinear(LatentGrid(np.zeros((1, 2, 2))), 0, 2)
+
+    def test_returns_a_new_writable_array_and_leaves_its_input(self):
+        src = np.random.default_rng(3).normal(size=(2, 3, 4, 4))
+        before = src.copy()
+        for target in ((4, 4), (7, 5)):
+            out = resize_bilinear(LatentGrid(src), *target).data
+            assert out.flags.writeable and not np.shares_memory(out, src)
+            out += 1.0
+            assert np.array_equal(src, before)
 
     @pytest.mark.parametrize(
         "shape, target",
@@ -210,11 +193,11 @@ class TestResizeBilinear:
         ],
     )
     def test_a_channel_stack_matches_the_direct_form_grid_by_grid(self, shape, target):
-        # a (B, C, H, W) batch resized as one (B*C, H, W) grid, as the stage
-        # boundaries and the dataset prior resize theirs
+        # a (B, C, H, W) batch resized as it is, as the stage boundaries and
+        # the dataset prior resize theirs
         batch = np.random.default_rng(sum(shape)).normal(size=shape)
-        stacked = resize_bilinear(LatentGrid(batch.reshape(-1, *shape[2:])), *target)
-        got = stacked.data.reshape(*shape[:2], *target)
+        got = resize_bilinear(LatentGrid(batch), *target).data
+        assert got.shape == (*shape[:2], *target)
         for row, grid in zip(got, batch):
             want = direct_resize_bilinear(grid, *target)
             assert np.array_equal(row.view(np.uint64), want.view(np.uint64))
@@ -228,7 +211,7 @@ class TestResizeBilinear:
         dst_w=st.integers(1, 12),
     )
     def test_output_range_contained_per_channel(self, seed, src_h, src_w, dst_h, dst_w):
-        grid = gaussian_noise(2, src_h, src_w, SeededRng(seed).stream("init"))
+        grid = LatentGrid(gaussian_noise(2, src_h, src_w, SeededRng(seed).stream("init")))
         out = resize_bilinear(grid, dst_h, dst_w)
         assert out.data.shape == (2, dst_h, dst_w)
         for c in range(2):
@@ -238,8 +221,8 @@ class TestResizeBilinear:
 
     def test_upsampling_noise_sheds_energy(self):
         noise = gaussian_noise(1, 64, 64, SeededRng(8).stream("init"))
-        up = resize_bilinear(noise, 128, 128)
-        assert average_energy(up.data) < 0.6 * average_energy(noise.data)
+        up = resize_bilinear(LatentGrid(noise), 128, 128)
+        assert average_energy(up.data) < 0.6 * average_energy(noise)
 
     def test_doubling_energy_ratio_matches_the_closed_form(self):
         # closed form for 2x doubling of iid noise: two edge outputs per

@@ -69,7 +69,7 @@ class TestDdimStep:
     def test_terminal_level_collapses_onto_the_estimate(self):
         x = gaussian_noise(1, 3, 3, SeededRng(1).stream("init"))
         eps = gaussian_noise(1, 3, 3, SeededRng(2).stream("init"))
-        x_prev, p_x0 = ddim_step(x.data.copy(), eps.data.copy(), 0.4, 1.0)
+        x_prev, p_x0 = ddim_step(x.copy(), eps.copy(), 0.4, 1.0)
         assert np.array_equal(x_prev, p_x0)
 
     def test_scalar_hand_case(self):
@@ -81,9 +81,9 @@ class TestDdimStep:
         x = gaussian_noise(2, 4, 4, SeededRng(3).stream("init"))
         eps = gaussian_noise(2, 4, 4, SeededRng(4).stream("init"))
         ab = 0.37
-        _, p_x0 = ddim_step(x.data.copy(), eps.data.copy(), ab, 0.8)
-        rebuilt = np.sqrt(ab) * p_x0 + np.sqrt(1 - ab) * eps.data
-        assert np.allclose(rebuilt, x.data, atol=1e-12)
+        _, p_x0 = ddim_step(x.copy(), eps.copy(), ab, 0.8)
+        rebuilt = np.sqrt(ab) * p_x0 + np.sqrt(1 - ab) * eps
+        assert np.allclose(rebuilt, x, atol=1e-12)
 
 
 @st.composite
@@ -151,13 +151,13 @@ class TestInPlaceKernels:
 class TestNoiseRefresh:
     def test_full_signal_level_returns_the_resized_estimate(self):
         p = gaussian_noise(1, 4, 4, SeededRng(5).stream("init"))
-        eps = gaussian_noise(1, 8, 8, SeededRng(6).stream("init")).data
-        (out,) = noise_refresh(p.data[None], CODEC, 8, 8, 1.0, [eps])
-        assert np.array_equal(out, resize_bilinear(p, 8, 8).data)
+        eps = gaussian_noise(1, 8, 8, SeededRng(6).stream("init"))
+        (out,) = noise_refresh(p[None], CODEC, 8, 8, 1.0, [eps])
+        assert np.array_equal(out, resize_bilinear(LatentGrid(p), 8, 8).data)
 
     def test_same_resolution_matches_forward_noising(self):
-        p = gaussian_noise(2, 4, 4, SeededRng(7).stream("init")).data
-        eps = gaussian_noise(2, 4, 4, SeededRng(8).stream("init")).data
+        p = gaussian_noise(2, 4, 4, SeededRng(7).stream("init"))
+        eps = gaussian_noise(2, 4, 4, SeededRng(8).stream("init"))
         (out,) = noise_refresh(p[None], CODEC, 4, 4, 0.82, [eps])
         assert np.array_equal(out, np.sqrt(0.82) * p + np.sqrt(1.0 - 0.82) * eps)
 
@@ -168,8 +168,8 @@ class TestNoiseRefresh:
             if block else IdentityCodec()
         )
         rngs = [SeededRng(s) for s in (12, 13, 14)]
-        p_x0 = [gaussian_noise(3, 4, 6, r.stream("init")).data for r in rngs]
-        eps = [gaussian_noise(3, 6, 10, r.stream("refresh", 1)).data for r in rngs]
+        p_x0 = [gaussian_noise(3, 4, 6, r.stream("init")) for r in rngs]
+        eps = [gaussian_noise(3, 6, 10, r.stream("refresh", 1)) for r in rngs]
         got = noise_refresh(read_only(p_x0), codec, 6, 10, 0.37, eps)
         assert got.shape == (3, 3, 6, 10) and got.flags.writeable
         for row, p, e in zip(got, p_x0, eps):
@@ -177,8 +177,8 @@ class TestNoiseRefresh:
             assert np.array_equal(row.view(np.uint64), want.view(np.uint64))
 
     def test_noise_count_must_match_the_batch(self):
-        p = gaussian_noise(1, 4, 4, SeededRng(9).stream("init")).data
-        eps = gaussian_noise(1, 4, 4, SeededRng(10).stream("init")).data
+        p = gaussian_noise(1, 4, 4, SeededRng(9).stream("init"))
+        eps = gaussian_noise(1, 4, 4, SeededRng(10).stream("init"))
         with pytest.raises(ValueError, match="longer"):
             noise_refresh(p[None], CODEC, 4, 4, 0.5, [eps, eps])
 
@@ -217,7 +217,7 @@ class TestRunBasics:
     def test_explicit_initial_noise_matches_the_drawn_one(self):
         prior = _gaussian()
         plan = single_plan(2.0)
-        drawn = gaussian_noise(4, 16, 16, SeededRng(23).stream("init")).data[None]
+        drawn = gaussian_noise(4, 16, 16, SeededRng(23).stream("init"))[None]
         noise = drawn.copy()
         (a,) = run("baseline", plan, TIMELINE, prior, CODEC, None, [SeededRng(23)])
         (b,) = run(
@@ -233,7 +233,7 @@ class TestRunBasics:
         (result,) = run(
             "baseline", single_plan(2.0), TIMELINE, prior, CODEC, None, [SeededRng(24)]
         )
-        assert result.trace[0].latent_energy == average_energy(noise.data)
+        assert result.trace[0].latent_energy == average_energy(noise)
 
     def test_wrong_initial_noise_shape(self):
         with pytest.raises(ValueError, match="initial noise"):
@@ -350,33 +350,26 @@ class TestLevelContract:
 
 
 class TestGridsAtTheEdges:
-    def test_a_run_without_boundaries_builds_one_grid_per_seed(self, monkeypatch):
+    def test_a_run_without_boundaries_builds_no_holder(self, monkeypatch):
         prior = clustered_shell_prior()
-        built, adopted = [], []
-        init, adopt = LatentGrid.__init__, LatentGrid._adopt
+        built = []
+        init = LatentGrid.__init__
 
         def counting_init(self, values):
             built.append(values)
             init(self, values)
 
-        def counting_adopt(data):
-            adopted.append(data)
-            return adopt(data)
-
         monkeypatch.setattr(LatentGrid, "__init__", counting_init)
-        monkeypatch.setattr(LatentGrid, "_adopt", counting_adopt)
         for batch in (1, 3):
-            built.clear()
-            adopted.clear()
             rngs = [SeededRng(40 + k) for k in range(batch)]
             snapshots = []
             results = run(
                 "baseline", single_plan(3.0), TIMELINE, prior, CODEC, CLASS_ZERO, rngs,
                 snapshot_steps=(0, 49), on_snapshot=lambda b, step, row: snapshots.append(row),
             )
-            # only each seed's initial noise is drawn as a grid; every step,
-            # snapshot and final is a plain array
-            assert len(built) == batch and adopted == []
+            # the noise is drawn as plain arrays, and every step, snapshot
+            # and final is one
+            assert built == []
             rows = snapshots + [r.final_p_x0 for r in results]
             assert len(rows) == 3 * batch
             for row in rows:
@@ -501,9 +494,9 @@ class TestBatches:
             for seed in seeds:
                 rng = SeededRng(seed)
                 want = (
-                    gaussian_noise(4, 4, 4, rng.stream("init")).data,
-                    gaussian_noise(4, 8, 8, rng.stream("refresh", 1)).data,
-                    gaussian_noise(4, 12, 12, rng.stream("refresh", 2)).data,
+                    gaussian_noise(4, 4, 4, rng.stream("init")),
+                    gaussian_noise(4, 8, 8, rng.stream("refresh", 1)),
+                    gaussian_noise(4, 12, 12, rng.stream("refresh", 2)),
                 )
                 assert all(np.array_equal(a, b) for a, b in zip(seen[seed], want))
 
@@ -710,7 +703,7 @@ class TestStagedTrace:
         rng = SeededRng(32)
         (want,) = run("rectified", plan, TIMELINE, prior, CODEC, None, [rng])
 
-        x = gaussian_noise(4, 16, 16, SeededRng(32).stream("init")).data.copy()
+        x = gaussian_noise(4, 16, 16, SeededRng(32).stream("init"))
         p_x0 = None
         for step in range(40):
             eps = prior.predict_eps(x, float(TIMELINE.alpha_bar_at_step[step]), None)
@@ -719,7 +712,7 @@ class TestStagedTrace:
                 float(TIMELINE.alpha_bar_at_step[step]),
                 float(TIMELINE.alpha_bar_at_step[step + 1]),
             )
-        boundary_eps = gaussian_noise(4, 32, 32, SeededRng(32).stream("refresh", 1)).data
+        boundary_eps = gaussian_noise(4, 32, 32, SeededRng(32).stream("refresh", 1))
         x = noise_refresh(
             read_only(p_x0[None]), CODEC, 32, 32, float(TIMELINE.alpha_bar_at_step[40]),
             [boundary_eps],
@@ -738,11 +731,11 @@ class TestStagedTrace:
         plan = staged_plan(2.0, 2.0)
         (want,) = run("latent-resize", plan, TIMELINE, prior, CODEC, None, [SeededRng(33)])
 
-        x = gaussian_noise(4, 16, 16, SeededRng(33).stream("init")).data.copy()
+        x = gaussian_noise(4, 16, 16, SeededRng(33).stream("init"))
         p_x0 = None
         for step in range(50):
             if step == 40:
-                x = resize_bilinear(LatentGrid(x), 32, 32).data.copy()
+                x = resize_bilinear(LatentGrid(x), 32, 32).data
             eps = prior.predict_eps(x, float(TIMELINE.alpha_bar_at_step[step]), None)
             x, p_x0 = ddim_step(
                 x, eps,
@@ -760,7 +753,7 @@ class TestStagedTrace:
         (want,) = run("snr-corrected", plan, TIMELINE, prior, CODEC, None, [SeededRng(34)])
 
         gamma = 16.0
-        x = gaussian_noise(4, 32, 32, SeededRng(34).stream("init")).data.copy()
+        x = gaussian_noise(4, 32, 32, SeededRng(34).stream("init"))
         p_x0 = None
         for step in range(50):
             eps = prior.predict_eps(x, float(TIMELINE.alpha_bar_at_step[step]), None)
@@ -817,7 +810,7 @@ class TestAffineOracle:
         oracle = affine_trajectory_oracle(plan, TIMELINE, prior)
         for k in range(10):
             srng = SeededRng(700 + k)
-            noise = gaussian_noise(3, 6, 6, srng.stream("init")).data
+            noise = gaussian_noise(3, 6, 6, srng.stream("init"))
             (got,) = run("baseline", plan, TIMELINE, prior, CODEC, None, [srng])
             want = oracle.noise_gain * noise + oracle.mean_gain * mean
             denom = max(float(np.abs(want).max()), 1e-12)
