@@ -8,7 +8,7 @@ closed-form oracles at desk scale.
 
 Layout:
     schedule    noise schedules, sampler timelines, stage ladders, corrected steps
-    latent      validated grids for run edges, seeded noise, resizing, energy
+    latent      seeded noise, the bilinear resize and its bare holder, energy
     denoiser    exactly solvable denoisers (Gaussian prior, dataset posterior)
     codec       latent/value space mapping, external codec subprocess protocol
     sampler     the seed-batched sampling loop, variants, affine oracle
