@@ -15,6 +15,7 @@ Layout:
     analysis    the per-seed energy column and stepwise mean behind `energy-curve`
     checks      the property and oracle checks of `restage verify` and criteria 01-04
     tensorfile  the .rhrt binary tensor format
+    errors      the config, codec, sampler and tensor-file error types
     config      INI experiment configs
     cli         the `restage` command
 

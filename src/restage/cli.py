@@ -196,14 +196,17 @@ def cmd_sample(config: ExperimentConfig, out_dir: Path) -> int:
     timeline, plan, denoiser, class_label, codec = _build_all(config)
     seeds = [config.run.seed + i for i in range(config.run.run_count)]
     values = denoiser.channels * max(st.height * st.width for st in plan.stages)
+    wanted = frozenset(config.run.snapshot_steps)
     with _commit(out_dir) as stage:
         def sample(batch: list[int]) -> None:
+            def snapshot(step: int, p_x0: np.ndarray) -> None:
+                if step in wanted:
+                    for seed, row in zip(batch, p_x0):
+                        write_grid(stage / f"snapshot_{seed}_{step}.rhrt", row)
+
             results = run(
                 config.run.variant, plan, timeline, denoiser, codec, class_label,
-                [SeededRng(seed) for seed in batch], snapshot_steps=config.run.snapshot_steps,
-                on_snapshot=lambda index, step, p_x0: write_grid(
-                    stage / f"snapshot_{batch[index]}_{step}.rhrt", p_x0
-                ),
+                [SeededRng(seed) for seed in batch], on_step=snapshot,
             )
             for seed, result in zip(batch, results):
                 _write_csv(

@@ -27,15 +27,16 @@ starts: the predictions, the guidance combine and the update write into
 them in place, so the only batch-sized array a step allocates is its clean
 estimate p_x0. That estimate is read-only once computed. A stage boundary
 acts on the whole batch too: the codec, the resize and the refresh take
-(B, C, H, W) arrays. ``run`` takes and gives plain arrays: the initial
-noise is one (B, C, H, W) array, and snapshots and ``final_p_x0`` are
-the read-only (C, H, W) rows of p_x0 as they are, valid after the run.
-Noise is drawn as plain arrays; a latent-resize boundary wraps the batch in
-a bare :class:`LatentGrid` holder only to resize it. Finiteness is screened
-once per step through the two energies the trace records; only a non-finite
-energy triggers the element-wise check, which fails the run naming the step
-and the seed. The energies are observers: each is one BLAS dot product per
-seed, and only the trace and that screen read them, never a tensor
+(B, C, H, W) arrays. ``run`` gives plain arrays: each step's read-only
+(B, C, H, W) p_x0 goes to its ``on_step`` callback, and ``final_p_x0`` is
+a read-only (C, H, W) row of the last, all valid after the run. Every
+latent a run starts from is drawn from its seeds' streams as a plain array;
+a latent-resize boundary wraps the batch in a bare :class:`LatentGrid`
+holder only to resize it. Finiteness is screened once per step through the
+two energies the trace records; only a non-finite energy triggers the
+element-wise check, which fails the run naming the step and the seed. The
+energies are observers: each is one BLAS dot product per seed, and only
+the trace and that screen read them, never a tensor
 (``docs/DECISIONS.md`` entry 20).
 
 Runs that share steps can share their computation. A caller passes the
@@ -217,9 +218,7 @@ def run(
     codec,
     label: int | None,
     rngs: Sequence[SeededRng],
-    snapshot_steps: Iterable[int] = (),
-    initial_noise: np.ndarray | None = None,
-    on_snapshot: Callable[[int, int, np.ndarray], None] | None = None,
+    on_step: Callable[[int, np.ndarray], None] | None = None,
     shared: dict | None = None,
 ) -> tuple[RunResult, ...]:
     """Execute one sampling run per seed, all seeds as one batch.
@@ -236,21 +235,20 @@ def run(
         rngs: One seeded stream bundle per seed, at least one. A seed's
             initial latent draws from its stream ("init", 0); the boundary
             entering stage i draws from its ("refresh", i), so each stage's
-            noise depends only on the seed and the stage.
-        snapshot_steps: Iterable of step indices whose p_x0 to report.
-        initial_noise: Optional explicit starting latents, one (B, C, H, W)
-            array with a row per seed, each shaped like the starting stage;
-            copied, not written. Drawn from ``rngs`` when omitted.
-        on_snapshot: Required with ``snapshot_steps``; called as
-            ``on_snapshot(index in rngs, step, p_x0 row)`` as each requested
-            estimate is produced. The row is a read-only (C, H, W) view of
-            the step's estimate and stays valid after the callback returns.
+            noise depends only on the seed and the stage. Any object with a
+            ``seed`` and a ``stream(purpose, index)`` serves as a bundle.
+        on_step: Optional; called as ``on_step(step, p_x0)`` after each step,
+            in step order. ``p_x0`` is the step's read-only (B, C, H, W)
+            batch of estimates, a row per seed in the order of ``rngs``,
+            and stays valid after the callback returns.
         shared: Optional store of trajectory states that the caller creates
             and owns; a plain dict. The run resumes from the longest stored
             state whose key matches its own, and stores its state at each
             of ``plan``'s refresh steps and at its end. The result is bitwise
-            the one it would be without a store. A run with a store takes
-            neither ``initial_noise`` nor ``snapshot_steps``.
+            the one it would be without a store. A run with a store takes no
+            ``on_step``, since a resumed run skips steps. The store knows a
+            bundle by its seed alone, so runs sharing one must draw from
+            plain :class:`SeededRng` bundles.
 
     Returns one :class:`RunResult` per seed, in the order of ``rngs``.
     """
@@ -263,11 +261,8 @@ def run(
         raise ValueError(
             f"plan covers {plan.num_steps} steps but the timeline has {timeline.num_steps}"
         )
-    wanted = frozenset(int(s) for s in snapshot_steps)
-    if wanted and on_snapshot is None:
-        raise ValueError("snapshot_steps needs an on_snapshot callback")
-    if shared is not None and (wanted or initial_noise is not None):
-        raise ValueError("a run with a shared store takes neither initial_noise nor snapshot_steps")
+    if shared is not None and on_step is not None:
+        raise ValueError("a run with a shared store takes no on_step callback")
     stages, gamma, boundary = _variant_stages(variant, plan)
     num_steps = timeline.num_steps
     channels = denoiser.channels
@@ -303,18 +298,10 @@ def run(
         kept, p_x0, kept_energies, _ = shared[key(start)]
         x = kept.copy()  # the update writes into x
         energies = list(kept_energies)
-    elif initial_noise is None:
+    else:
         x = np.stack(
             [gaussian_noise(channels, first.height, first.width, r.stream("init")) for r in rngs]
         )
-    else:
-        x = np.array(initial_noise, dtype=np.float64)  # a copy: the update writes into it
-        want = (len(rngs), channels, first.height, first.width)
-        if x.shape != want:
-            raise ValueError(
-                f"initial noise shape {x.shape} does not match {len(rngs)} seeds "
-                f"of the starting stage, {want}"
-            )
 
     def save(p: int) -> None:
         kept = x.copy()
@@ -378,9 +365,8 @@ def run(
                 raise _failure("latent grid contains non-finite values", step, rngs[b].seed)
             raise _failure("latent energy overflows float64", step, rngs[b].seed)
         energies.append((energy_in.tolist(), p_x0_energy.tolist()))
-        if step in wanted:
-            for b, row in enumerate(p_x0):
-                on_snapshot(b, step, row)
+        if on_step is not None:
+            on_step(step, p_x0)
     if num_steps in saves:
         save(num_steps)
 

@@ -123,10 +123,14 @@ class Stage(NamedTuple):
 
 
 class RefreshPlan(NamedTuple):
-    """Stages tiling [0, num_steps) plus the boundary steps between them."""
+    """Stages tiling [0, num_steps); its boundary steps are the first steps
+    of stages 1 onward."""
 
     stages: tuple[Stage, ...]
-    refresh_steps: tuple[int, ...]
+
+    @property
+    def refresh_steps(self) -> tuple[int, ...]:
+        return tuple(s.first_step for s in self.stages[1:])
 
     @property
     def num_steps(self) -> int:
@@ -285,7 +289,7 @@ def build_plan(config: LadderConfig, timeline: SamplerTimeline) -> RefreshPlan:
         )
         for i in range(config.n_stages)
     )
-    return RefreshPlan(stages=stages, refresh_steps=tuple(boundaries))
+    return RefreshPlan(stages=stages)
 
 
 # Published ladder settings for the two reference generation scales. The

@@ -2,7 +2,8 @@
 
 Import-only module: the training schedule, a 50-step timeline, a
 linear-beta schedule for tiny hand-checked timelines, the plan builders the
-staged-run tests use, and three dataset priors whose layouts were tuned for
+staged-run tests use, the stream bundle that starts criteria 05 and 06's
+native runs from the staged runs' boundary noise, and three dataset priors whose layouts were tuned for
 specific measurable responses (each builder's docstring says which). Nothing
 at module level executes a sampling run. It also holds oracles: the
 direct-difference point-set posterior that the matrix-form kernel is checked
@@ -78,6 +79,17 @@ def post_boundary_energies(result):
 def final_window_energies(result):
     """Latent energies of the last ten trace rows."""
     return np.array([r.latent_energy for r in result.trace if 40 <= r.step < 50])
+
+
+class BoundaryStart:
+    """A seed's streams, except that its initial latent draws the noise its
+    staged 16 -> 32 run injects at the boundary, ``stream("refresh", 1)``."""
+
+    def __init__(self, rng):
+        self.rng, self.seed = rng, rng.seed
+
+    def stream(self, purpose, index=0):
+        return self.rng.stream(*(("refresh", 1) if purpose == "init" else (purpose, index)))
 
 
 def clustered_shell_prior():

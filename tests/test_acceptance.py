@@ -17,11 +17,11 @@ import time
 import numpy as np
 
 from _toys import (
-    CHANNELS,
     CLASS_ZERO,
     CODEC,
     TARGET,
     TIMELINE,
+    BoundaryStart,
     clustered_shell_prior,
     coarse_prior,
     final_window_energies,
@@ -33,7 +33,7 @@ from _toys import (
     staged_plan,
 )
 from restage import checks, cli
-from restage.latent import SeededRng, gaussian_noise
+from restage.latent import SeededRng
 from restage.sampler import run
 from restage.tensorfile import read_grid, write_grid
 
@@ -42,13 +42,6 @@ def _verdict(num: int, ok: bool, budget_s: float, elapsed: float, detail: str) -
     line = f"criterion {num:02d}: {'PASS' if ok else 'FAIL'} - {detail} ({elapsed:.1f}s / {budget_s:.0f}s budget)"
     print(line)
     assert ok and elapsed < budget_s, line
-
-
-def _boundary_noise(rngs: list[SeededRng]) -> np.ndarray:
-    """The noise each seed's staged 16 -> 32 run injects at its boundary (stage 1)."""
-    return np.stack(
-        [gaussian_noise(CHANNELS, TARGET, TARGET, rng.stream("refresh", 1)) for rng in rngs]
-    )
 
 
 def _check_verdict(num: int, budget_s: float, *check_fns) -> None:
@@ -90,8 +83,7 @@ def test_criterion_05_boundary_energy_deficit():
     # injects at its boundary, so the dominant shared noise term cancels out
     # of the gap seed by seed
     natives = run(
-        "baseline", native, TIMELINE, prior, CODEC, CLASS_ZERO, rngs,
-        initial_noise=_boundary_noise(rngs),
+        "baseline", native, TIMELINE, prior, CODEC, CLASS_ZERO, [BoundaryStart(r) for r in rngs]
     )
     stageds = run("rectified", flat, TIMELINE, prior, CODEC, CLASS_ZERO, rngs)
     gaps = [
@@ -116,8 +108,7 @@ def test_criterion_06_guidance_closes_the_deficit():
     native = single_plan(3.0, TARGET, TARGET)
     rngs = [SeededRng(seed) for seed in range(100, 140)]
     natives = run(
-        "baseline", native, TIMELINE, prior, CODEC, CLASS_ZERO, rngs,
-        initial_noise=_boundary_noise(rngs),
+        "baseline", native, TIMELINE, prior, CODEC, CLASS_ZERO, [BoundaryStart(r) for r in rngs]
     )
     native_windows = [post_boundary_energies(nat) for nat in natives]
     mean_abs_gap = {}
@@ -169,8 +160,7 @@ def test_criterion_08_late_estimate_flattening():
     snapshots = []
     run(
         "baseline", single_plan(3.0), TIMELINE, prior, CODEC, CLASS_ZERO, [SeededRng(7)],
-        snapshot_steps=range(50),
-        on_snapshot=lambda index, step, grid: snapshots.append((step, grid)),
+        on_step=lambda step, p_x0: snapshots.append((step, p_x0[0])),
     )
     segments = p_x0_mse_series(snapshots)
     assert len(segments) == 1, "single-resolution run must produce one segment"

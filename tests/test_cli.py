@@ -671,10 +671,15 @@ class TestWorkers:
         timeline, plan, denoiser, label, codec = cli._build_all(config)
         seeds = list(range(9))
         whole.mkdir()
+
+        def snapshot(step, p_x0):
+            if step in config.run.snapshot_steps:
+                for seed, row in zip(seeds, p_x0):
+                    write_grid(whole / f"snapshot_{seed}_{step}.rhrt", row)
+
         results = run(
             config.run.variant, plan, timeline, denoiser, codec, label,
-            [SeededRng(s) for s in seeds], snapshot_steps=config.run.snapshot_steps,
-            on_snapshot=lambda b, step, p_x0: write_grid(whole / f"snapshot_{seeds[b]}_{step}.rhrt", p_x0),
+            [SeededRng(s) for s in seeds], on_step=snapshot,
         )
         for seed, result in zip(seeds, results):
             write_grid(whole / f"final_{seed}.rhrt", result.final_p_x0)

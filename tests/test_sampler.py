@@ -187,6 +187,19 @@ def _gaussian(channels=4, height=16, width=16, value=0.2, variance=1.0):
     return GaussianPrior(np.full((channels, height, width), value), variance)
 
 
+class _Draws:
+    """A stream bundle for ``seed`` whose every stream draws ``values``."""
+
+    def __init__(self, seed, values):
+        self.seed, self.values = seed, values
+
+    def stream(self, purpose, index=0):
+        return self
+
+    def standard_normal(self, shape):
+        return self.values
+
+
 # built once: the batch properties draw many runs from it
 SHELL = clustered_shell_prior()
 
@@ -214,18 +227,19 @@ class TestRunBasics:
         assert a.trace == b.trace
         assert np.array_equal(a.final_p_x0, b.final_p_x0)
 
-    def test_explicit_initial_noise_matches_the_drawn_one(self):
-        prior = _gaussian()
-        plan = single_plan(2.0)
-        drawn = gaussian_noise(4, 16, 16, SeededRng(23).stream("init"))[None]
-        noise = drawn.copy()
-        (a,) = run("baseline", plan, TIMELINE, prior, CODEC, None, [SeededRng(23)])
-        (b,) = run(
-            "baseline", plan, TIMELINE, prior, CODEC, None, [SeededRng(23)], initial_noise=noise,
+    def test_on_step_sees_each_step_once_in_order(self):
+        seen = []
+        results = run(
+            "rectified", staged_plan(2.0, 6.0), TIMELINE, _gaussian(), CODEC, None,
+            [SeededRng(23), SeededRng(1023)], on_step=lambda step, p_x0: seen.append((step, p_x0)),
         )
-        assert a.trace == b.trace
-        assert np.array_equal(a.final_p_x0, b.final_p_x0)
-        assert np.array_equal(noise, drawn)  # copied, not written
+        assert [step for step, _ in seen] == list(range(50))
+        for step, p_x0 in seen:
+            assert type(p_x0) is np.ndarray and p_x0.dtype == np.float64
+            assert p_x0.shape == ((2, 4, 16, 16) if step < 40 else (2, 4, 32, 32))
+            assert not p_x0.flags.writeable
+        for row, result in zip(seen[-1][1], results, strict=True):
+            assert np.array_equal(_bits(row), _bits(result.final_p_x0))
 
     def test_first_row_records_the_initial_latent_energy(self):
         prior = _gaussian()
@@ -234,13 +248,6 @@ class TestRunBasics:
             "baseline", single_plan(2.0), TIMELINE, prior, CODEC, None, [SeededRng(24)]
         )
         assert result.trace[0].latent_energy == average_energy(noise)
-
-    def test_wrong_initial_noise_shape(self):
-        with pytest.raises(ValueError, match="initial noise"):
-            run(
-                "baseline", single_plan(2.0), TIMELINE, _gaussian(), CODEC, None,
-                [SeededRng(26)], initial_noise=np.zeros((1, 4, 8, 8)),
-            )
 
     def test_plan_and_timeline_must_agree(self):
         short = build_timeline(build_schedule(), 10)
@@ -362,20 +369,20 @@ class TestGridsAtTheEdges:
         monkeypatch.setattr(LatentGrid, "__init__", counting_init)
         for batch in (1, 3):
             rngs = [SeededRng(40 + k) for k in range(batch)]
-            snapshots = []
+            estimates = []
             results = run(
                 "baseline", single_plan(3.0), TIMELINE, prior, CODEC, CLASS_ZERO, rngs,
-                snapshot_steps=(0, 49), on_snapshot=lambda b, step, row: snapshots.append(row),
+                on_step=lambda step, p_x0: estimates.append(p_x0),
             )
-            # the noise is drawn as plain arrays, and every step, snapshot
+            # the noise is drawn as plain arrays, and every step, estimate
             # and final is one
             assert built == []
-            rows = snapshots + [r.final_p_x0 for r in results]
+            rows = [*estimates[0], *estimates[49], *(r.final_p_x0 for r in results)]
             assert len(rows) == 3 * batch
             for row in rows:
                 assert type(row) is np.ndarray and row.dtype == np.float64
                 assert row.shape == (4, 16, 16) and not row.flags.writeable
-            assert np.array_equal(snapshots[-batch:], [r.final_p_x0 for r in results])
+            assert np.array_equal(estimates[49], [r.final_p_x0 for r in results])
 
     def test_a_non_finite_prediction_fails_its_step(self):
         class Poisoned(GaussianPrior):
@@ -393,13 +400,13 @@ class TestGridsAtTheEdges:
         assert info.value.seed == 1041
 
     def test_a_non_finite_initial_noise_fails_the_first_step(self):
-        # explicit initial noise is a plain array: the energy screen checks it
-        noise = np.zeros((2, 4, 16, 16))
-        noise[1, 2, 3, 4] = np.nan
+        # the initial latents are plain arrays: the energy screen checks them
+        noise = np.zeros((4, 16, 16))
+        noise[2, 3, 4] = np.nan
         with pytest.raises(SamplerError, match="step 0, seed 1044: latent grid contains"):
             run(
                 "baseline", single_plan(2.0), TIMELINE, _gaussian(), CODEC, None,
-                [SeededRng(44), SeededRng(1044)], initial_noise=noise,
+                [_Draws(44, np.zeros((4, 16, 16))), _Draws(1044, noise)],
             )
 
     def test_a_huge_finite_latent_is_not_rejected(self):
@@ -410,7 +417,7 @@ class TestGridsAtTheEdges:
             warnings.simplefilter("error")
             run(
                 "baseline", single_plan(2.0), TIMELINE, _gaussian(), CODEC, None,
-                [SeededRng(42)], initial_noise=np.full((1, 4, 16, 16), 1e200),
+                [_Draws(42, np.full((4, 16, 16), 1e200))],
             )
         assert str(info.value) == "step 0, seed 42: latent energy overflows float64"
         assert info.value.step == 0
@@ -501,11 +508,6 @@ class TestBatches:
                 assert all(np.array_equal(a, b) for a, b in zip(seen[seed], want))
 
     def test_seed_and_noise_counts_are_checked(self):
-        with pytest.raises(ValueError, match="2 seeds"):
-            run(
-                "baseline", single_plan(2.0), TIMELINE, _gaussian(), CODEC, None,
-                [SeededRng(36), SeededRng(37)], initial_noise=np.zeros((1, 4, 16, 16)),
-            )
         with pytest.raises(ValueError, match="at least one seed"):
             run("baseline", single_plan(2.0), TIMELINE, _gaussian(), CODEC, None, [])
 
@@ -599,15 +601,12 @@ class TestSharedStore:
         want = run("rectified", plan, **inputs)
         assert all(a.trace == b.trace for a, b in zip(got, want))
 
-    @pytest.mark.parametrize(
-        "extra", [dict(initial_noise=np.zeros((1, 4, 8, 8))), dict(snapshot_steps=(3,))]
-    )
-    def test_a_store_takes_no_initial_noise_or_snapshots(self, extra):
+    def test_a_store_takes_no_on_step(self):
         counted, shared = _Counting(SHELL), {}
         with pytest.raises(ValueError, match="shared store"):
             run(
                 "rectified", _twelve_plan((3.0, 12.0)), TWELVE, counted, CODEC, None,
-                [SeededRng(82)], on_snapshot=lambda *a: None, shared=shared, **extra,
+                [SeededRng(82)], on_step=lambda step, p_x0: None, shared=shared,
             )
         assert counted.calls == 0 and shared == {}
 
@@ -627,7 +626,7 @@ class TestEnergiesAreObservers:
             snaps = []
             results = run(
                 "rectified", _twelve_plan((3.0, 12.0)), TWELVE, prior, CODEC, label, rngs,
-                snapshot_steps=range(12), on_snapshot=lambda b, step, row: snaps.append(row),
+                on_step=lambda step, p_x0: snaps.extend(p_x0),
             )
             return [(results, snaps)]
         shared = {}
@@ -677,25 +676,16 @@ class TestStagedTrace:
         seen = []
         results = run(
             "rectified", staged_plan(5.0, 30.0), TIMELINE, prior, CODEC, None,
-            [SeededRng(31), SeededRng(32)], snapshot_steps=(39, 40, 49),
-            on_snapshot=lambda index, step, grid: seen.append((index, step, grid.shape)),
+            [SeededRng(31), SeededRng(32)],
+            on_step=lambda step, p_x0: seen.append((step, p_x0.shape)),
         )
-        # each snapshot step reports every seed as soon as its estimate exists;
-        # the boundary consumes step 39's estimate at the old resolution, and
+        # each step reports every seed as soon as its estimate exists; the
+        # boundary consumes step 39's estimate at the old resolution, and
         # step 40 is the first estimate computed at the new one
-        assert seen == [
-            (0, 39, (4, 16, 16)), (1, 39, (4, 16, 16)),
-            (0, 40, (4, 32, 32)), (1, 40, (4, 32, 32)),
-            (0, 49, (4, 32, 32)), (1, 49, (4, 32, 32)),
+        assert seen[39:41] + seen[49:] == [
+            (39, (2, 4, 16, 16)), (40, (2, 4, 32, 32)), (49, (2, 4, 32, 32)),
         ]
         assert [r.final_p_x0.shape for r in results] == [(4, 32, 32)] * 2
-
-    def test_snapshot_steps_need_a_callback(self):
-        with pytest.raises(ValueError, match="on_snapshot"):
-            run(
-                "baseline", single_plan(2.0), TIMELINE, _gaussian(), CODEC, None,
-                [SeededRng(35)], snapshot_steps=(3,),
-            )
 
     def test_rectified_boundary_replicated_from_parts(self):
         prior = _gaussian()
