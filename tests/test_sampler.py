@@ -601,12 +601,24 @@ class TestSharedStore:
         want = run("rectified", plan, **inputs)
         assert all(a.trace == b.trace for a, b in zip(got, want))
 
-    def test_a_store_takes_no_on_step(self):
+    @pytest.mark.parametrize(
+        "extra, error, match",
+        [
+            # run has no initial-noise input: every starting latent comes from rngs
+            pytest.param(
+                dict(initial_noise=np.zeros((1, 4, 8, 8))), TypeError, "initial_noise", id="extra0"
+            ),
+            pytest.param(
+                dict(on_step=lambda step, p_x0: None), ValueError, "shared store", id="extra1"
+            ),
+        ],
+    )
+    def test_a_store_takes_no_initial_noise_or_snapshots(self, extra, error, match):
         counted, shared = _Counting(SHELL), {}
-        with pytest.raises(ValueError, match="shared store"):
+        with pytest.raises(error, match=match):
             run(
                 "rectified", _twelve_plan((3.0, 12.0)), TWELVE, counted, CODEC, None,
-                [SeededRng(82)], on_step=lambda step, p_x0: None, shared=shared,
+                [SeededRng(82)], shared=shared, **extra,
             )
         assert counted.calls == 0 and shared == {}
 
