@@ -240,18 +240,16 @@ def cmd_energy_curve(config: ExperimentConfig, out_dir: Path) -> int:
         if labels.count(label) > 1:
             raise ConfigError(f"energy.variants/energy.omegas: curve label {label!r} repeats")
 
-    seeds = [config.run.seed + i for i in range(config.run.run_count)]
+    # one set of bundles and one store for every curve, so a shared step runs once
+    rngs = [SeededRng(config.run.seed + i) for i in range(config.run.run_count)]
     rows: list[str] = []
-    shared: dict = {}  # the curves' trajectory states, so a shared step runs once
+    shared: dict = {}
     for label, variant, curve_plan in curves:
-        results = run(
-            variant, curve_plan, timeline, denoiser, codec, class_label,
-            [SeededRng(s) for s in seeds], shared=shared,
-        )
+        results = run(variant, curve_plan, timeline, denoiser, codec, class_label, rngs, shared=shared)
         mean = analysis.mean_trace([analysis.trace_from_run(result) for result in results])
         for row, energy in zip(results[0].trace, mean):
             rows.append(f"{label},{row.step},{_fmt(energy)}")
-        print(f"{label}: {len(seeds)} run(s), {len(mean)} steps")
+        print(f"{label}: {len(rngs)} run(s), {len(mean)} steps")
     with _commit(out_dir) as stage:
         _write_csv(stage / "energy_curves.csv", "label,step,mean_energy", rows)
     return 0

@@ -63,16 +63,16 @@ class ExternalCodec:
     ``tempfile.gettempdir()``, removed when the batch ends.
 
     Args:
-        command: Command line to run, split with shell quoting rules.
+        command: Command line to run, split with shell quoting; its first word is the program.
         granularity: Spatial scale factor between latent and decoded space.
     """
 
-    def __init__(self, command: str, granularity: int = 8):
+    def __init__(self, command: str, granularity: int):
         import shlex  # imported here so identity-codec runs do not load it
 
         argv = shlex.split(command)
-        if not argv:
-            raise ValueError("external codec command is empty")
+        if not argv or not argv[0]:
+            raise ValueError(f"external codec command names no program: {command!r}")
         if granularity < 1:
             raise ValueError(f"granularity must be >= 1, got {granularity}")
         self._argv = argv

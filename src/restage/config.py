@@ -266,6 +266,10 @@ def load_config(path: str | Path, seed: int | None = None) -> ExperimentConfig:
         )
         if codec_spec.granularity < 1:
             raise ConfigError(f"codec.granularity: must be >= 1, got {codec_spec.granularity}")
+        try:  # the codec's own check of its command, so a bad one fails before any step
+            ExternalCodec(codec_spec.command, codec_spec.granularity)
+        except ValueError as exc:
+            raise ConfigError(f"codec.command: {exc}") from None
     else:
         raise ConfigError(f"codec.kind: unknown kind {cod_kind!r}, expected identity or external")
     cod.reject_unknown()

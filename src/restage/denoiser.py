@@ -126,7 +126,7 @@ class DatasetPrior(Denoiser):
     posterior to that class's points, the unconditional branch uses all of
     them. Queries at a resolution other than the stored points' resample
     every point bilinearly to the queried shape; :meth:`prepare_resolution`
-    builds each resolution's stack on its first query and caches it.
+    returns each resolution's stack, built on its first query and cached.
 
     The posterior reads the points as rows of a flattened (N, C*H*W) matrix
     alongside their half squared norms. Both are cached on first use: per
@@ -156,23 +156,21 @@ class DatasetPrior(Denoiser):
         # (height, width, label or None) -> (flattened rows, half squared norms)
         self._rows: dict[tuple[int, int, int | None], tuple[np.ndarray, np.ndarray]] = {}
 
-    def prepare_resolution(self, height: int, width: int) -> None:
-        key = (height, width)
-        if key not in self._stacks:
-            resized = resize_bilinear(LatentGrid(self.points), height, width).data
-            resized.setflags(write=False)  # cached stacks are read-only, as the native one is
-            self._stacks[key] = resized
-
-    def stack_for_shape(self, height: int, width: int) -> np.ndarray:
-        self.prepare_resolution(height, width)
-        return self._stacks[(height, width)]
+    def prepare_resolution(self, height: int, width: int) -> np.ndarray:
+        """The read-only (N, C, height, width) stack of the points, built on first use."""
+        stack = self._stacks.get((height, width))
+        if stack is None:
+            stack = resize_bilinear(LatentGrid(self.points), height, width).data
+            stack.setflags(write=False)  # cached stacks are read-only, as the native one is
+            self._stacks[height, width] = stack
+        return stack
 
     def _rows_for(self, height: int, width: int, label: int | None):
         """Flattened points of one branch at one resolution, with half squared norms."""
         key = (height, width, label)
         cached = self._rows.get(key)
         if cached is None:
-            flat = self.stack_for_shape(height, width).reshape(len(self.points), -1)
+            flat = self.prepare_resolution(height, width).reshape(len(self.points), -1)
             if label is not None:
                 flat = flat[self._label_rows[label]]
             cached = (flat, 0.5 * np.einsum("nd,nd->n", flat, flat))

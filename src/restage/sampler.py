@@ -13,8 +13,8 @@ a worker process (``docs/DECISIONS.md`` entry 21). Each step s:
    the next latents, using the step's noise level and its successor's (the
    trailing post-terminal level 1.0 makes the final update return p_x0).
 
-``run`` alone reads levels from the timeline, once per step, and hands each
-to the boundary refresh, both denoiser branches and the update. The kernels
+``run`` alone reads levels from the timeline, and hands each step's to the
+boundary refresh, both denoiser branches and the update. The kernels
 it calls trust the levels and shapes it passes and check neither: the
 timeline was checked when built and the shapes at the run's entry, and the
 per-step energy screen still fails a bad value at its step.
@@ -44,12 +44,12 @@ same ``shared`` store, a plain dict it owns, to each of them. A run with a
 store saves its state (the latent, the last estimate and the energies so
 far) at each of its plan's refresh steps and at its end. A later run
 resumes from the longest saved state whose key matches its own, so it
-skips the steps they share. The key holds the run's inputs (the denoiser,
-codec and timeline objects, the label and the seeds, in order) and, step by
-step, what each step reads: its stage's index and size, the boundary action
-entering it, gamma, and omega when the run is guided. The steps a resumed
-run does take are the ones it would take alone, so its result is bitwise
-its standalone result; its trace records its own omega
+skips the steps they share. The key holds what the run reads: the objects
+it calls (the denoiser, the codec and each stream bundle, in order) by
+identity, the label and, step by step, the two noise levels, the stage's
+index and size, the boundary action, gamma, and omega when guided. The
+steps a resumed run does take are the ones it would take alone, so its
+result is bitwise its standalone result; its trace records its own omega
 (``docs/DECISIONS.md`` entry 19).
 
 Boundary convention: the boundary belonging to stage i is the first step
@@ -245,10 +245,9 @@ def run(
             and owns; a plain dict. The run resumes from the longest stored
             state whose key matches its own, and stores its state at each
             of ``plan``'s refresh steps and at its end. The result is bitwise
-            the one it would be without a store. A run with a store takes no
-            ``on_step``, since a resumed run skips steps. The store knows a
-            bundle by its seed alone, so runs sharing one must draw from
-            plain :class:`SeededRng` bundles.
+            the one it would be without a store. Only runs given the same
+            denoiser, codec and bundle objects resume one another. A run with
+            a store takes no ``on_step``, since a resumed run skips steps.
 
     Returns one :class:`RunResult` per seed, in the order of ``rngs``.
     """
@@ -272,18 +271,18 @@ def run(
     # stage's first step after the first stage, None elsewhere
     stage_of = [st for st in stages for _ in range(st.first_step, st.last_step)]
     action = [boundary if step == st.first_step > 0 else None for step, st in enumerate(stage_of)]
+    levels = timeline.alpha_bar_at_step.tolist()
 
     start, saves = 0, frozenset()
     if shared is not None:
-        # What step s reads besides the latent entering it: its stage's index
-        # and size, its action and gamma, and omega only when guided. The hex
-        # form keeps -0.0 apart from 0.0, as the guidance combine does.
+        # what step s reads besides its latent; omega's hex form keeps -0.0
+        # apart from 0.0, as the guidance combine does
         reads = [
-            (st.index, st.height, st.width, act, gamma, float(st.omega).hex() if guided else None)
-            for st, act in zip(stage_of, action)
+            (levels[s], levels[s + 1], st.index, st.height, st.width, act, gamma,
+             float(st.omega).hex() if guided else None)
+            for s, (st, act) in enumerate(zip(stage_of, action))
         ]
-        inputs = (id(denoiser), id(codec), id(timeline), label, tuple(r.seed for r in rngs))
-        held = (denoiser, codec, timeline)  # kept with each state, so no other object takes their ids
+        inputs = (denoiser, codec, label, rngs)  # objects by identity, kept alive by the keys
 
         def key(p: int) -> tuple:
             return (inputs, *reads[:p])
@@ -295,7 +294,7 @@ def run(
     energies: list[tuple[list[float], list[float]]] = []
     p_x0: np.ndarray | None = None
     if start:
-        kept, p_x0, kept_energies, _ = shared[key(start)]
+        kept, p_x0, kept_energies = shared[key(start)]
         x = kept.copy()  # the update writes into x
         energies = list(kept_energies)
     else:
@@ -306,7 +305,7 @@ def run(
     def save(p: int) -> None:
         kept = x.copy()
         kept.setflags(write=False)
-        shared[key(p)] = (kept, p_x0, tuple(energies), held)
+        shared[key(p)] = (kept, p_x0, tuple(energies))
 
     def workspace(like: np.ndarray):
         # per-stage prediction buffers, one per guidance branch
@@ -316,7 +315,7 @@ def run(
     for step in range(start, num_steps):
         if step in saves:
             save(step)
-        ab = float(timeline.alpha_bar_at_step[step])
+        ab = levels[step]
         stage = stage_of[step]
         if action[step] is not None:
             h, w = stage.height, stage.width
@@ -349,10 +348,9 @@ def run(
                 eps_tilde = cfg_combine(eps_tilde, eps_cond, stage.omega)
             # gamma moves only the update's levels: both branches above saw
             # the timeline's own level ab, and only ddim_step sees corrected ones
-            ab_next = float(timeline.alpha_bar_at_step[step + 1])
             x, p_x0 = ddim_step(
                 x, eps_tilde, snr_corrected_alpha_bar(ab, gamma),
-                snr_corrected_alpha_bar(ab_next, gamma),
+                snr_corrected_alpha_bar(levels[step + 1], gamma),
             )
         except (ValueError, RuntimeError) as exc:
             raise _failure(exc, step) from exc

@@ -185,7 +185,7 @@ def direct_posterior_mean(prior, x_t, alpha_bar_t, label):
         raise ValueError(f"alpha_bar_t must lie in (0, 1), got {alpha_bar_t}")
     if x_t.shape[0] != prior.channels:
         raise ValueError(f"expected {prior.channels} channels, got {x_t.shape[0]}")
-    stack = prior.stack_for_shape(*x_t.shape[1:])
+    stack = prior.prepare_resolution(*x_t.shape[1:])
     if label is not None:
         mask = np.array([lab == label for lab in prior.labels])
         if not mask.any():

@@ -81,8 +81,9 @@ class TestRefreshResize:
 
 class TestExternalCodec:
     def test_construction_validation(self):
-        with pytest.raises(ValueError, match="empty"):
-            ExternalCodec("")
+        for command in ("", '""'):
+            with pytest.raises(ValueError, match="names no program"):
+                ExternalCodec(command, granularity=1)
         with pytest.raises(ValueError, match="granularity"):
             ExternalCodec("true", granularity=0)
 

@@ -155,6 +155,8 @@ class TestValidation:
             ("[codec]\nresize_method = bicubic\n", "resize_method"),
             ("[codec]\nkind = external\n", "codec.command"),
             ("[codec]\nkind = external\ncommand = vae\ngranularity = 0\n", "granularity"),
+            ('[codec]\nkind = external\ncommand = ""\n', "codec.command: .* names no program"),
+            ("[codec]\nkind = external\ncommand = 'unbalanced\n", "codec.command: No closing"),
             ("[energy]\nvariants = warped\n", "energy.variants"),
             ("[energy]\nomegas = 1, x\n", "energy.omegas"),
             ("[energy]\nomegas = 1, nan\n", "energy.omegas: must be finite"),

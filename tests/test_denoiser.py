@@ -172,7 +172,7 @@ class TestDatasetPrior:
         rng = np.random.default_rng(10)
         points = rng.normal(size=(3, 2, 4, 4))
         prior = DatasetPrior(points, [0] * 3)
-        stack = prior.stack_for_shape(8, 8)
+        stack = prior.prepare_resolution(8, 8)
         want = np.stack([resize_bilinear(LatentGrid(p), 8, 8).data for p in points])
         assert np.array_equal(stack, want) and not stack.flags.writeable
 
@@ -180,7 +180,7 @@ class TestDatasetPrior:
         stack = read_only(np.random.default_rng(9).normal(size=(3, 2, 3, 3)))
         prior = DatasetPrior(stack, [0] * 3)
         assert np.shares_memory(prior.points, stack)
-        assert prior.stack_for_shape(3, 3) is prior.points
+        assert prior.prepare_resolution(3, 3) is prior.points
 
     def test_a_writable_stack_is_copied_read_only(self):
         given = np.random.default_rng(9).normal(size=(3, 2, 3, 3))
@@ -197,8 +197,8 @@ class TestDatasetPrior:
 
     def test_stack_cache_is_reused(self):
         prior = DatasetPrior(_points([1.0, 2.0]), [0, 0])
-        prior.prepare_resolution(3, 3)
-        assert prior.stack_for_shape(3, 3) is prior.stack_for_shape(3, 3)
+        stack = prior.prepare_resolution(3, 3)
+        assert prior.prepare_resolution(3, 3) is stack
 
     def test_predict_eps_consistent_with_the_posterior_mean(self):
         rng = np.random.default_rng(11)
@@ -254,7 +254,7 @@ class TestMatrixFormPosterior:
         got = dataset_posterior_mean(prior, x, ab, label)
         assert got.shape == x.shape
         height, width = x.shape[-2:]
-        stack = prior.stack_for_shape(height, width)
+        stack = prior.prepare_resolution(height, width)
         if label is not None:
             stack = stack[[lab == label for lab in prior.labels]]
         flat = stack.reshape(len(stack), -1)

@@ -46,6 +46,7 @@ from restage.schedule import (
 
 from _toys import (
     BLOCK_CODEC,
+    BoundaryStart,
     CLASS_ZERO,
     CODEC,
     FAILS_ON_INDEX_1,
@@ -576,7 +577,10 @@ class TestSharedStore:
 
     @pytest.mark.parametrize(
         "change, calls",
-        [(None, 0), ("rngs", 24), ("denoiser", 24), ("codec", 24), ("label", 24), ("timeline", 24)],
+        [
+            (None, 0), ("rngs", 24), ("bundle", 24), ("denoiser", 24), ("codec", 24),
+            ("label", 24), ("timeline", 24), ("rebuilt-timeline", 0),
+        ],
     )
     def test_a_store_resumes_only_runs_of_the_same_inputs(self, change, calls):
         plan = _twelve_plan((3.0, 12.0))
@@ -587,19 +591,27 @@ class TestSharedStore:
         )
         run("rectified", plan, **inputs, shared=shared)
         if change is not None:
-            inputs[change] = {
-                "rngs": [SeededRng(81)],
-                "denoiser": _Counting(SHELL),
-                "codec": IdentityCodec(),
-                "label": 1,
-                "timeline": build_timeline(build_schedule(), 12),
+            name, value = {
+                # another SeededRng(80): the objects a run calls count by identity
+                "rngs": ("rngs", [SeededRng(80)]),
+                # seed 80, but its initial latent draws another stream's noise
+                "bundle": ("rngs", [BoundaryStart(SeededRng(80))]),
+                "denoiser": ("denoiser", _Counting(SHELL)),
+                "codec": ("codec", IdentityCodec()),
+                "label": ("label", 1),
+                "timeline": ("timeline", build_timeline(linear_schedule(1e-4, 0.02, 1000), 12)),
+                # a timeline counts by its levels: TWELVE built again resumes
+                "rebuilt-timeline": ("timeline", build_timeline(build_schedule(), 12)),
             }[change]
+            inputs[name] = value
         probe = inputs["denoiser"]
         probe.calls = 0
         got = run("rectified", plan, **inputs, shared=shared)
         assert probe.calls == calls
         want = run("rectified", plan, **inputs)
-        assert all(a.trace == b.trace for a, b in zip(got, want))
+        for a, b in zip(got, want, strict=True):
+            assert a.trace == b.trace
+            assert np.array_equal(_bits(a.final_p_x0), _bits(b.final_p_x0))
 
     @pytest.mark.parametrize(
         "extra, error, match",
