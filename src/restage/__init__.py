@@ -11,9 +11,9 @@ Layout:
     latent      seeded noise, the bilinear resize and its bare holder, energy
     denoiser    exactly solvable denoisers (Gaussian prior, dataset posterior)
     codec       latent/value space mapping, external codec subprocess protocol
-    sampler     the seed-batched sampling loop, variants, affine oracle
+    sampler     the seed-batched sampling loop and its six variants
     analysis    the per-seed energy column and stepwise mean behind `energy-curve`
-    checks      the property and oracle checks of `restage verify` and criteria 01-04
+    checks      the checks of `restage verify` and criteria 01-04, the affine oracle
     tensorfile  the .rhrt binary tensor format
     errors      the config, codec, sampler and tensor-file error types
     config      INI experiment configs

@@ -4,10 +4,9 @@
 call the same functions, so the command and the release criteria cannot
 drift apart. Each check returns a :class:`Check` whose ``detail`` carries
 the measured figures; ``value`` holds the one a test pins, where one does.
-Where the command and the criteria once differed, a check uses the
-criteria's inputs and enforces both tolerances. The closed-form step
-coefficients live here too: the SNR checks are their only users, so the
-sampling commands never load them.
+The closed forms only the checks use live here too, so the sampling
+commands never load them: the step coefficients behind the SNR checks and
+the affine trajectory oracle behind ``oracle-affine``.
 """
 
 from __future__ import annotations
@@ -21,13 +20,13 @@ from . import schedule as sched
 from .codec import IdentityCodec
 from .denoiser import GaussianPrior
 from .latent import SeededRng, gaussian_noise
-from .sampler import affine_trajectory_oracle, noise_refresh, run
+from .sampler import noise_refresh, run
 
 __all__ = [
     "Check", "run_all", "schedule_monotonic", "timeline_endpoints", "ladder_presets",
     "snr_identity", "snr_energy_range", "snr_near_unity", "oracle_affine", "refresh_distribution",
-    "z_test_mean_var", "ddim_step_coefficients", "snr_rewritten_step_coefficients",
-    "snr_energy_coefficient",
+    "z_test_mean_var", "ddim_step_coefficients", "affine_trajectory_oracle",
+    "snr_rewritten_step_coefficients", "snr_energy_coefficient",
 ]
 
 
@@ -112,6 +111,39 @@ def ddim_step_coefficients(alpha_bar_t: float, alpha_bar_prev: float) -> tuple[f
     a = math.sqrt(alpha_bar_prev / alpha_bar_t)
     b = math.sqrt(1.0 - alpha_bar_prev) - math.sqrt(alpha_bar_prev * (1.0 - alpha_bar_t) / alpha_bar_t)
     return a, b
+
+
+def affine_trajectory_oracle(
+    plan: sched.RefreshPlan, timeline: sched.SamplerTimeline, variance: float
+) -> tuple[float, float]:
+    """Gains (noise_gain, mean_gain) of a one-stage run under a Gaussian prior.
+
+    Under N(mean, v * I), v >= 0, the posterior mean is affine in the latent
+    and omega cancels (both branches coincide), so each step is the affine map
+
+        x' = a * x + b * mean,
+        a  = sqrt(ab') * g + sqrt(1 - ab') * (1 - sqrt(ab) * g) / sqrt(1 - ab)
+        b  = sqrt(ab') * (1 - g * sqrt(ab))
+             - sqrt(1 - ab') * sqrt(ab) * (1 - sqrt(ab) * g) / sqrt(1 - ab)
+
+    with g = sqrt(ab) * v / (ab * v + 1 - ab). Their composition, computed
+    apart from the sampler's step code, is the oracle: as the last step
+    (ab' = 1) lands on the clean estimate, final_p_x0 = noise_gain * x_T +
+    mean_gain * mean. At v = 0 the prior is a point; the gains are (0.0, 1.0).
+    """
+    if len(plan.stages) != 1:
+        raise ValueError("the trajectory oracle covers single-resolution plans only")
+    a_total, b_total = 1.0, 0.0
+    for step in range(timeline.num_steps):
+        ab = float(timeline.alpha_bar_at_step[step])
+        ab_p = float(timeline.alpha_bar_at_step[step + 1])
+        g = ab**0.5 * variance / (ab * variance + 1.0 - ab)
+        resid = (1.0 - ab**0.5 * g) / (1.0 - ab) ** 0.5
+        a = ab_p**0.5 * g + (1.0 - ab_p) ** 0.5 * resid
+        b = ab_p**0.5 * (1.0 - g * ab**0.5) - (1.0 - ab_p) ** 0.5 * ab**0.5 * resid
+        a_total = a * a_total
+        b_total = a * b_total + b
+    return a_total, b_total
 
 
 def snr_rewritten_step_coefficients(
@@ -206,12 +238,12 @@ def oracle_affine() -> Check:
     plan = sched.build_plan(ladder, timeline)
     prior = GaussianPrior(np.full((2, 8, 8), 0.4), 1.3)
     codec = IdentityCodec()
-    oracle = affine_trajectory_oracle(plan, timeline, prior)
+    noise_gain, mean_gain = affine_trajectory_oracle(plan, timeline, prior.variance)
     rngs = [SeededRng(9000 + k) for k in range(100)]
     worst = 0.0
     for rng, got in zip(rngs, run("baseline", plan, timeline, prior, codec, None, rngs)):
         noise = gaussian_noise(2, 8, 8, rng.stream("init"))
-        want = oracle.noise_gain * noise + oracle.mean_gain * prior.mean
+        want = noise_gain * noise + mean_gain * prior.mean
         denom = max(float(np.abs(want).max()), 1e-12)
         worst = max(worst, float(np.abs(got.final_p_x0 - want).max()) / denom)
 

@@ -74,7 +74,7 @@ class GaussianPrior(Denoiser):
                  * (x_t - sqrt(ab) * mean)
 
     which is affine in x_t; a whole run under this prior composes to one
-    affine map, the basis of the trajectory oracle in the sampler module.
+    affine map, the basis of ``restage.checks.affine_trajectory_oracle``.
 
     The prior carries no class structure, so both guidance branches
     coincide and the label argument has no effect on the output.

@@ -85,7 +85,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .codec import refresh_resize
-from .denoiser import Denoiser, GaussianPrior, cfg_combine
+from .denoiser import Denoiser, cfg_combine
 from .errors import CodecError, SamplerError
 from .latent import LatentGrid, SeededRng, average_energy, gaussian_noise, resize_bilinear
 from .schedule import RefreshPlan, SamplerTimeline, Stage, snr_corrected_alpha_bar
@@ -97,8 +97,6 @@ __all__ = [
     "ddim_step",
     "noise_refresh",
     "run",
-    "AffineTrajectory",
-    "affine_trajectory_oracle",
 ]
 
 VARIANTS = (
@@ -383,48 +381,3 @@ def run(
         )
         for b, row in enumerate(p_x0)
     )
-
-
-class AffineTrajectory(NamedTuple):
-    """A whole run collapsed to final_p_x0 = noise_gain * x_T + mean_gain * mean."""
-
-    noise_gain: float
-    mean_gain: float
-
-
-def affine_trajectory_oracle(
-    plan: RefreshPlan, timeline: SamplerTimeline, prior: GaussianPrior
-) -> AffineTrajectory:
-    """Closed-form description of a single-resolution run under a Gaussian prior.
-
-    Because the Gaussian posterior mean is affine in the latent and both
-    guidance branches coincide (so omega cancels), every step is the scalar
-    affine map
-
-        x' = a * x + b * mean,
-        a  = sqrt(ab') * g + sqrt(1 - ab') * (1 - sqrt(ab) * g) / sqrt(1 - ab)
-        b  = sqrt(ab') * (1 - g * sqrt(ab))
-             - sqrt(1 - ab') * sqrt(ab) * (1 - sqrt(ab) * g) / sqrt(1 - ab)
-
-    with g = sqrt(ab) * v / (ab * v + 1 - ab), and the run is their
-    composition. The composition is computed directly from these formulas,
-    independently of the sampler's step code, which is what makes it usable
-    as an oracle. The final step (ab' = 1) lands on the clean estimate, so
-    the composed map describes final_p_x0.
-    """
-    if len(plan.stages) != 1:
-        raise ValueError("the trajectory oracle covers single-resolution plans only")
-    if not isinstance(prior, GaussianPrior):
-        raise TypeError("the trajectory oracle requires a GaussianPrior denoiser")
-    v = prior.variance
-    a_total, b_total = 1.0, 0.0
-    for step in range(timeline.num_steps):
-        ab = float(timeline.alpha_bar_at_step[step])
-        ab_p = float(timeline.alpha_bar_at_step[step + 1])
-        g = ab**0.5 * v / (ab * v + 1.0 - ab)
-        resid = (1.0 - ab**0.5 * g) / (1.0 - ab) ** 0.5
-        a = ab_p**0.5 * g + (1.0 - ab_p) ** 0.5 * resid
-        b = ab_p**0.5 * (1.0 - g * ab**0.5) - (1.0 - ab_p) ** 0.5 * ab**0.5 * resid
-        a_total = a * a_total
-        b_total = a * b_total + b
-    return AffineTrajectory(noise_gain=a_total, mean_gain=b_total)

@@ -42,6 +42,8 @@ def write_tensor(path: str | Path, values: np.ndarray) -> None:
     arr = np.asarray(values)
     if arr.ndim < 1 or arr.ndim > MAX_NDIM:
         raise TensorFormatError(f"tensor rank must be 1..{MAX_NDIM}, got {arr.ndim}")
+    if 0 in arr.shape:  # the reader refuses an empty dimension
+        raise TensorFormatError(f"dimension {arr.shape.index(0)} is zero")
     with np.errstate(over="ignore"):  # an overflow is refused below, not warned about
         payload = np.ascontiguousarray(arr, dtype=np.float32)
     if not np.all(np.isfinite(payload)):

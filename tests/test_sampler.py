@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from restage import sampler
-from restage.checks import z_test_mean_var
+from restage.checks import affine_trajectory_oracle, z_test_mean_var
 from restage.codec import ExternalCodec, IdentityCodec
 from restage.denoiser import DatasetPrior, Denoiser, GaussianPrior, cfg_combine
 from restage.errors import SamplerError
@@ -30,7 +30,6 @@ from restage.latent import (
 )
 from restage.sampler import (
     VARIANTS,
-    affine_trajectory_oracle,
     ddim_step,
     noise_refresh,
     run,
@@ -792,41 +791,46 @@ class TestAffineOracle:
             timeline,
         )
         v = 1.3
-        prior = GaussianPrior(np.full((1, 2, 2), 0.4), v)
-        oracle = affine_trajectory_oracle(plan, timeline, prior)
+        noise_gain, mean_gain = affine_trajectory_oracle(plan, timeline, v)
         g = np.sqrt(0.5) * v / (0.5 * v + 0.5)
-        assert oracle.noise_gain == pytest.approx(g, rel=1e-15)
-        assert oracle.mean_gain == pytest.approx(1.0 - g * np.sqrt(0.5), rel=1e-15)
+        assert noise_gain == pytest.approx(g, rel=1e-15)
+        assert mean_gain == pytest.approx(1.0 - g * np.sqrt(0.5), rel=1e-15)
 
     def test_gain_identity_from_the_fixed_point(self):
         # starting at sqrt(ab_0) * mean keeps the trajectory on the mean, so
         # noise_gain * sqrt(ab_0) + mean_gain must equal 1
         root_ab0 = np.sqrt(float(TIMELINE.alpha_bar_at_step[0]))
         for variance in (0.3, 1.0, 2.7):
-            prior = _gaussian(variance=variance)
-            oracle = affine_trajectory_oracle(single_plan(2.0), TIMELINE, prior)
-            assert oracle.noise_gain * root_ab0 + oracle.mean_gain == pytest.approx(
-                1.0, abs=1e-12
-            )
+            noise_gain, mean_gain = affine_trajectory_oracle(single_plan(2.0), TIMELINE, variance)
+            assert noise_gain * root_ab0 + mean_gain == pytest.approx(1.0, abs=1e-12)
 
-    def test_rejects_staged_plans_and_point_priors(self):
+    def test_rejects_staged_plans(self):
         with pytest.raises(ValueError, match="single-resolution"):
-            affine_trajectory_oracle(staged_plan(2.0, 2.0), TIMELINE, _gaussian())
-        dataset = DatasetPrior(np.zeros((1, 4, 16, 16)), [0])
-        with pytest.raises(TypeError, match="GaussianPrior"):
-            affine_trajectory_oracle(single_plan(2.0), TIMELINE, dataset)
+            affine_trajectory_oracle(staged_plan(2.0, 2.0), TIMELINE, 1.0)
+
+    def test_zero_variance_lands_every_run_on_the_point(self):
+        # a prior concentrated on its mean: the oracle sends every x_T there,
+        # and so do runs of a dataset prior whose points all coincide
+        assert affine_trajectory_oracle(single_plan(3.0), TIMELINE, 0.0) == (0.0, 1.0)
+        point = np.array([0.3, -1.2, 0.0, 2.5])[:, None, None] * np.ones((4, 16, 16))
+        rngs = [SeededRng(800 + k) for k in range(5)]
+        for n in (1, 8):
+            prior = DatasetPrior(np.repeat(point[None], n, axis=0), [CLASS_ZERO] * n)
+            for label in (None, CLASS_ZERO):
+                for got in run("baseline", single_plan(3.0), TIMELINE, prior, CODEC, label, rngs):
+                    assert float(np.abs(got.final_p_x0 - point).max()) <= 1e-12
 
     def test_matches_full_runs_at_odd_settings(self):
         rng = np.random.default_rng(35)
         mean = rng.normal(0.1, 0.5, size=(3, 6, 6))
         prior = GaussianPrior(mean, 0.9)
         plan = single_plan(2.5, 6, 6)
-        oracle = affine_trajectory_oracle(plan, TIMELINE, prior)
+        noise_gain, mean_gain = affine_trajectory_oracle(plan, TIMELINE, prior.variance)
         for k in range(10):
             srng = SeededRng(700 + k)
             noise = gaussian_noise(3, 6, 6, srng.stream("init"))
             (got,) = run("baseline", plan, TIMELINE, prior, CODEC, None, [srng])
-            want = oracle.noise_gain * noise + oracle.mean_gain * mean
+            want = noise_gain * noise + mean_gain * mean
             denom = max(float(np.abs(want).max()), 1e-12)
             assert float(np.abs(got.final_p_x0 - want).max()) / denom < 1e-9
 
@@ -845,12 +849,12 @@ class TestRunDistribution:
             timeline,
         )
         prior = GaussianPrior(np.full((1, 2, 2), 0.7), 1.3)
-        oracle = affine_trajectory_oracle(plan, timeline, prior)
+        noise_gain, mean_gain = affine_trajectory_oracle(plan, timeline, prior.variance)
         rngs = [SeededRng(50_000 + k) for k in range(3000)]
         results = run("baseline", plan, timeline, prior, CODEC, None, rngs)
         residuals = np.array(
-            [(result.final_p_x0 - oracle.mean_gain * 0.7).ravel() for result in results]
+            [(result.final_p_x0 - mean_gain * 0.7).ravel() for result in results]
         )
-        z, ratio = z_test_mean_var(residuals, 0.0, oracle.noise_gain**2)
+        z, ratio = z_test_mean_var(residuals, 0.0, noise_gain**2)
         assert abs(z) < 4.0
         assert 0.9 < ratio < 1.1

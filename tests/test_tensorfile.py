@@ -57,6 +57,16 @@ class TestWriteValidation:
             write_grid(tmp_path / "g.rhrt", np.zeros(shape))
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        ("write", "shape", "dim"),
+        [(write_tensor, (0, 3), 0), (write_grid, (4, 0, 3), 1), (write_grid, (4, 2, 0), 2)],
+    )
+    def test_empty_dimension_rejected_before_writing(self, tmp_path, write, shape, dim):
+        # the reader refuses a zero dimension, so the writer writes no such file
+        with pytest.raises(TensorFormatError, match=f"dimension {dim} is zero"):
+            write(tmp_path / "t.rhrt", np.zeros(shape))
+        assert list(tmp_path.iterdir()) == []
+
     def test_rank_zero_rejected(self, tmp_path):
         with pytest.raises(TensorFormatError, match="rank"):
             write_tensor(tmp_path / "t.rhrt", np.float64(1.0))
