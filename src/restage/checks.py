@@ -236,7 +236,7 @@ def oracle_affine() -> Check:
         m_omega=1.0, resolutions=((8, 8),),
     )
     plan = sched.build_plan(ladder, timeline)
-    prior = GaussianPrior(np.full((2, 8, 8), 0.4), 1.3)
+    prior = GaussianPrior([0.4, 0.4], 1.3)
     codec = IdentityCodec()
     noise_gain, mean_gain = affine_trajectory_oracle(plan, timeline, prior.variance)
     rngs = [SeededRng(9000 + k) for k in range(100)]

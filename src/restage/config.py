@@ -332,8 +332,7 @@ def build_denoiser(config: ExperimentConfig) -> tuple[Denoiser, int | None]:
     """
     spec = config.denoiser
     if spec.kind == "gaussian":
-        h, w = config.ladder.resolutions[0]
-        return GaussianPrior(np.full((4, h, w), spec.mean_value), spec.variance), None
+        return GaussianPrior(np.full(4, spec.mean_value), spec.variance), None
     try:
         arr = read_tensor(spec.path)
     except (OSError, TensorFormatError) as exc:

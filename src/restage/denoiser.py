@@ -14,7 +14,9 @@ retained-signal fraction. A denoiser holds no timeline: ``sampler.run`` reads
 each step's level from the run's timeline and passes it in.
 
 Latents are (B, C, H, W) batches or single (C, H, W) arrays; each latent
-of a batch is predicted on its own.
+of a batch is predicted on its own, at whatever resolution it has. The
+Gaussian prior's mean is one value per channel, the same at every
+resolution; the point-set prior resamples its points to the queried one.
 """
 
 from __future__ import annotations
@@ -79,43 +81,34 @@ class GaussianPrior(Denoiser):
     The prior carries no class structure, so both guidance branches
     coincide and the label argument has no effect on the output.
 
-    ``mean`` is a non-empty (C, H, W) array of finite values, checked here
-    and kept as a read-only float64 copy. When queried at a resolution other
-    than the stored mean's, each channel's spatial mean value is broadcast
-    to the queried shape.
+    ``means`` holds one finite value per channel, a non-empty 1-D sequence,
+    checked here and kept as a read-only float64 (C, 1, 1) copy, ``mean``.
+    Every resolution sees those values: the mean is constant over each
+    channel, so every stage of a ladder samples one model.
     """
 
-    def __init__(self, mean: np.ndarray, variance: float):
-        mean = np.array(mean, dtype=np.float64)  # a copy the caller cannot write through
-        if mean.ndim != 3 or mean.size == 0:
-            raise ValueError(f"prior mean must be a non-empty (C, H, W) array, got shape {mean.shape}")
+    def __init__(self, means, variance: float):
+        mean = np.array(means, dtype=np.float64)  # a copy the caller cannot write through
+        if mean.ndim != 1 or mean.size == 0:
+            raise ValueError(f"prior means must be a non-empty 1-D sequence, got shape {mean.shape}")
         if not np.isfinite(mean).all():
-            raise ValueError("prior mean contains non-finite values")
+            raise ValueError("prior means contain non-finite values")
         if not variance > 0:
             raise ValueError(f"variance must be positive, got {variance}")
-        mean.setflags(write=False)
-        self.mean = mean
+        self.mean = mean[:, None, None]
+        self.mean.setflags(write=False)
         self.variance = float(variance)
-        self.channels = mean.shape[0]
-        self._channel_means = mean.mean(axis=(1, 2))
-
-    def mean_for_shape(self, height: int, width: int) -> np.ndarray:
-        if (height, width) == self.mean.shape[1:]:
-            return self.mean
-        return np.broadcast_to(
-            self._channel_means[:, None, None], (self.channels, height, width)
-        )
+        self.channels = len(mean)
 
     def predict_eps(
         self, x_t: np.ndarray, alpha_bar: float, label: int | None, out: np.ndarray | None = None
     ) -> np.ndarray:
         ab = alpha_bar
-        mean = self.mean_for_shape(*x_t.shape[-2:])
         gain = np.sqrt(ab) * self.variance / (ab * self.variance + 1.0 - ab)
         # x0_hat = mean + gain * (x_t - sqrt(ab) * mean), rounded alike, in out
-        x0_hat = np.subtract(x_t, np.sqrt(ab) * mean, out=out)
+        x0_hat = np.subtract(x_t, np.sqrt(ab) * self.mean, out=out)
         x0_hat *= gain
-        x0_hat += mean
+        x0_hat += self.mean
         return _eps_from_x0_hat(x_t, x0_hat, ab)
 
 

@@ -34,10 +34,10 @@ latent a run starts from is drawn from its seeds' streams as a plain array;
 a latent-resize boundary wraps the batch in a bare :class:`LatentGrid`
 holder only to resize it. Finiteness is screened once per step through the
 two energies the trace records; only a non-finite energy triggers the
-element-wise check, which fails the run naming the step and the seed. The
-energies are observers: each is one BLAS dot product per seed, and only
-the trace and that screen read them, never a tensor
-(``docs/DECISIONS.md`` entry 20).
+element-wise check of that seed's p_x0, which fails the run naming the
+step and the seed. The energies are observers: each is one BLAS dot
+product per seed, and only the trace and that screen read them, never a
+tensor (``docs/DECISIONS.md`` entry 20).
 
 Runs that share steps can share their computation. A caller passes the
 same ``shared`` store, a plain dict it owns, to each of them. A run with a
@@ -336,10 +336,6 @@ def run(
         p_x0 = None
         try:
             energy_in = average_energy(x)
-            # the update overwrites x, so screen the latent entering the step now
-            bad_in = {
-                b for b in np.flatnonzero(~np.isfinite(energy_in)) if not np.isfinite(x[b]).all()
-            }
             eps_tilde = denoiser.predict_eps(x, ab, None, out=eps_u)
             if guided:
                 eps_cond = denoiser.predict_eps(x, ab, label, out=eps_c)
@@ -354,10 +350,10 @@ def run(
             raise _failure(exc, step) from exc
         p_x0.setflags(write=False)
         p_x0_energy = average_energy(p_x0)
-        # A non-finite prediction reaches p_x0, so finite energy sums clear
-        # the step; an infinite one of finite values is an overflow.
+        # A non-finite value in x or in the prediction reaches p_x0, so finite
+        # energy sums clear the step; an infinite one of finite values is an overflow.
         for b in np.flatnonzero(~np.isfinite(energy_in + p_x0_energy)):
-            if b in bad_in or not np.isfinite(p_x0[b]).all():
+            if not np.isfinite(p_x0[b]).all():
                 raise _failure("latent grid contains non-finite values", step, rngs[b].seed)
             raise _failure("latent energy overflows float64", step, rngs[b].seed)
         energies.append((energy_in.tolist(), p_x0_energy.tolist()))

@@ -216,10 +216,11 @@ def direct_cfg_combine(eps_uncond, eps_cond, omega):
     return eps_uncond + omega * (eps_cond - eps_uncond)
 
 
-def direct_gaussian_eps(prior, x_t, ab):
-    """GaussianPrior's prediction at level ``ab`` through a new x0_hat array."""
-    mean = prior.mean_for_shape(*x_t.shape[-2:])
-    gain = np.sqrt(ab) * prior.variance / (ab * prior.variance + 1.0 - ab)
+def direct_gaussian_eps(means, variance, x_t, ab):
+    """GaussianPrior's prediction at level ``ab`` through a new x0_hat array,
+    for one mean per channel."""
+    mean = np.asarray(means, dtype=np.float64)[:, None, None]
+    gain = np.sqrt(ab) * variance / (ab * variance + 1.0 - ab)
     x0_hat = mean + gain * (x_t - np.sqrt(ab) * mean)
     return (x_t - np.sqrt(ab) * x0_hat) / np.sqrt(1.0 - ab)
 

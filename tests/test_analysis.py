@@ -17,7 +17,7 @@ from _toys import CODEC, TIMELINE, monotonicity_stat, p_x0_mse_series, single_pl
 
 class TestTraceFromRun:
     def test_from_a_run(self):
-        prior = GaussianPrior(np.full((4, 16, 16), 0.2), 1.0)
+        prior = GaussianPrior(np.full(4, 0.2), 1.0)
         (result,) = run(
             "baseline", single_plan(2.0), TIMELINE, prior, CODEC, None, [SeededRng(1)]
         )

@@ -159,7 +159,7 @@ class TestExternalCodec:
     def test_a_command_that_cannot_start_names_its_step_and_seed(self, tmp_path, codec_tmp):
         codec = ExternalCodec(str(tmp_path / "no-such-codec"), granularity=1)
         plan = staged_plan(2.0, 6.0)
-        prior = GaussianPrior(np.full((4, 16, 16), 0.2), 1.0)
+        prior = GaussianPrior(np.full(4, 0.2), 1.0)
         with pytest.raises(SamplerError, match="decode command could not start") as info:
             run("rectified", plan, TIMELINE, prior, codec, None, [SeededRng(31), SeededRng(32)])
         assert info.value.step == plan.refresh_steps[0]

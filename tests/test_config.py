@@ -12,9 +12,10 @@ from restage.codec import ExternalCodec, IdentityCodec
 from restage.config import build_codec, build_denoiser, load_config
 from restage.denoiser import DatasetPrior, GaussianPrior
 from restage.errors import ConfigError
+from restage.latent import SeededRng, gaussian_noise
 from restage.tensorfile import read_grid, write_tensor
 
-from _toys import BLOCK_CODEC, codec_stub
+from _toys import BLOCK_CODEC, codec_stub, direct_gaussian_eps
 
 MINIMAL = """\
     [schedule]
@@ -270,12 +271,18 @@ class TestEnergySection:
 
 
 class TestBuildDenoiser:
-    def test_gaussian_prior_at_the_base_resolution(self, tmp_path):
-        config = _load(tmp_path, MINIMAL + "[denoiser]\nmean_value = 0.25\nvariance = 1.5\n")
+    def test_gaussian_prior_has_the_configured_mean_at_every_stage(self, tmp_path):
+        # every stage of the 16 -> 32 ladder predicts with exactly 0.1; the
+        # average of a 16x16 field of 0.1 reads 0.1 + 1.39e-17
+        config = _load(tmp_path, MINIMAL + "[denoiser]\nmean_value = 0.1\nvariance = 1.5\n")
         denoiser, label = build_denoiser(config)
         assert isinstance(denoiser, GaussianPrior)
-        assert denoiser.mean.shape == (4, 16, 16)
-        assert np.all(denoiser.mean == 0.25)
+        for size in (16, 32):
+            x = gaussian_noise(4, size, size, SeededRng(size).stream("init"))
+            want = direct_gaussian_eps([0.1] * 4, 1.5, x, 0.37)
+            got = denoiser.predict_eps(x, 0.37, None)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert denoiser.mean.shape == (4, 1, 1) and np.all(denoiser.mean == 0.1)
         assert denoiser.variance == 1.5
         assert label is None
 

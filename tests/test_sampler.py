@@ -9,6 +9,7 @@ are held bit for bit to the direct forms kept in ``_toys``.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 
 import numpy as np
@@ -131,17 +132,14 @@ class TestInPlaceKernels:
     @given(
         pair=branch_pairs(),
         step=st.integers(0, TIMELINE.num_steps - 1),
-        native=st.booleans(),
         variance=st.floats(1e-3, 1e3),
     )
-    def test_gaussian_prediction_matches_the_direct_form(self, pair, step, native, variance):
+    def test_gaussian_prediction_matches_the_direct_form(self, pair, step, variance):
         x, m = pair
-        _, c, h, w = x.shape
-        # at another resolution the prior broadcasts its channel means
-        mean = m[0] if native else np.resize(m[0], (c, h + 1, w + 2))
-        prior = GaussianPrior(mean, variance)
+        means = m[0, :, 0, 0]  # one per channel, broadcast over x's rows and grid
+        prior = GaussianPrior(means, variance)
         ab = float(TIMELINE.alpha_bar_at_step[step])
-        want = direct_gaussian_eps(prior, x, ab)
+        want = direct_gaussian_eps(means, variance, x, ab)
         out = np.empty_like(x)
         assert prior.predict_eps(x, ab, None, out=out) is out
         assert np.array_equal(_bits(out), _bits(want))
@@ -183,8 +181,8 @@ class TestNoiseRefresh:
             noise_refresh(p[None], CODEC, 4, 4, 0.5, [eps, eps])
 
 
-def _gaussian(channels=4, height=16, width=16, value=0.2, variance=1.0):
-    return GaussianPrior(np.full((channels, height, width), value), variance)
+def _gaussian():
+    return GaussianPrior(np.full(4, 0.2), 1.0)
 
 
 class _Draws:
@@ -271,7 +269,7 @@ class TestRunBasics:
                     raise ValueError("synthetic failure")
                 return super().predict_eps(x_t, alpha_bar, label, out)
 
-        prior = Exploding(np.full((4, 16, 16), 0.2), 1.0)
+        prior = Exploding(np.full(4, 0.2), 1.0)
         with pytest.raises(SamplerError, match="step 7") as info:
             run("baseline", single_plan(2.0), TIMELINE, prior, CODEC, None, [SeededRng(29)])
         assert info.value.step == 7
@@ -335,7 +333,7 @@ class TestLevelContract:
                 return super().predict_eps(x_t, alpha_bar, label, out)
 
         assert SEVEN_PLAN.refresh_steps == (4,)
-        prior = Recording(np.full((4, 4, 4), 0.2), 1.0)
+        prior = Recording(np.full(4, 0.2), 1.0)
         run(variant, SEVEN_PLAN, SEVEN, prior, CODEC, label, [SeededRng(60), SeededRng(61)])
         # snr-corrected too: its corrected levels go to the update, not the denoiser
         branches = (None, label) if label is not None else (None,)
@@ -351,7 +349,7 @@ class TestLevelContract:
         broken = SamplerTimeline(7, SEVEN.step_to_train_t, levels)
         with warnings.catch_warnings(), pytest.raises(SamplerError) as info:
             warnings.simplefilter("ignore")
-            run(variant, SEVEN_PLAN, broken, _gaussian(4, 4, 4), CODEC, None, [SeededRng(62)])
+            run(variant, SEVEN_PLAN, broken, _gaussian(), CODEC, None, [SeededRng(62)])
         assert info.value.step == 4
         assert "non-finite" in str(info.value)
 
@@ -392,7 +390,7 @@ class TestGridsAtTheEdges:
                     eps[1] = np.nan  # the second seed's row only
                 return eps
 
-        prior = Poisoned(np.full((4, 16, 16), 0.2), 1.0)
+        prior = Poisoned(np.full(4, 0.2), 1.0)
         rngs = [SeededRng(41), SeededRng(1041), SeededRng(2041)]
         with pytest.raises(SamplerError, match="step 7, seed 1041") as info:
             run("baseline", single_plan(2.0), TIMELINE, prior, CODEC, None, rngs)
@@ -430,7 +428,7 @@ class TestGridsAtTheEdges:
         plan = build_plan(ladder(2, 2.0, 2.0, ((4, 4), (8, 8))), TIMELINE)
         rngs = [SeededRng(43), SeededRng(1043), SeededRng(2043)]
         with pytest.raises(SamplerError, match="step 40, seed 1043: decode command") as info:
-            run("rectified", plan, TIMELINE, _gaussian(4, 4, 4), codec, None, rngs)
+            run("rectified", plan, TIMELINE, _gaussian(), codec, None, rngs)
         assert (info.value.step, info.value.seed) == (40, 1043)
         assert list(codec_tmp.iterdir()) == []
 
@@ -459,7 +457,7 @@ def _noise_entering(rngs):
         return noise_refresh(p_x0, codec, height, width, alpha_bar_prev, eps)
 
     plan = build_plan(ladder(3, 2.0, 2.0, ((4, 4), (8, 8), (12, 12))), TIMELINE)
-    prior = Recording(np.full((4, 4, 4), 0.2), 1.0)
+    prior = Recording(np.full(4, 0.2), 1.0)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sampler, "noise_refresh", recording_refresh)
         run("rectified", plan, TIMELINE, prior, CODEC, None, rngs)
@@ -555,7 +553,7 @@ class TestSharedStore:
     def test_each_curve_matches_its_standalone_run(self, scales, gaussian, guided, seeds, data):
         # each plan's scales are staged, flat, or held over the first two stages
         plans = [_twelve_plan(omegas) for omegas in scales]
-        prior = _gaussian(height=8, width=8) if gaussian else SHELL
+        prior = _gaussian() if gaussian else SHELL
         label = CLASS_ZERO if guided else None
         every = [(v, k) for v in VARIANTS for k in range(len(plans))]
         curves = data.draw(st.permutations(every)) + data.draw(
@@ -663,7 +661,7 @@ class TestEnergiesAreObservers:
     @pytest.mark.parametrize("guided", [False, True], ids=["unguided", "guided"])
     @pytest.mark.parametrize("gaussian", [True, False], ids=["gaussian", "shell"])
     def test_scaled_energies_change_no_tensor(self, monkeypatch, gaussian, guided, store):
-        prior = _gaussian(height=8, width=8) if gaussian else SHELL
+        prior = _gaussian() if gaussian else SHELL
         label = CLASS_ZERO if guided else None
         plain = self._runs(prior, label, store)
         energy = sampler.average_energy
@@ -810,27 +808,42 @@ class TestAffineOracle:
 
     def test_zero_variance_lands_every_run_on_the_point(self):
         # a prior concentrated on its mean: the oracle sends every x_T there,
-        # and so do runs of a dataset prior whose points all coincide
+        # and so does every run, staged or not, of a dataset prior whose
+        # points all coincide, except snr-corrected, whose update does not see
+        # the level its denoiser saw. Constant per channel, that point is a
+        # Gaussian prior of vanishing variance at every stage, energies included.
         assert affine_trajectory_oracle(single_plan(3.0), TIMELINE, 0.0) == (0.0, 1.0)
-        point = np.array([0.3, -1.2, 0.0, 2.5])[:, None, None] * np.ones((4, 16, 16))
+        values = np.array([0.3, -1.2, 0.0, 2.5])
+        point = values[:, None, None] * np.ones((4, 8, 8))
+        gaussian = GaussianPrior(values, 1e-300)
         rngs = [SeededRng(800 + k) for k in range(5)]
-        for n in (1, 8):
-            prior = DatasetPrior(np.repeat(point[None], n, axis=0), [CLASS_ZERO] * n)
-            for label in (None, CLASS_ZERO):
-                for got in run("baseline", single_plan(3.0), TIMELINE, prior, CODEC, label, rngs):
-                    assert float(np.abs(got.final_p_x0 - point).max()) <= 1e-12
+        ladders = (((8, 8), (16, 16)), ((8, 8), (12, 12), (16, 16)))
+        for resolutions, variant, label in itertools.product(ladders, VARIANTS, (None, CLASS_ZERO)):
+            plan = build_plan(ladder(len(resolutions), 2.0, 6.0, resolutions), TIMELINE)
+            want = run(variant, plan, TIMELINE, gaussian, CODEC, label, rngs)
+            for n in (1, 8):
+                prior = DatasetPrior(np.repeat(point[None], n, axis=0), [CLASS_ZERO] * n)
+                for g, w in zip(run(variant, plan, TIMELINE, prior, CODEC, label, rngs), want):
+                    if variant != "snr-corrected":
+                        assert float(np.abs(g.final_p_x0 - point[:, :1, :1]).max()) <= 1e-12
+                    diff = float(np.abs(g.final_p_x0 - w.final_p_x0).max())
+                    assert diff <= 1e-12 * float(np.abs(w.final_p_x0).max())
+                    energies = [(r.latent_energy, r.p_x0_energy) for r in g.trace]
+                    assert energies == pytest.approx(
+                        [(r.latent_energy, r.p_x0_energy) for r in w.trace], rel=1e-12, abs=0
+                    )
 
     def test_matches_full_runs_at_odd_settings(self):
         rng = np.random.default_rng(35)
-        mean = rng.normal(0.1, 0.5, size=(3, 6, 6))
-        prior = GaussianPrior(mean, 0.9)
+        means = rng.normal(0.1, 0.5, size=3)
+        prior = GaussianPrior(means, 0.9)
         plan = single_plan(2.5, 6, 6)
         noise_gain, mean_gain = affine_trajectory_oracle(plan, TIMELINE, prior.variance)
         for k in range(10):
             srng = SeededRng(700 + k)
             noise = gaussian_noise(3, 6, 6, srng.stream("init"))
             (got,) = run("baseline", plan, TIMELINE, prior, CODEC, None, [srng])
-            want = noise_gain * noise + mean_gain * mean
+            want = noise_gain * noise + mean_gain * means[:, None, None]
             denom = max(float(np.abs(want).max()), 1e-12)
             assert float(np.abs(got.final_p_x0 - want).max()) / denom < 1e-9
 
@@ -848,7 +861,7 @@ class TestRunDistribution:
             ),
             timeline,
         )
-        prior = GaussianPrior(np.full((1, 2, 2), 0.7), 1.3)
+        prior = GaussianPrior([0.7], 1.3)
         noise_gain, mean_gain = affine_trajectory_oracle(plan, timeline, prior.variance)
         rngs = [SeededRng(50_000 + k) for k in range(3000)]
         results = run("baseline", plan, timeline, prior, CODEC, None, rngs)
