@@ -16,8 +16,8 @@ a worker process (``docs/DECISIONS.md`` entry 21). Each step s:
 ``run`` alone reads levels from the timeline, and hands each step's to the
 boundary refresh, both denoiser branches and the update. The kernels
 it calls trust the levels and shapes it passes and check neither: the
-timeline was checked when built and the shapes at the run's entry, and the
-per-step energy screen still fails a bad value at its step.
+timeline was checked when built, each latent is drawn at its stage's size
+from the seeds' streams, and the energy screen fails a bad value at its step.
 
 Inside a step the latents, both predictions and the clean estimates are
 plain float64 ndarrays, one row per seed; every step function acts row by

@@ -12,16 +12,19 @@ Gaussian prediction that the in-place step kernel must match bit for bit,
 the one-seed noise refresh that the batched boundary must match, the
 one-grid resize that the channel-stack resize must match, and the pairwise
 mean that the per-seed energies must agree with to rounding. Then
-the two statistics only criteria 07 and 08 use, and last, external codec
-stubs: scripts speaking the codec file protocol, and a reader of the
-concurrency one of them logs.
+the two statistics only criteria 07 and 08 use, external codec stubs:
+scripts speaking the codec file protocol, and a reader of the concurrency
+one of them logs. Last, the loader through which the tests read the bench's
+modules, among them the bench's independent reference run.
 """
 
 from __future__ import annotations
 
+import importlib
 import math
 import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 
@@ -416,3 +419,18 @@ def most_at_once(log) -> int:
         running += delta
         peak = max(peak, running)
     return peak
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def bench_module(name: str):
+    """``bench/<name>.py``, imported under its own name as ``python3
+    bench/run.py`` imports it, with the bench directory on the path only
+    while it loads. So ``bench/checks.py``'s ``from workloads import ...``
+    resolves, and the bench's own tests get the same module objects."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        return importlib.import_module(name)
+    finally:
+        sys.path.remove(str(BENCH))

@@ -4,22 +4,21 @@ a rename or a signature change fails here instead of in ``bench/run.py``.
 ``bench/tracer.py`` wraps restage functions by name, ``bench/checks.py``
 imports the resize and the seeded streams for its reference, and
 ``bench/workloads.py`` copies the variant names into energy-sweep's curves.
-The bench modules are read from their files; nothing is wrapped or run."""
+The bench modules are read from their files; nothing is wrapped or run here.
+``tests/test_sampler.py`` calls the bench's reference run itself, and holds
+``run`` to it."""
 
 from __future__ import annotations
 
 import ast
 import importlib
-import importlib.util
-import sys
-from pathlib import Path
 
 import numpy as np
 
 from restage.latent import LatentGrid, resize_bilinear
 from restage.sampler import VARIANTS
 
-_BENCH = Path(__file__).resolve().parent.parent / "bench"
+from _toys import BENCH, bench_module
 
 
 def _resolves(location: str, attr: str) -> bool:
@@ -30,22 +29,14 @@ def _resolves(location: str, attr: str) -> bool:
     return callable(getattr(owner, attr, None))
 
 
-def _bench_module(name: str):
-    spec = importlib.util.spec_from_file_location(f"_bench_{name}", _BENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up here
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_every_traced_name_resolves_to_a_callable():
-    tracer = _bench_module("tracer")
+    tracer = bench_module("tracer")
     missing = [f"{loc}.{attr}" for loc, attr, _, _ in tracer.WRAPS if not _resolves(loc, attr)]
     assert len(tracer.WRAPS) > 0 and missing == []
 
 
 def test_every_name_the_reference_check_imports_resolves():
-    tree = ast.parse((_BENCH / "checks.py").read_text(encoding="utf-8"))
+    tree = ast.parse((BENCH / "checks.py").read_text(encoding="utf-8"))
     borrowed = [
         (node.module, alias.name)
         for node in ast.walk(tree)
@@ -69,4 +60,4 @@ def test_the_reference_check_resizes_a_grid_as_it_calls_it():
 
 def test_the_energy_sweep_runs_every_variant():
     # a renamed variant would otherwise drop out of energy-sweep's curves unseen
-    assert _bench_module("workloads").CURVE_LABELS == VARIANTS
+    assert bench_module("workloads").CURVE_LABELS == VARIANTS

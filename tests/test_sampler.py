@@ -1,15 +1,18 @@
 """Step updates, boundary actions, full runs, and the closed-form run oracle.
 
-The replication tests rebuild a whole staged run out of public pieces
-(predict_eps, ddim_step, noise_refresh, resize_bilinear) and demand bitwise
-agreement with run(); they pin down which level each boundary re-noises to
-and which stage's noise stream it draws from. The in-place step functions
-are held bit for bit to the direct forms kept in ``_toys``.
+Whole runs are held to ``bench/checks.py::reference_run``, the bench's
+independent direct-form implementation of the staged loop, for every
+variant on a two- and a three-stage ladder; that pins which level each
+boundary re-noises to and which stage's noise stream it draws from. The
+in-place step functions are held bit for bit to the direct forms kept in
+``_toys``.
 """
 
 from __future__ import annotations
 
 import itertools
+import shlex
+import sys
 import warnings
 
 import numpy as np
@@ -41,10 +44,11 @@ from restage.schedule import (
     build_plan,
     build_schedule,
     build_timeline,
-    snr_corrected_alpha_bar,
+    ladder_preset,
 )
 
 from _toys import (
+    BENCH,
     BLOCK_CODEC,
     BoundaryStart,
     CLASS_ZERO,
@@ -58,6 +62,7 @@ from _toys import (
     direct_ddim_step,
     direct_gaussian_eps,
     direct_noise_refresh,
+    bench_module,
     ladder,
     linear_schedule,
     read_only,
@@ -255,7 +260,7 @@ class TestRunBasics:
                 [SeededRng(27)],
             )
 
-    def test_unknown_variant_and_method(self):
+    def test_unknown_variant(self):
         with pytest.raises(ValueError, match="variant"):
             run(
                 "turbo", single_plan(2.0), TIMELINE, _gaussian(), CODEC, None,
@@ -316,12 +321,12 @@ class TestLevelContract:
     @pytest.mark.parametrize(
         "variant,label",
         [
-            ("baseline", None), ("rectified", CLASS_ZERO), ("snr-corrected", None),
-            ("native-baseline", None), ("rectified-no-rect", CLASS_ZERO),
+            ("baseline", None), ("rectified", CLASS_ZERO), ("latent-resize", CLASS_ZERO),
+            ("snr-corrected", None), ("native-baseline", None), ("rectified-no-rect", CLASS_ZERO),
         ],
         ids=[
-            "baseline", "rectified-guided", "snr-corrected", "native-baseline",
-            "rectified-no-rect-guided",
+            "baseline", "rectified-guided", "latent-resize-guided", "snr-corrected",
+            "native-baseline", "rectified-no-rect-guided",
         ],
     )
     def test_the_denoiser_sees_the_timeline_levels_in_step_order(self, variant, label):
@@ -680,18 +685,6 @@ class TestEnergiesAreObservers:
 
 
 class TestStagedTrace:
-    def test_stage_columns_and_refresh_flags(self):
-        prior = _gaussian()
-        (result,) = run(
-            "rectified", staged_plan(5.0, 30.0), TIMELINE, prior, CODEC, None,
-            [SeededRng(30)],
-        )
-        assert len(result.trace) == 50
-        assert [r.omega for r in result.trace] == [5.0] * 40 + [30.0] * 10
-        assert [r.step for r in result.trace] == list(range(50))
-        assert [r.refreshed for r in result.trace] == [s == 40 for s in range(50)]
-        assert [r.train_t for r in result.trace] == TIMELINE.step_to_train_t.tolist()
-
     def test_snapshots_ratchet_through_the_boundary(self):
         prior = _gaussian()
         seen = []
@@ -708,74 +701,68 @@ class TestStagedTrace:
         ]
         assert [r.final_p_x0.shape for r in results] == [(4, 32, 32)] * 2
 
-    def test_rectified_boundary_replicated_from_parts(self):
-        prior = _gaussian()
-        plan = staged_plan(2.0, 2.0)
-        rng = SeededRng(32)
-        (want,) = run("rectified", plan, TIMELINE, prior, CODEC, None, [rng])
 
-        x = gaussian_noise(4, 16, 16, SeededRng(32).stream("init"))
-        p_x0 = None
-        for step in range(40):
-            eps = prior.predict_eps(x, float(TIMELINE.alpha_bar_at_step[step]), None)
-            x, p_x0 = ddim_step(
-                x, eps,
-                float(TIMELINE.alpha_bar_at_step[step]),
-                float(TIMELINE.alpha_bar_at_step[step + 1]),
-            )
-        boundary_eps = gaussian_noise(4, 32, 32, SeededRng(32).stream("refresh", 1))
-        x = noise_refresh(
-            read_only(p_x0[None]), CODEC, 32, 32, float(TIMELINE.alpha_bar_at_step[40]),
-            [boundary_eps],
-        )[0]
-        for step in range(40, 50):
-            eps = prior.predict_eps(x, float(TIMELINE.alpha_bar_at_step[step]), None)
-            x, p_x0 = ddim_step(
-                x, eps,
-                float(TIMELINE.alpha_bar_at_step[step]),
-                float(TIMELINE.alpha_bar_at_step[step + 1]),
-            )
-        assert np.array_equal(want.final_p_x0, p_x0)
+# The README quick-start prior. The bench reference still takes its Gaussian
+# mean off the first stage from channel averages of a stored field: exact for
+# 0.25, but about 1e-16 off for a mean that does not average exactly.
+MEAN, VARIANCE = 0.25, 1.5
+# 8 points at 4x8x8, float32 as a dataset file holds them
+POINTS = np.random.default_rng(8).normal(size=(8, 4, 8, 8)).astype(np.float32)
+BENCH_LADDERS = {"paper-2048": ((8, 8), (16, 16)), "paper-4096": ((8, 8), (12, 12), (16, 16))}
+# gaussian-codec: the bench's stand-in codec, where a variant's boundaries call one
+BENCH_CASES = [
+    pytest.param(preset, prior, variant, id=f"{preset}-{prior}-{variant}")
+    for preset in BENCH_LADDERS
+    for prior in ("gaussian", "dataset", "dataset-guided", "gaussian-codec")
+    for variant in VARIANTS
+    if prior != "gaussian-codec" or variant in ("rectified", "rectified-no-rect")
+]
 
-    def test_latent_resize_boundary_replicated_from_parts(self):
-        prior = _gaussian()
-        plan = staged_plan(2.0, 2.0)
-        (want,) = run("latent-resize", plan, TIMELINE, prior, CODEC, None, [SeededRng(33)])
 
-        x = gaussian_noise(4, 16, 16, SeededRng(33).stream("init"))
-        p_x0 = None
-        for step in range(50):
-            if step == 40:
-                x = resize_bilinear(LatentGrid(x), 32, 32).data
-            eps = prior.predict_eps(x, float(TIMELINE.alpha_bar_at_step[step]), None)
-            x, p_x0 = ddim_step(
-                x, eps,
-                float(TIMELINE.alpha_bar_at_step[step]),
-                float(TIMELINE.alpha_bar_at_step[step + 1]),
-            )
-        assert np.array_equal(want.final_p_x0, p_x0)
+class TestBenchReference:
+    """``run``, seed by seed, against ``bench/checks.py::reference_run``: the
+    staged loop written again from the direct forms, with its own schedule,
+    ladder, variant table, posterior, guidance, update, refresh and codec.
+    Tolerances fixed before the first comparison: Gaussian estimates bitwise
+    (docs/DECISIONS.md entry 5); dataset estimates within 1e-12 of their
+    scale, as the matrix-form posterior drops a shared term; step, train_t,
+    omega and refreshed exact; energies within 1e-12 relative (entry 20)."""
 
-    def test_area_corrected_variant_replicated_from_parts(self):
-        # runs at the target resolution for all 50 steps; the denoiser sees
-        # plain levels while both step levels pass through the correction
-        # with gamma = (area ratio)^2 = 16 for a 16 -> 32 plan
-        prior = _gaussian()
-        plan = staged_plan(2.0, 9.0)
-        (want,) = run("snr-corrected", plan, TIMELINE, prior, CODEC, None, [SeededRng(34)])
+    SEEDS = (101, 102)
 
-        gamma = 16.0
-        x = gaussian_noise(4, 32, 32, SeededRng(34).stream("init"))
-        p_x0 = None
-        for step in range(50):
-            eps = prior.predict_eps(x, float(TIMELINE.alpha_bar_at_step[step]), None)
-            x, p_x0 = ddim_step(
-                x, eps,
-                snr_corrected_alpha_bar(float(TIMELINE.alpha_bar_at_step[step]), gamma),
-                snr_corrected_alpha_bar(float(TIMELINE.alpha_bar_at_step[step + 1]), gamma),
-            )
-        assert np.array_equal(want.final_p_x0, p_x0)
-        assert all(not r.refreshed for r in want.trace)
-        assert all(r.omega == 2.0 for r in want.trace)
+    @pytest.mark.parametrize("preset, prior, variant", BENCH_CASES)
+    def test_each_seed_matches_the_reference_run(self, preset, prior, variant):
+        workloads, checks = bench_module("workloads"), bench_module("checks")
+        dataset, guided = prior.startswith("dataset"), prior == "dataset-guided"
+        external = prior == "gaussian-codec"
+        workload = workloads.Workload(
+            name=prior, command="sample", preset=preset, resolutions=BENCH_LADDERS[preset],
+            prior="dataset" if dataset else "gaussian", run_count=len(self.SEEDS),
+            conditional=guided, external_codec=external,
+        )
+        # the reference reads no config file
+        points = POINTS if dataset else None
+        inputs = workloads.Inputs(workload, None, self.SEEDS[0], points, MEAN, VARIANCE)
+        # the denoiser and codec as config.build_denoiser and build_codec make them
+        if dataset:
+            labels = [i % 2 if guided else 0 for i in range(len(POINTS))]
+            denoiser, label = DatasetPrior(POINTS.astype(np.float64), labels), 0 if guided else None
+        else:
+            denoiser, label = GaussianPrior(np.full(4, MEAN), VARIANCE), None
+        stand_in = f"{shlex.quote(sys.executable)} -S {shlex.quote(str(BENCH / 'stand_in_codec.py'))}"
+        codec = ExternalCodec(stand_in, granularity=2) if external else CODEC
+        plan = build_plan(ladder_preset(preset, BENCH_LADDERS[preset]), TIMELINE)
+        rngs = [SeededRng(s) for s in self.SEEDS]
+        for seed, got in zip(self.SEEDS, run(variant, plan, TIMELINE, denoiser, codec, label, rngs)):
+            rows, snapshots = checks.reference_run(inputs, seed, variant)
+            assert [r[:3] + r[5:] for r in got.trace] == [r[:3] + r[5:] for r in rows]
+            energies, want_energies = (np.array([r[3:5] for r in t]) for t in (got.trace, rows))
+            assert np.all(np.abs(energies - want_energies) <= 1e-12 * want_energies)
+            want = snapshots[-1]
+            if dataset:
+                assert np.abs(got.final_p_x0 - want).max() <= 1e-12 * np.abs(want).max()
+            else:
+                assert np.array_equal(_bits(got.final_p_x0), _bits(want))
 
 
 class TestAffineOracle:
