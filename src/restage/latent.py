@@ -6,7 +6,7 @@ and clean estimates of a batch of seeds are (B, C, H, W) arrays.
 :class:`LatentGrid` is a bare holder of an array that checks, copies and
 freezes nothing. It remains only as the form :func:`resize_bilinear`
 takes and returns, which two benchmark pins name (``docs/DECISIONS.md``
-entry 16). :func:`average_energy` takes a batch and sums each
+entry 14). :func:`average_energy` takes a batch and sums each
 seed's energy as one BLAS dot product of its row, so a seed's energy does
 not depend on the batch around it. Its summation order is not the direct
 mean's: the energies are observers that no tensor reads

@@ -14,8 +14,9 @@ one-grid resize that the channel-stack resize must match, and the pairwise
 mean that the per-seed energies must agree with to rounding. Then
 the two statistics only criteria 07 and 08 use, external codec stubs:
 scripts speaking the codec file protocol, and a reader of the concurrency
-one of them logs. Last, the loader through which the tests read the bench's
-modules, among them the bench's independent reference run.
+one of them logs. Last, the one loader through which every test reads the
+bench's modules, its workloads and its independent reference run among them,
+so a session holds a single copy of each.
 """
 
 from __future__ import annotations

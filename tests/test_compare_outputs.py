@@ -1,7 +1,8 @@
 """``tools/compare_outputs.py`` measures how two output directories differ.
 
 The script is loaded by path; these tests call its file comparison on
-hand-written directories and run no workload."""
+hand-written directories and run no workload. It reads the bench's modules
+under their own names, so it sees the very modules the bench runs."""
 
 from __future__ import annotations
 
@@ -12,6 +13,8 @@ import numpy as np
 import pytest
 
 from restage.tensorfile import read_tensor, write_tensor
+
+from _toys import bench_module
 
 _SPEC = importlib.util.spec_from_file_location(
     "_compare_outputs", Path(__file__).resolve().parents[1] / "tools" / "compare_outputs.py"
@@ -54,3 +57,8 @@ def test_different_file_names_are_refused(tmp_path):
     (got / "final.rhrt").rename(got / "other.rhrt")
     with pytest.raises(RuntimeError, match="different files"):
         TOOL.compare(ref, got, read_tensor)
+
+
+def test_the_bench_modules_are_the_ones_the_tests_import():
+    assert TOOL._bench_module("workloads") is bench_module("workloads")
+    assert TOOL._bench_module("run") is bench_module("run")

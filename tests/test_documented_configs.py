@@ -1,8 +1,10 @@
 """The configs a reader copies and the ones the benchmark runs all load: the
 example in ``restage.config``'s docstring, the README's quick-start block and
 every ``bench/workloads.py`` workload's generated input. The workloads module
-is loaded by path, and registered so its dataclasses can resolve their
-annotations; it imports only the standard library and numpy.
+is imported under its own name through ``_toys.bench_module``, so this file,
+the sampler tests and the bench's own tests share one copy of it; it imports
+only the standard library and numpy. Its energy sweep draws a curve for every
+variant the sampler has.
 
 The docs' cross-references resolve too: every decision-log entry that the
 code, the tests or the docs cite has a heading, and every test node id the
@@ -11,9 +13,7 @@ docs name exists. Those checks only read text and parse test files."""
 from __future__ import annotations
 
 import ast
-import importlib.util
 import re
-import sys
 import textwrap
 from pathlib import Path
 
@@ -21,6 +21,9 @@ import pytest
 
 from restage import config as config_module
 from restage.config import load_config
+from restage.sampler import VARIANTS
+
+from _toys import bench_module
 
 _ROOT = Path(__file__).resolve().parent.parent
 _DECISIONS = _ROOT / "docs" / "DECISIONS.md"
@@ -29,16 +32,7 @@ _NUMBERS = r"\d+(?:\s*[–-]\s*\d+)?"
 _CITATION = re.compile(rf"\b[Ee]ntr(?:y|ies)\s+({_NUMBERS}(?:(?:\s*,\s*|\s+and\s+){_NUMBERS})*)")
 _NODE_ID = re.compile(r"\btests/(\w+\.py)::(\w+)(?:::(\w+))?")
 
-
-def _load_workloads():
-    spec = importlib.util.spec_from_file_location("_bench_workloads", _ROOT / "bench" / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-BENCH = _load_workloads()
+workloads = bench_module("workloads")
 
 
 def _load_text(tmp_path, text):
@@ -61,11 +55,16 @@ def test_the_readme_quick_start_loads(tmp_path):
     assert (config.run.variant, config.run.run_count) == ("rectified", 4)
 
 
-@pytest.mark.parametrize("name", sorted(BENCH.WORKLOADS))
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
 def test_every_bench_workload_input_loads(tmp_path, name):
-    workload = BENCH.WORKLOADS[name]
-    config = load_config(BENCH.generate(workload, 1, tmp_path / name).config)
+    workload = workloads.WORKLOADS[name]
+    config = load_config(workloads.generate(workload, 1, tmp_path / name).config)
     assert config.schedule.num_steps == workload.num_steps
+
+
+def test_the_energy_sweep_runs_every_variant():
+    # a renamed variant would otherwise drop out of energy-sweep's curves unseen
+    assert bench_module("workloads").CURVE_LABELS == VARIANTS
 
 
 def _cited_entries(text):

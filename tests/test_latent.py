@@ -65,6 +65,8 @@ class TestGaussianNoise:
         b = gaussian_noise(2, 3, 3, SeededRng(5).stream("init"))
         assert isinstance(a, np.ndarray) and a.shape == (2, 3, 3)
         assert np.array_equal(a, b)
+        # the draw is the stream's standard normals as they come, unscaled
+        assert np.array_equal(a, SeededRng(5).stream("init").standard_normal((2, 3, 3)))
 
     def test_standard_moments(self):
         noise = gaussian_noise(4, 64, 64, SeededRng(7).stream("init"))

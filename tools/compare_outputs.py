@@ -15,13 +15,15 @@ or the layout differs). Exit status: 0 when every file is identical, 1 when
 some differ, 2 when a command fails or the two trees write different file
 names.
 
-The bench module is loaded by path and only read; the script imports no
-restage code itself. Standard library and numpy only.
+The bench's ``workloads`` and ``run`` modules are imported under their own
+names, as ``python3 bench/run.py`` imports them, and only read: the commands
+run under ``bench/run.py``'s thread pins. The script imports no restage code
+itself. Standard library and numpy only.
 """
 
 from __future__ import annotations
 
-import importlib.util
+import importlib
 import os
 import subprocess
 import sys
@@ -30,25 +32,25 @@ from pathlib import Path
 
 import numpy as np
 
-ROOT = Path(__file__).resolve().parents[1]
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 SEEDS = (1, 2)
 RUN_CLI = "import sys; from restage.cli import main; sys.exit(main(sys.argv[1:]))"
-THREAD_PINS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
-def _load_workloads():
-    spec = importlib.util.spec_from_file_location("_bench_workloads", ROOT / "bench" / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses resolve their annotations through it
-    spec.loader.exec_module(module)
-    return module
+def _bench_module(name: str):
+    """``bench/<name>.py`` under its own name, with ``bench/`` on the path only while it loads."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        return importlib.import_module(name)
+    finally:
+        sys.path.remove(str(BENCH))
 
 
 def _first_command(tree: Path, inputs, out: Path) -> None:
     w = inputs.workload
     argv = [sys.executable, "-c", RUN_CLI, w.command, "--config", str(inputs.config)]
     argv += ["--out", str(out), "--seed", str(inputs.command_seed(0))]
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"), **THREAD_PINS)
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), **_bench_module("run").THREAD_PINS)
     proc = subprocess.run(argv, env=env, cwd=out.parent, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{tree}: {w.name} exited {proc.returncode}: {proc.stderr[-2000:]}")
@@ -110,7 +112,7 @@ def main(argv: list[str]) -> int:
         if not (tree / "src" / "restage" / "__init__.py").is_file():
             print(f"error: no restage sources under {tree}", file=sys.stderr)
             return 2
-    bench = _load_workloads()
+    bench = _bench_module("workloads")
     differ = False
     try:
         for w in bench.WORKLOADS.values():
