@@ -97,6 +97,7 @@ def ladder_presets() -> Check:
         ok,
         f"boundaries {list(two.refresh_steps)} / {list(three.refresh_steps)}, "
         f"scales {[s.omega for s in two.stages]} / {[round(s.omega, 7) for s in three.stages]}",
+        three.stages[1].omega,
     )
 
 
@@ -202,7 +203,7 @@ def snr_identity() -> Check:
         scale = max(*(abs(c) for c in direct + rewritten), 1e-300)
         worst = max(worst, max(abs(d - r) for d, r in zip(direct, rewritten)) / scale)
     detail = f"max relative error {worst:.3e} over 1000 triples"
-    return Check("snr-identity", worst < 1e-12, detail)
+    return Check("snr-identity", worst < 1e-12, detail, worst)
 
 
 def snr_energy_range() -> Check:

@@ -3,8 +3,7 @@ example in ``restage.config``'s docstring, the README's quick-start block and
 every ``bench/workloads.py`` workload's generated input. The workloads module
 is imported under its own name through ``_toys.bench_module``, so this file,
 the sampler tests and the bench's own tests share one copy of it; it imports
-only the standard library and numpy. Its energy sweep draws a curve for every
-variant the sampler has.
+only the standard library and numpy.
 
 The docs' cross-references resolve too: every decision-log entry that the
 code, the tests or the docs cite has a heading, and every test node id the
@@ -21,7 +20,6 @@ import pytest
 
 from restage import config as config_module
 from restage.config import load_config
-from restage.sampler import VARIANTS
 
 from _toys import bench_module
 
@@ -60,11 +58,6 @@ def test_every_bench_workload_input_loads(tmp_path, name):
     workload = workloads.WORKLOADS[name]
     config = load_config(workloads.generate(workload, 1, tmp_path / name).config)
     assert config.schedule.num_steps == workload.num_steps
-
-
-def test_the_energy_sweep_runs_every_variant():
-    # a renamed variant would otherwise drop out of energy-sweep's curves unseen
-    assert bench_module("workloads").CURVE_LABELS == VARIANTS
 
 
 def _cited_entries(text):

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from restage import sampler
-from restage.checks import affine_trajectory_oracle
+from restage.checks import affine_trajectory_oracle, z_test_mean_var
 from restage.codec import ExternalCodec, IdentityCodec
 from restage.denoiser import DatasetPrior, Denoiser, GaussianPrior, cfg_combine
 from restage.errors import SamplerError
@@ -834,3 +834,27 @@ class TestAffineOracle:
             denom = max(float(np.abs(want).max()), 1e-12)
             assert float(np.abs(got.final_p_x0 - want).max()) / denom < 1e-9
 
+
+class TestRunDistribution:
+    def test_final_noise_component_has_the_predicted_moments(self):
+        # short runs on a tiny grid: the final estimate is exactly
+        # noise_gain * x_T + mean_gain * mean, so pooled residuals against
+        # the mean term must look like noise_gain * standard normals
+        timeline = build_timeline(linear_schedule(0.02, 0.08, 40), 6)
+        plan = build_plan(
+            LadderConfig(
+                t_min=0, t_max=6, n_stages=1, m_t=1.0,
+                omega_min=1.0, omega_max=1.0, m_omega=1.0, resolutions=((2, 2),),
+            ),
+            timeline,
+        )
+        prior = GaussianPrior([0.7], 1.3)
+        noise_gain, mean_gain = affine_trajectory_oracle(plan, timeline, prior.variance)
+        rngs = [SeededRng(50_000 + k) for k in range(3000)]
+        results = run("baseline", plan, timeline, prior, CODEC, None, rngs)
+        residuals = np.array(
+            [(result.final_p_x0 - mean_gain * 0.7).ravel() for result in results]
+        )
+        z, ratio = z_test_mean_var(residuals, 0.0, noise_gain**2)
+        assert abs(z) < 4.0
+        assert 0.9 < ratio < 1.1

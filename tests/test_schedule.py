@@ -47,6 +47,11 @@ class TestBuildSchedule:
         # regression pin for the terminal retained-signal fraction
         assert float(s.alpha_bar[-1]) == pytest.approx(0.004660098513077238, abs=1e-15)
 
+    def test_alpha_bar_strictly_decreasing_in_unit_interval(self):
+        s = build_schedule()
+        assert np.all(np.diff(s.alpha_bar) < 0)
+        assert np.all((s.alpha_bar > 0) & (s.alpha_bar < 1))
+
     def test_arrays_are_read_only(self):
         s = build_schedule()
         with pytest.raises(ValueError):
@@ -232,6 +237,17 @@ class TestPresets:
     def test_known_names(self):
         assert sorted(LADDER_PRESETS) == ["paper-2048", "paper-4096"]
 
+    def test_two_stage_preset_values(self):
+        # boundary 40 and scales exactly [5, 30]; the check also covers paper-4096
+        check = checks.ladder_presets()
+        assert check.ok, check.detail
+        assert check.detail.startswith("boundaries [40] / [40, 45], scales [5.0, 30.0] / ")
+
+    def test_three_stage_preset_values(self):
+        check = checks.ladder_presets()
+        assert check.ok, check.detail
+        assert check.value == pytest.approx(36.81980515339464, abs=1e-9)
+
     def test_unknown_preset(self):
         with pytest.raises(ConfigError, match="preset"):
             ladder_preset("paper-8192", ((16, 16),))
@@ -258,6 +274,10 @@ class TestAreaCorrection:
         for gamma in (1.0, 2.0, 16.0):
             assert snr_energy_coefficient(0.0, gamma) == 1.0
             assert snr_energy_coefficient(1.0, gamma) == gamma
+
+    def test_rewritten_step_matches_direct_substitution(self):
+        check = checks.snr_identity()
+        assert check.ok and check.value < 1e-12, check.detail
 
     def test_latent_gain_stays_near_unity_on_the_standard_run(self):
         # at the largest supported area ratio the per-step latent gain
