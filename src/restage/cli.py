@@ -35,7 +35,7 @@ import numpy as np
 
 from . import schedule as sched
 from .config import ExperimentConfig, build_codec, build_denoiser, load_config
-from .errors import ConfigError, SamplerError
+from .errors import SamplerError
 from .latent import SeededRng
 from .sampler import RunResult, run
 from .tensorfile import read_grid, write_grid
@@ -225,26 +225,18 @@ def cmd_energy_curve(config: ExperimentConfig, out_dir: Path) -> int:
     from . import analysis  # imported here so other commands do not load it
 
     timeline, plan, denoiser, class_label, codec = _build_all(config)
-    variants = config.energy.variants or (config.run.variant,)
-    if config.energy.omegas:
-        # one plan per flat guidance scale, shared by every variant
-        flat = [
-            (w, sched.build_plan(config.ladder._replace(omega_min=w, omega_max=w), timeline))
-            for w in config.energy.omegas
-        ]
-        curves = [(f"{v}-omega{w:g}", v, p) for v in variants for w, p in flat]
-    else:
-        curves = [(v, v, plan) for v in variants]
-    labels = [label for label, _, _ in curves]
-    for label in labels:
-        if labels.count(label) > 1:
-            raise ConfigError(f"energy.variants/energy.omegas: curve label {label!r} repeats")
+    # one plan per flat guidance scale, shared by every variant
+    flat = {
+        w: sched.build_plan(config.ladder._replace(omega_min=w, omega_max=w), timeline)
+        for w in config.energy.omegas
+    }
 
     # one set of bundles and one store for every curve, so a shared step runs once
     rngs = [SeededRng(config.run.seed + i) for i in range(config.run.run_count)]
     rows: list[str] = []
     shared: dict = {}
-    for label, variant, curve_plan in curves:
+    for label, variant, omega in config.energy.curves(config.run.variant):
+        curve_plan = plan if omega is None else flat[omega]
         results = run(variant, curve_plan, timeline, denoiser, codec, class_label, rngs, shared=shared)
         mean = analysis.mean_trace([analysis.trace_from_run(result) for result in results])
         for row, energy in zip(results[0].trace, mean):

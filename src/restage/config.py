@@ -32,7 +32,7 @@ key: it is the command line's ``--out``. Validation is total: any unknown
 section or key, any missing required key, any empty entry of a comma list,
 any non-finite number and any value outside its domain raises
 :class:`ConfigError` naming the offending field (for a ladder whose
-stages collide, the stages).
+stages collide, the stages; for energy curves that share a label, the label).
 """
 
 from __future__ import annotations
@@ -92,6 +92,18 @@ class RunSpec(NamedTuple):
 class EnergySpec(NamedTuple):
     variants: tuple[str, ...] = ()
     omegas: tuple[float, ...] = ()
+
+    def curves(self, run_variant: str) -> list[tuple[str, str, float | None]]:
+        """Each energy curve as (label, variant, flat guidance scale or None), in output order.
+
+        The variants default to ``run_variant``. Without an ``omegas`` sweep a
+        curve is labelled by its variant; with one, every variant runs at each
+        scale under the label ``<variant>-omega<scale:g>``.
+        """
+        variants = self.variants or (run_variant,)
+        if not self.omegas:
+            return [(v, v, None) for v in variants]
+        return [(f"{v}-omega{w:g}", v, w) for v in variants for w in self.omegas]
 
 
 class ExperimentConfig(NamedTuple):
@@ -309,6 +321,10 @@ def load_config(path: str | Path, seed: int | None = None) -> ExperimentConfig:
     for v in energy_spec.variants:
         if v not in VARIANTS:
             raise ConfigError(f"energy.variants: unknown variant {v!r}, expected one of {VARIANTS}")
+    labels = [label for label, _, _ in energy_spec.curves(run_spec.variant)]
+    for label in labels:
+        if labels.count(label) > 1:
+            raise ConfigError(f"energy.variants/energy.omegas: curve label {label!r} repeats")
 
     return ExperimentConfig(
         schedule=schedule_spec,

@@ -99,14 +99,25 @@ def _axis_lerp_indices(src_size: int, dst_size: int) -> tuple[np.ndarray, np.nda
     return lo, hi, frac
 
 
-def _lerp(arr: np.ndarray, lo: np.ndarray, hi: np.ndarray, frac: np.ndarray, axis: int):
-    # arr[lo] * (1 - frac) + arr[hi] * frac along ``axis``, into the first take
-    out = np.take(arr, lo, axis=axis)
-    out *= 1.0 - frac
-    upper = np.take(arr, hi, axis=axis)
-    upper *= frac
+def _lerp(
+    arr: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    w_lo: np.ndarray,
+    w_hi: np.ndarray,
+    axis: int,
+    out: np.ndarray,
+    upper: np.ndarray,
+) -> None:
+    # arr[lo] * w_lo + arr[hi] * w_hi along ``axis``, into ``out``, with
+    # ``upper`` holding the second term. The indices are in range, so "clip"
+    # changes no value; it spares the copy of ``out`` that numpy's default
+    # "raise" makes for each take.
+    np.take(arr, lo, axis=axis, out=out, mode="clip")
+    out *= w_lo
+    np.take(arr, hi, axis=axis, out=upper, mode="clip")
+    upper *= w_hi
     out += upper
-    return out
 
 
 def resize_bilinear(grid: LatentGrid, target_height: int, target_width: int) -> LatentGrid:
@@ -116,10 +127,23 @@ def resize_bilinear(grid: LatentGrid, target_height: int, target_width: int) -> 
     writable array. Every output value is a convex combination of input
     values, so the output range is contained in the input range grid by
     grid. Each (H, W) grid is resampled alone, so a (B, C, H, W) batch
-    resizes bit for bit as grid by grid.
+    resizes bit for bit as grid by grid. The output is allocated once and
+    filled one (C, H, W) row at a time (a rank-2 input is one row) through
+    one row's scratch arrays, so a batch holds no temporaries beyond a row's
+    (``docs/DECISIONS.md`` entry 6).
     """
     if target_height < 1 or target_width < 1:
         raise ValueError(f"target dimensions must be positive, got ({target_height}, {target_width})")
-    y_lo, y_hi, fy = _axis_lerp_indices(grid.data.shape[-2], target_height)
-    x_lo, x_hi, fx = _axis_lerp_indices(grid.data.shape[-1], target_width)
-    return LatentGrid(_lerp(_lerp(grid.data, y_lo, y_hi, fy[:, None], -2), x_lo, x_hi, fx, -1))
+    src = grid.data
+    y_lo, y_hi, fy = _axis_lerp_indices(src.shape[-2], target_height)
+    x_lo, x_hi, fx = _axis_lerp_indices(src.shape[-1], target_width)
+    lead = src.shape[:-3]
+    out = np.empty(src.shape[:-2] + (target_height, target_width))
+    tall = np.empty(src.shape[len(lead):-2] + (target_height, src.shape[-1]))  # a row after pass 1
+    tall_upper, wide_upper = np.empty_like(tall), np.empty(out.shape[len(lead):])
+    wy_lo, wy_hi = (1.0 - fy)[:, None], fy[:, None]
+    wx_lo = 1.0 - fx
+    for i in np.ndindex(lead):
+        _lerp(src[i], y_lo, y_hi, wy_lo, wy_hi, -2, tall, tall_upper)
+        _lerp(tall, x_lo, x_hi, wx_lo, fx, -1, out[i], wide_upper)
+    return LatentGrid(out)

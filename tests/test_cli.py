@@ -339,6 +339,18 @@ class TestEnergyCurve:
         )
         assert not (out / "energy_curves.csv").exists()
 
+    @pytest.mark.parametrize("command", ["ladder", "sample"])
+    def test_other_commands_refuse_a_repeated_curve_label(self, tmp_path, capsys, command):
+        # every key is validated at load, so the [energy] section fails a
+        # command that does not read it
+        cfg = _config(tmp_path, SMALL + "[energy]\nvariants = rectified\nomegas = 3, 3.0000001\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: energy.variants/energy.omegas: curve label 'rectified-omega3' repeats\n"
+        )
+        assert not out.exists() or not any(out.iterdir())
+
     def test_reference_variants(self, tmp_path):
         cfg = _config(
             tmp_path,

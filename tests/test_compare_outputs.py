@@ -62,3 +62,16 @@ def test_different_file_names_are_refused(tmp_path):
 def test_the_bench_modules_are_the_ones_the_tests_import():
     assert TOOL._bench_module("workloads") is bench_module("workloads")
     assert TOOL._bench_module("run") is bench_module("run")
+
+
+@pytest.mark.parametrize(
+    "stderr, mb",
+    [
+        ("VmHWM:\t   38912 kB\n", 38.0),
+        ("progress\nVmHWM:   100 kB\nVmHWM:   40960 kB\n", 40.0),  # the last line counts
+        ("VmRSS:   38912 kB\n", None),
+        ("", None),
+    ],
+)
+def test_the_peak_resident_size_is_read_from_the_vmhwm_line(stderr, mb):
+    assert TOOL.peak_rss_mb(stderr) == mb

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import textwrap
 
 import numpy as np
@@ -268,6 +269,31 @@ class TestEnergySection:
             "baseline", "rectified", "native-baseline", "rectified-no-rect",
         )
         assert config.energy.omegas == (1.5, 3.0)
+
+    def test_each_curve_has_its_label_variant_and_scale(self, tmp_path):
+        sweep = _load(tmp_path, MINIMAL + "[energy]\nvariants = baseline, rectified\nomegas = 1.5, 3\n")
+        assert sweep.energy.curves(sweep.run.variant) == [
+            ("baseline-omega1.5", "baseline", 1.5),
+            ("baseline-omega3", "baseline", 3.0),
+            ("rectified-omega1.5", "rectified", 1.5),
+            ("rectified-omega3", "rectified", 3.0),
+        ]
+        # no variants: the run's variant alone, labelled by its name
+        plain = _load(tmp_path, MINIMAL + "[run]\nvariant = latent-resize\n")
+        assert plain.energy.curves(plain.run.variant) == [("latent-resize", "latent-resize", None)]
+
+    @pytest.mark.parametrize(
+        "energy, label",
+        [
+            ("variants = rectified\nomegas = 3, 3.0000001\n", "rectified-omega3"),
+            ("variants = baseline, rectified, baseline\n", "baseline"),
+            ("omegas = 2, 2.0\n", "baseline-omega2"),
+        ],
+    )
+    def test_a_repeated_curve_label_is_rejected(self, tmp_path, energy, label):
+        message = f"energy.variants/energy.omegas: curve label {label!r} repeats"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            _load(tmp_path, MINIMAL + "[energy]\n" + energy)
 
 
 class TestBuildDenoiser:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -203,6 +204,26 @@ class TestResizeBilinear:
         for row, grid in zip(got, batch):
             want = direct_resize_bilinear(grid, *target)
             assert np.array_equal(row.view(np.uint64), want.view(np.uint64))
+
+    def test_a_rank_2_grid_matches_the_direct_form(self):
+        grid = np.random.default_rng(12).normal(size=(7, 5))
+        got = resize_bilinear(LatentGrid(grid), 11, 3).data
+        want = direct_resize_bilinear(grid[None], 11, 3)[0]
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_a_batch_holds_at_most_four_rows_of_temporaries(self):
+        # the output is allocated once and filled seed by seed (docs/DECISIONS.md
+        # entry 6); two passes over the whole batch held about 38 rows here
+        batch = np.random.default_rng(24).normal(size=(24, 4, 16, 16))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = resize_bilinear(LatentGrid(batch), 32, 32).data
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes <= 4 * out[0].nbytes
 
     @settings(max_examples=50, deadline=None)
     @given(

@@ -531,14 +531,41 @@ def _twelve_plan(omegas):
 
 
 class _Counting(Denoiser):
-    """Passes every prediction to ``inner`` and counts the calls."""
+    """Passes every prediction to ``inner`` and counts the calls, and per
+    branch (the label) the calls times each call's H x W."""
 
     def __init__(self, inner):
-        self.inner, self.channels, self.calls = inner, inner.channels, 0
+        self.inner, self.channels, self.calls, self.pixels = inner, inner.channels, 0, {}
 
     def predict_eps(self, x_t, alpha_bar, label, out=None):
         self.calls += 1
+        self.pixels[label] = self.pixels.get(label, 0) + x_t.shape[-2] * x_t.shape[-1]
         return self.inner.predict_eps(x_t, alpha_bar, label, out)
+
+
+class TestPixelSteps:
+    """The paper's efficiency claim as an exact count: the predictions a
+    staged run makes, in calls x H x W per guidance branch, against a run
+    with every step at the target resolution (ROADMAP item 16 (d))."""
+
+    @pytest.mark.parametrize(
+        "preset, resolutions, staged",
+        [
+            # 40 x 16^2 + 10 x 32^2 against 50 x 32^2: a ratio of 2.5
+            ("paper-2048", ((16, 16), (32, 32)), 20_480),
+            # 40 x 16^2 + 5 x 24^2 + 5 x 32^2
+            ("paper-4096", ((16, 16), (24, 24), (32, 32)), 18_240),
+        ],
+    )
+    def test_rectified_against_native(self, preset, resolutions, staged):
+        plan = build_plan(ladder_preset(preset, resolutions), TIMELINE)
+        pixels = {}
+        for variant in ("rectified", "native-baseline"):
+            counted = _Counting(GaussianPrior(np.zeros(4), 1.0))
+            run(variant, plan, TIMELINE, counted, CODEC, CLASS_ZERO, [SeededRng(1)])
+            pixels[variant] = counted.pixels
+        assert pixels["rectified"] == {None: staged, CLASS_ZERO: staged}
+        assert pixels["native-baseline"] == {None: 51_200, CLASS_ZERO: 51_200}
 
 
 class TestSharedStore:

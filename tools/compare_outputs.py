@@ -11,9 +11,13 @@ tree's ``src/`` on ``PYTHONPATH``. It then compares the two output
 directories file by file and prints how many files are identical and, for
 each differing ``.rhrt`` or ``.csv`` file, the largest |CHANGE - PARENT|
 over the largest |PARENT| (per column for a CSV file; ``inf`` when the text
-or the layout differs). Exit status: 0 when every file is identical, 1 when
-some differ, 2 when a command fails or the two trees write different file
-names.
+or the layout differs). Beside the counts it prints each tree's peak
+resident size for the command: the interpreter reads its own ``VmHWM`` from
+``/proc/self/status`` as it leaves ``main`` (for ``sample``, the parent
+process; its forked workers leave by ``os._exit``). That is the command's
+own figure, where the bench's ``peak_rss_mb`` may read the harness's. Exit
+status: 0 when every file is identical, 1 when some differ, 2 when a command
+fails or the two trees write different file names.
 
 The bench's ``workloads`` and ``run`` modules are imported under their own
 names, as ``python3 bench/run.py`` imports them, and only read: the commands
@@ -34,7 +38,14 @@ import numpy as np
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 SEEDS = (1, 2)
-RUN_CLI = "import sys; from restage.cli import main; sys.exit(main(sys.argv[1:]))"
+RUN_CLI = """\
+import sys
+from restage.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/status") as status:
+    sys.stderr.write("".join(line for line in status if line.startswith("VmHWM:")))
+sys.exit(code)
+"""
 
 
 def _bench_module(name: str):
@@ -46,7 +57,15 @@ def _bench_module(name: str):
         sys.path.remove(str(BENCH))
 
 
-def _first_command(tree: Path, inputs, out: Path) -> None:
+def peak_rss_mb(stderr: str) -> float | None:
+    """The last ``VmHWM:  <n> kB`` line of a command's stderr in MB (n / 1024,
+    the bench's unit), or None when there is none."""
+    lines = [line.split() for line in stderr.splitlines() if line.startswith("VmHWM:")]
+    return int(lines[-1][1]) / 1024.0 if lines else None
+
+
+def _first_command(tree: Path, inputs, out: Path) -> float | None:
+    """Run the workload's first command on ``tree`` into ``out``; its peak RSS in MB."""
     w = inputs.workload
     argv = [sys.executable, "-c", RUN_CLI, w.command, "--config", str(inputs.config)]
     argv += ["--out", str(out), "--seed", str(inputs.command_seed(0))]
@@ -54,6 +73,7 @@ def _first_command(tree: Path, inputs, out: Path) -> None:
     proc = subprocess.run(argv, env=env, cwd=out.parent, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{tree}: {w.name} exited {proc.returncode}: {proc.stderr[-2000:]}")
+    return peak_rss_mb(proc.stderr)
 
 
 def _csv_change(ref: Path, got: Path) -> float:
@@ -121,10 +141,13 @@ def main(argv: list[str]) -> int:
                     work = Path(tmp)
                     inputs = bench.generate(w, seed, work / "inputs")
                     outs = [work / "parent", work / "change"]
-                    for tree, out in zip(trees, outs):
-                        _first_command(tree, inputs, out)
+                    rss = [_first_command(tree, inputs, out) for tree, out in zip(trees, outs)]
                     identical, changes = compare(*outs, bench.read_rhrt)
-                    print(f"{w.name} seed {seed}: {identical} identical, {len(changes)} differ")
+                    peaks = " -> ".join("n/a" if mb is None else f"{mb:.2f} MB" for mb in rss)
+                    print(
+                        f"{w.name} seed {seed}: {identical} identical, {len(changes)} differ; "
+                        f"peak RSS {peaks}"
+                    )
                     for name, change in changes.items():
                         print(f"  {name}: max |d| / max |ref| = {change:.3e}")
                     differ = differ or bool(changes)
