@@ -112,6 +112,14 @@ class GaussianPrior(Denoiser):
         return _eps_from_x0_hat(x_t, x0_hat, ab)
 
 
+def _as_slice(rows: np.ndarray) -> slice | np.ndarray:
+    """Increasing row indices as a slice when evenly spaced, so indexing by them is a view."""
+    step = int(rows[1] - rows[0]) if len(rows) > 1 else 1
+    if (np.diff(rows) == step).all():
+        return slice(int(rows[0]), int(rows[-1]) + 1, step)
+    return rows
+
+
 class DatasetPrior(Denoiser):
     """Bayes-optimal predictor for clean latents drawn uniformly from a point set.
 
@@ -124,9 +132,11 @@ class DatasetPrior(Denoiser):
     The posterior reads the points as rows of a flattened (N, C*H*W) matrix
     alongside their half squared norms. Both are cached on first use: per
     resolution for all points (the matrix is a view of the cached stack),
-    and per (resolution, label) for one class's rows, copied contiguous so
-    a conditional query touches only those rows. The row indices of each
-    label are fixed at construction. ``points`` is the (N, C, H, W) stack of
+    and per (resolution, label) for one class's rows. The row indices of
+    each label are fixed at construction; when they are evenly spaced (all
+    points, or every k-th) they are kept as a slice and a class's matrix is
+    a strided view of the stack, otherwise its rows are copied out. Either
+    way the products round alike. ``points`` is the (N, C, H, W) stack of
     finite values, kept as given when it is a read-only float64 array and
     copied into one otherwise.
     """
@@ -145,7 +155,7 @@ class DatasetPrior(Denoiser):
         self.channels = native.shape[1]
         self._stacks: dict[tuple[int, int], np.ndarray] = {native.shape[2:]: native}
         label_array = np.array(self.labels)
-        self._label_rows = {lab: np.flatnonzero(label_array == lab) for lab in set(self.labels)}
+        self._label_rows = {lab: _as_slice(np.flatnonzero(label_array == lab)) for lab in set(self.labels)}
         # (height, width, label or None) -> (flattened rows, half squared norms)
         self._rows: dict[tuple[int, int, int | None], tuple[np.ndarray, np.ndarray]] = {}
 

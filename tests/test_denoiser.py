@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -179,6 +181,49 @@ class TestDatasetPrior:
         prior = DatasetPrior(_points([1.0, 2.0]), [0, 0])
         stack = prior.prepare_resolution(3, 3)
         assert prior.prepare_resolution(3, 3) is stack
+
+    @pytest.mark.parametrize(
+        "labels",
+        [[i % 2 for i in range(64)], [i // 32 for i in range(64)]],
+        ids=["every-2nd", "blocks"],
+    )
+    def test_a_guided_query_copies_no_class_rows(self, labels):
+        # evenly spaced rows are read in place: a copy of class 0's 32 rows
+        # at 32x32 would trace 1 MiB
+        rng = np.random.default_rng(16)
+        prior = DatasetPrior(rng.normal(size=(64, 4, 16, 16)), labels)
+        x = rng.normal(size=(24, 4, 32, 32))
+        out = np.empty_like(x)
+        prior.predict_eps(x, _level(20), None, out)  # builds the 32x32 stack
+        tracemalloc.start()
+        try:
+            prior.predict_eps(x, _level(20), 0, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.1 * 2**20
+
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            [i // 12 for i in range(24)],
+            [i % 2 for i in range(24)],
+            [min(i % 3, 1) for i in range(24)],
+            [0, 0, 1, 0, 1, 1, 1, 0, 0, 0, 1, 0, 1, 1, 0, 1, 0, 0, 1, 1, 1, 0, 1, 0],
+        ],
+        ids=["blocks", "every-2nd", "every-3rd", "irregular"],
+    )
+    @pytest.mark.parametrize("size", [8, 13])
+    def test_a_class_posterior_is_that_of_its_points_alone(self, labels, size):
+        # strided views and copied rows must read exactly the class's points, in order
+        rng = np.random.default_rng(17)
+        points = rng.normal(size=(24, 3, 8, 8))
+        prior = DatasetPrior(points, labels)
+        alone = DatasetPrior(points[[lab == 0 for lab in labels]], [0] * labels.count(0))
+        x = rng.normal(size=(5, 3, size, size))
+        got = prior.predict_eps(x, _level(20), 0)
+        want = alone.predict_eps(x, _level(20), None)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_predict_eps_consistent_with_the_posterior_mean(self):
         rng = np.random.default_rng(11)

@@ -5,7 +5,9 @@ place, and every later rewrite of the loop is held to them: the promise is
 "no output byte changes", not "within tolerance" (docs/DECISIONS.md entry 5).
 One command is a Gaussian-prior rectified ``sample`` with every p_x0 snapshot
 written; the other a conditional ``energy-curve`` on the clustered-shell point
-set, so both the single-branch and the guided step are covered. Two more pin
+set, so both the single-branch and the guided step are covered. A guided
+``sample`` on that point set pins the conditional branch's finals and traces
+themselves, read through strided views of labels 0, 1, 0, 1, .... Two more pin
 the external codec's batch at a rectified boundary (a granularity-2 stub) and
 an ``energy-curve`` over every label under a flat-guidance sweep. The last
 two pin what ``restage verify`` prints, passing and under its negative
@@ -75,6 +77,18 @@ CODEC_SAMPLE = LADDER + """\
     run_count = 3
 """
 
+GUIDED_SAMPLE = LADDER + """\
+    resolutions = 16x16, 32x32
+    [denoiser]
+    kind = dataset
+    path = points.rhrt
+    conditional = true
+    [run]
+    variant = rectified
+    seed = 5
+    run_count = 2
+"""
+
 SWEEP = CURVE.replace(
     "variants = rectified, latent-resize",
     "variants = baseline, rectified, latent-resize, snr-corrected, native-baseline, "
@@ -112,6 +126,12 @@ CURVE_SHA256 = {
     "energy_curves.csv": "4ba70af35f7861f9b0ca014f41087371c92e88be9bcc6d2c7c5faf475308416c",
 }
 
+GUIDED_SAMPLE_SHA256 = {
+    "final_5.rhrt": "b193d290a929314b9de24df45a2dd1c8408c3246e2ab013e2c30df6fe645c49d",
+    "final_6.rhrt": "87127064ba30cd4cb3abfccb0b55289ba2875e45fe2b07bd17de6741e1a793f4",
+    "trace_5.csv": "7fd3e213f7a469444eb3ba3592ea97780aa3b452d54324ec9b495b410f21f43b",
+    "trace_6.csv": "aa98247f0a0f77442e7db2a78643136f7e9c6fea19ee48a0a3b9aee34f3a6a74",
+}
 
 CODEC_SAMPLE_SHA256 = {
     "final_21.rhrt": "6cdba396f3b3dd6da73c198078eb4560d6a108b6a2643e2e34a0e58a0381fdd4",
@@ -145,6 +165,12 @@ def test_conditional_energy_curve_on_the_clustered_shell(tmp_path):
     points = clustered_shell_prior().points
     write_tensor(tmp_path / "points.rhrt", points)
     assert _written(tmp_path, "energy-curve", CURVE) == CURVE_SHA256
+
+
+def test_guided_sample_on_the_clustered_shell(tmp_path):
+    points = clustered_shell_prior().points
+    write_tensor(tmp_path / "points.rhrt", points)
+    assert _written(tmp_path, "sample", GUIDED_SAMPLE) == GUIDED_SAMPLE_SHA256
 
 
 def test_rectified_sample_through_an_external_codec(tmp_path):
