@@ -113,10 +113,9 @@ def ddim_step_coefficients(alpha_bar_t: float, alpha_bar_prev: float) -> tuple[f
     return a, b
 
 
-def affine_trajectory_oracle(
-    plan: sched.RefreshPlan, timeline: sched.SamplerTimeline, variance: float
-) -> tuple[float, float]:
-    """Gains (noise_gain, mean_gain) of a one-stage run under a Gaussian prior.
+def affine_trajectory_oracle(plan: sched.RefreshPlan, variance: float) -> tuple[float, float]:
+    """Gains (noise_gain, mean_gain) of a one-stage run over ``plan``'s timeline
+    under a Gaussian prior.
 
     Under N(mean, v * I), v >= 0, the posterior mean is affine in the latent
     and omega cancels (both branches coincide), so each step is the affine map
@@ -134,9 +133,9 @@ def affine_trajectory_oracle(
     if len(plan.stages) != 1:
         raise ValueError("the trajectory oracle covers single-resolution plans only")
     a_total, b_total = 1.0, 0.0
-    for step in range(timeline.num_steps):
-        ab = float(timeline.alpha_bar_at_step[step])
-        ab_p = float(timeline.alpha_bar_at_step[step + 1])
+    levels = plan.timeline.alpha_bar_at_step
+    for step in range(plan.num_steps):
+        ab, ab_p = float(levels[step]), float(levels[step + 1])
         g = ab**0.5 * variance / (ab * variance + 1.0 - ab)
         resid = (1.0 - ab**0.5 * g) / (1.0 - ab) ** 0.5
         a = ab_p**0.5 * g + (1.0 - ab_p) ** 0.5 * resid
@@ -230,25 +229,24 @@ def snr_near_unity() -> Check:
 
 def oracle_affine() -> Check:
     """Runs match the affine oracle, and unit-gamma snr-corrected runs equal baseline bitwise."""
-    timeline = _timeline()
     ladder = sched.LadderConfig(
         t_min=40, t_max=50, n_stages=1, m_t=1.0, omega_min=1.0, omega_max=1.0,
         m_omega=1.0, resolutions=((8, 8),),
     )
-    plan = sched.build_plan(ladder, timeline)
+    plan = sched.build_plan(ladder, _timeline())
     prior = GaussianPrior([0.4, 0.4], 1.3)
     codec = IdentityCodec()
-    noise_gain, mean_gain = affine_trajectory_oracle(plan, timeline, prior.variance)
+    noise_gain, mean_gain = affine_trajectory_oracle(plan, prior.variance)
     rngs = [SeededRng(9000 + k) for k in range(100)]
     worst = 0.0
-    for rng, got in zip(rngs, run("baseline", plan, timeline, prior, codec, None, rngs)):
+    for rng, got in zip(rngs, run("baseline", plan, prior, codec, None, rngs)):
         noise = gaussian_noise(2, 8, 8, rng.stream("init"))
         want = noise_gain * noise + mean_gain * prior.mean
         denom = max(float(np.abs(want).max()), 1e-12)
         worst = max(worst, float(np.abs(got.final_p_x0 - want).max()) / denom)
 
-    (base,) = run("baseline", plan, timeline, prior, codec, None, [SeededRng(55)])
-    (corrected,) = run("snr-corrected", plan, timeline, prior, codec, None, [SeededRng(55)])
+    (base,) = run("baseline", plan, prior, codec, None, [SeededRng(55)])
+    (corrected,) = run("snr-corrected", plan, prior, codec, None, [SeededRng(55)])
     identical = bool(
         np.array_equal(base.final_p_x0, corrected.final_p_x0)
         and base.trace == corrected.trace

@@ -69,15 +69,13 @@ def _commit(out_dir: Path):
 
 
 def _build_all(config: ExperimentConfig):
-    timeline = config.build_timeline()
-    plan = sched.build_plan(config.ladder, timeline)
+    plan = sched.build_plan(config.ladder, config.build_timeline())
     denoiser, class_label = build_denoiser(config)
-    return timeline, plan, denoiser, class_label, build_codec(config)
+    return plan, denoiser, class_label, build_codec(config)
 
 
 def cmd_ladder(config: ExperimentConfig, out_dir: Path) -> int:
-    timeline = config.build_timeline()
-    plan = sched.build_plan(config.ladder, timeline)
+    plan = sched.build_plan(config.ladder, config.build_timeline())
     print(f"refresh steps: {list(plan.refresh_steps)}")
     print(f"omegas:        {[float(_fmt(s.omega)) for s in plan.stages]}")
     rows = []
@@ -193,7 +191,7 @@ def _fan_out(batches: list[list[int]], work: Callable[[list[int]], None]) -> Non
 
 
 def cmd_sample(config: ExperimentConfig, out_dir: Path) -> int:
-    timeline, plan, denoiser, class_label, codec = _build_all(config)
+    plan, denoiser, class_label, codec = _build_all(config)
     seeds = [config.run.seed + i for i in range(config.run.run_count)]
     values = denoiser.channels * max(st.height * st.width for st in plan.stages)
     wanted = frozenset(config.run.snapshot_steps)
@@ -205,7 +203,7 @@ def cmd_sample(config: ExperimentConfig, out_dir: Path) -> int:
                         write_grid(stage / f"snapshot_{seed}_{step}.rhrt", row)
 
             results = run(
-                config.run.variant, plan, timeline, denoiser, codec, class_label,
+                config.run.variant, plan, denoiser, codec, class_label,
                 [SeededRng(seed) for seed in batch], on_step=snapshot,
             )
             for seed, result in zip(batch, results):
@@ -224,10 +222,10 @@ def cmd_sample(config: ExperimentConfig, out_dir: Path) -> int:
 def cmd_energy_curve(config: ExperimentConfig, out_dir: Path) -> int:
     from . import analysis  # imported here so other commands do not load it
 
-    timeline, plan, denoiser, class_label, codec = _build_all(config)
+    plan, denoiser, class_label, codec = _build_all(config)
     # one plan per flat guidance scale, shared by every variant
     flat = {
-        w: sched.build_plan(config.ladder._replace(omega_min=w, omega_max=w), timeline)
+        w: sched.build_plan(config.ladder._replace(omega_min=w, omega_max=w), plan.timeline)
         for w in config.energy.omegas
     }
 
@@ -237,7 +235,7 @@ def cmd_energy_curve(config: ExperimentConfig, out_dir: Path) -> int:
     shared: dict = {}
     for label, variant, omega in config.energy.curves(config.run.variant):
         curve_plan = plan if omega is None else flat[omega]
-        results = run(variant, curve_plan, timeline, denoiser, codec, class_label, rngs, shared=shared)
+        results = run(variant, curve_plan, denoiser, codec, class_label, rngs, shared=shared)
         mean = analysis.mean_trace([analysis.trace_from_run(result) for result in results])
         for row, energy in zip(results[0].trace, mean):
             rows.append(f"{label},{row.step},{_fmt(energy)}")

@@ -13,11 +13,12 @@ a worker process (``docs/DECISIONS.md`` entry 21). Each step s:
    the next latents, using the step's noise level and its successor's (the
    trailing post-terminal level 1.0 makes the final update return p_x0).
 
-``run`` alone reads levels from the timeline, and hands each step's to the
-boundary refresh, both denoiser branches and the update. The kernels
-it calls trust the levels and shapes it passes and check neither: the
-timeline was checked when built, each latent is drawn at its stage's size
-from the seeds' streams, and the energy screen fails a bad value at its step.
+A plan carries the timeline it tiles. ``run`` alone reads levels from it,
+and hands each step's to the boundary refresh and both denoiser branches,
+and its variant's corrected levels to the update. The kernels it calls trust
+the levels and shapes it passes and check neither: the timeline was checked
+when built, each latent is drawn at its stage's size from the seeds' streams,
+and the energy screen fails a bad value at its step.
 
 Inside a step the latents, both predictions and the clean estimates are
 plain float64 ndarrays, one row per seed; every step function acts row by
@@ -69,7 +70,7 @@ Variants, decided here alone (``docs/DECISIONS.md`` entry 12):
     rectified          the plan's                               1
     latent-resize      the plan's                               1
 
-Every update passes its two levels through the area-ratio correction at the
+Every update reads its two levels through the area-ratio correction at the
 variant's gamma, which at gamma 1 returns them unchanged, bit for bit. A
 ``rectified`` or ``rectified-no-rect`` boundary resizes the previous clean
 estimate through the codec and re-noises it with fresh stage noise to the
@@ -88,7 +89,7 @@ from .codec import refresh_resize
 from .denoiser import Denoiser, cfg_combine
 from .errors import CodecError, SamplerError
 from .latent import LatentGrid, SeededRng, average_energy, gaussian_noise, resize_bilinear
-from .schedule import RefreshPlan, SamplerTimeline, Stage, snr_corrected_alpha_bar
+from .schedule import RefreshPlan, Stage, snr_corrected_alpha_bar
 
 __all__ = [
     "VARIANTS",
@@ -211,7 +212,6 @@ def _variant_stages(
 def run(
     variant: str,
     plan: RefreshPlan,
-    timeline: SamplerTimeline,
     denoiser: Denoiser,
     codec,
     label: int | None,
@@ -223,8 +223,8 @@ def run(
 
     Args:
         variant: One of ``VARIANTS``.
-        plan: Stage layout; must cover exactly the timeline's steps.
-        timeline: Step-to-noise-level mapping, the run's one source of levels.
+        plan: Stage layout over the timeline it carries, the run's one
+            source of levels and training steps.
         denoiser: Noise predictor queried twice per step (once per branch;
             the second call is skipped when ``label`` is None).
         codec: Decode/encode pair; a rectified boundary passes it all seeds at once.
@@ -254,14 +254,10 @@ def run(
         raise ValueError("a run needs at least one seed")
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
-    if plan.num_steps != timeline.num_steps:
-        raise ValueError(
-            f"plan covers {plan.num_steps} steps but the timeline has {timeline.num_steps}"
-        )
     if shared is not None and on_step is not None:
         raise ValueError("a run with a shared store takes no on_step callback")
     stages, gamma, boundary = _variant_stages(variant, plan)
-    num_steps = timeline.num_steps
+    num_steps = plan.num_steps
     channels = denoiser.channels
     first = stages[0]
     guided = label is not None
@@ -269,7 +265,9 @@ def run(
     # stage's first step after the first stage, None elsewhere
     stage_of = [st for st in stages for _ in range(st.first_step, st.last_step)]
     action = [boundary if step == st.first_step > 0 else None for step, st in enumerate(stage_of)]
-    levels = timeline.alpha_bar_at_step.tolist()
+    # the denoiser reads each step's level; only the update reads the corrected ones
+    levels = plan.timeline.alpha_bar_at_step.tolist()
+    update = [snr_corrected_alpha_bar(ab, gamma) for ab in levels]
 
     start, saves = 0, frozenset()
     if shared is not None:
@@ -340,12 +338,7 @@ def run(
             if guided:
                 eps_cond = denoiser.predict_eps(x, ab, label, out=eps_c)
                 eps_tilde = cfg_combine(eps_tilde, eps_cond, stage.omega)
-            # gamma moves only the update's levels: both branches above saw
-            # the timeline's own level ab, and only ddim_step sees corrected ones
-            x, p_x0 = ddim_step(
-                x, eps_tilde, snr_corrected_alpha_bar(ab, gamma),
-                snr_corrected_alpha_bar(levels[step + 1], gamma),
-            )
+            x, p_x0 = ddim_step(x, eps_tilde, update[step], update[step + 1])
         except (ValueError, RuntimeError) as exc:
             raise _failure(exc, step) from exc
         p_x0.setflags(write=False)
@@ -364,7 +357,7 @@ def run(
 
     # trace rows are rebuilt from the energies, so a resumed run records its own omega
     rows = [
-        (step, int(timeline.step_to_train_t[step]), st.omega, act is not None)
+        (step, int(plan.timeline.step_to_train_t[step]), st.omega, act is not None)
         for step, (st, act) in enumerate(zip(stage_of, action))
     ]
     return tuple(

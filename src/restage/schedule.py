@@ -123,10 +123,11 @@ class Stage(NamedTuple):
 
 
 class RefreshPlan(NamedTuple):
-    """Stages tiling [0, num_steps); its boundary steps are the first steps
-    of stages 1 onward."""
+    """Stages tiling the steps [0, num_steps) of ``timeline``, which its run reads
+    levels from; the boundary steps are the first steps of stages 1 onward."""
 
     stages: tuple[Stage, ...]
+    timeline: SamplerTimeline
 
     @property
     def refresh_steps(self) -> tuple[int, ...]:
@@ -289,7 +290,7 @@ def build_plan(config: LadderConfig, timeline: SamplerTimeline) -> RefreshPlan:
         )
         for i in range(config.n_stages)
     )
-    return RefreshPlan(stages=stages)
+    return RefreshPlan(stages=stages, timeline=timeline)
 
 
 # Published ladder settings for the two reference generation scales. The

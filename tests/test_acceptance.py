@@ -20,7 +20,6 @@ from _toys import (
     CLASS_ZERO,
     CODEC,
     TARGET,
-    TIMELINE,
     BoundaryStart,
     clustered_shell_prior,
     coarse_prior,
@@ -83,9 +82,9 @@ def test_criterion_05_boundary_energy_deficit():
     # injects at its boundary, so the dominant shared noise term cancels out
     # of the gap seed by seed
     natives = run(
-        "baseline", native, TIMELINE, prior, CODEC, CLASS_ZERO, [BoundaryStart(r) for r in rngs]
+        "baseline", native, prior, CODEC, CLASS_ZERO, [BoundaryStart(r) for r in rngs]
     )
-    stageds = run("rectified", flat, TIMELINE, prior, CODEC, CLASS_ZERO, rngs)
+    stageds = run("rectified", flat, prior, CODEC, CLASS_ZERO, rngs)
     gaps = [
         post_boundary_energies(nat) - post_boundary_energies(staged)
         for nat, staged in zip(natives, stageds)
@@ -108,12 +107,12 @@ def test_criterion_06_guidance_closes_the_deficit():
     native = single_plan(3.0, TARGET, TARGET)
     rngs = [SeededRng(seed) for seed in range(100, 140)]
     natives = run(
-        "baseline", native, TIMELINE, prior, CODEC, CLASS_ZERO, [BoundaryStart(r) for r in rngs]
+        "baseline", native, prior, CODEC, CLASS_ZERO, [BoundaryStart(r) for r in rngs]
     )
     native_windows = [post_boundary_energies(nat) for nat in natives]
     mean_abs_gap = {}
     for scale in (3.0, 6.0, 12.0):
-        stageds = run("rectified", staged_plan(3.0, scale), TIMELINE, prior, CODEC, CLASS_ZERO, rngs)
+        stageds = run("rectified", staged_plan(3.0, scale), prior, CODEC, CLASS_ZERO, rngs)
         gaps = [
             nat_window - post_boundary_energies(staged)
             for nat_window, staged in zip(native_windows, stageds)
@@ -139,7 +138,7 @@ def test_criterion_07_energy_rises_with_guidance():
     rngs = [SeededRng(seed) for seed in range(200, 224)]
     pairs = []
     for scale in (1.0, 3.0, 5.0, 10.0):
-        results = run("baseline", single_plan(scale), TIMELINE, prior, CODEC, CLASS_ZERO, rngs)
+        results = run("baseline", single_plan(scale), prior, CODEC, CLASS_ZERO, rngs)
         means = [final_window_energies(result).mean() for result in results]
         pairs.append((scale, float(np.mean(means))))
     stat = monotonicity_stat(pairs)
@@ -159,7 +158,7 @@ def test_criterion_08_late_estimate_flattening():
     prior = coarse_prior()
     snapshots = []
     run(
-        "baseline", single_plan(3.0), TIMELINE, prior, CODEC, CLASS_ZERO, [SeededRng(7)],
+        "baseline", single_plan(3.0), prior, CODEC, CLASS_ZERO, [SeededRng(7)],
         on_step=lambda step, p_x0: snapshots.append((step, p_x0[0])),
     )
     segments = p_x0_mse_series(snapshots)
@@ -190,7 +189,7 @@ def test_criterion_09_ablation_variants_distinct():
     energy = {}
     for name, (variant, plan) in setups.items():
         windows = []
-        for result in run(variant, plan, TIMELINE, prior, CODEC, CLASS_ZERO, rngs):
+        for result in run(variant, plan, prior, CODEC, CLASS_ZERO, rngs):
             assert len(result.trace) == 50
             assert result.trace[40].refreshed and not result.trace[39].refreshed
             windows.append(post_boundary_energies(result).mean())

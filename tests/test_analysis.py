@@ -12,14 +12,14 @@ from restage.denoiser import GaussianPrior
 from restage.latent import SeededRng
 from restage.sampler import run
 
-from _toys import CODEC, TIMELINE, monotonicity_stat, p_x0_mse_series, single_plan
+from _toys import CODEC, monotonicity_stat, p_x0_mse_series, single_plan
 
 
 class TestTraceFromRun:
     def test_from_a_run(self):
         prior = GaussianPrior(np.full(4, 0.2), 1.0)
         (result,) = run(
-            "baseline", single_plan(2.0), TIMELINE, prior, CODEC, None, [SeededRng(1)]
+            "baseline", single_plan(2.0), prior, CODEC, None, [SeededRng(1)]
         )
         trace = trace_from_run(result)
         assert len(trace) == 50

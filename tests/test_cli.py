@@ -680,7 +680,7 @@ class TestWorkers:
         assert len(forked) == 1
 
         config = load_config(cfg)
-        timeline, plan, denoiser, label, codec = cli._build_all(config)
+        plan, denoiser, label, codec = cli._build_all(config)
         seeds = list(range(9))
         whole.mkdir()
 
@@ -690,7 +690,7 @@ class TestWorkers:
                     write_grid(whole / f"snapshot_{seed}_{step}.rhrt", row)
 
         results = run(
-            config.run.variant, plan, timeline, denoiser, codec, label,
+            config.run.variant, plan, denoiser, codec, label,
             [SeededRng(s) for s in seeds], on_step=snapshot,
         )
         for seed, result in zip(seeds, results):

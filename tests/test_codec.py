@@ -20,7 +20,6 @@ from _toys import (
     BLOCK_CODEC,
     FAILS_ON_INDEX_1,
     LOGGED_COPY,
-    TIMELINE,
     codec_stub,
     most_at_once,
     read_only,
@@ -161,7 +160,7 @@ class TestExternalCodec:
         plan = staged_plan(2.0, 6.0)
         prior = GaussianPrior(np.full(4, 0.2), 1.0)
         with pytest.raises(SamplerError, match="decode command could not start") as info:
-            run("rectified", plan, TIMELINE, prior, codec, None, [SeededRng(31), SeededRng(32)])
+            run("rectified", plan, prior, codec, None, [SeededRng(31), SeededRng(32)])
         assert info.value.step == plan.refresh_steps[0]
         assert info.value.seed == 31
         assert list(codec_tmp.glob("codec-*")) == []

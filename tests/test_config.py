@@ -244,6 +244,11 @@ class TestValidation:
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(tmp_path / "missing.ini")
 
+    def test_unparsable_file(self, tmp_path):
+        # a key before any section header is not INI
+        with pytest.raises(ConfigError, match="cannot parse config file"):
+            _load(tmp_path, "    num_steps = 50\n" + MINIMAL)
+
 
 class TestSnapshotSteps:
     def test_forms(self, tmp_path):

@@ -217,23 +217,23 @@ class TestRunBasics:
     def test_deterministic_given_the_seed(self):
         prior = _gaussian()
         plan = staged_plan(2.0, 6.0)
-        (a,) = run("rectified", plan, TIMELINE, prior, CODEC, None, [SeededRng(21)])
-        (b,) = run("rectified", plan, TIMELINE, prior, CODEC, None, [SeededRng(21)])
+        (a,) = run("rectified", plan, prior, CODEC, None, [SeededRng(21)])
+        (b,) = run("rectified", plan, prior, CODEC, None, [SeededRng(21)])
         assert a.trace == b.trace
         assert np.array_equal(a.final_p_x0, b.final_p_x0)
 
     def test_rectified_without_boundaries_is_the_baseline(self):
         prior = _gaussian()
         plan = single_plan(2.0)
-        (a,) = run("baseline", plan, TIMELINE, prior, CODEC, None, [SeededRng(22)])
-        (b,) = run("rectified", plan, TIMELINE, prior, CODEC, None, [SeededRng(22)])
+        (a,) = run("baseline", plan, prior, CODEC, None, [SeededRng(22)])
+        (b,) = run("rectified", plan, prior, CODEC, None, [SeededRng(22)])
         assert a.trace == b.trace
         assert np.array_equal(a.final_p_x0, b.final_p_x0)
 
     def test_on_step_sees_each_step_once_in_order(self):
         seen = []
         results = run(
-            "rectified", staged_plan(2.0, 6.0), TIMELINE, _gaussian(), CODEC, None,
+            "rectified", staged_plan(2.0, 6.0), _gaussian(), CODEC, None,
             [SeededRng(23), SeededRng(1023)], on_step=lambda step, p_x0: seen.append((step, p_x0)),
         )
         assert [step for step, _ in seen] == list(range(50))
@@ -248,22 +248,27 @@ class TestRunBasics:
         prior = _gaussian()
         noise = gaussian_noise(4, 16, 16, SeededRng(24).stream("init"))
         (result,) = run(
-            "baseline", single_plan(2.0), TIMELINE, prior, CODEC, None, [SeededRng(24)]
+            "baseline", single_plan(2.0), prior, CODEC, None, [SeededRng(24)]
         )
         assert result.trace[0].latent_energy == average_energy(noise)
 
-    def test_plan_and_timeline_must_agree(self):
+    def test_a_run_takes_its_steps_from_its_plans_timeline(self):
         short = build_timeline(build_schedule(), 10)
-        with pytest.raises(ValueError, match="covers"):
-            run(
-                "baseline", single_plan(2.0), short, _gaussian(), CODEC, None,
-                [SeededRng(27)],
-            )
+        plan = build_plan(
+            LadderConfig(
+                t_min=0, t_max=10, n_stages=1, m_t=1.0,
+                omega_min=2.0, omega_max=2.0, m_omega=1.0, resolutions=((16, 16),),
+            ),
+            short,
+        )
+        (result,) = run("baseline", plan, _gaussian(), CODEC, None, [SeededRng(27)])
+        assert [r.step for r in result.trace] == list(range(10))
+        assert [r.train_t for r in result.trace] == short.step_to_train_t.tolist()
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError, match="variant"):
             run(
-                "turbo", single_plan(2.0), TIMELINE, _gaussian(), CODEC, None,
+                "turbo", single_plan(2.0), _gaussian(), CODEC, None,
                 [SeededRng(28)],
             )
 
@@ -276,7 +281,7 @@ class TestRunBasics:
 
         prior = Exploding(np.full(4, 0.2), 1.0)
         with pytest.raises(SamplerError, match="step 7") as info:
-            run("baseline", single_plan(2.0), TIMELINE, prior, CODEC, None, [SeededRng(29)])
+            run("baseline", single_plan(2.0), prior, CODEC, None, [SeededRng(29)])
         assert info.value.step == 7
 
 
@@ -291,27 +296,25 @@ class TestReferenceVariants:
 
     def test_native_baseline_is_the_baseline_at_the_target_size(self):
         rngs = [SeededRng(70), SeededRng(71)]
-        got = run("native-baseline", staged_plan(3, 12), TIMELINE, SHELL, CODEC, CLASS_ZERO, rngs)
+        got = run("native-baseline", staged_plan(3, 12), SHELL, CODEC, CLASS_ZERO, rngs)
         target = single_plan(3.0, TARGET, TARGET)
-        want = run("baseline", target, TIMELINE, SHELL, CODEC, CLASS_ZERO, rngs)
+        want = run("baseline", target, SHELL, CODEC, CLASS_ZERO, rngs)
         self._assert_same_runs(got, want)
 
     def test_rectified_no_rect_is_the_rectified_run_at_a_flat_omega(self):
         rngs = [SeededRng(72), SeededRng(73)]
-        got = run("rectified-no-rect", staged_plan(3, 12), TIMELINE, SHELL, CODEC, CLASS_ZERO, rngs)
-        want = run("rectified", staged_plan(3, 3), TIMELINE, SHELL, CODEC, CLASS_ZERO, rngs)
+        got = run("rectified-no-rect", staged_plan(3, 12), SHELL, CODEC, CLASS_ZERO, rngs)
+        want = run("rectified", staged_plan(3, 3), SHELL, CODEC, CLASS_ZERO, rngs)
         self._assert_same_runs(got, want)
 
 
 # a 7-step timeline whose two stages meet at step 4
 SEVEN = build_timeline(build_schedule(), 7)
-SEVEN_PLAN = build_plan(
-    LadderConfig(
-        t_min=4, t_max=7, n_stages=2, m_t=1.0, omega_min=2.0, omega_max=5.0,
-        m_omega=1.0, resolutions=((4, 4), (8, 8)),
-    ),
-    SEVEN,
+SEVEN_LADDER = LadderConfig(
+    t_min=4, t_max=7, n_stages=2, m_t=1.0, omega_min=2.0, omega_max=5.0,
+    m_omega=1.0, resolutions=((4, 4), (8, 8)),
 )
+SEVEN_PLAN = build_plan(SEVEN_LADDER, SEVEN)
 
 
 class TestLevelContract:
@@ -339,7 +342,7 @@ class TestLevelContract:
 
         assert SEVEN_PLAN.refresh_steps == (4,)
         prior = Recording(np.full(4, 0.2), 1.0)
-        run(variant, SEVEN_PLAN, SEVEN, prior, CODEC, label, [SeededRng(60), SeededRng(61)])
+        run(variant, SEVEN_PLAN, prior, CODEC, label, [SeededRng(60), SeededRng(61)])
         # snr-corrected too: its corrected levels go to the update, not the denoiser
         branches = (None, label) if label is not None else (None,)
         assert seen == [(float(ab), c) for ab in SEVEN.alpha_bar_at_step[:7] for c in branches]
@@ -351,10 +354,10 @@ class TestLevelContract:
         # hand it makes the step non-finite, and the energy screen fails it
         levels = SEVEN.alpha_bar_at_step.copy()
         levels[4] = bad
-        broken = SamplerTimeline(7, SEVEN.step_to_train_t, levels)
+        plan = build_plan(SEVEN_LADDER, SamplerTimeline(7, SEVEN.step_to_train_t, levels))
         with warnings.catch_warnings(), pytest.raises(SamplerError) as info:
             warnings.simplefilter("ignore")
-            run(variant, SEVEN_PLAN, broken, _gaussian(), CODEC, None, [SeededRng(62)])
+            run(variant, plan, _gaussian(), CODEC, None, [SeededRng(62)])
         assert info.value.step == 4
         assert "non-finite" in str(info.value)
 
@@ -374,7 +377,7 @@ class TestGridsAtTheEdges:
             rngs = [SeededRng(40 + k) for k in range(batch)]
             estimates = []
             results = run(
-                "baseline", single_plan(3.0), TIMELINE, prior, CODEC, CLASS_ZERO, rngs,
+                "baseline", single_plan(3.0), prior, CODEC, CLASS_ZERO, rngs,
                 on_step=lambda step, p_x0: estimates.append(p_x0),
             )
             # the noise is drawn as plain arrays, and every step, estimate
@@ -398,7 +401,7 @@ class TestGridsAtTheEdges:
         prior = Poisoned(np.full(4, 0.2), 1.0)
         rngs = [SeededRng(41), SeededRng(1041), SeededRng(2041)]
         with pytest.raises(SamplerError, match="step 7, seed 1041") as info:
-            run("baseline", single_plan(2.0), TIMELINE, prior, CODEC, None, rngs)
+            run("baseline", single_plan(2.0), prior, CODEC, None, rngs)
         assert info.value.step == 7
         assert info.value.seed == 1041
 
@@ -408,7 +411,7 @@ class TestGridsAtTheEdges:
         noise[2, 3, 4] = np.nan
         with pytest.raises(SamplerError, match="step 0, seed 1044: latent grid contains"):
             run(
-                "baseline", single_plan(2.0), TIMELINE, _gaussian(), CODEC, None,
+                "baseline", single_plan(2.0), _gaussian(), CODEC, None,
                 [_Draws(44, np.zeros((4, 16, 16))), _Draws(1044, noise)],
             )
 
@@ -419,12 +422,23 @@ class TestGridsAtTheEdges:
         with warnings.catch_warnings(), pytest.raises(SamplerError) as info:
             warnings.simplefilter("error")
             run(
-                "baseline", single_plan(2.0), TIMELINE, _gaussian(), CODEC, None,
+                "baseline", single_plan(2.0), _gaussian(), CODEC, None,
                 [_Draws(42, np.full((4, 16, 16), 1e200))],
             )
         assert str(info.value) == "step 0, seed 42: latent energy overflows float64"
         assert info.value.step == 0
         assert info.value.seed == 42
+
+    def test_a_codec_of_the_wrong_size_fails_its_boundary(self):
+        class Cropping(IdentityCodec):
+            def encode(self, batch):
+                return batch[..., :-1, :]  # one latent row short
+
+        plan = build_plan(ladder(2, 2.0, 2.0, ((4, 4), (8, 8))), TIMELINE)
+        rngs = [SeededRng(45), SeededRng(1045)]
+        with pytest.raises(SamplerError, match="^step 40: ") as info:
+            run("rectified", plan, _gaussian(), Cropping(), None, rngs)
+        assert (info.value.step, info.value.seed) == (40, None)
 
     def test_a_failed_codec_call_names_its_seed(self, tmp_path, codec_tmp):
         codec = ExternalCodec(
@@ -433,7 +447,7 @@ class TestGridsAtTheEdges:
         plan = build_plan(ladder(2, 2.0, 2.0, ((4, 4), (8, 8))), TIMELINE)
         rngs = [SeededRng(43), SeededRng(1043), SeededRng(2043)]
         with pytest.raises(SamplerError, match="step 40, seed 1043: decode command") as info:
-            run("rectified", plan, TIMELINE, _gaussian(), codec, None, rngs)
+            run("rectified", plan, _gaussian(), codec, None, rngs)
         assert (info.value.step, info.value.seed) == (40, 1043)
         assert list(codec_tmp.iterdir()) == []
 
@@ -465,7 +479,7 @@ def _noise_entering(rngs):
     prior = Recording(np.full(4, 0.2), 1.0)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sampler, "noise_refresh", recording_refresh)
-        run("rectified", plan, TIMELINE, prior, CODEC, None, rngs)
+        run("rectified", plan, prior, CODEC, None, rngs)
     # each boundary refreshes its seeds as one batch, in batch order
     b = len(rngs)
     return {r.seed: (init[i], fresh[i], fresh[b + i]) for i, r in enumerate(rngs)}
@@ -483,10 +497,10 @@ class TestBatches:
     def test_each_seed_matches_its_one_seed_run(self, seeds, variant, gaussian):
         prior, label = (_gaussian(), None) if gaussian else (SHELL, CLASS_ZERO)
         plan = staged_plan(3.0, 12.0)
-        batch = run(variant, plan, TIMELINE, prior, CODEC, label, [SeededRng(s) for s in seeds])
+        batch = run(variant, plan, prior, CODEC, label, [SeededRng(s) for s in seeds])
         assert len(batch) == len(seeds)
         for seed, got in zip(seeds, batch):
-            (want,) = run(variant, plan, TIMELINE, prior, CODEC, label, [SeededRng(seed)])
+            (want,) = run(variant, plan, prior, CODEC, label, [SeededRng(seed)])
             assert _rounded(got.trace) == _rounded(want.trace)
             # the float32 storage tolerance of the tensor files
             ref = want.final_p_x0
@@ -512,7 +526,7 @@ class TestBatches:
 
     def test_seed_and_noise_counts_are_checked(self):
         with pytest.raises(ValueError, match="at least one seed"):
-            run("baseline", single_plan(2.0), TIMELINE, _gaussian(), CODEC, None, [])
+            run("baseline", single_plan(2.0), _gaussian(), CODEC, None, [])
 
 
 # a 12-step timeline whose two- or three-stage ladders meet at steps 6 and 8
@@ -562,7 +576,7 @@ class TestPixelSteps:
         pixels = {}
         for variant in ("rectified", "native-baseline"):
             counted = _Counting(GaussianPrior(np.zeros(4), 1.0))
-            run(variant, plan, TIMELINE, counted, CODEC, CLASS_ZERO, [SeededRng(1)])
+            run(variant, plan, counted, CODEC, CLASS_ZERO, [SeededRng(1)])
             pixels[variant] = counted.pixels
         assert pixels["rectified"] == {None: staged, CLASS_ZERO: staged}
         assert pixels["native-baseline"] == {None: 51_200, CLASS_ZERO: 51_200}
@@ -594,10 +608,10 @@ class TestSharedStore:
         rngs = [SeededRng(s) for s in seeds]
         counted, shared = _Counting(prior), {}
         alone = {
-            (v, k): run(v, plans[k], TWELVE, prior, CODEC, label, rngs) for v, k in every
+            (v, k): run(v, plans[k], prior, CODEC, label, rngs) for v, k in every
         }
         for variant, k in curves:
-            got = run(variant, plans[k], TWELVE, counted, CODEC, label, rngs, shared=shared)
+            got = run(variant, plans[k], counted, CODEC, label, rngs, shared=shared)
             for a, b in zip(got, alone[variant, k], strict=True):
                 assert a.trace == b.trace
                 assert np.array_equal(_bits(a.final_p_x0), _bits(b.final_p_x0))
@@ -615,10 +629,9 @@ class TestSharedStore:
         plan = _twelve_plan((3.0, 12.0))
         counted, shared = _Counting(SHELL), {}
         inputs = dict(
-            timeline=TWELVE, denoiser=counted, codec=CODEC, label=CLASS_ZERO,
-            rngs=[SeededRng(80)],
+            plan=plan, denoiser=counted, codec=CODEC, label=CLASS_ZERO, rngs=[SeededRng(80)],
         )
-        run("rectified", plan, **inputs, shared=shared)
+        run("rectified", **inputs, shared=shared)
         if change is not None:
             name, value = {
                 # another SeededRng(80): the objects a run calls count by identity
@@ -632,12 +645,14 @@ class TestSharedStore:
                 # a timeline counts by its levels: TWELVE built again resumes
                 "rebuilt-timeline": ("timeline", build_timeline(build_schedule(), 12)),
             }[change]
+            if name == "timeline":  # a run reads the timeline its plan carries
+                name, value = "plan", plan._replace(timeline=value)
             inputs[name] = value
         probe = inputs["denoiser"]
         probe.calls = 0
-        got = run("rectified", plan, **inputs, shared=shared)
+        got = run("rectified", **inputs, shared=shared)
         assert probe.calls == calls
-        want = run("rectified", plan, **inputs)
+        want = run("rectified", **inputs)
         for a, b in zip(got, want, strict=True):
             assert a.trace == b.trace
             assert np.array_equal(_bits(a.final_p_x0), _bits(b.final_p_x0))
@@ -658,7 +673,7 @@ class TestSharedStore:
         counted, shared = _Counting(SHELL), {}
         with pytest.raises(error, match=match):
             run(
-                "rectified", _twelve_plan((3.0, 12.0)), TWELVE, counted, CODEC, None,
+                "rectified", _twelve_plan((3.0, 12.0)), counted, CODEC, None,
                 [SeededRng(82)], shared=shared, **extra,
             )
         assert counted.calls == 0 and shared == {}
@@ -678,13 +693,13 @@ class TestEnergiesAreObservers:
         if not store:
             snaps = []
             results = run(
-                "rectified", _twelve_plan((3.0, 12.0)), TWELVE, prior, CODEC, label, rngs,
+                "rectified", _twelve_plan((3.0, 12.0)), prior, CODEC, label, rngs,
                 on_step=lambda step, p_x0: snaps.extend(p_x0),
             )
             return [(results, snaps)]
         shared = {}
         return [
-            (run("rectified", _twelve_plan(omegas), TWELVE, prior, CODEC, label, rngs,
+            (run("rectified", _twelve_plan(omegas), prior, CODEC, label, rngs,
                  shared=shared), [])
             for omegas in ((3.0, 12.0), (3.0, 6.0))
         ]
@@ -716,7 +731,7 @@ class TestStagedTrace:
         prior = _gaussian()
         seen = []
         results = run(
-            "rectified", staged_plan(5.0, 30.0), TIMELINE, prior, CODEC, None,
+            "rectified", staged_plan(5.0, 30.0), prior, CODEC, None,
             [SeededRng(31), SeededRng(32)],
             on_step=lambda step, p_x0: seen.append((step, p_x0.shape)),
         )
@@ -780,7 +795,7 @@ class TestBenchReference:
         codec = ExternalCodec(stand_in, granularity=2) if external else CODEC
         plan = build_plan(ladder_preset(preset, BENCH_LADDERS[preset]), TIMELINE)
         rngs = [SeededRng(s) for s in self.SEEDS]
-        for seed, got in zip(self.SEEDS, run(variant, plan, TIMELINE, denoiser, codec, label, rngs)):
+        for seed, got in zip(self.SEEDS, run(variant, plan, denoiser, codec, label, rngs)):
             rows, snapshots = checks.reference_run(inputs, seed, variant)
             assert [r[:3] + r[5:] for r in got.trace] == [r[:3] + r[5:] for r in rows]
             energies, want_energies = (np.array([r[3:5] for r in t]) for t in (got.trace, rows))
@@ -803,7 +818,7 @@ class TestAffineOracle:
             timeline,
         )
         v = 1.3
-        noise_gain, mean_gain = affine_trajectory_oracle(plan, timeline, v)
+        noise_gain, mean_gain = affine_trajectory_oracle(plan, v)
         g = np.sqrt(0.5) * v / (0.5 * v + 0.5)
         assert noise_gain == pytest.approx(g, rel=1e-15)
         assert mean_gain == pytest.approx(1.0 - g * np.sqrt(0.5), rel=1e-15)
@@ -813,12 +828,12 @@ class TestAffineOracle:
         # noise_gain * sqrt(ab_0) + mean_gain must equal 1
         root_ab0 = np.sqrt(float(TIMELINE.alpha_bar_at_step[0]))
         for variance in (0.3, 1.0, 2.7):
-            noise_gain, mean_gain = affine_trajectory_oracle(single_plan(2.0), TIMELINE, variance)
+            noise_gain, mean_gain = affine_trajectory_oracle(single_plan(2.0), variance)
             assert noise_gain * root_ab0 + mean_gain == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_staged_plans(self):
         with pytest.raises(ValueError, match="single-resolution"):
-            affine_trajectory_oracle(staged_plan(2.0, 2.0), TIMELINE, 1.0)
+            affine_trajectory_oracle(staged_plan(2.0, 2.0), 1.0)
 
     def test_zero_variance_lands_every_run_on_the_point(self):
         # a prior concentrated on its mean: the oracle sends every x_T there,
@@ -826,7 +841,7 @@ class TestAffineOracle:
         # points all coincide, except snr-corrected, whose update does not see
         # the level its denoiser saw. Constant per channel, that point is a
         # Gaussian prior of vanishing variance at every stage, energies included.
-        assert affine_trajectory_oracle(single_plan(3.0), TIMELINE, 0.0) == (0.0, 1.0)
+        assert affine_trajectory_oracle(single_plan(3.0), 0.0) == (0.0, 1.0)
         values = np.array([0.3, -1.2, 0.0, 2.5])
         point = values[:, None, None] * np.ones((4, 8, 8))
         gaussian = GaussianPrior(values, 1e-300)
@@ -834,10 +849,10 @@ class TestAffineOracle:
         ladders = (((8, 8), (16, 16)), ((8, 8), (12, 12), (16, 16)))
         for resolutions, variant, label in itertools.product(ladders, VARIANTS, (None, CLASS_ZERO)):
             plan = build_plan(ladder(len(resolutions), 2.0, 6.0, resolutions), TIMELINE)
-            want = run(variant, plan, TIMELINE, gaussian, CODEC, label, rngs)
+            want = run(variant, plan, gaussian, CODEC, label, rngs)
             for n in (1, 8):
                 prior = DatasetPrior(np.repeat(point[None], n, axis=0), [CLASS_ZERO] * n)
-                for g, w in zip(run(variant, plan, TIMELINE, prior, CODEC, label, rngs), want):
+                for g, w in zip(run(variant, plan, prior, CODEC, label, rngs), want):
                     if variant != "snr-corrected":
                         assert float(np.abs(g.final_p_x0 - point[:, :1, :1]).max()) <= 1e-12
                     diff = float(np.abs(g.final_p_x0 - w.final_p_x0).max())
@@ -852,11 +867,11 @@ class TestAffineOracle:
         means = rng.normal(0.1, 0.5, size=3)
         prior = GaussianPrior(means, 0.9)
         plan = single_plan(2.5, 6, 6)
-        noise_gain, mean_gain = affine_trajectory_oracle(plan, TIMELINE, prior.variance)
+        noise_gain, mean_gain = affine_trajectory_oracle(plan, prior.variance)
         for k in range(10):
             srng = SeededRng(700 + k)
             noise = gaussian_noise(3, 6, 6, srng.stream("init"))
-            (got,) = run("baseline", plan, TIMELINE, prior, CODEC, None, [srng])
+            (got,) = run("baseline", plan, prior, CODEC, None, [srng])
             want = noise_gain * noise + mean_gain * means[:, None, None]
             denom = max(float(np.abs(want).max()), 1e-12)
             assert float(np.abs(got.final_p_x0 - want).max()) / denom < 1e-9
@@ -876,9 +891,9 @@ class TestRunDistribution:
             timeline,
         )
         prior = GaussianPrior([0.7], 1.3)
-        noise_gain, mean_gain = affine_trajectory_oracle(plan, timeline, prior.variance)
+        noise_gain, mean_gain = affine_trajectory_oracle(plan, prior.variance)
         rngs = [SeededRng(50_000 + k) for k in range(3000)]
-        results = run("baseline", plan, timeline, prior, CODEC, None, rngs)
+        results = run("baseline", plan, prior, CODEC, None, rngs)
         residuals = np.array(
             [(result.final_p_x0 - mean_gain * 0.7).ravel() for result in results]
         )
