@@ -17,12 +17,16 @@ unwinds as Ctrl-C does, then exits with status 143.
 per CPU (``docs/DECISIONS.md`` entry 21). ``energy-curve`` runs all seeds of a
 curve label as one batch, and its curves share one store of trajectory states,
 so a step they share runs once (``docs/DECISIONS.md`` entry 19).
+``main`` freezes the collector's view of the heap once per process, so no
+collection after it, the exit's included, walks what the imports built
+(``docs/DECISIONS.md`` entry 22).
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import os
 import pickle
 import signal
@@ -156,7 +160,10 @@ def _fan_out(batches: list[list[int]], work: Callable[[list[int]], None]) -> Non
                     signal.pthread_sigmask(signal.SIG_SETMASK, held)
                     share(k)
                     signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT, signal.SIGTERM})  # a whole report
-                    os.write(write, pickle.dumps([(i, SamplerError(str(e))) for i, e in failures]))
+                    os.write(write, pickle.dumps([
+                        (i, SamplerError(str(e), getattr(e, "step", None), getattr(e, "seed", None)))
+                        for i, e in failures
+                    ]))
                 except Exception:  # not a failure main reports: its traceback, and no report
                     sys.excepthook(*sys.exc_info())
                 finally:
@@ -313,6 +320,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # once per process: a freeze per call would keep each earlier call's garbage for good
+    if not gc.get_freeze_count():
+        gc.freeze()
     args = _build_parser().parse_args(argv)
     # SIGTERM unwinds as Ctrl-C does, so codec commands are reaped and files cleaned up
     previous = signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))

@@ -21,6 +21,7 @@ from restage import cli
 from restage.cli import main
 from restage.config import load_config
 from restage.denoiser import DatasetPrior, GaussianPrior
+from restage.errors import SamplerError
 from restage.latent import SeededRng
 from restage.sampler import VARIANTS, run
 from restage.schedule import build_schedule, build_timeline
@@ -699,21 +700,26 @@ class TestWorkers:
             cli._write_csv(whole / f"trace_{seed}.csv", header, cli._trace_rows(result))
         assert _contents(split) == _contents(whole)
 
-    @pytest.mark.parametrize("poisoned", ["child", "both"])
-    def test_a_failing_seed_in_a_child_fails_the_command(self, tmp_path, capsys, monkeypatch, workers, poisoned):
+    @staticmethod
+    def _poison(monkeypatch, poisoned):
+        """On two workers, fail the child's batch at step 2, seed 6, and with
+        ``poisoned == "both"`` the parent's at step 7, seed 1."""
         predict = GaussianPrior.predict_eps
         timeline = build_timeline(build_schedule(), 10)
         parent = os.getpid()
 
         def poisoned_predict(self, x_t, alpha_bar, condition, out=None):
             eps = predict(self, x_t, alpha_bar, condition, out)
-            # the child fails at step 2; the parent, if at all, later at step 7
             in_child = os.getpid() != parent
             if alpha_bar == timeline.alpha_bar_at_step[2 if in_child else 7] and (in_child or poisoned == "both"):
                 eps[1] = np.nan  # the batch's second seed: 6 in the child's, 1 in the parent's
             return eps
 
         monkeypatch.setattr(GaussianPrior, "predict_eps", poisoned_predict)
+
+    @pytest.mark.parametrize("poisoned", ["child", "both"])
+    def test_a_failing_seed_in_a_child_fails_the_command(self, tmp_path, capsys, monkeypatch, workers, poisoned):
+        self._poison(monkeypatch, poisoned)
         workers(2)
         out = tmp_path / "out"
         assert main(["sample", "--config", _config(tmp_path, SPLIT), "--out", str(out)]) == 1
@@ -721,6 +727,16 @@ class TestWorkers:
         want = "step 7, seed 1" if poisoned == "both" else "step 2, seed 6"
         assert capsys.readouterr().err == f"error: {want}: latent grid contains non-finite values\n"
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("poisoned, step, seed", [("child", 2, 6), ("both", 7, 1)])
+    def test_a_failure_keeps_its_step_and_seed_from_either_worker(
+        self, tmp_path, monkeypatch, workers, poisoned, step, seed
+    ):
+        self._poison(monkeypatch, poisoned)
+        workers(2)
+        with pytest.raises(SamplerError) as failure:
+            cli.cmd_sample(load_config(_config(tmp_path, SPLIT)), tmp_path / "out")
+        assert (failure.value.step, failure.value.seed) == (step, seed)
 
     def test_a_failure_in_the_parents_batch_reaps_the_children(self, tmp_path, capsys, monkeypatch, workers):
         predict = GaussianPrior.predict_eps

@@ -75,3 +75,16 @@ def test_the_bench_modules_are_the_ones_the_tests_import():
 )
 def test_the_peak_resident_size_is_read_from_the_vmhwm_line(stderr, mb):
     assert TOOL.peak_rss_mb(stderr) == mb
+
+
+@pytest.mark.parametrize(
+    "stderr, ms",
+    [
+        ("VmHWM:\t   38912 kB\nreturned: 1000000000 ns\n", 21.5),
+        ("returned: 900000000 ns\nreturned: 1000000000 ns\n", 21.5),  # the last line counts
+        ("VmHWM:\t   38912 kB\n", None),
+        ("", None),
+    ],
+)
+def test_the_exit_time_runs_from_mains_return_to_the_process_end(stderr, ms):
+    assert TOOL.exit_ms(stderr, 1_021_500_000) == ms

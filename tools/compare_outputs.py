@@ -15,9 +15,13 @@ or the layout differs). Beside the counts it prints each tree's peak
 resident size for the command: the interpreter reads its own ``VmHWM`` from
 ``/proc/self/status`` as it leaves ``main`` (for ``sample``, the parent
 process; its forked workers leave by ``os._exit``). That is the command's
-own figure, where the bench's ``peak_rss_mb`` may read the harness's. Exit
-status: 0 when every file is identical, 1 when some differ, 2 when a command
-fails or the two trees write different file names.
+own figure, where the bench's ``peak_rss_mb`` may read the harness's. Beside
+it the script prints each tree's exit time: the interpreter writes
+``time.monotonic_ns()`` to stderr as ``main`` returns, and the script
+subtracts that from the moment the process ended, as ``subprocess.run``
+returned. The interpreter's finalization fills that span, which the bench's
+tracer cannot see. Exit status: 0 when every file is identical, 1 when some
+differ, 2 when a command fails or the two trees write different file names.
 
 The bench's ``workloads`` and ``run`` modules are imported under their own
 names, as ``python3 bench/run.py`` imports them, and only read: the commands
@@ -32,6 +36,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -39,11 +44,13 @@ import numpy as np
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 SEEDS = (1, 2)
 RUN_CLI = """\
-import sys
+import sys, time
 from restage.cli import main
 code = main(sys.argv[1:])
+returned = time.monotonic_ns()
 with open("/proc/self/status") as status:
     sys.stderr.write("".join(line for line in status if line.startswith("VmHWM:")))
+sys.stderr.write(f"returned: {returned} ns\\n")
 sys.exit(code)
 """
 
@@ -57,23 +64,39 @@ def _bench_module(name: str):
         sys.path.remove(str(BENCH))
 
 
+def _last_number(stderr: str, key: str) -> int | None:
+    """The number after ``key`` on the last line of ``stderr`` that starts with it, or None."""
+    lines = [line.split() for line in stderr.splitlines() if line.startswith(key)]
+    return int(lines[-1][1]) if lines else None
+
+
 def peak_rss_mb(stderr: str) -> float | None:
     """The last ``VmHWM:  <n> kB`` line of a command's stderr in MB (n / 1024,
     the bench's unit), or None when there is none."""
-    lines = [line.split() for line in stderr.splitlines() if line.startswith("VmHWM:")]
-    return int(lines[-1][1]) / 1024.0 if lines else None
+    kb = _last_number(stderr, "VmHWM:")
+    return None if kb is None else kb / 1024.0
 
 
-def _first_command(tree: Path, inputs, out: Path) -> float | None:
-    """Run the workload's first command on ``tree`` into ``out``; its peak RSS in MB."""
+def exit_ms(stderr: str, ended_ns: int) -> float | None:
+    """Milliseconds from the last ``returned: <n> ns`` line of a command's stderr
+    to ``ended_ns``, the ``time.monotonic_ns()`` at which its process ended, or
+    None when there is none."""
+    returned = _last_number(stderr, "returned:")
+    return None if returned is None else (ended_ns - returned) / 1e6
+
+
+def _first_command(tree: Path, inputs, out: Path) -> tuple[float | None, float | None]:
+    """Run the workload's first command on ``tree`` into ``out``; its peak RSS in MB
+    and its exit time in ms."""
     w = inputs.workload
     argv = [sys.executable, "-c", RUN_CLI, w.command, "--config", str(inputs.config)]
     argv += ["--out", str(out), "--seed", str(inputs.command_seed(0))]
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), **_bench_module("run").THREAD_PINS)
     proc = subprocess.run(argv, env=env, cwd=out.parent, capture_output=True, text=True)
+    ended = time.monotonic_ns()
     if proc.returncode != 0:
         raise RuntimeError(f"{tree}: {w.name} exited {proc.returncode}: {proc.stderr[-2000:]}")
-    return peak_rss_mb(proc.stderr)
+    return peak_rss_mb(proc.stderr), exit_ms(proc.stderr, ended)
 
 
 def _csv_change(ref: Path, got: Path) -> float:
@@ -141,12 +164,13 @@ def main(argv: list[str]) -> int:
                     work = Path(tmp)
                     inputs = bench.generate(w, seed, work / "inputs")
                     outs = [work / "parent", work / "change"]
-                    rss = [_first_command(tree, inputs, out) for tree, out in zip(trees, outs)]
+                    rss, exits = zip(*(_first_command(t, inputs, out) for t, out in zip(trees, outs)))
                     identical, changes = compare(*outs, bench.read_rhrt)
                     peaks = " -> ".join("n/a" if mb is None else f"{mb:.2f} MB" for mb in rss)
+                    ends = " -> ".join("n/a" if ms is None else f"{ms:.1f} ms" for ms in exits)
                     print(
                         f"{w.name} seed {seed}: {identical} identical, {len(changes)} differ; "
-                        f"peak RSS {peaks}"
+                        f"peak RSS {peaks}; exit {ends}"
                     )
                     for name, change in changes.items():
                         print(f"  {name}: max |d| / max |ref| = {change:.3e}")
